@@ -11,6 +11,7 @@ general broadcasting framework.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Callable, Sequence
 
@@ -566,29 +567,43 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
+    """Inverse of save_checkpoint. A short or malformed file raises
+    ValueError naming the path and the byte offset where reading stopped."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[: len(_MAGIC)] != _MAGIC:
+    off = 0
+
+    def take(size: int, what: str) -> int:
+        """Claim the next size bytes; returns their start offset."""
+        nonlocal off
+        if off + size > len(data):
+            raise ValueError(
+                f"{path}: truncated checkpoint: {what} at byte {off} needs "
+                f"{size} bytes, {len(data) - off} left")
+        off += size
+        return off - size
+
+    if data[: len(_MAGIC)] != _MAGIC[: len(data)]:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    off = len(_MAGIC)
-    version, count = struct.unpack_from("<HI", data, off)
-    off += struct.calcsize("<HI")
+    take(len(_MAGIC), "magic")
+    version, count = struct.unpack_from("<HI", data, take(6, "header"))
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = data[off:off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", data, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}Q", data, off)
-        off += 8 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(dims)
-        off += 8 * n
+        (name_len,) = struct.unpack_from("<I", data, take(4, "name length"))
+        start = take(name_len, "tensor name")
+        try:
+            name = data[start:off].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: tensor name at byte {start} is not UTF-8") from None
+        (rank,) = struct.unpack_from("<I", data, take(4, f"rank of {name!r}"))
+        dims = struct.unpack_from(f"<{rank}Q", data,
+                                  take(8 * rank, f"shape of {name!r}"))
+        n = math.prod(dims)
+        start = take(8 * n, f"payload of {name!r}")
+        arr = np.frombuffer(data, dtype="<f8", count=n, offset=start).reshape(dims)
         out[name] = arr.astype(np.float64)
     if off != len(data):
-        raise ValueError(f"{path}: trailing bytes after last tensor")
+        raise ValueError(f"{path}: trailing bytes after last tensor at byte {off}")
     return out

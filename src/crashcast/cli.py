@@ -16,7 +16,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -287,17 +286,24 @@ def _read_records(path: str, what: str):
     return records
 
 
-def _save_checkpoint_atomic(path: str, state: dict) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    os.close(fd)
+# FeatureConfig fields that moved to ModelConfig; sidecars written before
+# the move still hold copies of them, which are dropped on read.
+_RETIRED_FEATURE_KEYS = ("scale", "tau_text", "velocity_sign")
+
+
+def _read_sidecar(path: str) -> tuple[ModelConfig, FeatureConfig]:
+    """Model and feature configs from a checkpoint's <checkpoint>.json
+    sidecar; a sidecar that cannot be read as one is a config error."""
     try:
-        ad.save_checkpoint(tmp, state)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        with open(path, encoding="utf-8") as fh:
+            snap = json.load(fh)
+        features = {k: v for k, v in snap["features"].items()
+                    if k not in _RETIRED_FEATURE_KEYS}
+        return ModelConfig.from_dict(snap["model"]), FeatureConfig(**features)
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint sidecar {path} lacks the {exc} key")
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad checkpoint sidecar {path}: {exc}")
 
 
 def _log_lines(rows) -> list[str]:
@@ -351,10 +357,9 @@ def _run_train(cfg: dict) -> int:
             start_epoch = int(np.asarray(resume_state["meta.epochs_done"]))
         prev_sidecar = cfg["resume"] + ".json"
         if os.path.isfile(prev_sidecar):
-            with open(prev_sidecar, encoding="utf-8") as fh:
-                snap = json.load(fh)
-            cfg["feature_dim"] = snap["model"]["feature_dim"]
-            cfg["max_objects"] = snap["model"]["max_objects"]
+            prev_model, _ = _read_sidecar(prev_sidecar)
+            cfg["feature_dim"] = prev_model.feature_dim
+            cfg["max_objects"] = prev_model.max_objects
 
     try:
         model_cfg = ModelConfig(feature_dim=int(cfg["feature_dim"]),
@@ -391,7 +396,7 @@ def _run_train(cfg: dict) -> int:
     state = dict(result.params.state_dict())
     state.update(result.opt_state)
     state["meta.epochs_done"] = np.array(float(train_cfg.epochs))
-    _save_checkpoint_atomic(out, state)
+    ad.save_checkpoint(out, state)
 
     snapshot = {
         "model": model_cfg.to_dict(),
@@ -450,14 +455,7 @@ def _run_eval(cfg: dict) -> int:
         inputs[data] = sha256_file(data)
     records = _read_records(data, "dataset")
 
-    with open(sidecar_path, encoding="utf-8") as fh:
-        snap = json.load(fh)
-    try:
-        model_cfg = ModelConfig.from_dict(snap["model"])
-        feature_cfg = FeatureConfig(**snap["features"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad checkpoint sidecar: {exc}")
-
+    model_cfg, feature_cfg = _read_sidecar(sidecar_path)
     params = ModelParams.init(model_cfg, np.random.default_rng(0))
     state = ad.load_checkpoint(ckpt)
     try:

@@ -23,24 +23,20 @@ from .util import stable_u64, stream_rng
 # fixed scales that bring each state coordinate to roughly unit range
 _STATE_SCALES = np.array([100.0, 100.0, 15.0, math.pi, 3.0, 100.0])
 
-_VELOCITY_SIGNS = ("as-printed", "negated")
-
 
 @dataclass(frozen=True)
 class FeatureConfig:
+    """How embeddings are synthesized; the edge-weight constants (scale,
+    tau_text, velocity_sign) belong to the model and live on ModelConfig."""
+
     feature_dim: int = 32
     max_objects: int = 19
     feature_seed: int = 0
     noise_sigma: float = 0.01
-    scale: float = 1.0 / 1280.0  # pixel-to-depth balance in the distance
-    tau_text: float = 0.5
-    velocity_sign: str = "as-printed"
 
     def __post_init__(self):
         if self.feature_dim < 1 or self.max_objects < 1:
             raise ValueError("feature_dim and max_objects must be >= 1")
-        if self.velocity_sign not in _VELOCITY_SIGNS:
-            raise ValueError(f"velocity_sign must be one of {_VELOCITY_SIGNS}")
 
 
 @dataclass
@@ -110,17 +106,13 @@ def _visual_projections(feature_dim: int, rng: np.random.Generator) -> dict[str,
 
 def synth_visual_features(record: ScenarioRecord, feature_dim: int,
                           rng: np.random.Generator, *,
-                          projections: dict[str, np.ndarray] | None = None,
-                          noise_sigma: float = 0.01,
-                          slot_ids: tuple[str, ...] | None = None) -> np.ndarray:
+                          projections: dict[str, np.ndarray],
+                          slot_ids: tuple[str, ...],
+                          noise_sigma: float = 0.01) -> np.ndarray:
     """(T, 1+O, F) embeddings: slot 0 projects scene aggregates, object
-    slots project (x, y, speed, heading, size, depth). Deterministic given
-    the generator; pass shared projections to keep a dataset consistent."""
-    if projections is None:
-        projections = _visual_projections(feature_dim, rng)
-    if slot_ids is None:
-        slot_ids = assign_slots(record, max(1, sum(1 for _ in {
-            o.id for f in record.objects for o in f})))
+    slots (in slot_ids order) project (x, y, speed, heading, size, depth).
+    Deterministic given the generator; the projections are shared by the
+    whole dataset."""
     index = {oid: k + 1 for k, oid in enumerate(slot_ids)}
     t_count = record.frames
     n_slots = len(slot_ids) + 1
@@ -160,13 +152,11 @@ def _label_embedding(table_seed: int, label: str, feature_dim: int) -> np.ndarra
 
 
 def synth_text_features(labels, feature_dim: int, rng: np.random.Generator, *,
-                        table_seed: int | None = None,
+                        table_seed: int,
                         noise_sigma: float = 0.01,
                         vocab=None) -> np.ndarray:
     """(len(labels), F) rows from a fixed unit-norm per-label table plus
     small noise, re-normalized. With a vocab, labels outside it raise."""
-    if table_seed is None:
-        table_seed = int(rng.integers(0, 2**63))
     cache: dict[str, np.ndarray] = {}
     rows = np.empty((len(labels), feature_dim))
     for i, label in enumerate(labels):
@@ -255,15 +245,6 @@ def pairwise_distance(centers, depths, s: float) -> np.ndarray:
     return s * s * pix + dz * dz
 
 
-def relative_velocity(d_t: np.ndarray, d_prev: np.ndarray | None = None) -> np.ndarray:
-    """Frame-wise distance difference; the first frame has no predecessor
-    and returns zeros."""
-    d_t = np.asarray(d_t, dtype=float)
-    if d_prev is None:
-        return np.zeros_like(d_t)
-    return d_t - np.asarray(d_prev, dtype=float)
-
-
 def _maxabs_normalize(stack: np.ndarray) -> np.ndarray:
     peak = np.abs(stack).max(axis=(-2, -1), keepdims=True)
     return np.divide(stack, peak, out=np.zeros_like(stack), where=peak > 0)
@@ -318,7 +299,6 @@ def fuse_weights(w_geo, w_text, beta) -> Tensor:
 
 @dataclass
 class GeometryParams:
-    scale: float
     a: Parameter  # balance, kept >= 0 by the optimizer projection
 
     @property
@@ -326,8 +306,8 @@ class GeometryParams:
         return ad.div(self.a, ad.add(self.a, 1.0))
 
     @classmethod
-    def init(cls, scale: float = 1.0 / 1280.0, a0: float = 1.0) -> "GeometryParams":
-        return cls(scale, Parameter(a0, name="geom.a"))
+    def init(cls, a0: float = 1.0) -> "GeometryParams":
+        return cls(Parameter(a0, name="geom.a"))
 
 
 @dataclass
@@ -360,11 +340,6 @@ def gated_fuse(x_vis, x_text, gate: FusionGate) -> Tensor:
 
 @dataclass
 class EdgeWeightStack:
-    d: np.ndarray
-    v: np.ndarray
-    dbar: np.ndarray
-    vbar: np.ndarray
-    pair_mask: np.ndarray
     w_geo: Tensor
     w_text: Tensor
     w: Tensor
@@ -373,13 +348,13 @@ class EdgeWeightStack:
 def edge_weight_stack(centers, depths, mask, text_normalized, *, alpha, beta,
                       scale: float, tau_text: float,
                       velocity_sign: str = "as-printed") -> EdgeWeightStack:
-    """Full geometry/text/fused weight pipeline over (..., T, O, ...) data."""
-    if velocity_sign not in _VELOCITY_SIGNS:
-        raise ValueError(f"velocity_sign must be one of {_VELOCITY_SIGNS}")
-    d, v, dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask, scale)
+    """Full geometry/text/fused weight pipeline over (..., T, O, ...) data.
+    The constants come from a validated ModelConfig; any velocity_sign
+    other than "negated" keeps the velocity term as printed."""
+    _, _, dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask, scale)
     if velocity_sign == "negated":
         vbar = -vbar
     w_geo = geo_weights(dbar, vbar, alpha)
     w_text = text_weights(text_normalized, tau_text, pair)
     w = fuse_weights(w_geo, w_text, beta)
-    return EdgeWeightStack(d, v, dbar, vbar, pair, w_geo, w_text, w)
+    return EdgeWeightStack(w_geo, w_text, w)

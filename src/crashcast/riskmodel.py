@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .autodiff import Parameter, Tensor
 from .features import FeatureBatch, FusionGate, GeometryParams, edge_weight_stack, gated_fuse
 
 _TCN_DILATIONS = (1, 2, 4)
+_VELOCITY_SIGNS = ("as-printed", "negated")
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class ModelConfig:
     max_objects: int = 19
     gcn_layers: int = 2
     tcn_kernel: int = 3
-    scale: float = 1.0 / 1280.0
+    scale: float = 1.0 / 1280.0  # pixel-to-depth balance in the distance
     tau_text: float = 0.5
     velocity_sign: str = "as-printed"
 
@@ -38,6 +39,10 @@ class ModelConfig:
             raise ValueError("feature_dim must be even and >= 2")
         if self.max_objects < 1 or self.gcn_layers < 1 or self.tcn_kernel < 1:
             raise ValueError("max_objects, gcn_layers, tcn_kernel must be >= 1")
+        if not self.tau_text > 0:
+            raise ValueError("tau_text must be positive")
+        if self.velocity_sign not in _VELOCITY_SIGNS:
+            raise ValueError(f"velocity_sign must be one of {_VELOCITY_SIGNS}")
 
     @property
     def hidden_dim(self) -> int:
@@ -110,7 +115,7 @@ class ModelParams:
             u=Parameter(rng.normal(size=(n_obj, n_obj)) / n_obj, name="adj.u"),
             v=Parameter(rng.normal(size=(n_obj, n_obj)) / n_obj, name="adj.v"),
             psi=psi,
-            geometry=GeometryParams(cfg.scale, Parameter(1.0, name="geom.a")),
+            geometry=GeometryParams.init(),
             gate_obj=gate_obj,
             gate_frame=gate_frame,
             tcn=tcn,

@@ -21,9 +21,7 @@ from .generate import (
     GenMeta,
     ValidationReport,
     generate_dataset,
-    generate_negative,
     generate_one,
-    generate_positive,
     sample_environment,
     validate_scenario,
 )
@@ -50,9 +48,7 @@ __all__ = [
     "GenMeta",
     "ValidationReport",
     "generate_dataset",
-    "generate_negative",
     "generate_one",
-    "generate_positive",
     "sample_environment",
     "validate_scenario",
 ]

@@ -473,38 +473,6 @@ def _build_negative(graph: RoadGraph, terminals: TerminalSets, cfg: GenConfig,
     return record, meta
 
 
-def generate_positive(template: AccidentTemplate, cfg: GenConfig,
-                      rng: np.random.Generator,
-                      rec_id: str = "positive") -> ScenarioRecord:
-    """Instantiate an accident template; resamples parameters a bounded
-    number of times before giving up."""
-    last: Exception | None = None
-    for _ in range(cfg.max_attempts):
-        try:
-            record, meta = _build_positive(template, cfg, rng, rec_id)
-        except ConstraintUnsatisfiableError:
-            raise
-        except (GenerationError, DeconflictError, ODSamplingError) as exc:
-            last = exc
-            continue
-        report = validate_scenario(record, cfg, meta)
-        if report.ok:
-            return record
-        last = GenerationError("validation failed: "
-                               + "; ".join(c.name for c in report.failures()))
-    raise ConstraintUnsatisfiableError(
-        f"no valid {template.kind!r} parameterization in {cfg.max_attempts} "
-        f"attempts") from last
-
-
-def generate_negative(graph: RoadGraph, terminals: TerminalSets, cfg: GenConfig,
-                      ego_route: Route, rng: np.random.Generator,
-                      rec_id: str = "negative") -> ScenarioRecord:
-    """One conflict-free scenario along the given ego route."""
-    record, _ = _build_negative(graph, terminals, cfg, ego_route, rng, rec_id)
-    return record
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str

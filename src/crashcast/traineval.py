@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Parameter, Tape
+from .autodiff import Tape
 from .features import FeatureBatch, FeatureConfig, build_features
 from .losses import LabeledBatch, LossConfig, align_loss, frame_loss, total_loss, video_loss
 from .riskmodel import ModelConfig, ModelParams, align_project, forward
@@ -185,14 +184,26 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 # evaluation
 
+def first_crossings(curves, deltas) -> np.ndarray:
+    """(B, D) trigger frames: entry [b, k] is the smallest 1-based m < T
+    with curves[b, m-1] >= deltas[k], or 0 when curve b never reaches
+    deltas[k] before its final frame. NaN risk never triggers."""
+    head = np.asarray(curves, dtype=float)[:, :-1]
+    deltas = np.asarray(deltas, dtype=float)
+    # running max of each curve with NaN read as -inf: nondecreasing, so the
+    # first crossing of delta is the number of entries still below it
+    peak = np.maximum.accumulate(np.where(np.isnan(head), -np.inf, head), axis=1)
+    below = (peak[:, :, None] < deltas).sum(axis=1)
+    return np.where(below < head.shape[1], below + 1, 0)
+
+
 def trigger_frame(curve, delta: float) -> int | None:
     """Smallest 1-based m with u_m >= delta and m < T; None when the curve
     never crosses before the final frame."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {delta}")
-    curve = np.asarray(curve, dtype=float)
-    hits = np.nonzero(curve[:-1] >= delta)[0]
-    return int(hits[0]) + 1 if hits.size else None
+    m = int(first_crossings([curve], [delta])[0, 0])
+    return m or None
 
 
 def tta(trigger: int, accident_frame: int, fps: int) -> float:
@@ -232,22 +243,25 @@ def average_precision(scores, labels) -> float:
 _MTTA_GRID = np.arange(1, 100) / 100.0
 
 
+def _grid_ttas(curves, labels, accident_frames, fps) -> list[np.ndarray]:
+    """Per threshold of the mTTA grid, the TTA seconds of the positives
+    that trigger there, in video order."""
+    pos = np.asarray(labels, dtype=int) == 1
+    if not pos.any():
+        return [np.empty(0)] * len(_MTTA_GRID)
+    lams = np.asarray(accident_frames)[pos].astype(np.int64)
+    m = first_crossings(np.asarray(curves, dtype=float)[pos], _MTTA_GRID)
+    secs = np.maximum(0.0, (lams[:, None] - m) / fps)  # tta() per entry
+    return [secs[m[:, k] > 0, k] for k in range(len(_MTTA_GRID))]
+
+
 def mtta(curves, labels, accident_frames, fps: int) -> float:
     """Mean over the threshold grid {0.01..0.99} of the mean TTA across
     positives that trigger at that threshold; grid points with no trigger
     are skipped, and the result is 0 when nothing ever triggers."""
-    labels = np.asarray(labels, dtype=int)
-    grid_means = []
-    for delta in _MTTA_GRID:
-        ttas = []
-        for curve, y, lam in zip(curves, labels, accident_frames):
-            if y != 1:
-                continue
-            m = trigger_frame(curve, delta)
-            if m is not None:
-                ttas.append(tta(m, int(lam), fps))
-        if ttas:
-            grid_means.append(float(np.mean(ttas)))
+    grid_means = [float(np.mean(t))
+                  for t in _grid_ttas(curves, labels, accident_frames, fps)
+                  if t.size]
     return float(np.mean(grid_means)) if grid_means else 0.0
 
 
@@ -283,11 +297,12 @@ class EvalReport:
 def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
                 feature_cfg: FeatureConfig, chunk: int = 32,
                 jobs: int = 1) -> np.ndarray:
-    """(B, T) risk curves, computed in fixed-size chunks; chunking cannot
-    change the values because features are per-record deterministic.
+    """(B, T) risk curves, computed in fixed-size chunks. Features are
+    per-record deterministic, so the chunk size moves values only in the
+    last bits (a batch of another size can take another BLAS path).
 
-    ``jobs`` > 1 runs the chunks on a thread pool. Results are merged in
-    chunk order, so the output bytes never depend on the worker count.
+    ``jobs`` > 1 runs the same chunks on a thread pool. Results are merged
+    in chunk order, so the output bytes never depend on the worker count.
     """
     records = list(records)
     spans = [(lo, min(lo + chunk, len(records)))
@@ -335,13 +350,9 @@ def evaluate(records, params: ModelParams, model_cfg: ModelConfig,
         videos.append(VideoEval(rec.id, int(labels[i]), float(scores[i]),
                                 m, t_sec))
 
-    sweep = []
-    for delta in _MTTA_GRID:
-        ttas = [tta(trigger_frame(curves[i], delta), int(lams[i]), fps)
-                for i in range(len(records))
-                if labels[i] == 1 and trigger_frame(curves[i], delta) is not None]
-        sweep.append({"delta": round(float(delta), 2),
-                      "triggered": len(ttas),
-                      "mean_tta": float(np.mean(ttas)) if ttas else 0.0})
+    sweep = [{"delta": round(float(delta), 2),
+              "triggered": int(t.size),
+              "mean_tta": float(np.mean(t)) if t.size else 0.0}
+             for delta, t in zip(_MTTA_GRID, _grid_ttas(curves, labels, lams, fps))]
     report = EvalReport(ap, mtta_val, threshold, videos, sweep)
     return report, curves

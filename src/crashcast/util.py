@@ -42,28 +42,23 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file + rename so readers never see a torn file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write data to path via a synced temp file + rename, so readers never
+    see a torn file and a crash never leaves a renamed but empty one."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """UTF-8 text through atomic_write_bytes; newlines are written as given."""
+    atomic_write_bytes(path, text.encode("utf-8"))

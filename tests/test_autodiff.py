@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -229,4 +230,11 @@ def test_checkpoint_rejects_garbage(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"not a checkpoint at all")
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+    # a name that is not UTF-8 is reported with the file and its offset
+    save_checkpoint(path, {"w": np.zeros(2)})
+    with open(path, "r+b") as fh:
+        fh.seek(16)
+        fh.write(b"\xff")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: tensor name at byte 16")):
         load_checkpoint(path)

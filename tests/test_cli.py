@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 import subprocess
 import sys
 
@@ -224,6 +226,23 @@ def test_train_resume_fewer_epochs_exits_2(work, tmp_path):
     assert code == 2
 
 
+def test_train_resume_sidecar_without_model_exits_2(work, tmp_path, capsys):
+    _, data, ckpt = work
+    prev = tmp_path / "prev.bin"
+    prev.write_bytes(ckpt.read_bytes())
+    sidecar = json.loads((ckpt.parent / "ckpt.bin.json").read_text())
+    del sidecar["model"]
+    (tmp_path / "prev.bin.json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--epochs", "3", "--seed",
+                 "1", "--out", str(tmp_path / "x.bin"),
+                 "--resume", str(prev)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("crashcast: error:")
+    assert str(tmp_path / "prev.bin.json") in err[0] and "'model'" in err[0]
+
+
 def test_train_missing_data_exits_2(tmp_path):
     code = main(["train", "--data", str(tmp_path / "nope.jsonl"),
                  "--epochs", "1", "--out", str(tmp_path / "x.bin")])
@@ -322,13 +341,86 @@ def test_eval_missing_sidecar_exits_2(work, tmp_path):
     assert code == 2
 
 
+def test_eval_invalid_sidecar_json_exits_2(work, tmp_path, capsys):
+    _, data, ckpt = work
+    other = tmp_path / "other.bin"
+    other.write_bytes(ckpt.read_bytes())
+    (tmp_path / "other.bin.json").write_text("{oops")
+    capsys.readouterr()
+    code = main(["eval", "--data", str(data), "--checkpoint", str(other),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("crashcast: error:")
+    assert str(tmp_path / "other.bin.json") in err[0]
+    assert not (tmp_path / "r.json").exists()
+
+
+def _header_boundaries(blob: bytes) -> list[int]:
+    """Every offset where a checkpoint field starts or ends: magic, version,
+    count, then per tensor its name length, name, rank, dims and payload."""
+    cuts = [0, 6, 8, 12]
+    (count,) = struct.unpack_from("<I", blob, 8)
+    off = 12
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        cuts.append(off)
+        off += name_len
+        cuts.append(off)
+        (rank,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        cuts.append(off)
+        dims = struct.unpack_from(f"<{rank}Q", blob, off)
+        off += 8 * rank
+        cuts.append(off)
+        off += 8 * int(np.prod(dims))
+        cuts.append(off)
+    assert off == len(blob)
+    return cuts[:-1]  # the last boundary is the whole file
+
+
+def test_truncated_checkpoint_raises_with_path_and_offset(work, tmp_path):
+    _, _, ckpt = work
+    blob = ckpt.read_bytes()
+    cut_path = tmp_path / "cut.bin"
+    cuts = _header_boundaries(blob)
+    assert len(cuts) > 100
+    for cut in cuts:
+        cut_path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError) as info:
+            ad.load_checkpoint(str(cut_path))
+        msg = str(info.value)
+        assert msg.startswith(f"{cut_path}: truncated checkpoint"), (cut, msg)
+        at = int(re.search(r"at byte (\d+)", msg).group(1))
+        assert at <= cut, (cut, msg)
+
+
+@pytest.mark.parametrize("cut", [6, 12, 30])
+def test_eval_truncated_checkpoint_exits_3(work, tmp_path, capsys, cut):
+    _, data, ckpt = work
+    short = tmp_path / "short.bin"
+    short.write_bytes(ckpt.read_bytes()[:cut])
+    (tmp_path / "short.bin.json").write_bytes(
+        (ckpt.parent / "ckpt.bin.json").read_bytes())
+    capsys.readouterr()
+    code = main(["eval", "--data", str(data), "--checkpoint", str(short),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("crashcast: error:")
+    assert str(short) in err[0] and "byte" in err[0]
+    assert not (tmp_path / "r.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
-def test_module_invocation_subprocess(tmp_path):
+@pytest.mark.parametrize("module", ["crashcast", "crashcast.cli"])
+def test_module_invocation_subprocess(tmp_path, module):
     out = tmp_path / "d.jsonl"
     proc = subprocess.run(
-        [sys.executable, "-m", "crashcast.cli", "gen-data", "--count", "2",
+        [sys.executable, "-m", module, "gen-data", "--count", "2",
          "--positive-ratio", "0.5", "--seed", "1", "--out", str(out)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

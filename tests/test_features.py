@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,11 +19,12 @@ from crashcast.features import (
     geo_weights,
     object_size,
     pairwise_distance,
-    relative_velocity,
     synth_text_features,
     synth_visual_features,
     text_weights,
+    _visual_projections,
 )
+from crashcast.riskmodel import ModelConfig
 from crashcast.scenario import (
     EnvironmentProfile,
     GenConfig,
@@ -65,14 +67,6 @@ def test_pairwise_distance_properties():
         assert np.all(d >= 0)
         assert np.allclose(d, d.T)
         assert np.all(np.diag(d) == 0.0)
-
-
-def test_relative_velocity():
-    prev = np.array([[0.0, 25.0], [25.0, 0.0]])
-    cur = np.array([[0.0, 16.0], [16.0, 0.0]])
-    v = relative_velocity(cur, prev)
-    assert v[0, 1] == -9.0
-    assert np.all(relative_velocity(cur) == 0.0)
 
 
 def test_distance_velocity_stacks_hand_case():
@@ -127,10 +121,10 @@ def test_geo_weights_alpha_one_is_pure_distance_kernel():
 
 def test_geometry_params_alpha_range():
     assert GeometryParams.init().alpha.item() == pytest.approx(0.5)
-    g = GeometryParams(1.0, Parameter(3.0, name="a"))
+    g = GeometryParams(Parameter(3.0, name="a"))
     assert g.alpha.item() == pytest.approx(0.75)
     for a0 in [0.0, 0.01, 1.0, 7.0, 1e6]:
-        alpha = GeometryParams(1.0, Parameter(a0, name="a")).alpha.item()
+        alpha = GeometryParams(Parameter(a0, name="a")).alpha.item()
         assert 0.0 <= alpha < 1.0
 
 
@@ -272,12 +266,16 @@ def test_gate_gradients_match_fd():
 
 # --- synthetic embeddings ---------------------------------------------------
 
+PROJ8 = _visual_projections(8, np.random.default_rng(7))
+
+
 def test_synth_visual_deterministic_given_seed():
     rec = _record([[_state("a"), _state("b", x=4.0)] for _ in range(3)])
-    one = synth_visual_features(rec, 8, np.random.default_rng(42))
-    two = synth_visual_features(rec, 8, np.random.default_rng(42))
+    kw = dict(projections=PROJ8, slot_ids=("a", "b"))
+    one = synth_visual_features(rec, 8, np.random.default_rng(42), **kw)
+    two = synth_visual_features(rec, 8, np.random.default_rng(42), **kw)
     assert np.array_equal(one, two)
-    other = synth_visual_features(rec, 8, np.random.default_rng(43))
+    other = synth_visual_features(rec, 8, np.random.default_rng(43), **kw)
     assert not np.array_equal(one, other)
 
 
@@ -288,7 +286,9 @@ def test_synth_visual_zero_noise_reflects_state():
         [_state("a", x=1.0, depth=22.0)],
     ]
     rec = _record(frames)
-    emb = synth_visual_features(rec, 8, np.random.default_rng(0), noise_sigma=0.0)
+    emb = synth_visual_features(rec, 8, np.random.default_rng(0),
+                                projections=PROJ8, slot_ids=("a",),
+                                noise_sigma=0.0)
     assert np.array_equal(emb[0, 1], emb[1, 1])
     assert not np.array_equal(emb[0, 1], emb[2, 1])
     # frame slot is always populated, absent object slots stay zero
@@ -299,7 +299,7 @@ def test_synth_visual_absent_slots_are_zero():
     frames = [[_state("a")], [_state("a"), _state("b", x=6.0)]]
     rec = _record(frames)
     emb = synth_visual_features(rec, 8, np.random.default_rng(1),
-                                slot_ids=("a", "b"))
+                                projections=PROJ8, slot_ids=("a", "b"))
     assert np.all(emb[0, 2] == 0.0)
     assert np.any(emb[1, 2] != 0.0)
     assert np.all(np.isfinite(emb))
@@ -334,7 +334,7 @@ def test_synth_text_rows_unit_norm_with_noise():
 def test_synth_text_unknown_label_raises():
     with pytest.raises(ValueError, match="unknown label"):
         synth_text_features(["warp-speed"], 8, np.random.default_rng(0),
-                            vocab=("straight", "braking"))
+                            table_seed=7, vocab=("straight", "braking"))
 
 
 # --- slot assignment and batch assembly -------------------------------------
@@ -395,7 +395,6 @@ def test_build_features_rejects_bad_input():
     cfg = FeatureConfig(feature_dim=8, max_objects=4)
     with pytest.raises(ValueError):
         build_features([], cfg)
-    import dataclasses
     short = dataclasses.replace(records[0], frames=records[0].frames - 1,
                                 objects=records[0].objects[:-1],
                                 scene_labels=records[0].scene_labels[:-1])
@@ -405,17 +404,21 @@ def test_build_features_rejects_bad_input():
 
 def test_feature_config_validation():
     with pytest.raises(ValueError):
-        FeatureConfig(velocity_sign="sideways")
-    with pytest.raises(ValueError):
         FeatureConfig(feature_dim=0)
+    # velocity_sign is a model constant: ModelConfig rejects bad values
+    with pytest.raises(TypeError):
+        FeatureConfig(velocity_sign="negated")
+    with pytest.raises(ValueError):
+        ModelConfig(velocity_sign="sideways")
 
 
 # --- full edge-weight stack --------------------------------------------------
 
 def test_edge_weight_stack_end_to_end():
     records = _small_dataset(count=2)
-    cfg = FeatureConfig(feature_dim=8, max_objects=4, feature_seed=1)
-    batch = build_features(records, cfg)
+    batch = build_features(
+        records, FeatureConfig(feature_dim=8, max_objects=4, feature_seed=1))
+    cfg = ModelConfig(feature_dim=8, max_objects=4)
     text_obj = batch.text[:, :, 1:]
     norm = np.linalg.norm(text_obj, axis=-1, keepdims=True)
     text_norm = np.divide(text_obj, norm, out=np.zeros_like(text_obj),
@@ -439,6 +442,4 @@ def test_edge_weight_stack_end_to_end():
     assert np.allclose(flipped.w.value, -base.w.value, atol=1e-9)
 
     with pytest.raises(ValueError):
-        edge_weight_stack(batch.centers, batch.depths, batch.mask, text_norm,
-                          alpha=0.5, beta=0.0, scale=cfg.scale,
-                          tau_text=cfg.tau_text, velocity_sign="up")
+        dataclasses.replace(cfg, velocity_sign="up")

@@ -370,6 +370,13 @@ def test_model_config_roundtrip_and_validation():
         ModelConfig(feature_dim=7)
     with pytest.raises(ValueError):
         ModelConfig(max_objects=0)
+    # the edge-weight constants are checked here, before any forward pass
+    for bad in ("sideways", "up"):
+        with pytest.raises(ValueError, match="velocity_sign"):
+            ModelConfig(velocity_sign=bad)
+    for tau in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="tau_text"):
+            ModelConfig(tau_text=tau)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -15,9 +15,7 @@ from crashcast.scenario import (
     GenConfig,
     RoleSpec,
     behavior_label,
-    generate_negative,
     generate_one,
-    generate_positive,
     preset_graph,
     read_dataset,
     record_from_json,
@@ -210,7 +208,7 @@ def test_parallel_routes_are_unsatisfiable():
         observer_ods=(("l2a", "l2b"),),
     )
     with pytest.raises(ConstraintUnsatisfiableError):
-        generate_positive(template, CFG, stream_rng(31))
+        _build_positive(template, CFG, stream_rng(31), "positive")
 
 
 def test_negative_min_spacing_sweep():
@@ -218,7 +216,7 @@ def test_negative_min_spacing_sweep():
     terminals = classify_terminals(graph)
     rng = stream_rng(41, "neg")
     route = _sample_ego_route(graph, terminals, CFG, rng)
-    rec = generate_negative(graph, terminals, CFG, route, rng)
+    rec, _ = _build_negative(graph, terminals, CFG, route, rng, "negative")
     assert not rec.positive and rec.accident_frame is None
     worst = math.inf
     for frame in rec.objects:
@@ -237,7 +235,7 @@ def test_negative_empty_traffic_keeps_parked_floor():
     terminals = classify_terminals(graph)
     rng = stream_rng(43, "quiet")
     route = _sample_ego_route(graph, terminals, quiet, rng)
-    rec = generate_negative(graph, terminals, quiet, route, rng)
+    rec, _ = _build_negative(graph, terminals, quiet, route, rng, "negative")
     assert all(len(frame) >= 1 for frame in rec.objects)
     assert all(o.speed == 0.0 and o.behavior == "stopped"
                for frame in rec.objects for o in frame)

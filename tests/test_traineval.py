@@ -16,7 +16,9 @@ from crashcast.traineval import (
     average_precision,
     clip_gradients,
     evaluate,
+    first_crossings,
     mtta,
+    risk_curves,
     split_dataset,
     train,
     trigger_frame,
@@ -64,6 +66,31 @@ def test_trigger_frame_monotone_in_threshold():
                 break
             assert m >= prev
             prev = m
+
+
+def _scalar_first_crossing(curve, delta):
+    for t in range(len(curve) - 1):
+        if curve[t] >= delta:
+            return t + 1
+    return 0
+
+
+def test_first_crossings_match_scalar_loop():
+    rng = np.random.default_rng(8)
+    grid = np.arange(1, 100) / 100.0
+    cases = [rng.uniform(0, 1, (30, 20)),
+             # values on the grid itself, so crossings tie at exactly delta
+             rng.integers(0, 101, (30, 12)) / 100.0,
+             rng.uniform(0, 1, (5, 1)),  # T = 1 never triggers
+             np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.0], [np.nan, 0.7, 0.2]])]
+    for curves in cases:
+        for deltas in (grid, np.array([0.0, 1.0]), np.array([0.25, 0.5, 0.75])):
+            got = first_crossings(curves, deltas)
+            assert got.shape == (len(curves), len(deltas))
+            want = [[_scalar_first_crossing(c, d) for d in deltas] for c in curves]
+            assert np.array_equal(got, want)
+    assert not first_crossings(rng.uniform(0, 1, (4, 1)), grid).any()
+    assert np.all(first_crossings(rng.uniform(0, 1, (4, 6)), [0.0]) == 1)
 
 
 def test_tta_hand_cases():
@@ -351,9 +378,13 @@ def test_evaluate_report_structure():
             assert v.tta_seconds is None
     d = report.to_dict()
     assert set(d) == {"ap", "mtta", "threshold", "sweep", "videos"}
-    # chunked inference must agree with one-shot inference
-    report2, curves2 = evaluate(records, params, model_cfg, feat_cfg)
-    assert np.array_equal(curves, curves2)
+    # chunked inference agrees with one-shot inference up to the last bits
+    # (a one-row batch can take another BLAS path)
+    whole = risk_curves(records, params, model_cfg, feat_cfg, chunk=len(records))
+    assert np.allclose(curves, whole, rtol=0.0, atol=1e-12)
+    for chunk in (1, 3):
+        part = risk_curves(records, params, model_cfg, feat_cfg, chunk=chunk)
+        assert np.allclose(part, whole, rtol=0.0, atol=1e-12), chunk
 
 
 def test_evaluate_rejects_bad_threshold_and_degenerate_labels():
