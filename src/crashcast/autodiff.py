@@ -1,9 +1,13 @@
 """Minimal dense float64 tensor library with tape-based reverse-mode autodiff.
 
-Forward ops compute eagerly with numpy. While a Tape is active, every
-primitive appends a node holding the output, its inputs, and one gradient
-callback per input; backward() replays the tape in reverse, accumulating
-vector-Jacobian products. Gradients land on Parameter.grad.
+Forward ops compute eagerly with numpy. While a Tape is active, a primitive
+appends a node holding the output, its inputs, and one gradient callback per
+input, but only when a gradient can reach a Parameter through it: at least
+one input is a Parameter or the output of a node already on the tape. Ops
+on constant data alone run forward-only, and inputs that are neither get no
+callback, so backward() never differentiates with respect to data. backward()
+replays the tape in reverse, accumulating vector-Jacobian products.
+Gradients land on Parameter.grad.
 
 Only the shapes the downstream model needs are supported; this is not a
 general broadcasting framework.
@@ -24,9 +28,6 @@ _CKPT_VERSION = 1
 # Stack of active tapes. Ops record onto the innermost one; with no tape
 # active the library runs forward-only (cheap inference).
 _TAPE_STACK: list["Tape"] = []
-
-# When enabled, every op asserts its output is finite. Slow; for debugging.
-DEBUG_CHECK_FINITE = False
 
 
 class Tensor:
@@ -100,12 +101,11 @@ class Tensor:
 class Parameter(Tensor):
     """Leaf tensor that collects gradients across backward passes."""
 
-    __slots__ = ("name", "grad", "trainable")
+    __slots__ = ("name", "grad")
 
-    def __init__(self, value, name: str = "", trainable: bool = True):
+    def __init__(self, value, name: str = ""):
         super().__init__(value)
         self.name = name
-        self.trainable = trainable
         self.grad = np.zeros_like(self.value)
 
     def zero_grad(self) -> None:
@@ -122,13 +122,18 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of primitive ops for one forward pass.
+    """Ordered record of the primitive ops of one forward pass that a
+    Parameter's gradient can flow through; ops on constants alone are not
+    recorded (see _record).
 
     One backward per forward; call reset() (or build a new tape) to reuse.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        # ids of recorded outputs; each stays alive in its node, so no
+        # other live tensor can share its id while the tape holds it
+        self._outputs: set[int] = set()
         self._used = False
 
     def __enter__(self) -> "Tape":
@@ -144,6 +149,7 @@ class Tape:
 
     def reset(self) -> None:
         self._nodes.clear()
+        self._outputs.clear()
         self._used = False
 
     def backward(self, root: Tensor) -> None:
@@ -177,10 +183,22 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], grad_fns) -> Tensor:
-    if DEBUG_CHECK_FINITE and not np.all(np.isfinite(out.value)):
-        raise FloatingPointError("non-finite value produced by primitive")
+    """Append out's node to the innermost tape if a gradient can reach a
+    Parameter through it; inputs it cannot reach get no callback."""
     if _TAPE_STACK:
-        _TAPE_STACK[-1]._nodes.append(_Node(out, tuple(inputs), tuple(grad_fns)))
+        tape = _TAPE_STACK[-1]
+        outputs = tape._outputs
+        fns = []
+        live = False
+        for t, fn in zip(inputs, grad_fns):
+            if isinstance(t, Parameter) or id(t) in outputs:
+                fns.append(fn)
+                live = True
+            else:
+                fns.append(None)
+        if live:
+            tape._nodes.append(_Node(out, tuple(inputs), tuple(fns)))
+            outputs.add(id(out))
     return out
 
 

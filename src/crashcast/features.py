@@ -121,26 +121,40 @@ def synth_visual_features(record: ScenarioRecord, feature_dim: int,
     env_code = (stable_u64("env", record.environment.weather,
                            record.environment.lighting,
                            record.environment.road_type) % 1000) / 1000.0
+    sizes: dict[str, float] = {}
+    rows, frame_of, slot_of = [], [], []
     for t, frame in enumerate(record.objects):
-        if frame:
-            agg = np.array([
-                len(frame) / 19.0,
-                float(np.mean([o.speed for o in frame])) / 15.0,
-                float(np.mean([o.depth for o in frame])) / 100.0,
-                float(np.mean([o.x for o in frame])) / 100.0,
-                float(np.mean([o.y for o in frame])) / 100.0,
-                env_code,
-            ])
-            out[t, 0] = agg @ projections["frame"]
-            filled[t, 0] = True
         for o in frame:
-            k = index.get(o.id)
-            if k is None:
-                continue
-            state = np.array([o.x, o.y, o.speed, o.heading,
-                              object_size(o.id), o.depth]) / _STATE_SCALES
-            out[t, k] = state @ projections["object"]
-            filled[t, k] = True
+            if o.id not in sizes:
+                sizes[o.id] = object_size(o.id)
+            rows.append((o.x, o.y, o.speed, o.heading, sizes[o.id], o.depth))
+            frame_of.append(t)
+            slot_of.append(index.get(o.id, 0))  # 0: not in a slot
+    if rows:
+        state = np.array(rows)  # (n, 6) raw (x, y, speed, heading, size, depth)
+        frame_of = np.array(frame_of)
+        slot_of = np.array(slot_of)
+        count = np.bincount(frame_of, minlength=t_count)
+        seen = count > 0
+
+        def frame_mean(col: int) -> np.ndarray:
+            return np.bincount(frame_of, weights=state[:, col],
+                               minlength=t_count)[seen] / count[seen]
+
+        agg = np.stack([
+            count[seen] / 19.0,
+            frame_mean(2) / 15.0,
+            frame_mean(5) / 100.0,
+            frame_mean(0) / 100.0,
+            frame_mean(1) / 100.0,
+            np.full(int(seen.sum()), env_code),
+        ], axis=1)
+        out[seen, 0] = agg @ projections["frame"]
+        filled[seen, 0] = True
+        slotted = slot_of > 0
+        t_idx, k_idx = frame_of[slotted], slot_of[slotted]
+        out[t_idx, k_idx] = (state[slotted] / _STATE_SCALES) @ projections["object"]
+        filled[t_idx, k_idx] = True
     if noise_sigma > 0:
         out = out + noise_sigma * rng.normal(size=out.shape)
     return out * filled[:, :, None]
@@ -277,15 +291,14 @@ def geo_weights(dbar, vbar, alpha) -> Tensor:
 
 def text_weights(embeddings, tau_text: float, pair_mask=None) -> Tensor:
     """Row softmax over cosine similarity / tau; masked pairs contribute
-    exactly zero. Expects unit-normalized embeddings (..., O, F)."""
+    exactly zero. Expects unit-normalized embeddings (..., O, F).
+
+    The embeddings are data: the similarity is one product e @ e^T of their
+    values, and no gradient flows back to them."""
     if tau_text <= 0:
         raise ValueError("tau_text must be positive")
-    e = ad.as_tensor(embeddings)
-    n_obj, f_dim = e.shape[-2], e.shape[-1]
-    lead = e.shape[:-2]
-    a = ad.reshape(e, lead + (n_obj, 1, f_dim))
-    b = ad.reshape(e, lead + (1, n_obj, f_dim))
-    logits = ad.tsum(ad.mul(a, b), axis=-1) / tau_text
+    e = ad.as_tensor(embeddings).value
+    logits = (e @ np.swapaxes(e, -1, -2)) / tau_text
     if pair_mask is not None:
         logits = logits + np.where(np.asarray(pair_mask, dtype=bool), 0.0, -1e30)
     return ad.softmax_lastdim(logits)

@@ -217,10 +217,17 @@ def record_from_json(line: str) -> ScenarioRecord:
 
 
 def read_dataset(path: str) -> list[ScenarioRecord]:
+    """Records of a JSON-lines file, blank lines skipped. A line that is not
+    a record raises ValueError naming the path and the 1-based line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_json(line))
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.strip():
+                continue
+            try:
+                records.append(record_from_json(raw.decode("utf-8")))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: record lacks the {exc} key") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
     return records

@@ -163,7 +163,12 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
                         f"non-finite loss at step {step + 1} (epoch {epoch}): "
                         f"L1={values[0]} L2={values[1]} L3={values[2]} L={values[3]}")
                 tape.backward(loss)
-            clip_gradients(params.parameters(), train_cfg.clip_norm)
+            norm = clip_gradients(params.parameters(), train_cfg.clip_norm)
+            if not np.isfinite(norm):
+                # Adam would write it into every parameter; stop before that
+                raise TrainingDivergedError(
+                    f"non-finite gradient norm at step {step + 1} "
+                    f"(epoch {epoch}): {norm}")
             opt.step()
             # the geometry balance stays nonnegative so alpha stays in [0, 1)
             np.maximum(params.geometry.a.value, 0.0,

@@ -186,6 +186,39 @@ def test_grad_accumulates_across_backward_passes():
     assert p.grad == pytest.approx([0.0])
 
 
+def test_tape_records_nothing_for_ops_on_constants():
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    with Tape() as tape:
+        y = softmax_lastdim(l2_normalize_lastdim(x) * 2.0)
+        _ = concat([y, x], axis=-1).sum()
+    assert len(tape) == 0
+
+
+def test_tape_records_only_ops_that_reach_a_parameter():
+    c_value = np.array([0.5, -1.0, 2.0])
+
+    def run(c):
+        p = Parameter(np.array([0.3, -0.2, 0.1]), name="p")
+        with Tape() as tape:
+            k = ad.exp(c) * 2.0  # constants alone: not recorded
+            h = ad.tanh(p)  # reaches p
+            y = (h * k).sum()  # consumes a recorded output
+            tape.backward(y)
+        return tape, p.grad
+
+    tape, grad = run(Tensor(c_value))
+    assert len(tape) == 3
+    mul_node = tape._nodes[1]
+    assert mul_node.grad_fns[0] is not None and mul_node.grad_fns[1] is None
+    # the same chain with the constant made a Parameter records every op,
+    # and p's gradient comes out bit for bit the same
+    full_tape, full_grad = run(Parameter(c_value, name="c"))
+    assert len(full_tape) == 5
+    assert np.array_equal(grad, full_grad)
+    assert np.allclose(grad, (1.0 - np.tanh([0.3, -0.2, 0.1]) ** 2) * 2.0 * np.exp(c_value),
+                       atol=1e-15)
+
+
 def test_no_tape_means_no_recording():
     p = Parameter(np.ones(2))
     before = len(ad._TAPE_STACK)

@@ -356,6 +356,30 @@ def test_eval_invalid_sidecar_json_exits_2(work, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("corrupt", ["cut", "missing-keys", "not-utf8"])
+def test_eval_corrupt_dataset_exits_3_naming_the_line(work, tmp_path, capsys, corrupt):
+    _, data, ckpt = work
+    lines = data.read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    if corrupt == "cut":
+        bad.write_text("".join(lines[:2]) + "\n" + lines[2][:len(lines[2]) // 2])
+        where = f"{bad}:4:"
+    elif corrupt == "missing-keys":
+        bad.write_text(lines[0] + '{"id": "x"}\n')
+        where = f"{bad}:2:"
+    else:
+        bad.write_bytes(lines[0].encode() + b'{"id": "\xff"}\n')
+        where = f"{bad}:2:"
+    capsys.readouterr()
+    code = main(["eval", "--data", str(bad), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("crashcast: error:")
+    assert where in err[0], err[0]
+    assert not (tmp_path / "r.json").exists()
+
+
 def _header_boundaries(blob: bytes) -> list[int]:
     """Every offset where a checkpoint field starts or ends: magic, version,
     count, then per tensor its name length, name, rank, dims and payload."""

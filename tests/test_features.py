@@ -171,6 +171,30 @@ def test_text_weights_rejects_bad_tau():
         text_weights(np.eye(2), 0.0)
 
 
+def test_text_weights_match_broadcast_cosine():
+    def broadcast_reference(e, tau, pair=None):
+        logits = (e[..., :, None, :] * e[..., None, :, :]).sum(axis=-1) / tau
+        if pair is not None:
+            logits = logits + np.where(pair, 0.0, -1e30)
+        x = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return x / x.sum(axis=-1, keepdims=True)
+
+    rng = np.random.default_rng(21)
+    e = rng.standard_normal((3, 5, 7, 16))
+    e /= np.linalg.norm(e, axis=-1, keepdims=True)
+    present = rng.random((3, 5, 7)) < 0.6
+    pair = present[..., :, None] & present[..., None, :]
+    for mask in [None, pair]:
+        got = text_weights(e, 0.5, mask).value
+        want = broadcast_reference(e, 0.5, mask)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+    assert np.all(got[~pair & present[..., :, None]] == 0.0)
+    # the embeddings are data: nothing is recorded for them
+    with ad.Tape() as tape:
+        text_weights(ad.Tensor(e), 0.5, pair)
+    assert len(tape) == 0
+
+
 # --- fused weights ----------------------------------------------------------
 
 def test_fuse_weights_hand_values():
@@ -303,6 +327,68 @@ def test_synth_visual_absent_slots_are_zero():
     assert np.all(emb[0, 2] == 0.0)
     assert np.any(emb[1, 2] != 0.0)
     assert np.all(np.isfinite(emb))
+
+
+def test_synth_visual_matches_per_object_loop():
+    from crashcast.features import _STATE_SCALES
+    from crashcast.util import stable_u64
+
+    def loop_reference(record, feature_dim, rng, projections, slot_ids, noise_sigma):
+        index = {oid: k + 1 for k, oid in enumerate(slot_ids)}
+        out = np.zeros((record.frames, len(slot_ids) + 1, feature_dim))
+        filled = np.zeros(out.shape[:2], dtype=bool)
+        env = record.environment
+        env_code = (stable_u64("env", env.weather, env.lighting, env.road_type)
+                    % 1000) / 1000.0
+        for t, frame in enumerate(record.objects):
+            if frame:
+                agg = np.array([
+                    len(frame) / 19.0,
+                    float(np.mean([o.speed for o in frame])) / 15.0,
+                    float(np.mean([o.depth for o in frame])) / 100.0,
+                    float(np.mean([o.x for o in frame])) / 100.0,
+                    float(np.mean([o.y for o in frame])) / 100.0,
+                    env_code,
+                ])
+                out[t, 0] = agg @ projections["frame"]
+                filled[t, 0] = True
+            for o in frame:
+                k = index.get(o.id)
+                if k is None:
+                    continue
+                state = np.array([o.x, o.y, o.speed, o.heading,
+                                  object_size(o.id), o.depth]) / _STATE_SCALES
+                out[t, k] = state @ projections["object"]
+                filled[t, k] = True
+        if noise_sigma > 0:
+            out = out + noise_sigma * rng.normal(size=out.shape)
+        return out * filled[:, :, None]
+
+    hand = _record([
+        [],  # a frame with no objects
+        [_state("a", x=3.0, speed=2.0), _state("z", y=-4.0, depth=30.0)],
+        [_state("z")],  # only an object outside the slots
+        [_state("b", heading=1.2), _state("a", x=-7.5), _state("z")],
+        [],
+    ])
+    cases = [(hand, ("a", "b", "c"))]
+    for i in range(6):
+        rec = generate_one(GenConfig(), 31, i, 6, 0.5)[0]
+        cases.append((rec, assign_slots(rec, 3)))  # most objects fall outside
+    for rec, slots in cases:
+        for sigma in [0.0, 0.01]:
+            got = synth_visual_features(rec, 8, np.random.default_rng(5),
+                                        projections=PROJ8, slot_ids=slots,
+                                        noise_sigma=sigma)
+            want = loop_reference(rec, 8, np.random.default_rng(5), PROJ8,
+                                  slots, sigma)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            assert np.array_equal(got == 0.0, want == 0.0)
+    got = synth_visual_features(hand, 8, np.random.default_rng(5),
+                                projections=PROJ8, slot_ids=("a", "b", "c"))
+    assert np.all(got[0] == 0.0) and np.all(got[4] == 0.0)
+    assert np.all(got[2, 1:] == 0.0) and np.any(got[2, 0] != 0.0)
 
 
 def test_object_size_is_stable_and_bounded():

@@ -323,6 +323,30 @@ def test_train_raises_on_divergence():
         train(records, params, model_cfg, feat_cfg, loss_cfg, train_cfg)
 
 
+def test_train_stops_at_a_non_finite_gradient_norm(monkeypatch):
+    records = _records(count=4)
+    model_cfg, feat_cfg, loss_cfg, train_cfg = _cfgs(epochs=1, batch_size=2)
+    params = ModelParams.init(model_cfg, np.random.default_rng(15))
+    backward = Tape.backward
+    calls = []
+    snapshot = {}
+
+    def poisoned(self, root):
+        backward(self, root)
+        calls.append(1)
+        if len(calls) == 2:  # the second step: one clean update has run
+            snapshot.update((k, v.copy()) for k, v in params.state_dict().items())
+            params.head_b2.grad[0] = np.nan
+
+    monkeypatch.setattr(Tape, "backward", poisoned)
+    with pytest.raises(TrainingDivergedError,
+                       match=r"non-finite gradient norm at step 2 \(epoch 0\): nan"):
+        train(records, params, model_cfg, feat_cfg, loss_cfg, train_cfg)
+    assert len(calls) == 2
+    for name, arr in params.state_dict().items():
+        assert np.array_equal(arr, snapshot[name])
+
+
 def test_train_resume_matches_uninterrupted():
     records = _records()
     model_cfg, feat_cfg, loss_cfg, _ = _cfgs()
