@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .features import FeatureConfig
 from .losses import LossConfig
 from .riskmodel import ModelConfig, ModelParams
 from .roadnet import NetworkError, parse_network
@@ -286,20 +285,41 @@ def _read_records(path: str, what: str):
     return records
 
 
-# FeatureConfig fields that moved to ModelConfig; sidecars written before
-# the move still hold copies of them, which are dropped on read.
-_RETIRED_FEATURE_KEYS = ("scale", "tau_text", "velocity_sign")
+# Keys that sidecars of earlier versions hold beside the model shape, each
+# with the one value those versions wrote; their features section also
+# repeats feature_dim and max_objects, which must equal the model's.
+_RETIRED_KEYS = {
+    "model": {"gcn_layers": 2, "tcn_kernel": 3, "scale": 1.0 / 1280.0,
+              "tau_text": 0.5, "velocity_sign": "as-printed"},
+    "features": {"feature_seed": 0, "noise_sigma": 0.01,
+                 "scale": 1.0 / 1280.0, "tau_text": 0.5,
+                 "velocity_sign": "as-printed"},
+}
 
 
-def _read_sidecar(path: str) -> tuple[ModelConfig, FeatureConfig]:
-    """Model and feature configs from a checkpoint's <checkpoint>.json
-    sidecar; a sidecar that cannot be read as one is a config error."""
+def _drop_retired(path: str, section: str, values: dict, retired: dict) -> None:
+    for key, expected in retired.items():
+        got = values.pop(key, expected)
+        if got != expected:
+            raise ConfigError(f"checkpoint sidecar {path}: {section}.{key} "
+                              f"is {got!r}, expected {expected!r}")
+
+
+def _read_sidecar(path: str) -> ModelConfig:
+    """The model config from a checkpoint's <checkpoint>.json sidecar; a
+    sidecar that cannot be read as one is a config error."""
     try:
         with open(path, encoding="utf-8") as fh:
             snap = json.load(fh)
-        features = {k: v for k, v in snap["features"].items()
-                    if k not in _RETIRED_FEATURE_KEYS}
-        return ModelConfig.from_dict(snap["model"]), FeatureConfig(**features)
+        model, features = snap["model"], snap.get("features", {})
+        _drop_retired(path, "model", model, _RETIRED_KEYS["model"])
+        cfg = ModelConfig.from_dict(model)
+        _drop_retired(path, "features", features,
+                      {**_RETIRED_KEYS["features"], **cfg.to_dict()})
+        if features:
+            raise ConfigError(f"checkpoint sidecar {path}: unknown key "
+                              f"features.{min(features)}")
+        return cfg
     except KeyError as exc:
         raise ConfigError(f"checkpoint sidecar {path} lacks the {exc} key")
     except (AttributeError, TypeError, ValueError) as exc:
@@ -357,15 +377,13 @@ def _run_train(cfg: dict) -> int:
             start_epoch = int(np.asarray(resume_state["meta.epochs_done"]))
         prev_sidecar = cfg["resume"] + ".json"
         if os.path.isfile(prev_sidecar):
-            prev_model, _ = _read_sidecar(prev_sidecar)
+            prev_model = _read_sidecar(prev_sidecar)
             cfg["feature_dim"] = prev_model.feature_dim
             cfg["max_objects"] = prev_model.max_objects
 
     try:
         model_cfg = ModelConfig(feature_dim=int(cfg["feature_dim"]),
                                 max_objects=int(cfg["max_objects"]))
-        feature_cfg = FeatureConfig(feature_dim=model_cfg.feature_dim,
-                                    max_objects=model_cfg.max_objects)
         train_cfg = TrainConfig(learning_rate=float(cfg["learning_rate"]),
                                 epochs=int(cfg["epochs"]),
                                 batch_size=int(cfg["batch_size"]),
@@ -389,9 +407,9 @@ def _run_train(cfg: dict) -> int:
                 f"checkpoint already covers {start_epoch} epochs; "
                 f"--epochs must be >= {start_epoch}")
 
-    result = train(records, params, model_cfg, feature_cfg, loss_cfg,
-                   train_cfg, val_records=val_records,
-                   start_epoch=start_epoch, opt_state=opt_state)
+    result = train(records, params, model_cfg, loss_cfg, train_cfg,
+                   val_records=val_records, start_epoch=start_epoch,
+                   opt_state=opt_state)
 
     state = dict(result.params.state_dict())
     state.update(result.opt_state)
@@ -400,7 +418,6 @@ def _run_train(cfg: dict) -> int:
 
     snapshot = {
         "model": model_cfg.to_dict(),
-        "features": dataclasses.asdict(feature_cfg),
         "loss": dataclasses.asdict(loss_cfg),
         "train": dataclasses.asdict(train_cfg),
         "frames": frames,
@@ -455,7 +472,7 @@ def _run_eval(cfg: dict) -> int:
         inputs[data] = sha256_file(data)
     records = _read_records(data, "dataset")
 
-    model_cfg, feature_cfg = _read_sidecar(sidecar_path)
+    model_cfg = _read_sidecar(sidecar_path)
     params = ModelParams.init(model_cfg, np.random.default_rng(0))
     state = ad.load_checkpoint(ckpt)
     try:
@@ -464,7 +481,7 @@ def _run_eval(cfg: dict) -> int:
         raise ConfigError(f"checkpoint does not match its sidecar: {exc}")
 
     try:
-        report, curves = evaluate(records, params, model_cfg, feature_cfg,
+        report, curves = evaluate(records, params, model_cfg,
                                   threshold=threshold, jobs=jobs)
     except ValueError as exc:
         raise ConfigError(str(exc))

@@ -10,6 +10,7 @@ object, not of whichever object happened to sort first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,21 +23,10 @@ from .util import stable_u64, stream_rng
 
 # fixed scales that bring each state coordinate to roughly unit range
 _STATE_SCALES = np.array([100.0, 100.0, 15.0, math.pi, 3.0, 100.0])
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """How embeddings are synthesized; the edge-weight constants (scale,
-    tau_text, velocity_sign) belong to the model and live on ModelConfig."""
-
-    feature_dim: int = 32
-    max_objects: int = 19
-    feature_seed: int = 0
-    noise_sigma: float = 0.01
-
-    def __post_init__(self):
-        if self.feature_dim < 1 or self.max_objects < 1:
-            raise ValueError("feature_dim and max_objects must be >= 1")
+_FEATURE_SEED = 0  # seeds the projections, the label table and the noise
+_NOISE_SIGMA = 0.01
+_SCALE = 1.0 / 1280.0  # pixel-to-depth balance in the distance
+_TAU_TEXT = 0.5
 
 
 @dataclass
@@ -108,7 +98,7 @@ def synth_visual_features(record: ScenarioRecord, feature_dim: int,
                           rng: np.random.Generator, *,
                           projections: dict[str, np.ndarray],
                           slot_ids: tuple[str, ...],
-                          noise_sigma: float = 0.01) -> np.ndarray:
+                          noise_sigma: float = _NOISE_SIGMA) -> np.ndarray:
     """(T, 1+O, F) embeddings: slot 0 projects scene aggregates, object
     slots (in slot_ids order) project (x, y, speed, heading, size, depth).
     Deterministic given the generator; the projections are shared by the
@@ -160,65 +150,63 @@ def synth_visual_features(record: ScenarioRecord, feature_dim: int,
     return out * filled[:, :, None]
 
 
+@functools.lru_cache(maxsize=256)
 def _label_embedding(table_seed: int, label: str, feature_dim: int) -> np.ndarray:
+    """One row of the label table; cached across calls, so read-only."""
     v = stream_rng(table_seed, "text-table", label).normal(size=feature_dim)
-    return v / np.linalg.norm(v)
+    v = v / np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def synth_text_features(labels, feature_dim: int, rng: np.random.Generator, *,
                         table_seed: int,
-                        noise_sigma: float = 0.01,
+                        noise_sigma: float = _NOISE_SIGMA,
                         vocab=None) -> np.ndarray:
     """(len(labels), F) rows from a fixed unit-norm per-label table plus
     small noise, re-normalized. With a vocab, labels outside it raise."""
-    cache: dict[str, np.ndarray] = {}
     rows = np.empty((len(labels), feature_dim))
     for i, label in enumerate(labels):
         if vocab is not None and label not in vocab:
             raise ValueError(f"unknown label {label!r}")
-        if label not in cache:
-            cache[label] = _label_embedding(table_seed, label, feature_dim)
-        rows[i] = cache[label]
+        rows[i] = _label_embedding(table_seed, label, feature_dim)
     if noise_sigma > 0:
         rows = rows + noise_sigma * rng.normal(size=rows.shape)
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
-def build_features(records, cfg: FeatureConfig) -> FeatureBatch:
+def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
     """Stack records into one batch; features of a given video depend only
-    on (video, cfg), never on which other videos share the batch."""
+    on (video, shape), never on which other videos share the batch."""
     records = list(records)
     if not records:
         raise ValueError("cannot build features from zero records")
     t_count = records[0].frames
     if any(r.frames != t_count for r in records):
         raise ValueError("all records in a batch must share the frame count")
-    n_obj = cfg.max_objects
-    n_slots = n_obj + 1
-    f_dim = cfg.feature_dim
+    n_slots = max_objects + 1
     b = len(records)
 
-    projections = _visual_projections(f_dim, stream_rng(cfg.feature_seed, "projections"))
-    visual = np.zeros((b, t_count, n_slots, f_dim))
-    text = np.zeros((b, t_count, n_slots, f_dim))
-    mask = np.zeros((b, t_count, n_obj), dtype=bool)
-    centers = np.zeros((b, t_count, n_obj, 2))
-    depths = np.zeros((b, t_count, n_obj))
+    projections = _visual_projections(feature_dim, stream_rng(_FEATURE_SEED, "projections"))
+    visual = np.zeros((b, t_count, n_slots, feature_dim))
+    text = np.zeros((b, t_count, n_slots, feature_dim))
+    mask = np.zeros((b, t_count, max_objects), dtype=bool)
+    centers = np.zeros((b, t_count, max_objects, 2))
+    depths = np.zeros((b, t_count, max_objects))
     labels = np.zeros(b, dtype=np.int64)
     lam = np.zeros(b, dtype=np.int64)
 
     for i, rec in enumerate(records):
-        slots = assign_slots(rec, n_obj)
+        slots = assign_slots(rec, max_objects)
         index = {oid: k for k, oid in enumerate(slots)}
         vis = synth_visual_features(
-            rec, f_dim, stream_rng(cfg.feature_seed, "visual", rec.id),
-            projections=projections, noise_sigma=cfg.noise_sigma, slot_ids=slots)
+            rec, feature_dim, stream_rng(_FEATURE_SEED, "visual", rec.id),
+            projections=projections, slot_ids=slots)
         visual[i, :, :vis.shape[1]] = vis
 
-        text_rng = stream_rng(cfg.feature_seed, "text", rec.id)
+        text_rng = stream_rng(_FEATURE_SEED, "text", rec.id)
         frame_rows = synth_text_features(
-            rec.scene_labels, f_dim, text_rng, table_seed=cfg.feature_seed,
-            noise_sigma=cfg.noise_sigma)
+            rec.scene_labels, feature_dim, text_rng, table_seed=_FEATURE_SEED)
         text[i, :, 0] = frame_rows
         slots_at: list[tuple[int, int]] = []
         obj_labels: list[str] = []
@@ -234,8 +222,8 @@ def build_features(records, cfg: FeatureConfig) -> FeatureBatch:
                 depths[i, t, k] = o.depth
         if obj_labels:
             rows = synth_text_features(
-                obj_labels, f_dim, text_rng, table_seed=cfg.feature_seed,
-                noise_sigma=cfg.noise_sigma, vocab=BEHAVIOR_LABELS)
+                obj_labels, feature_dim, text_rng, table_seed=_FEATURE_SEED,
+                vocab=BEHAVIOR_LABELS)
             for (t, k), row in zip(slots_at, rows):
                 text[i, t, k + 1] = row
         labels[i] = int(rec.positive)
@@ -358,16 +346,11 @@ class EdgeWeightStack:
     w: Tensor
 
 
-def edge_weight_stack(centers, depths, mask, text_normalized, *, alpha, beta,
-                      scale: float, tau_text: float,
-                      velocity_sign: str = "as-printed") -> EdgeWeightStack:
-    """Full geometry/text/fused weight pipeline over (..., T, O, ...) data.
-    The constants come from a validated ModelConfig; any velocity_sign
-    other than "negated" keeps the velocity term as printed."""
-    _, _, dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask, scale)
-    if velocity_sign == "negated":
-        vbar = -vbar
+def edge_weight_stack(centers, depths, mask, text_normalized, *,
+                      alpha, beta) -> EdgeWeightStack:
+    """Full geometry/text/fused weight pipeline over (..., T, O, ...) data."""
+    _, _, dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask, _SCALE)
     w_geo = geo_weights(dbar, vbar, alpha)
-    w_text = text_weights(text_normalized, tau_text, pair)
+    w_text = text_weights(text_normalized, _TAU_TEXT, pair)
     w = fuse_weights(w_geo, w_text, beta)
     return EdgeWeightStack(w_geo, w_text, w)

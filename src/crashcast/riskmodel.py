@@ -20,29 +20,23 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .features import FeatureBatch, FusionGate, GeometryParams, edge_weight_stack, gated_fuse
 
+_GCN_LAYERS = 2
+_TCN_KERNEL = 3
 _TCN_DILATIONS = (1, 2, 4)
-_VELOCITY_SIGNS = ("as-printed", "negated")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Shape of a trained model and of the features it reads."""
+
     feature_dim: int = 32
     max_objects: int = 19
-    gcn_layers: int = 2
-    tcn_kernel: int = 3
-    scale: float = 1.0 / 1280.0  # pixel-to-depth balance in the distance
-    tau_text: float = 0.5
-    velocity_sign: str = "as-printed"
 
     def __post_init__(self):
         if self.feature_dim < 2 or self.feature_dim % 2:
             raise ValueError("feature_dim must be even and >= 2")
-        if self.max_objects < 1 or self.gcn_layers < 1 or self.tcn_kernel < 1:
-            raise ValueError("max_objects, gcn_layers, tcn_kernel must be >= 1")
-        if not self.tau_text > 0:
-            raise ValueError("tau_text must be positive")
-        if self.velocity_sign not in _VELOCITY_SIGNS:
-            raise ValueError(f"velocity_sign must be one of {_VELOCITY_SIGNS}")
+        if self.max_objects < 1:
+            raise ValueError("max_objects must be >= 1")
 
     @property
     def hidden_dim(self) -> int:
@@ -90,7 +84,7 @@ class ModelParams:
         f_dim = cfg.feature_dim
         n_obj = cfg.max_objects
         hidden = cfg.hidden_dim
-        k = cfg.tcn_kernel
+        k = _TCN_KERNEL
 
         def normal(shape, fan_in, name):
             return Parameter(rng.normal(size=shape) / math.sqrt(fan_in), name=name)
@@ -99,7 +93,7 @@ class ModelParams:
             return Parameter(np.zeros(shape), name=name)
 
         psi = tuple(normal((f_dim, f_dim), f_dim, f"gcn.psi{i}")
-                    for i in range(cfg.gcn_layers))
+                    for i in range(_GCN_LAYERS))
         tcn = tuple(
             TCNBlock(normal((k, hidden, hidden), k * hidden, f"tcn.{i}.weight"),
                      zeros(hidden, f"tcn.{i}.bias"), dilation)
@@ -228,9 +222,7 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
                           where=norm > 0)
     stack = edge_weight_stack(
         batch.centers, batch.depths, batch.mask, text_norm,
-        alpha=params.geometry.alpha, beta=params.gate_obj.beta,
-        scale=cfg.scale, tau_text=cfg.tau_text,
-        velocity_sign=cfg.velocity_sign)
+        alpha=params.geometry.alpha, beta=params.gate_obj.beta)
 
     h_nodes = gated_fuse(vis_obj, text_obj, params.gate_obj)
     a_tilde = adjacency(params.u, params.v)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 
 BEHAVIOR_LABELS = (
     "straight",
@@ -200,11 +202,46 @@ def record_to_json(record: ScenarioRecord) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+_object_numbers = operator.attrgetter("x", "y", "speed", "heading", "cx", "cy", "depth")
+
+
+def _finite_numbers(values) -> bool:
+    return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+
+
+def _check_record(rec: ScenarioRecord) -> None:
+    """Structural checks that every reader relies on; the full constraint
+    validation runs once, at generation time."""
+    if not rec.frames == len(rec.objects) == len(rec.scene_labels):
+        raise ValueError(
+            f"frames is {rec.frames} but there are {len(rec.objects)} object "
+            f"lists and {len(rec.scene_labels)} scene labels")
+    if rec.fps < 1:
+        raise ValueError(f"fps must be >= 1, got {rec.fps}")
+    lam = rec.accident_frame
+    if rec.positive and not (type(lam) is int and 0 < lam < rec.frames):
+        raise ValueError(f"a positive needs 0 < accident_frame < {rec.frames}, "
+                         f"got {lam!r}")
+    if not rec.positive and lam is not None:
+        raise ValueError(f"a negative needs accident_frame null, got {lam!r}")
+    states = [o for frame in rec.objects for o in frame]
+    unknown = {o.behavior for o in states}.difference(BEHAVIOR_LABELS)
+    if unknown:
+        raise ValueError(f"unknown behavior {min(unknown)!r}")
+    # one pass over all values; the per-object pass only names the culprit
+    if not _finite_numbers(list(chain.from_iterable(map(_object_numbers, states)))):
+        bad = next(o for o in states if not _finite_numbers(_object_numbers(o)))
+        raise ValueError(f"object {bad.id!r}: x, y, speed, heading, cx, cy, "
+                         f"depth must be finite numbers, got {_object_numbers(bad)}")
+
+
 def record_from_json(line: str) -> ScenarioRecord:
+    """One record from its JSON line; a record whose structure does not
+    hold (see _check_record) raises ValueError."""
     raw = json.loads(line)
     env = EnvironmentProfile(**raw["environment"])
     objects = [[ObjectState(**obj) for obj in frame] for frame in raw["objects"]]
-    return ScenarioRecord(
+    rec = ScenarioRecord(
         id=raw["id"],
         positive=bool(raw["positive"]),
         fps=int(raw["fps"]),
@@ -214,20 +251,28 @@ def record_from_json(line: str) -> ScenarioRecord:
         objects=objects,
         scene_labels=list(raw["scene_labels"]),
     )
+    _check_record(rec)
+    return rec
 
 
 def read_dataset(path: str) -> list[ScenarioRecord]:
     """Records of a JSON-lines file, blank lines skipped. A line that is not
-    a record raises ValueError naming the path and the 1-based line."""
+    a record, or whose frames or fps differ from the first record's, raises
+    ValueError naming the path and the 1-based line."""
     records = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             if not raw.strip():
                 continue
             try:
-                records.append(record_from_json(raw.decode("utf-8")))
+                rec = record_from_json(raw.decode("utf-8"))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: record lacks the {exc} key") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
+            if records and (rec.frames, rec.fps) != (records[0].frames, records[0].fps):
+                raise ValueError(
+                    f"{path}:{lineno}: frames {rec.frames} and fps {rec.fps} differ "
+                    f"from the first record's {records[0].frames} and {records[0].fps}")
+            records.append(rec)
     return records

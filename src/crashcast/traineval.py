@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape
-from .features import FeatureBatch, FeatureConfig, build_features
+from .features import FeatureBatch, build_features
 from .losses import LabeledBatch, LossConfig, align_loss, frame_loss, total_loss, video_loss
 from .riskmodel import ModelConfig, ModelParams, align_project, forward
 from .util import stable_u64, stream_rng
@@ -129,8 +129,8 @@ class TrainResult:
 
 
 def train(records, params: ModelParams, model_cfg: ModelConfig,
-          feature_cfg: FeatureConfig, loss_cfg: LossConfig,
-          train_cfg: TrainConfig, *, val_records=None, start_epoch: int = 0,
+          loss_cfg: LossConfig, train_cfg: TrainConfig, *,
+          val_records=None, start_epoch: int = 0,
           opt_state: dict | None = None) -> TrainResult:
     """Minimize the total loss over the records; deterministic given the
     seed (the per-epoch shuffle is derived from (seed, epoch), so resuming
@@ -138,8 +138,9 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
     records = list(records)
     if not records:
         raise ValueError("training set is empty")
-    fb = build_features(records, feature_cfg)
-    val_fb = build_features(val_records, feature_cfg) if val_records else None
+    shape = (model_cfg.feature_dim, model_cfg.max_objects)
+    fb = build_features(records, *shape)
+    val_fb = build_features(val_records, *shape) if val_records else None
     opt = Adam(params.parameters(), train_cfg.learning_rate, train_cfg.beta1,
                train_cfg.beta2, train_cfg.eps)
     if opt_state is not None:
@@ -260,14 +261,16 @@ def _grid_ttas(curves, labels, accident_frames, fps) -> list[np.ndarray]:
     return [secs[m[:, k] > 0, k] for k in range(len(_MTTA_GRID))]
 
 
+def _mean_of_grid(grid_ttas) -> float:
+    grid_means = [float(np.mean(t)) for t in grid_ttas if t.size]
+    return float(np.mean(grid_means)) if grid_means else 0.0
+
+
 def mtta(curves, labels, accident_frames, fps: int) -> float:
     """Mean over the threshold grid {0.01..0.99} of the mean TTA across
     positives that trigger at that threshold; grid points with no trigger
     are skipped, and the result is 0 when nothing ever triggers."""
-    grid_means = [float(np.mean(t))
-                  for t in _grid_ttas(curves, labels, accident_frames, fps)
-                  if t.size]
-    return float(np.mean(grid_means)) if grid_means else 0.0
+    return _mean_of_grid(_grid_ttas(curves, labels, accident_frames, fps))
 
 
 @dataclass
@@ -300,8 +303,7 @@ class EvalReport:
 
 
 def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
-                feature_cfg: FeatureConfig, chunk: int = 32,
-                jobs: int = 1) -> np.ndarray:
+                chunk: int = 32, jobs: int = 1) -> np.ndarray:
     """(B, T) risk curves, computed in fixed-size chunks. Features are
     per-record deterministic, so the chunk size moves values only in the
     last bits (a batch of another size can take another BLAS path).
@@ -314,7 +316,8 @@ def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
              for lo in range(0, len(records), chunk)]
 
     def one(span):
-        fb = build_features(records[span[0]:span[1]], feature_cfg)
+        fb = build_features(records[span[0]:span[1]], model_cfg.feature_dim,
+                            model_cfg.max_objects)
         return forward(fb, params, model_cfg).risk.value
 
     if jobs <= 1 or len(spans) <= 1:
@@ -325,9 +328,8 @@ def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
     return np.concatenate(out, axis=0)
 
 
-def evaluate(records, params: ModelParams, model_cfg: ModelConfig,
-             feature_cfg: FeatureConfig, *, threshold: float = 0.5,
-             fps: int | None = None,
+def evaluate(records, params: ModelParams, model_cfg: ModelConfig, *,
+             threshold: float = 0.5, fps: int | None = None,
              jobs: int = 1) -> tuple[EvalReport, np.ndarray]:
     """Full evaluation: AP over video scores, grid mTTA, per-video triggers
     at the report threshold, and the threshold sweep table. Returns the
@@ -339,14 +341,14 @@ def evaluate(records, params: ModelParams, model_cfg: ModelConfig,
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     if fps is None:
         fps = records[0].fps
-    curves = risk_curves(records, params, model_cfg, feature_cfg, jobs=jobs)
+    curves = risk_curves(records, params, model_cfg, jobs=jobs)
     labels = np.array([int(r.positive) for r in records])
     lams = np.array([r.accident_frame or 0 for r in records])
 
     scores = np.array([video_score(curves[i], labels[i], lams[i])
                        for i in range(len(records))])
     ap = average_precision(scores, labels)
-    mtta_val = mtta(curves, labels, lams, fps)
+    grid_ttas = _grid_ttas(curves, labels, lams, fps)
 
     videos = []
     for i, rec in enumerate(records):
@@ -358,6 +360,6 @@ def evaluate(records, params: ModelParams, model_cfg: ModelConfig,
     sweep = [{"delta": round(float(delta), 2),
               "triggered": int(t.size),
               "mean_tta": float(np.mean(t)) if t.size else 0.0}
-             for delta, t in zip(_MTTA_GRID, _grid_ttas(curves, labels, lams, fps))]
-    report = EvalReport(ap, mtta_val, threshold, videos, sweep)
+             for delta, t in zip(_MTTA_GRID, grid_ttas)]
+    report = EvalReport(ap, _mean_of_grid(grid_ttas), threshold, videos, sweep)
     return report, curves

@@ -16,7 +16,7 @@ from scipy import stats
 from crashcast import autodiff as ad
 from crashcast.autodiff import grad_check
 from crashcast.cli import main as cli_main
-from crashcast.features import FeatureConfig, geo_weights
+from crashcast.features import geo_weights
 from crashcast.losses import (
     LabeledBatch,
     LossConfig,
@@ -318,14 +318,12 @@ def test_criterion_08_closed_loop_learning_on_synthetic_data():
     assert len(records) >= 400 and len(test_recs) >= 0.2 * len(records)
 
     model_cfg = ModelConfig(feature_dim=32, max_objects=6)
-    feat_cfg = FeatureConfig(feature_dim=32, max_objects=6)
     loss_cfg = LossConfig.for_frames(50)
     train_cfg = TrainConfig(learning_rate=1e-3, epochs=6, batch_size=8, seed=0)
     params = ModelParams.init(model_cfg, stream_rng(0, "init"))
-    train(train_recs, params, model_cfg, feat_cfg, loss_cfg, train_cfg)
+    train(train_recs, params, model_cfg, loss_cfg, train_cfg)
 
-    report, curves = evaluate(test_recs, params, model_cfg, feat_cfg,
-                              threshold=0.5)
+    report, curves = evaluate(test_recs, params, model_cfg, threshold=0.5)
     # mean TTA at delta = 0.5 over all held-out positives; a positive that
     # never triggers contributes 0 s, which is stricter than averaging only
     # the triggering ones

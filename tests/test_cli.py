@@ -332,6 +332,75 @@ def test_eval_checkpoint_config_mismatch_exits_2(work, tmp_path):
     assert code == 2
 
 
+# the keys that sidecars of earlier versions hold beside the model shape,
+# at the values those versions wrote
+_EARLIER_MODEL_KEYS = {"gcn_layers": 2, "tcn_kernel": 3, "scale": 1.0 / 1280.0,
+                       "tau_text": 0.5, "velocity_sign": "as-printed"}
+_EARLIER_FEATURE_KEYS = {"feature_dim": 8, "max_objects": 4,
+                         "feature_seed": 0, "noise_sigma": 0.01}
+
+
+def _with_sidecar(work, tmp_path, name, edit):
+    """A copy of the fixture checkpoint whose sidecar is edited in place."""
+    _, _, ckpt = work
+    copy = tmp_path / name
+    copy.write_bytes(ckpt.read_bytes())
+    sidecar = json.loads((ckpt.parent / "ckpt.bin.json").read_text())
+    edit(sidecar)
+    (tmp_path / f"{name}.json").write_text(json.dumps(sidecar))
+    return copy
+
+
+def _earlier_format(sidecar, older=False):
+    sidecar["model"].update(_EARLIER_MODEL_KEYS)
+    sidecar["features"] = dict(_EARLIER_FEATURE_KEYS)
+    if older:  # before the edge-weight constants moved to the model
+        sidecar["features"].update(
+            {k: _EARLIER_MODEL_KEYS[k] for k in ("scale", "tau_text", "velocity_sign")})
+
+
+def test_eval_sidecar_of_earlier_versions_gives_same_bytes(work, tmp_path):
+    data, ckpt = work[1], work[2]
+    assert set(json.loads((ckpt.parent / "ckpt.bin.json").read_text())["model"]) \
+        == {"feature_dim", "max_objects"}
+    assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "new.json")]) == 0
+    for older in (False, True):
+        old = _with_sidecar(work, tmp_path, f"old{older}.bin",
+                            lambda s: _earlier_format(s, older))
+        out = tmp_path / f"old{older}.json"
+        assert main(["eval", "--data", str(data), "--checkpoint", str(old),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "new.json").read_bytes()
+        assert (tmp_path / f"old{older}.json.curves.csv").read_bytes() == \
+            (tmp_path / "new.json.curves.csv").read_bytes()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "velocity_sign", "negated"),
+    ("model", "tcn_kernel", 5),
+    ("features", "feature_seed", 4),
+    ("features", "max_objects", 5),
+])
+def test_eval_retired_sidecar_key_at_another_value_exits_2(
+        work, tmp_path, capsys, section, key, value):
+    def edit(sidecar):
+        _earlier_format(sidecar)
+        sidecar[section][key] = value
+
+    other = _with_sidecar(work, tmp_path, "other.bin", edit)
+    capsys.readouterr()
+    code = main(["eval", "--data", str(work[1]), "--checkpoint", str(other),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("crashcast: error:")
+    assert str(tmp_path / "other.bin.json") in err[0]
+    assert f"{section}.{key}" in err[0], err[0]
+    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "r.json.curves.csv").exists()
+
+
 def test_eval_missing_sidecar_exits_2(work, tmp_path):
     _, data, ckpt = work
     bare = tmp_path / "bare.bin"
@@ -356,7 +425,34 @@ def test_eval_invalid_sidecar_json_exits_2(work, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("corrupt", ["cut", "missing-keys", "not-utf8"])
+def _first_object(record):
+    return next(frame for frame in record["objects"] if frame)[0]
+
+
+def _drop_last_frame(record):
+    for key in ("objects", "scene_labels"):
+        record[key].pop()
+    record["frames"] -= 1
+
+
+# (kind of record edited, edit); the edited record is line 2 of the dataset
+_RECORD_EDITS = {
+    "extra-object-list": ("negative", lambda r: r["objects"].append([])),
+    "x-not-a-number": ("negative", lambda r: _first_object(r).update(x="abc")),
+    "x-nan": ("negative", lambda r: _first_object(r).update(x=float("nan"))),
+    "unknown-behavior": ("negative",
+                         lambda r: _first_object(r).update(behavior="flying")),
+    "fps-0": ("negative", lambda r: r.update(fps=0)),
+    "positive-accident-0": ("positive", lambda r: r.update(accident_frame=0)),
+    "positive-accident-99": ("positive", lambda r: r.update(accident_frame=99)),
+    "negative-with-accident": ("negative", lambda r: r.update(accident_frame=10)),
+    "fps-differs": ("negative", lambda r: r.update(fps=r["fps"] * 2)),
+    "frames-differ": ("negative", _drop_last_frame),
+}
+
+
+@pytest.mark.parametrize("corrupt", ["cut", "missing-keys", "not-utf8",
+                                     *_RECORD_EDITS])
 def test_eval_corrupt_dataset_exits_3_naming_the_line(work, tmp_path, capsys, corrupt):
     _, data, ckpt = work
     lines = data.read_text().splitlines(keepends=True)
@@ -367,8 +463,16 @@ def test_eval_corrupt_dataset_exits_3_naming_the_line(work, tmp_path, capsys, co
     elif corrupt == "missing-keys":
         bad.write_text(lines[0] + '{"id": "x"}\n')
         where = f"{bad}:2:"
-    else:
+    elif corrupt == "not-utf8":
         bad.write_bytes(lines[0].encode() + b'{"id": "\xff"}\n')
+        where = f"{bad}:2:"
+    else:
+        kind, edit = _RECORD_EDITS[corrupt]
+        records = [json.loads(line) for line in lines]
+        first = next(r for r in records if r["positive"] != (kind == "positive"))
+        record = next(r for r in records if r["positive"] == (kind == "positive"))
+        edit(record)
+        bad.write_text(json.dumps(first) + "\n" + json.dumps(record) + "\n")
         where = f"{bad}:2:"
     capsys.readouterr()
     code = main(["eval", "--data", str(bad), "--checkpoint", str(ckpt),

@@ -7,7 +7,6 @@ import pytest
 from crashcast import autodiff as ad
 from crashcast.autodiff import Parameter, grad_check
 from crashcast.features import (
-    FeatureConfig,
     FusionGate,
     GeometryParams,
     assign_slots,
@@ -22,9 +21,9 @@ from crashcast.features import (
     synth_text_features,
     synth_visual_features,
     text_weights,
+    _label_embedding,
     _visual_projections,
 )
-from crashcast.riskmodel import ModelConfig
 from crashcast.scenario import (
     EnvironmentProfile,
     GenConfig,
@@ -409,6 +408,9 @@ def test_synth_text_table_is_fixed_per_label():
                                 np.random.default_rng(99), table_seed=7,
                                 noise_sigma=0.0)
     assert np.array_equal(rows, again)
+    # the table rows are cached across calls, so no caller can write to one
+    with pytest.raises(ValueError):
+        _label_embedding(7, "straight", 8)[0] = 1.0
 
 
 def test_synth_text_rows_unit_norm_with_noise():
@@ -444,8 +446,7 @@ def _small_dataset(count=6, ratio=0.5, seed=17):
 
 def test_build_features_shapes_and_mask():
     records = _small_dataset()
-    cfg = FeatureConfig(feature_dim=16, max_objects=5, feature_seed=3)
-    batch = build_features(records, cfg)
+    batch = build_features(records, 16, 5)
     assert batch.visual.shape == (6, records[0].frames, 6, 16)
     assert batch.text.shape == batch.visual.shape
     assert batch.objects == batch.slots - 1 == 5
@@ -465,12 +466,11 @@ def test_build_features_shapes_and_mask():
 
 def test_build_features_deterministic_and_batch_independent():
     records = _small_dataset(count=4)
-    cfg = FeatureConfig(feature_dim=8, max_objects=4, feature_seed=5)
-    one = build_features(records, cfg)
-    two = build_features(records, cfg)
+    one = build_features(records, 8, 4)
+    two = build_features(records, 8, 4)
     assert np.array_equal(one.visual, two.visual)
     assert np.array_equal(one.text, two.text)
-    solo = build_features([records[2]], cfg)
+    solo = build_features([records[2]], 8, 4)
     assert np.array_equal(one.visual[2], solo.visual[0])
     assert np.array_equal(one.text[2], solo.text[0])
     assert np.array_equal(one.mask[2], solo.mask[0])
@@ -478,54 +478,35 @@ def test_build_features_deterministic_and_batch_independent():
 
 def test_build_features_rejects_bad_input():
     records = _small_dataset(count=2)
-    cfg = FeatureConfig(feature_dim=8, max_objects=4)
     with pytest.raises(ValueError):
-        build_features([], cfg)
+        build_features([], 8, 4)
     short = dataclasses.replace(records[0], frames=records[0].frames - 1,
                                 objects=records[0].objects[:-1],
                                 scene_labels=records[0].scene_labels[:-1])
     with pytest.raises(ValueError):
-        build_features([records[1], short], cfg)
-
-
-def test_feature_config_validation():
-    with pytest.raises(ValueError):
-        FeatureConfig(feature_dim=0)
-    # velocity_sign is a model constant: ModelConfig rejects bad values
-    with pytest.raises(TypeError):
-        FeatureConfig(velocity_sign="negated")
-    with pytest.raises(ValueError):
-        ModelConfig(velocity_sign="sideways")
+        build_features([records[1], short], 8, 4)
 
 
 # --- full edge-weight stack --------------------------------------------------
 
 def test_edge_weight_stack_end_to_end():
     records = _small_dataset(count=2)
-    batch = build_features(
-        records, FeatureConfig(feature_dim=8, max_objects=4, feature_seed=1))
-    cfg = ModelConfig(feature_dim=8, max_objects=4)
+    batch = build_features(records, 8, 4)
     text_obj = batch.text[:, :, 1:]
     norm = np.linalg.norm(text_obj, axis=-1, keepdims=True)
     text_norm = np.divide(text_obj, norm, out=np.zeros_like(text_obj),
                           where=norm > 0)
     stack = edge_weight_stack(batch.centers, batch.depths, batch.mask,
-                              text_norm, alpha=0.5, beta=0.0,
-                              scale=cfg.scale, tau_text=cfg.tau_text)
+                              text_norm, alpha=0.5, beta=0.0)
     w = stack.w.value
     assert w.shape == (2, batch.frames, 4, 4)
     assert np.all(np.isfinite(w))
     mid = 0.5 * (stack.w_geo.value + stack.w_text.value)
     assert np.allclose(w, mid, atol=1e-12)
 
-    flipped = edge_weight_stack(batch.centers, batch.depths, batch.mask,
-                                text_norm, alpha=0.0, beta=-50.0,
-                                scale=cfg.scale, tau_text=cfg.tau_text,
-                                velocity_sign="negated")
-    base = edge_weight_stack(batch.centers, batch.depths, batch.mask,
-                             text_norm, alpha=0.0, beta=-50.0,
-                             scale=cfg.scale, tau_text=cfg.tau_text)
-    assert np.allclose(flipped.w.value, -base.w.value, atol=1e-9)
-
-    with pytest.raises(ValueError):
-        dataclasses.replace(cfg, velocity_sign="up")
+    # alpha 0 and a saturated beta leave the velocity term, as printed
+    velocity = edge_weight_stack(batch.centers, batch.depths, batch.mask,
+                                 text_norm, alpha=0.0, beta=-50.0)
+    vbar = distance_velocity_stacks(batch.centers, batch.depths, batch.mask,
+                                    1.0 / 1280.0)[3]
+    assert np.allclose(velocity.w.value, vbar, atol=1e-9)

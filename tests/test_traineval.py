@@ -5,7 +5,6 @@ import pytest
 
 from crashcast import autodiff as ad
 from crashcast.autodiff import Parameter, Tape
-from crashcast.features import FeatureConfig
 from crashcast.losses import LossConfig
 from crashcast.riskmodel import ModelConfig, ModelParams
 from crashcast.scenario import GenConfig, generate_one
@@ -32,7 +31,6 @@ N_OBJ = 4
 
 def _cfgs(**train_kw):
     return (ModelConfig(feature_dim=F_DIM, max_objects=N_OBJ),
-            FeatureConfig(feature_dim=F_DIM, max_objects=N_OBJ, feature_seed=1),
             LossConfig.for_frames(50),
             TrainConfig(**train_kw))
 
@@ -281,11 +279,11 @@ def test_clip_gradients():
 
 def test_train_is_deterministic():
     records = _records()
-    model_cfg, feat_cfg, loss_cfg, train_cfg = _cfgs(epochs=2, batch_size=4, seed=5)
+    model_cfg, loss_cfg, train_cfg = _cfgs(epochs=2, batch_size=4, seed=5)
     runs = []
     for _ in range(2):
         params = ModelParams.init(model_cfg, np.random.default_rng(9))
-        res = train(records, params, model_cfg, feat_cfg, loss_cfg, train_cfg)
+        res = train(records, params, model_cfg, loss_cfg, train_cfg)
         runs.append(res)
     for name, arr in runs[0].params.state_dict().items():
         assert np.array_equal(arr, runs[1].params.state_dict()[name])
@@ -294,10 +292,10 @@ def test_train_is_deterministic():
 
 def test_train_loss_decreases_on_separable_video():
     records = _records(count=1, ratio=1.0)
-    model_cfg, feat_cfg, loss_cfg, _ = _cfgs()
+    model_cfg, loss_cfg, _ = _cfgs()
     train_cfg = TrainConfig(epochs=50, batch_size=1, seed=3)
     params = ModelParams.init(model_cfg, np.random.default_rng(4))
-    res = train(records, params, model_cfg, feat_cfg, loss_cfg, train_cfg)
+    res = train(records, params, model_cfg, loss_cfg, train_cfg)
     losses = [row["L"] for row in res.log if row["split"] == "train"]
     assert len(losses) == 50
     assert all(b < a for a, b in zip(losses[:10], losses[1:11]))
@@ -305,27 +303,27 @@ def test_train_loss_decreases_on_separable_video():
 
 def test_train_zero_learning_rate_keeps_params():
     records = _records(count=4)
-    model_cfg, feat_cfg, loss_cfg, train_cfg = _cfgs(
+    model_cfg, loss_cfg, train_cfg = _cfgs(
         epochs=1, batch_size=2, learning_rate=0.0)
     params = ModelParams.init(model_cfg, np.random.default_rng(11))
     before = {k: v.copy() for k, v in params.state_dict().items()}
-    train(records, params, model_cfg, feat_cfg, loss_cfg, train_cfg)
+    train(records, params, model_cfg, loss_cfg, train_cfg)
     for name, arr in params.state_dict().items():
         assert np.array_equal(arr, before[name])
 
 
 def test_train_raises_on_divergence():
     records = _records(count=2)
-    model_cfg, feat_cfg, loss_cfg, train_cfg = _cfgs(epochs=1, batch_size=2)
+    model_cfg, loss_cfg, train_cfg = _cfgs(epochs=1, batch_size=2)
     params = ModelParams.init(model_cfg, np.random.default_rng(12))
     params.u.value[...] = np.nan
     with pytest.raises(TrainingDivergedError):
-        train(records, params, model_cfg, feat_cfg, loss_cfg, train_cfg)
+        train(records, params, model_cfg, loss_cfg, train_cfg)
 
 
 def test_train_stops_at_a_non_finite_gradient_norm(monkeypatch):
     records = _records(count=4)
-    model_cfg, feat_cfg, loss_cfg, train_cfg = _cfgs(epochs=1, batch_size=2)
+    model_cfg, loss_cfg, train_cfg = _cfgs(epochs=1, batch_size=2)
     params = ModelParams.init(model_cfg, np.random.default_rng(15))
     backward = Tape.backward
     calls = []
@@ -341,7 +339,7 @@ def test_train_stops_at_a_non_finite_gradient_norm(monkeypatch):
     monkeypatch.setattr(Tape, "backward", poisoned)
     with pytest.raises(TrainingDivergedError,
                        match=r"non-finite gradient norm at step 2 \(epoch 0\): nan"):
-        train(records, params, model_cfg, feat_cfg, loss_cfg, train_cfg)
+        train(records, params, model_cfg, loss_cfg, train_cfg)
     assert len(calls) == 2
     for name, arr in params.state_dict().items():
         assert np.array_equal(arr, snapshot[name])
@@ -349,16 +347,16 @@ def test_train_stops_at_a_non_finite_gradient_norm(monkeypatch):
 
 def test_train_resume_matches_uninterrupted():
     records = _records()
-    model_cfg, feat_cfg, loss_cfg, _ = _cfgs()
+    model_cfg, loss_cfg, _ = _cfgs()
     full_cfg = TrainConfig(epochs=4, batch_size=4, seed=7)
     half_cfg = TrainConfig(epochs=2, batch_size=4, seed=7)
 
     solid = ModelParams.init(model_cfg, np.random.default_rng(13))
-    res_full = train(records, solid, model_cfg, feat_cfg, loss_cfg, full_cfg)
+    res_full = train(records, solid, model_cfg, loss_cfg, full_cfg)
 
     pieced = ModelParams.init(model_cfg, np.random.default_rng(13))
-    first = train(records, pieced, model_cfg, feat_cfg, loss_cfg, half_cfg)
-    second = train(records, pieced, model_cfg, feat_cfg, loss_cfg, full_cfg,
+    first = train(records, pieced, model_cfg, loss_cfg, half_cfg)
+    second = train(records, pieced, model_cfg, loss_cfg, full_cfg,
                    start_epoch=2, opt_state=first.opt_state)
     assert abs(second.final_loss - res_full.final_loss) <= 1e-9
     for name, arr in res_full.params.state_dict().items():
@@ -367,9 +365,9 @@ def test_train_resume_matches_uninterrupted():
 
 def test_train_emits_validation_rows():
     records = _records()
-    model_cfg, feat_cfg, loss_cfg, train_cfg = _cfgs(epochs=2, batch_size=4)
+    model_cfg, loss_cfg, train_cfg = _cfgs(epochs=2, batch_size=4)
     params = ModelParams.init(model_cfg, np.random.default_rng(14))
-    res = train(records[:6], params, model_cfg, feat_cfg, loss_cfg, train_cfg,
+    res = train(records[:6], params, model_cfg, loss_cfg, train_cfg,
                 val_records=records[6:])
     val_rows = [r for r in res.log if r["split"] == "val"]
     assert len(val_rows) == 2
@@ -389,9 +387,9 @@ def test_train_config_validation():
 
 def test_evaluate_report_structure():
     records = _records()
-    model_cfg, feat_cfg, _, _ = _cfgs()
+    model_cfg, _, _ = _cfgs()
     params = ModelParams.init(model_cfg, np.random.default_rng(15))
-    report, curves = evaluate(records, params, model_cfg, feat_cfg)
+    report, curves = evaluate(records, params, model_cfg)
     assert curves.shape == (len(records), records[0].frames)
     assert 0.0 <= report.ap <= 1.0
     assert report.mtta >= 0.0
@@ -404,19 +402,19 @@ def test_evaluate_report_structure():
     assert set(d) == {"ap", "mtta", "threshold", "sweep", "videos"}
     # chunked inference agrees with one-shot inference up to the last bits
     # (a one-row batch can take another BLAS path)
-    whole = risk_curves(records, params, model_cfg, feat_cfg, chunk=len(records))
+    whole = risk_curves(records, params, model_cfg, chunk=len(records))
     assert np.allclose(curves, whole, rtol=0.0, atol=1e-12)
     for chunk in (1, 3):
-        part = risk_curves(records, params, model_cfg, feat_cfg, chunk=chunk)
+        part = risk_curves(records, params, model_cfg, chunk=chunk)
         assert np.allclose(part, whole, rtol=0.0, atol=1e-12), chunk
 
 
 def test_evaluate_rejects_bad_threshold_and_degenerate_labels():
     records = _records()
-    model_cfg, feat_cfg, _, _ = _cfgs()
+    model_cfg, _, _ = _cfgs()
     params = ModelParams.init(model_cfg, np.random.default_rng(16))
     with pytest.raises(ValueError):
-        evaluate(records, params, model_cfg, feat_cfg, threshold=1.1)
+        evaluate(records, params, model_cfg, threshold=1.1)
     positives = [r for r in records if r.positive]
     with pytest.raises(ValueError):
-        evaluate(positives, params, model_cfg, feat_cfg)
+        evaluate(positives, params, model_cfg)
