@@ -126,7 +126,7 @@ class Tape:
     Parameter's gradient can flow through; ops on constants alone are not
     recorded (see _record).
 
-    One backward per forward; call reset() (or build a new tape) to reuse.
+    One backward per forward; build a new tape for the next one.
     """
 
     def __init__(self):
@@ -147,15 +147,10 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def reset(self) -> None:
-        self._nodes.clear()
-        self._outputs.clear()
-        self._used = False
-
     def backward(self, root: Tensor) -> None:
         """Accumulate d(root)/d(param) into every reachable Parameter.grad."""
         if self._used:
-            raise RuntimeError("tape already consumed by backward(); reset() to reuse")
+            raise RuntimeError("tape already consumed by backward(); build a new one")
         if root.value.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
         self._used = True

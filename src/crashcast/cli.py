@@ -25,10 +25,9 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .losses import LossConfig
 from .riskmodel import ModelConfig, ModelParams
 from .roadnet import NetworkError, parse_network
-from .scenario import GenConfig, GenerationError, generate_one, read_dataset, record_to_json
+from .scenario import GenerationError, generate_one, read_dataset, record_to_json
 from .traineval import TrainConfig, TrainingDivergedError, evaluate, train
 from .util import atomic_write_text, sha256_file, stream_rng
 
@@ -113,7 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--log", help="training log CSV path "
                                  "(default: <out>.log.csv)")
     t.add_argument("--resume", help="checkpoint to continue from; its "
-                                    "sidecar restores the model shape")
+                                    "<resume>.json sidecar must match every "
+                                    "setting but --epochs, and its "
+                                    "<resume>.log.csv log is continued")
     t.add_argument("--learning-rate", type=float)
     t.add_argument("--batch-size", type=int)
     t.add_argument("--feature-dim", type=int)
@@ -209,9 +210,9 @@ def _fmt(x: float) -> str:
 def _gen_span(task):
     """Generate a contiguous index span; used by the worker pool, so it must
     stay a module-level function and take plain picklable arguments."""
-    gen_cfg, seed, count, ratio, network_text, lo, hi = task
+    seed, count, ratio, network_text, lo, hi = task
     graph = parse_network(network_text) if network_text is not None else None
-    return [generate_one(gen_cfg, seed, i, count, ratio, graph)[0]
+    return [generate_one(seed, i, count, ratio, graph)[0]
             for i in range(lo, hi)]
 
 
@@ -260,10 +261,9 @@ def _run_gen_data(cfg: dict) -> int:
         except NetworkError as exc:
             raise ConfigError(f"cannot parse network file: {exc}")
 
-    gen_cfg = GenConfig()
     span = max(1, -(-count // max(jobs, 1)))
-    tasks = [(gen_cfg, seed, count, ratio, network_text, lo,
-              min(lo + span, count)) for lo in range(0, count, span)]
+    tasks = [(seed, count, ratio, network_text, lo, min(lo + span, count))
+             for lo in range(0, count, span)]
     records = [rec for part in _map_spans(tasks, jobs) for rec in part]
 
     atomic_write_text(out, "\n".join(record_to_json(r) for r in records) + "\n")
@@ -285,45 +285,101 @@ def _read_records(path: str, what: str):
     return records
 
 
-# Keys that sidecars of earlier versions hold beside the model shape, each
-# with the one value those versions wrote; their features section also
-# repeats feature_dim and max_objects, which must equal the model's.
+# Keys that sidecars of earlier versions hold, each with the one value those
+# versions wrote. Their features section also repeats feature_dim and
+# max_objects, which must equal the model's; their loss section also holds
+# fps and gamma, which must equal fps and frames; and their epochs_done must
+# equal train.epochs.
 _RETIRED_KEYS = {
     "model": {"gcn_layers": 2, "tcn_kernel": 3, "scale": 1.0 / 1280.0,
               "tau_text": 0.5, "velocity_sign": "as-printed"},
     "features": {"feature_seed": 0, "noise_sigma": 0.01,
                  "scale": 1.0 / 1280.0, "tau_text": 0.5,
                  "velocity_sign": "as-printed"},
+    "train": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "clip_norm": 5.0},
+    "loss": {"tau_c": 0.1, "neighbor_mask_radius": 2, "t_pool": None,
+             "earliness_units": "seconds"},
 }
 
 
-def _drop_retired(path: str, section: str, values: dict, retired: dict) -> None:
+def _settings(model_cfg: ModelConfig, train_cfg: TrainConfig, frames: int,
+              fps: int) -> dict:
+    """The settings a resumed run must repeat, by sidecar key: all but the
+    epoch count."""
+    return {"model.feature_dim": model_cfg.feature_dim,
+            "model.max_objects": model_cfg.max_objects,
+            "train.learning_rate": train_cfg.learning_rate,
+            "train.batch_size": train_cfg.batch_size,
+            "train.seed": train_cfg.seed, "frames": frames, "fps": fps}
+
+
+def _drop_retired(path: str, prefix: str, values: dict, retired: dict) -> None:
     for key, expected in retired.items():
         got = values.pop(key, expected)
         if got != expected:
-            raise ConfigError(f"checkpoint sidecar {path}: {section}.{key} "
+            raise ConfigError(f"checkpoint sidecar {path}: {prefix}{key} "
                               f"is {got!r}, expected {expected!r}")
+    if values:
+        raise ConfigError(f"checkpoint sidecar {path}: unknown key "
+                          f"{prefix}{min(values)}")
 
 
-def _read_sidecar(path: str) -> ModelConfig:
-    """The model config from a checkpoint's <checkpoint>.json sidecar; a
-    sidecar that cannot be read as one is a config error."""
+def _read_sidecar(path: str) -> tuple[ModelConfig, dict]:
+    """The model config and the resume settings from a checkpoint's
+    <checkpoint>.json sidecar. A sidecar that cannot be read as one, or that
+    holds a retired key at another value than its version wrote, is a config
+    error."""
     try:
         with open(path, encoding="utf-8") as fh:
             snap = json.load(fh)
-        model, features = snap["model"], snap.get("features", {})
-        _drop_retired(path, "model", model, _RETIRED_KEYS["model"])
-        cfg = ModelConfig.from_dict(model)
-        _drop_retired(path, "features", features,
-                      {**_RETIRED_KEYS["features"], **cfg.to_dict()})
-        if features:
-            raise ConfigError(f"checkpoint sidecar {path}: unknown key "
-                              f"features.{min(features)}")
-        return cfg
+        model, train = snap.pop("model"), snap.pop("train")
+        frames, fps = snap.pop("frames"), snap.pop("fps")
+        model_cfg = ModelConfig.from_dict(
+            {k: model.pop(k) for k in ("feature_dim", "max_objects")})
+        train_cfg = TrainConfig(**{k: train.pop(k) for k in (
+            "learning_rate", "epochs", "batch_size", "seed")})
+        _drop_retired(path, "model.", model, _RETIRED_KEYS["model"])
+        _drop_retired(path, "train.", train, _RETIRED_KEYS["train"])
+        _drop_retired(path, "features.", snap.pop("features", {}),
+                      {**_RETIRED_KEYS["features"], **model_cfg.to_dict()})
+        _drop_retired(path, "loss.", snap.pop("loss", {}),
+                      {**_RETIRED_KEYS["loss"], "fps": fps, "gamma": frames})
+        _drop_retired(path, "", snap, {"epochs_done": train_cfg.epochs})
+        return model_cfg, _settings(model_cfg, train_cfg, frames, fps)
     except KeyError as exc:
         raise ConfigError(f"checkpoint sidecar {path} lacks the {exc} key")
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad checkpoint sidecar {path}: {exc}")
+
+
+_LOG_HEADER = "step,epoch,split,L1,L2,L3,L"
+
+
+def _previous_log(path: str, epochs_done: int, step: int) -> list[str]:
+    """The body lines of a resumed checkpoint's log. They must cover exactly
+    its epochs: an epoch row for each of 0 .. epochs_done - 1 in order, the
+    last at the checkpoint's optimizer step and followed only by that
+    epoch's validation rows."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"resume log not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"resume log {path} is not UTF-8: {exc}")
+    if not lines or lines[0] != _LOG_HEADER:
+        raise ConfigError(f"resume log {path} lacks the {_LOG_HEADER} header")
+    rows = [line.split(",") for line in lines[1:]]
+    ends = [i for i, row in enumerate(rows) if row[2:3] == ["epoch"]]
+    covered = [rows[i][1] for i in ends] == [str(e) for e in range(epochs_done)]
+    at_step = not ends or rows[ends[-1]][0] == str(step)
+    tail = rows[ends[-1] + 1:] if ends else rows
+    only_val = all(row[1:3] == [str(epochs_done - 1), "val"] for row in tail)
+    if not (covered and at_step and only_val):
+        raise ConfigError(
+            f"resume log {path} does not cover exactly the {epochs_done} "
+            f"epochs (through step {step}) of its checkpoint")
+    return lines[1:]
 
 
 def _log_lines(rows) -> list[str]:
@@ -366,21 +422,6 @@ def _run_train(cfg: dict) -> int:
         val_records = _read_records(cfg["val_data"], "validation dataset")
         inputs[cfg["val_data"]] = sha256_file(cfg["val_data"])
 
-    resume_state = None
-    start_epoch = 0
-    if cfg["resume"]:
-        if not os.path.isfile(cfg["resume"]):
-            raise ConfigError(f"resume checkpoint not found: {cfg['resume']}")
-        inputs[cfg["resume"]] = sha256_file(cfg["resume"])
-        resume_state = ad.load_checkpoint(cfg["resume"])
-        if "meta.epochs_done" in resume_state:
-            start_epoch = int(np.asarray(resume_state["meta.epochs_done"]))
-        prev_sidecar = cfg["resume"] + ".json"
-        if os.path.isfile(prev_sidecar):
-            prev_model = _read_sidecar(prev_sidecar)
-            cfg["feature_dim"] = prev_model.feature_dim
-            cfg["max_objects"] = prev_model.max_objects
-
     try:
         model_cfg = ModelConfig(feature_dim=int(cfg["feature_dim"]),
                                 max_objects=int(cfg["max_objects"]))
@@ -390,11 +431,33 @@ def _run_train(cfg: dict) -> int:
                                 seed=int(cfg["seed"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad train option: {exc}")
-    loss_cfg = LossConfig.for_frames(frames, fps=fps)
 
     params = ModelParams.init(model_cfg, stream_rng(train_cfg.seed, "init"))
     opt_state = None
-    if resume_state is not None:
+    start_epoch = 0
+    log_lines: list[str] = []
+    if cfg["resume"]:
+        resume = cfg["resume"]
+        prev_sidecar = resume + ".json"
+        prev_log = resume + ".log.csv"
+        for path, what in ((resume, "resume checkpoint"),
+                           (prev_sidecar, "resume checkpoint config sidecar")):
+            if not os.path.isfile(path):
+                raise ConfigError(f"{what} not found: {path}")
+            inputs[path] = sha256_file(path)
+        here = _settings(model_cfg, train_cfg, frames, fps)
+        for key, there in _read_sidecar(prev_sidecar)[1].items():
+            if here[key] != there:
+                raise ConfigError(
+                    f"resume sidecar {prev_sidecar}: {key} is {there!r}, "
+                    f"this run has {here[key]!r}; only --epochs may differ")
+        resume_state = ad.load_checkpoint(resume)
+        if "meta.epochs_done" in resume_state:
+            start_epoch = int(np.asarray(resume_state["meta.epochs_done"]))
+        if train_cfg.epochs < start_epoch:
+            raise ConfigError(
+                f"checkpoint already covers {start_epoch} epochs; "
+                f"--epochs must be >= {start_epoch}")
         try:
             params.load_state_dict(resume_state)
         except (KeyError, ValueError) as exc:
@@ -402,12 +465,11 @@ def _run_train(cfg: dict) -> int:
                 f"resume checkpoint does not fit the model: {exc}")
         opt_state = {k: v for k, v in resume_state.items()
                      if k.startswith("opt.")} or None
-        if train_cfg.epochs < start_epoch:
-            raise ConfigError(
-                f"checkpoint already covers {start_epoch} epochs; "
-                f"--epochs must be >= {start_epoch}")
+        step = int(np.asarray(resume_state.get("opt.step", 0.0)))
+        log_lines = _previous_log(prev_log, start_epoch, step)
+        inputs[prev_log] = sha256_file(prev_log)
 
-    result = train(records, params, model_cfg, loss_cfg, train_cfg,
+    result = train(records, params, model_cfg, train_cfg,
                    val_records=val_records, start_epoch=start_epoch,
                    opt_state=opt_state)
 
@@ -418,18 +480,15 @@ def _run_train(cfg: dict) -> int:
 
     snapshot = {
         "model": model_cfg.to_dict(),
-        "loss": dataclasses.asdict(loss_cfg),
         "train": dataclasses.asdict(train_cfg),
         "frames": frames,
         "fps": fps,
-        "epochs_done": train_cfg.epochs,
     }
     atomic_write_text(sidecar_path,
                       json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
-    header = "step,epoch,split,L1,L2,L3,L"
-    atomic_write_text(log_path,
-                      "\n".join([header] + _log_lines(result.log)) + "\n")
+    log_lines += _log_lines(result.log)
+    atomic_write_text(log_path, "\n".join([_LOG_HEADER] + log_lines) + "\n")
     _write_manifest(out, "train", cfg, inputs,
                     [out, sidecar_path, log_path], started)
 
@@ -472,7 +531,7 @@ def _run_eval(cfg: dict) -> int:
         inputs[data] = sha256_file(data)
     records = _read_records(data, "dataset")
 
-    model_cfg = _read_sidecar(sidecar_path)
+    model_cfg, _ = _read_sidecar(sidecar_path)
     params = ModelParams.init(model_cfg, np.random.default_rng(0))
     state = ad.load_checkpoint(ckpt)
     try:
@@ -484,7 +543,8 @@ def _run_eval(cfg: dict) -> int:
         report, curves = evaluate(records, params, model_cfg,
                                   threshold=threshold, jobs=jobs)
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        # the flags were checked above, so what is left is the dataset's
+        raise ValueError(f"dataset {data}: {exc}") from exc
 
     atomic_write_text(out, json.dumps(report.to_dict(), indent=2,
                                       sort_keys=True) + "\n")

@@ -1,6 +1,9 @@
 """Training objectives: earliness-weighted frame loss, amplified video-level
 loss at the most confident early frame, and a bidirectional contrastive
 alignment loss between visual and textual frame embeddings.
+
+The frame rate and the video-loss amplification (the frame count) come from
+the records; the two alignment constants below are fixed.
 """
 
 from __future__ import annotations
@@ -12,32 +15,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-_EARLINESS_UNITS = ("seconds", "frames")
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    fps: int = 10
-    gamma: float = 50.0  # video-loss amplification, equal to the frame count
-    tau_c: float = 0.1
-    neighbor_mask_radius: int = 2
-    t_pool: int | None = None  # None: accident frame for positives, T for negatives
-    earliness_units: str = "seconds"
-
-    def __post_init__(self):
-        if self.fps <= 0 or self.gamma <= 0 or self.tau_c <= 0:
-            raise ValueError("fps, gamma, tau_c must be positive")
-        if self.neighbor_mask_radius < 0:
-            raise ValueError("neighbor_mask_radius must be >= 0")
-        if self.t_pool is not None and self.t_pool < 1:
-            raise ValueError("t_pool must be >= 1 when fixed")
-        if self.earliness_units not in _EARLINESS_UNITS:
-            raise ValueError(f"earliness_units must be one of {_EARLINESS_UNITS}")
-
-    @classmethod
-    def for_frames(cls, frames: int, fps: int = 10, **kw) -> "LossConfig":
-        """The amplification factor equals the video frame count."""
-        return cls(fps=fps, gamma=float(frames), **kw)
+TAU_C = 0.1  # InfoNCE temperature
+NEIGHBOR_MASK_RADIUS = 2  # same-video frames this close leave the denominator
 
 
 @dataclass
@@ -45,45 +24,38 @@ class LabeledBatch:
     logits: Tensor  # (B, T, 2)
     labels: np.ndarray  # (B,) in {0, 1}
     accident_frames: np.ndarray  # (B,) 1-based onset; 0 for negatives
-    f_vis: Tensor | None = None  # projected frame embeddings (B, T, D)
-    f_text: Tensor | None = None
 
 
 def earliness_weights(labels, accident_frames, frames: int,
-                      cfg: LossConfig) -> np.ndarray:
+                      fps: int) -> np.ndarray:
     """(B, T) frame weights: 1 everywhere for negatives; for positives
-    exp(-max(0, tau - t - 1) / fps) over 1-based t (or without the fps
-    divide under the frames convention), so weight 1 holds from one frame
-    before onset onward and decays smoothly into the past."""
+    exp(-max(0, tau - t - 1) / fps) over 1-based t, so weight 1 holds from
+    one frame before onset onward and decays smoothly into the past."""
     labels = np.asarray(labels)
     tau = np.asarray(accident_frames, dtype=float)
     if np.any((labels == 1) & (tau < 1)):
         raise ValueError("positive items need a 1-based accident frame")
     t = np.arange(1, frames + 1, dtype=float)
     slack = np.maximum(0.0, tau[:, None] - t[None, :] - 1.0)
-    if cfg.earliness_units == "seconds":
-        slack = slack / cfg.fps
-    w = np.exp(-slack)
+    w = np.exp(-(slack / fps))
     w[labels == 0] = 1.0
     return w
 
 
-def frame_loss(batch: LabeledBatch, cfg: LossConfig) -> Tensor:
+def frame_loss(batch: LabeledBatch, fps: int) -> Tensor:
     """Mean over all B*T frames of cross entropy, with positive videos
     reweighted by distance to the accident."""
     b, t = batch.logits.shape[0], batch.logits.shape[1]
-    w = earliness_weights(batch.labels, batch.accident_frames, t, cfg)
+    w = earliness_weights(batch.labels, batch.accident_frames, t, fps)
     flat = ad.reshape(batch.logits, (b * t, 2))
     targets = np.repeat(np.asarray(batch.labels, dtype=np.int64), t)
     ce = ad.cross_entropy_logits(flat, targets)
     return ad.tmean(ad.mul(ce, w.reshape(-1)))
 
 
-def _pool_lengths(batch: LabeledBatch, frames: int, cfg: LossConfig) -> np.ndarray:
-    if cfg.t_pool is not None:
-        if cfg.t_pool > frames:
-            raise ValueError(f"t_pool {cfg.t_pool} exceeds frame count {frames}")
-        return np.full(len(batch.labels), cfg.t_pool, dtype=int)
+def _pool_lengths(batch: LabeledBatch, frames: int) -> np.ndarray:
+    """Frames each item pools over: up to the accident frame for positives,
+    the whole video for negatives."""
     pools = np.full(len(batch.labels), frames, dtype=int)
     for i, y in enumerate(np.asarray(batch.labels)):
         if y == 1:
@@ -94,12 +66,12 @@ def _pool_lengths(batch: LabeledBatch, frames: int, cfg: LossConfig) -> np.ndarr
     return pools
 
 
-def video_loss(batch: LabeledBatch, cfg: LossConfig) -> Tensor:
+def video_loss(batch: LabeledBatch) -> Tensor:
     """Cross entropy at the most accident-confident frame within the pool
     window (the onset for positives, the whole video for negatives); ties
     resolve to the earliest frame."""
     b, t = batch.logits.shape[0], batch.logits.shape[1]
-    pools = _pool_lengths(batch, t, cfg)
+    pools = _pool_lengths(batch, t)
     pos_logit = batch.logits.value[..., 1]
     select = np.zeros((b, t, 1))
     for i in range(b):
@@ -120,7 +92,7 @@ def _candidate_mask(videos: int, frames: int, radius: int) -> np.ndarray:
     return ~(same & (dt > 0) & (dt <= radius))
 
 
-def align_loss(f_vis, f_text, cfg: LossConfig) -> Tensor:
+def align_loss(f_vis, f_text, *, tau_c: float = TAU_C) -> Tensor:
     """Bidirectional InfoNCE over all (video, frame) pairs in the batch.
 
     Expects projected, unit-normalized embeddings of shape (B, T, D) or
@@ -140,8 +112,8 @@ def align_loss(f_vis, f_text, cfg: LossConfig) -> Tensor:
     else:
         raise ValueError("align_loss expects (B, T, D) or (N, D) embeddings")
     n = videos * frames
-    sim = ad.div(ad.matmul(v, ad.transpose2d(x)), cfg.tau_c)
-    penal = np.where(_candidate_mask(videos, frames, cfg.neighbor_mask_radius),
+    sim = ad.div(ad.matmul(v, ad.transpose2d(x)), tau_c)
+    penal = np.where(_candidate_mask(videos, frames, NEIGHBOR_MASK_RADIUS),
                      0.0, -1e30)
     targets = np.arange(n)
     l_vt = ad.tmean(ad.cross_entropy_logits(ad.add(sim, penal), targets))
@@ -150,7 +122,7 @@ def align_loss(f_vis, f_text, cfg: LossConfig) -> Tensor:
     return ad.mul(ad.add(l_vt, l_tv), 0.5)
 
 
-def total_loss(l1, l2, l3, cfg: LossConfig) -> Tensor:
-    """L = L1 + gamma * L2 + L3."""
-    return ad.add(ad.add(ad.as_tensor(l1), ad.mul(ad.as_tensor(l2), cfg.gamma)),
+def total_loss(l1, l2, l3, gamma: float) -> Tensor:
+    """L = L1 + gamma * L2 + L3, with gamma the video frame count."""
+    return ad.add(ad.add(ad.as_tensor(l1), ad.mul(ad.as_tensor(l2), gamma)),
                   ad.as_tensor(l3))

@@ -185,21 +185,16 @@ def adjacency(u, v) -> Tensor:
 
 
 def gcn_layer(h, a_tilde, w_t, psi) -> Tensor:
-    """H' = relu((W_t elementwise Ã) H Ψ); leading batch/time axes pass
-    through. Rows of W_t at absent objects are zero, which keeps their
-    embeddings at exactly zero."""
-    h = ad.as_tensor(h)
-    mixed = ad.mul(w_t, a_tilde)
-    prop = ad.matmul(mixed, h) if h.ndim == 2 else ad.bmm(mixed, h)
-    return ad.relu(ad.matmul(prop, psi))
+    """H' = relu((W_t elementwise Ã) H Ψ) over batched (..., O, F) nodes
+    with (..., O, O) edge weights. Rows of W_t at absent objects are zero,
+    which keeps their embeddings at exactly zero."""
+    return ad.relu(ad.matmul(ad.bmm(ad.mul(w_t, a_tilde), h), psi))
 
 
-def pool_nodes(h, mask=None) -> Tensor:
-    """Mean over the node axis; with a mask, mean over present nodes only
-    (all-absent frames pool to zero)."""
+def pool_nodes(h, mask) -> Tensor:
+    """Mean over present nodes of the node axis (all-absent frames pool to
+    zero)."""
     h = ad.as_tensor(h)
-    if mask is None:
-        return ad.tmean(h, axis=-2)
     m = np.asarray(mask, dtype=float)[..., None]
     total = ad.tsum(ad.mul(h, m), axis=-2)
     return ad.div(total, np.maximum(m.sum(axis=-2), 1.0))
@@ -263,13 +258,3 @@ def align_project(params: ModelParams, x) -> Tensor:
     inner = ad.relu(ad.add(ad.matmul(x, params.align_w1), params.align_b1))
     out = ad.add(ad.matmul(inner, params.align_w2), params.align_b2)
     return ad.l2_normalize_lastdim(out)
-
-
-def save_model(path: str, params: ModelParams) -> None:
-    ad.save_checkpoint(path, params.state_dict())
-
-
-def load_model(path: str, cfg: ModelConfig) -> ModelParams:
-    params = ModelParams.init(cfg, np.random.default_rng(0))
-    params.load_state_dict(ad.load_checkpoint(path))
-    return params

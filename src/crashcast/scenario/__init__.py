@@ -16,7 +16,6 @@ from .presets import TEMPLATES, AccidentTemplate, RoleSpec, preset_graph
 from .generate import (
     DEFAULT_ENV_DISTS,
     ConstraintUnsatisfiableError,
-    GenConfig,
     GenerationError,
     GenMeta,
     ValidationReport,
@@ -43,7 +42,6 @@ __all__ = [
     "preset_graph",
     "DEFAULT_ENV_DISTS",
     "ConstraintUnsatisfiableError",
-    "GenConfig",
     "GenerationError",
     "GenMeta",
     "ValidationReport",

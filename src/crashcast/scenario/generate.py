@@ -15,7 +15,7 @@ never sees a vehicle popping into existence at t = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -69,6 +69,22 @@ _PAD_CLEARANCE = 5.25
 _PAD_FORWARD = tuple(range(12, 27, 2))
 _BEHAVIOR_WINDOW = 5  # generation frames per labeling window
 
+FPS = 10
+HORIZON = 6.0  # seconds on the generation grid
+TRIM = 0.5  # seconds cut from each end before storing
+SAFETY_RADIUS = 5.0  # minimum spacing of negatives' movers, meters
+COLLISION_THRESHOLD = 2.0  # participants this close count as colliding, meters
+MAX_VISIBLE = 19  # objects stored per frame, nearest first
+ARRIVAL_VEHICLES = 3.0  # mean background vehicles per arrival period
+ARRIVAL_PERIOD = 6.0
+MAX_ATTEMPTS = 20  # seeded retries per scenario
+CAMERA = EgoCamera()
+
+DT = 1.0 / FPS
+GEN_FRAMES = round(HORIZON * FPS)
+TRIM_FRAMES = round(TRIM * FPS)
+STORED_FRAMES = GEN_FRAMES - 2 * TRIM_FRAMES
+
 
 class GenerationError(Exception):
     """A single generation attempt failed; callers may resample."""
@@ -76,44 +92,6 @@ class GenerationError(Exception):
 
 class ConstraintUnsatisfiableError(GenerationError):
     """No template parameterization can satisfy the accident constraints."""
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    fps: int = 10
-    horizon: float = 6.0
-    trim: float = 0.5
-    safety_radius: float = 5.0
-    collision_threshold: float = 2.0
-    max_visible: int = 19
-    arrival_vehicles: float = 3.0
-    arrival_period: float = 6.0
-    max_attempts: int = 20
-    camera: EgoCamera = EgoCamera()
-    env_dists: Mapping[str, Mapping[str, float]] = field(
-        default_factory=lambda: DEFAULT_ENV_DISTS)
-
-    def __post_init__(self):
-        if self.fps <= 0 or self.horizon <= 0:
-            raise ValueError("fps and horizon must be positive")
-        if self.stored_frames < 2:
-            raise ValueError("trim leaves fewer than 2 stored frames")
-
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.fps
-
-    @property
-    def gen_frames(self) -> int:
-        return round(self.horizon * self.fps)
-
-    @property
-    def trim_frames(self) -> int:
-        return round(self.trim * self.fps)
-
-    @property
-    def stored_frames(self) -> int:
-        return self.gen_frames - 2 * self.trim_frames
 
 
 def sample_environment(dist_config: Mapping[str, Mapping[str, float]],
@@ -255,14 +233,14 @@ def _min_track_distance(a: Track, b: Track) -> float:
     return float(np.sqrt((d * d).sum(axis=1)).min())
 
 
-def _place_pads(cfg: GenConfig, tracks: list[Track], ego: Track) -> list[Track]:
+def _place_pads(tracks: list[Track], ego: Track) -> list[Track]:
     """Parked roadside objects guaranteeing every stored frame shows >= 1.
 
     Repeatedly takes the last stored frame with nothing visible and parks an
     object ahead of the ego pose there, offset laterally past the safety
     radius and clear of every mover. Deterministic: no randomness involved.
     """
-    cam = cfg.camera
+    cam = CAMERA
     n_grid = len(ego.xy)
     pads: list[Track] = []
 
@@ -272,9 +250,9 @@ def _place_pads(cfg: GenConfig, tracks: list[Track], ego: Track) -> list[Track]:
                 return True
         return False
 
-    for _ in range(cfg.stored_frames):
-        uncovered = [j + cfg.trim_frames for j in range(cfg.stored_frames)
-                     if not visible_any(j + cfg.trim_frames)]
+    for _ in range(STORED_FRAMES):
+        uncovered = [j + TRIM_FRAMES for j in range(STORED_FRAMES)
+                     if not visible_any(j + TRIM_FRAMES)]
         if not uncovered:
             break
         g0 = uncovered[-1]
@@ -305,9 +283,9 @@ def _place_pads(cfg: GenConfig, tracks: list[Track], ego: Track) -> list[Track]:
     return pads
 
 
-def _behavior_at(track: Track, g: int, dt: float) -> str:
+def _behavior_at(track: Track, g: int) -> str:
     lo = max(0, g - _BEHAVIOR_WINDOW + 1)
-    window = [(n * dt, track.xy[n, 0], track.xy[n, 1],
+    window = [(n * DT, track.xy[n, 0], track.xy[n, 1],
                track.speed[n], track.heading[n])
               for n in range(lo, g + 1) if track.present[n]]
     if len(window) < 2:
@@ -316,13 +294,13 @@ def _behavior_at(track: Track, g: int, dt: float) -> str:
 
 
 def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
-              cfg: GenConfig, tracks: list[Track], ego: Track,
+              tracks: list[Track], ego: Track,
               accident_gen_frame: int | None) -> ScenarioRecord:
-    cam = cfg.camera
+    cam = CAMERA
     frames: list[list[ObjectState]] = []
     labels: list[str] = []
-    for j in range(cfg.stored_frames):
-        g = j + cfg.trim_frames
+    for j in range(STORED_FRAMES):
+        g = j + TRIM_FRAMES
         visible = []
         for tr in tracks:
             if not tr.present[g]:
@@ -336,55 +314,54 @@ def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
             ObjectState(tid, x=float(tr.xy[g, 0]), y=float(tr.xy[g, 1]),
                         speed=float(tr.speed[g]), heading=float(tr.heading[g]),
                         cx=float(cx), cy=float(cy), depth=float(depth),
-                        behavior=_behavior_at(tr, g, cfg.dt))
-            for depth, tid, cx, cy, tr in visible[:cfg.max_visible]
+                        behavior=_behavior_at(tr, g))
+            for depth, tid, cx, cy, tr in visible[:MAX_VISIBLE]
         ]
         frames.append(objs)
         labels.append(scene_label(env, len(objs)))
     lam = None
     if positive:
-        lam = accident_gen_frame - cfg.trim_frames + 1  # 1-based stored index
-        if not 0 < lam < cfg.stored_frames:
+        lam = accident_gen_frame - TRIM_FRAMES + 1  # 1-based stored index
+        if not 0 < lam < STORED_FRAMES:
             raise GenerationError(f"accident frame {lam} outside (0, T)")
-    return ScenarioRecord(rec_id, positive, cfg.fps, cfg.stored_frames, lam,
+    return ScenarioRecord(rec_id, positive, FPS, STORED_FRAMES, lam,
                           env, frames, labels)
 
 
-def _background_tracks(graph: RoadGraph, terminals: TerminalSets, cfg: GenConfig,
+def _background_tracks(graph: RoadGraph, terminals: TerminalSets,
                        rng: np.random.Generator, grid: np.ndarray,
                        extra_trips: list[TripSpec] | None = None) -> list[Track]:
     """Poisson traffic, deconflicted. The spacing pass works on chord-
     interpolated trajectories, so it runs with a padded radius; the exact
     per-frame spacing is re-checked by callers on the sampled tracks."""
-    arrivals = ArrivalConfig(cfg.arrival_vehicles, cfg.arrival_period, cfg.horizon)
+    arrivals = ArrivalConfig(ARRIVAL_VEHICLES, ARRIVAL_PERIOD, HORIZON)
     departures = sample_departures(arrivals, rng)
     trips = build_trips(graph, terminals, departures, rng)
     if extra_trips:
         trips = extra_trips + trips
     trajs = [sample_trajectory(RouteGeometry(graph, t.route.edges),
                                TimeMapping(graph, t.route, t.depart),
-                               t.vehicle, cfg.dt)
+                               t.vehicle, DT)
              for t in trips]
-    placed = deconflict(trips, trajs, cfg.safety_radius + 0.5, cfg.dt, cfg.horizon)
+    placed = deconflict(trips, trajs, SAFETY_RADIUS + 0.5, DT, HORIZON)
     return [_trip_track(graph, t, grid, f"car{t.vehicle}") for t in placed]
 
 
-def _build_positive(template: AccidentTemplate, cfg: GenConfig,
-                    rng: np.random.Generator, rec_id: str
-                    ) -> tuple[ScenarioRecord, GenMeta]:
+def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
+                    rec_id: str) -> tuple[ScenarioRecord, GenMeta]:
     graph = preset_graph(template.preset_map)
-    env = sample_environment(cfg.env_dists, rng)
+    env = sample_environment(DEFAULT_ENV_DISTS, rng)
 
     role_routes = [shortest_path(graph, *role.od) for role in template.roles]
     node = _collision_node(graph, role_routes[0], role_routes[1])
 
     g_c = int(rng.integers(*template.onset_frames))
-    t_c = g_c * cfg.dt
+    t_c = g_c * DT
     speeds = [float(rng.uniform(*role.speed_range)) for role in template.roles]
     d_view = float(rng.uniform(12.0, 30.0))
     ego_involved = template.ego_role is not None and rng.random() < 0.5
 
-    grid = np.arange(cfg.gen_frames) * cfg.dt
+    grid = np.arange(GEN_FRAMES) * DT
     geoms = [RouteGeometry(graph, rt.edges) for rt in role_routes]
     anchors = [_node_arc(graph, rt.edges, node) for rt in role_routes]
     if role_routes[0].edges == role_routes[1].edges:
@@ -419,40 +396,40 @@ def _build_positive(template: AccidentTemplate, cfg: GenConfig,
                               max_arc=base - _EGO_STOP_GAP)
 
     terminals = classify_terminals(graph)
-    bg = _background_tracks(graph, terminals, cfg, rng, grid)
+    bg = _background_tracks(graph, terminals, rng, grid)
     keep = [tr for tr in bg
-            if all(_min_track_distance(tr, other) >= cfg.safety_radius
+            if all(_min_track_distance(tr, other) >= SAFETY_RADIUS
                    for other in participants + [ego])]
 
     tracks = participants + keep
-    tracks += _place_pads(cfg, tracks, ego)
+    tracks += _place_pads(tracks, ego)
 
     crash_points = [tr.xy[g_c] for tr in participants]
     if ego_involved:
         crash_points.append(ego.xy[g_c])
     collision_xy = tuple(np.mean(crash_points, axis=0))
 
-    record = _assemble(rec_id, True, env, cfg, tracks, ego, g_c)
+    record = _assemble(rec_id, True, env, tracks, ego, g_c)
     meta = GenMeta(ego_xy=ego.xy, ego_heading=ego.heading,
-                   stored_offset=cfg.trim_frames, collision_xy=collision_xy,
+                   stored_offset=TRIM_FRAMES, collision_xy=collision_xy,
                    collision_gen_frame=g_c, template=template,
                    role_routes=tuple(rt.edges for rt in role_routes),
                    participant_ids=tuple(t.id for t in participants))
     return record, meta
 
 
-def _build_negative(graph: RoadGraph, terminals: TerminalSets, cfg: GenConfig,
+def _build_negative(graph: RoadGraph, terminals: TerminalSets,
                     ego_route: Route, rng: np.random.Generator, rec_id: str
                     ) -> tuple[ScenarioRecord, GenMeta]:
-    env = sample_environment(cfg.env_dists, rng)
+    env = sample_environment(DEFAULT_ENV_DISTS, rng)
     mapping = TimeMapping(graph, ego_route, 0.0)
-    if mapping.duration < cfg.horizon:
+    if mapping.duration < HORIZON:
         raise GenerationError(
             f"ego route lasts {mapping.duration:.2f} s, shorter than the "
-            f"{cfg.horizon:.2f} s window")
+            f"{HORIZON:.2f} s window")
     ego_trip = TripSpec(-1, ego_route.edges[0], ego_route.edges[-1], 0.0, ego_route)
-    grid = np.arange(cfg.gen_frames) * cfg.dt
-    placed = _background_tracks(graph, terminals, cfg, rng, grid,
+    grid = np.arange(GEN_FRAMES) * DT
+    placed = _background_tracks(graph, terminals, rng, grid,
                                 extra_trips=[ego_trip])
     ego = next(tr for tr in placed if tr.id == "car-1")
     ego = Track("ego", ego.xy, ego.speed, ego.heading)
@@ -461,15 +438,15 @@ def _build_negative(graph: RoadGraph, terminals: TerminalSets, cfg: GenConfig,
     movers = tracks + [ego]
     for i in range(len(movers)):
         for j in range(i + 1, len(movers)):
-            if _min_track_distance(movers[i], movers[j]) < cfg.safety_radius:
+            if _min_track_distance(movers[i], movers[j]) < SAFETY_RADIUS:
                 raise GenerationError(
                     f"{movers[i].id} and {movers[j].id} violate the safety "
                     "radius on the frame grid")
 
-    tracks += _place_pads(cfg, tracks, ego)
-    record = _assemble(rec_id, False, env, cfg, tracks, ego, None)
+    tracks += _place_pads(tracks, ego)
+    record = _assemble(rec_id, False, env, tracks, ego, None)
     meta = GenMeta(ego_xy=ego.xy, ego_heading=ego.heading,
-                   stored_offset=cfg.trim_frames)
+                   stored_offset=TRIM_FRAMES)
     return record, meta
 
 
@@ -510,14 +487,13 @@ def _closest_pair(frame: list[ObjectState]) -> tuple[float, int, int]:
     return best
 
 
-def validate_scenario(record: ScenarioRecord, cfg: GenConfig | None = None,
+def validate_scenario(record: ScenarioRecord,
                       meta: GenMeta | None = None) -> ValidationReport:
     """Check every record invariant, and the four accident constraints for
     positives. With generation meta the camera checks run against the true
     ego poses; without it they fall back to what the record alone supports
     (rigid-transform consistency of the stored projections)."""
-    cfg = cfg or GenConfig()
-    cam = cfg.camera
+    cam = CAMERA
     checks: list[CheckResult] = []
 
     def add(name: str, ok: bool, detail: str = ""):
@@ -525,12 +501,12 @@ def validate_scenario(record: ScenarioRecord, cfg: GenConfig | None = None,
 
     t = record.frames
     add("frame_count",
-        t == cfg.stored_frames == len(record.objects) == len(record.scene_labels),
+        t == STORED_FRAMES == len(record.objects) == len(record.scene_labels),
         f"frames={t}, objects={len(record.objects)}, labels={len(record.scene_labels)}")
 
     counts = [len(f) for f in record.objects]
     add("object_count",
-        bool(counts) and min(counts) >= 1 and max(counts) <= cfg.max_visible,
+        bool(counts) and min(counts) >= 1 and max(counts) <= MAX_VISIBLE,
         f"min={min(counts, default=0)}, max={max(counts, default=0)}")
 
     bad_behavior = {o.behavior for f in record.objects for o in f} - set(BEHAVIOR_LABELS)
@@ -582,7 +558,7 @@ def validate_scenario(record: ScenarioRecord, cfg: GenConfig | None = None,
                         default=math.inf)
             hit = min(pair_d, cam_d)
             add("c2_trajectories_intersect",
-                hit <= cfg.collision_threshold + 1e-6,
+                hit <= COLLISION_THRESHOLD + 1e-6,
                 f"closest pair {pair_d:.3f} m, closest to camera {cam_d:.3f} m")
             if meta is not None and meta.collision_xy is not None:
                 g = lam - 1 + meta.stored_offset
@@ -611,7 +587,7 @@ def validate_scenario(record: ScenarioRecord, cfg: GenConfig | None = None,
         for f in record.objects:
             d, _, _ = _closest_pair(f)
             worst_gap = min(worst_gap, d)
-        add("safety_spacing", worst_gap >= cfg.safety_radius - 1e-5,
+        add("safety_spacing", worst_gap >= SAFETY_RADIUS - 1e-5,
             f"min pairwise distance {worst_gap:.3f} m")
 
     return ValidationReport(checks)
@@ -621,20 +597,20 @@ _TEMPLATE_CYCLE = tuple(TEMPLATES)
 _PRESET_CYCLE = ("straight", "intersection", "t_junction", "multilane")
 
 
-def _sample_ego_route(graph: RoadGraph, terminals: TerminalSets, cfg: GenConfig,
+def _sample_ego_route(graph: RoadGraph, terminals: TerminalSets,
                       rng: np.random.Generator, tries: int = 50) -> Route:
     for _ in range(tries):
         _, _, route = sample_od(graph, terminals, rng)
-        if route.cost >= cfg.horizon:
+        if route.cost >= HORIZON:
             return route
-    raise GenerationError(f"no ego route spanning {cfg.horizon} s in {tries} draws")
+    raise GenerationError(f"no ego route spanning {HORIZON} s in {tries} draws")
 
 
-def generate_one(cfg: GenConfig, seed: int, index: int, count: int,
-                 positive_ratio: float, graph: RoadGraph | None = None
+def generate_one(seed: int, index: int, count: int, positive_ratio: float,
+                 graph: RoadGraph | None = None
                  ) -> tuple[ScenarioRecord, GenMeta]:
-    """Scenario `index` of a dataset: pure in (cfg, seed, index, count,
-    ratio, graph), so indices can be generated in any order or in parallel.
+    """Scenario `index` of a dataset: pure in (seed, index, count, ratio,
+    graph), so indices can be generated in any order or in parallel.
 
     Positives are spread evenly over the index range; each retry attempt
     draws from its own seeded stream.
@@ -649,36 +625,35 @@ def generate_one(cfg: GenConfig, seed: int, index: int, count: int,
     rec_id = f"scn-{seed}-{index:05d}"
 
     last: Exception | None = None
-    for attempt in range(cfg.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = stream_rng(seed, "scenario", index, attempt)
         try:
             if positive:
                 template = TEMPLATES[_TEMPLATE_CYCLE[before % len(_TEMPLATE_CYCLE)]]
-                record, meta = _build_positive(template, cfg, rng, rec_id)
+                record, meta = _build_positive(template, rng, rec_id)
             else:
                 neg_ordinal = index - before
                 g = graph if graph is not None else preset_graph(
                     _PRESET_CYCLE[neg_ordinal % len(_PRESET_CYCLE)])
                 terminals = classify_terminals(g)
-                ego_route = _sample_ego_route(g, terminals, cfg, rng)
-                record, meta = _build_negative(g, terminals, cfg, ego_route,
-                                               rng, rec_id)
+                ego_route = _sample_ego_route(g, terminals, rng)
+                record, meta = _build_negative(g, terminals, ego_route, rng,
+                                               rec_id)
         except ConstraintUnsatisfiableError:
             raise
         except (GenerationError, DeconflictError, ODSamplingError, NoRouteError) as exc:
             last = exc
             continue
-        report = validate_scenario(record, cfg, meta)
+        report = validate_scenario(record, meta)
         if report.ok:
             return record, meta
         last = GenerationError("validation failed: "
                                + "; ".join(c.name for c in report.failures()))
     raise GenerationError(
-        f"scenario {index} failed after {cfg.max_attempts} attempts") from last
+        f"scenario {index} failed after {MAX_ATTEMPTS} attempts") from last
 
 
-def generate_dataset(cfg: GenConfig, count: int, positive_ratio: float,
-                     seed: int, graph: RoadGraph | None = None
-                     ) -> list[ScenarioRecord]:
-    return [generate_one(cfg, seed, i, count, positive_ratio, graph)[0]
+def generate_dataset(count: int, positive_ratio: float, seed: int,
+                     graph: RoadGraph | None = None) -> list[ScenarioRecord]:
+    return [generate_one(seed, i, count, positive_ratio, graph)[0]
             for i in range(count)]

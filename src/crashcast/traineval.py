@@ -12,7 +12,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .features import FeatureBatch, build_features
-from .losses import LabeledBatch, LossConfig, align_loss, frame_loss, total_loss, video_loss
+from .losses import LabeledBatch, align_loss, frame_loss, total_loss, video_loss
 from .riskmodel import ModelConfig, ModelParams, align_project, forward
 from .util import stable_u64, stream_rng
 
@@ -21,49 +21,50 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
+# Adam's moment decays and denominator guard, and the global gradient-norm cap
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+CLIP_NORM = 5.0
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     epochs: int = 10
     batch_size: int = 8
     seed: int = 0
-    clip_norm: float = 5.0
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("moment decays must lie in (0, 1)")
-        if self.epochs < 0 or self.batch_size < 1 or self.clip_norm <= 0:
-            raise ValueError("epochs >= 0, batch_size >= 1, clip_norm > 0")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError("epochs >= 0, batch_size >= 1")
 
 
 class Adam:
     """Adaptive moment estimation over a fixed parameter tuple."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = tuple(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = {p.name: np.zeros_like(p.value) for p in self.params}
         self.v = {p.name: np.zeros_like(p.value) for p in self.params}
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for p in self.params:
             g = p.grad
             m = self.m[p.name]
             v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         out = {"opt.step": np.array(float(self.t))}
@@ -110,14 +111,14 @@ def _subset(fb: FeatureBatch, idx) -> FeatureBatch:
 
 
 def _batch_losses(fb: FeatureBatch, params: ModelParams, model_cfg: ModelConfig,
-                  loss_cfg: LossConfig):
+                  frames: int, fps: int):
     out = forward(fb, params, model_cfg)
     labeled = LabeledBatch(out.logits, fb.labels, fb.accident_frames)
-    l1 = frame_loss(labeled, loss_cfg)
-    l2 = video_loss(labeled, loss_cfg)
+    l1 = frame_loss(labeled, fps)
+    l2 = video_loss(labeled)
     l3 = align_loss(align_project(params, fb.visual[:, :, 0]),
-                    align_project(params, fb.text[:, :, 0]), loss_cfg)
-    return l1, l2, l3, total_loss(l1, l2, l3, loss_cfg)
+                    align_project(params, fb.text[:, :, 0]))
+    return l1, l2, l3, total_loss(l1, l2, l3, float(frames))
 
 
 @dataclass
@@ -129,20 +130,20 @@ class TrainResult:
 
 
 def train(records, params: ModelParams, model_cfg: ModelConfig,
-          loss_cfg: LossConfig, train_cfg: TrainConfig, *,
-          val_records=None, start_epoch: int = 0,
+          train_cfg: TrainConfig, *, val_records=None, start_epoch: int = 0,
           opt_state: dict | None = None) -> TrainResult:
     """Minimize the total loss over the records; deterministic given the
     seed (the per-epoch shuffle is derived from (seed, epoch), so resuming
-    at an epoch boundary replays the uninterrupted schedule)."""
+    at an epoch boundary replays the uninterrupted schedule). The training
+    records' frame count and rate set the loss for validation too."""
     records = list(records)
     if not records:
         raise ValueError("training set is empty")
+    frames, fps = records[0].frames, records[0].fps
     shape = (model_cfg.feature_dim, model_cfg.max_objects)
     fb = build_features(records, *shape)
     val_fb = build_features(val_records, *shape) if val_records else None
-    opt = Adam(params.parameters(), train_cfg.learning_rate, train_cfg.beta1,
-               train_cfg.beta2, train_cfg.eps)
+    opt = Adam(params.parameters(), train_cfg.learning_rate)
     if opt_state is not None:
         opt.load_state_dict(opt_state)
     n = len(records)
@@ -157,14 +158,15 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
             for p in params.parameters():
                 p.zero_grad()
             with Tape() as tape:
-                l1, l2, l3, loss = _batch_losses(sub, params, model_cfg, loss_cfg)
+                l1, l2, l3, loss = _batch_losses(sub, params, model_cfg,
+                                                 frames, fps)
                 values = (l1.item(), l2.item(), l3.item(), loss.item())
                 if not all(np.isfinite(values)):
                     raise TrainingDivergedError(
                         f"non-finite loss at step {step + 1} (epoch {epoch}): "
                         f"L1={values[0]} L2={values[1]} L3={values[2]} L={values[3]}")
                 tape.backward(loss)
-            norm = clip_gradients(params.parameters(), train_cfg.clip_norm)
+            norm = clip_gradients(params.parameters(), CLIP_NORM)
             if not np.isfinite(norm):
                 # Adam would write it into every parameter; stop before that
                 raise TrainingDivergedError(
@@ -180,7 +182,8 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
                          "L1": values[0], "L2": values[1], "L3": values[2],
                          "L": values[3]})
         if val_fb is not None:
-            l1, l2, l3, loss = _batch_losses(val_fb, params, model_cfg, loss_cfg)
+            l1, l2, l3, loss = _batch_losses(val_fb, params, model_cfg,
+                                             frames, fps)
             rows.append({"step": step, "epoch": epoch, "split": "val",
                          "L1": l1.item(), "L2": l2.item(), "L3": l3.item(),
                          "L": loss.item()})

@@ -19,7 +19,6 @@ from crashcast.cli import main as cli_main
 from crashcast.features import geo_weights
 from crashcast.losses import (
     LabeledBatch,
-    LossConfig,
     align_loss,
     earliness_weights,
     frame_loss,
@@ -28,8 +27,8 @@ from crashcast.losses import (
 )
 from crashcast.riskmodel import ModelConfig, ModelParams, adjacency, align_project, forward
 from crashcast.roadnet import NoRouteError, RoadEdge, RoadGraph, RoadNode, shortest_path
-from crashcast.scenario import GenConfig, generate_one, validate_scenario
-from crashcast.scenario import generate_dataset
+from crashcast.scenario import generate_dataset, generate_one, validate_scenario
+from crashcast.scenario.generate import CAMERA, SAFETY_RADIUS
 from crashcast.trafficgen import (
     ArrivalConfig,
     RouteGeometry,
@@ -194,13 +193,12 @@ def _wrap_angle(a: float) -> float:
 
 
 def test_criterion_04_scenario_constraints_hold():
-    cfg = GenConfig()
     t0 = time.perf_counter()
-    half_fov = cfg.camera.half_fov
+    half_fov = CAMERA.half_fov
 
     for i in range(500):
-        record, meta = generate_one(cfg, 202, i, 500, 1.0)
-        report = validate_scenario(record, cfg, meta)
+        record, meta = generate_one(202, i, 500, 1.0)
+        report = validate_scenario(record, meta)
         assert report.ok, f"positive {i}: {report.failures()}"
         names = {c.name for c in report.checks}
         assert {"c1_od_pairs", "c2_trajectories_intersect",
@@ -217,8 +215,8 @@ def test_criterion_04_scenario_constraints_hold():
                 f"positive {i}: collision bearing {math.degrees(bearing):.1f} deg"
 
     for i in range(500):
-        record, _ = generate_one(cfg, 203, i, 500, 0.0)
-        report = validate_scenario(record, cfg)
+        record, _ = generate_one(203, i, 500, 0.0)
+        report = validate_scenario(record)
         assert report.ok, f"negative {i}: {report.failures()}"
         # min-distance sweep recomputed from stored world coordinates
         for frame in record.objects:
@@ -228,7 +226,7 @@ def test_criterion_04_scenario_constraints_hold():
             d = np.hypot(pts[:, None, 0] - pts[None, :, 0],
                          pts[:, None, 1] - pts[None, :, 1])
             np.fill_diagonal(d, np.inf)
-            assert d.min() >= cfg.safety_radius - 1e-5, \
+            assert d.min() >= SAFETY_RADIUS - 1e-5, \
                 f"negative {i}: spacing {d.min():.3f} m"
 
     elapsed = time.perf_counter() - t0
@@ -245,7 +243,6 @@ def test_criterion_05_end_to_end_gradient_matches_finite_differences():
     # exactly on those kinks, not wrong nearby
     rng = np.random.default_rng(2)
     model_cfg = ModelConfig(feature_dim=8, max_objects=4)
-    loss_cfg = LossConfig.for_frames(10)
     batch = random_batch(2, 10, 4, 8, rng)
     batch.labels = np.array([1, 0])
     batch.accident_frames = np.array([8, 0])
@@ -254,11 +251,11 @@ def test_criterion_05_end_to_end_gradient_matches_finite_differences():
     def total():
         out = forward(batch, params, model_cfg)
         labeled = LabeledBatch(out.logits, batch.labels, batch.accident_frames)
-        l1 = frame_loss(labeled, loss_cfg)
-        l2 = video_loss(labeled, loss_cfg)
+        l1 = frame_loss(labeled, fps=10)
+        l2 = video_loss(labeled)
         l3 = align_loss(align_project(params, batch.visual[:, :, 0]),
-                        align_project(params, batch.text[:, :, 0]), loss_cfg)
-        return total_loss(l1, l2, l3, loss_cfg)
+                        align_project(params, batch.text[:, :, 0]))
+        return total_loss(l1, l2, l3, 10.0)
 
     per_param = 10
     n_coords = sum(min(per_param, p.value.size) for p in params.parameters())
@@ -297,10 +294,10 @@ def test_criterion_07_hand_values():
     geo = float(np.asarray(geo_weights(np.array(1.0), np.array(1.0), 0.5).value))
     geo_ok = abs(geo - 0.68394) <= 1e-5
 
-    w = earliness_weights(np.array([1]), np.array([50]), 50, LossConfig())
+    w = earliness_weights(np.array([1]), np.array([50]), 50, fps=10)
     w_ok = abs(w[0, 29] - 0.14957) <= 1e-5
 
-    nce = align_loss(np.eye(2), np.eye(2), LossConfig(tau_c=1.0)).item()
+    nce = align_loss(np.eye(2), np.eye(2), tau_c=1.0).item()
     nce_ok = abs(nce - 0.31326) <= 1e-5
 
     _report(7, "adjacency / geometric weight / earliness / InfoNCE hand values",
@@ -313,15 +310,14 @@ def test_criterion_07_hand_values():
 
 def test_criterion_08_closed_loop_learning_on_synthetic_data():
     t0 = time.perf_counter()
-    records = generate_dataset(GenConfig(), 400, 0.5, 101)
+    records = generate_dataset(400, 0.5, 101)
     train_recs, test_recs = split_dataset(records)
     assert len(records) >= 400 and len(test_recs) >= 0.2 * len(records)
 
     model_cfg = ModelConfig(feature_dim=32, max_objects=6)
-    loss_cfg = LossConfig.for_frames(50)
     train_cfg = TrainConfig(learning_rate=1e-3, epochs=6, batch_size=8, seed=0)
     params = ModelParams.init(model_cfg, stream_rng(0, "init"))
-    train(train_recs, params, model_cfg, loss_cfg, train_cfg)
+    train(train_recs, params, model_cfg, train_cfg)
 
     report, curves = evaluate(test_recs, params, model_cfg, threshold=0.5)
     # mean TTA at delta = 0.5 over all held-out positives; a positive that

@@ -172,8 +172,6 @@ def test_backward_requires_scalar_root_and_single_use():
         tape.backward(z)
         with pytest.raises(RuntimeError):
             tape.backward(z)
-    tape.reset()
-    assert len(tape) == 0
 
 
 def test_grad_accumulates_across_backward_passes():

@@ -1,12 +1,15 @@
 import json
+import os
 import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crashcast
 from crashcast import autodiff as ad
 from crashcast.cli import main
 from crashcast.roadnet import serialize_network
@@ -151,10 +154,12 @@ def test_usage_error_exits_2(tmp_path, capsys):
 def test_train_writes_checkpoint_sidecar_log_manifest(work):
     root, data, ckpt = work
     sidecar = json.loads((root / "ckpt.bin.json").read_text())
-    assert sidecar["model"]["feature_dim"] == 8
-    assert sidecar["model"]["max_objects"] == 4
-    assert sidecar["epochs_done"] == 2
-    assert sidecar["fps"] == 10
+    assert set(sidecar) == {"model", "train", "frames", "fps"}
+    assert sidecar["model"] == {"feature_dim": 8, "max_objects": 4}
+    assert sidecar["train"] == {"learning_rate": 1e-3, "epochs": 2,
+                                "batch_size": 8, "seed": 1}
+    assert sidecar["frames"] == 50 and sidecar["fps"] == 10
+    assert float(ad.load_checkpoint(str(ckpt))["meta.epochs_done"]) == 2.0
 
     log = (root / "ckpt.bin.log.csv").read_text().splitlines()
     assert log[0] == "step,epoch,split,L1,L2,L3,L"
@@ -197,33 +202,163 @@ def test_train_determinism_across_runs(work, tmp_path):
 
 def test_train_resume_matches_uninterrupted(work, tmp_path):
     _, data, _ = work
-    full = tmp_path / "full.bin"
-    half = tmp_path / "half.bin"
-    resumed = tmp_path / "resumed.bin"
     base = ["train", "--data", str(data), "--seed", "2", "--feature-dim",
             "8", "--max-objects", "4"]
-    assert main(base + ["--epochs", "4", "--out", str(full)]) == 0
-    assert main(base + ["--epochs", "2", "--out", str(half)]) == 0
-    assert main(base + ["--epochs", "4", "--out", str(resumed),
-                        "--resume", str(half)]) == 0
-
-    a = ad.load_checkpoint(str(full))
-    b = ad.load_checkpoint(str(resumed))
-    assert set(a) == set(b)
-    worst = max(float(np.abs(a[k] - b[k]).max()) for k in a)
-    assert worst <= 1e-9
-
-    tail = (tmp_path / "full.bin.log.csv").read_text().splitlines()[-1]
-    assert tail == \
-        (tmp_path / "resumed.bin.log.csv").read_text().splitlines()[-1]
+    for extra in ([], ["--val-data", str(data)]):
+        tag = "val" if extra else "plain"
+        full = tmp_path / f"full-{tag}.bin"
+        half = tmp_path / f"half-{tag}.bin"
+        resumed = tmp_path / f"resumed-{tag}.bin"
+        assert main(base + extra + ["--epochs", "4", "--out", str(full)]) == 0
+        assert main(base + extra + ["--epochs", "2", "--out", str(half)]) == 0
+        assert main(base + extra + ["--epochs", "4", "--out", str(resumed),
+                                    "--resume", str(half)]) == 0
+        for suffix in ("", ".json", ".log.csv"):
+            assert (tmp_path / f"resumed-{tag}.bin{suffix}").read_bytes() == \
+                (tmp_path / f"full-{tag}.bin{suffix}").read_bytes(), (tag, suffix)
 
 
-def test_train_resume_fewer_epochs_exits_2(work, tmp_path):
+def _resume_args(data, ckpt, out, *extra):
+    """Flags that repeat the fixture checkpoint's settings, then extra ones."""
+    return ["train", "--data", str(data), "--epochs", "3", "--seed", "1",
+            "--feature-dim", "8", "--max-objects", "4", "--out", str(out),
+            "--resume", str(ckpt), *map(str, extra)]
+
+
+def _resumable(work, tmp_path, name, edit=lambda sidecar: None):
+    """A copy of the fixture checkpoint and its log, with its sidecar edited."""
+    _, _, ckpt = work
+    copy = tmp_path / name
+    copy.write_bytes(ckpt.read_bytes())
+    (tmp_path / f"{name}.log.csv").write_bytes(
+        (ckpt.parent / "ckpt.bin.log.csv").read_bytes())
+    sidecar = json.loads((ckpt.parent / "ckpt.bin.json").read_text())
+    edit(sidecar)
+    (tmp_path / f"{name}.json").write_text(json.dumps(sidecar))
+    return copy
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("crashcast: error:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize("flag,value,key,there", [
+    ("--seed", 99, "train.seed", 1),
+    ("--batch-size", 3, "train.batch_size", 8),
+    ("--learning-rate", 0.01, "train.learning_rate", 0.001),
+    ("--feature-dim", 16, "model.feature_dim", 8),
+    ("--max-objects", 5, "model.max_objects", 4),
+])
+def test_train_resume_setting_differs_from_sidecar_exits_2(
+        work, tmp_path, capsys, flag, value, key, there):
     _, data, ckpt = work
-    code = main(["train", "--data", str(data), "--epochs", "1", "--seed",
-                 "1", "--out", str(tmp_path / "x.bin"),
-                 "--resume", str(ckpt)])
+    capsys.readouterr()
+    code = main(_resume_args(data, ckpt, tmp_path / "x.bin", flag, value))
     assert code == 2
+    err = _one_error_line(capsys)
+    assert str(ckpt.parent / "ckpt.bin.json") in err and key in err, err
+    assert f"{there!r}" in err and f"{value!r}" in err, err
+    assert not (tmp_path / "x.bin").exists()
+
+
+def test_train_resume_dataset_of_another_rate_exits_2(work, tmp_path, capsys):
+    _, data, ckpt = work
+    faster = tmp_path / "faster.jsonl"
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    for record in records:
+        record["fps"] = 20
+    faster.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    code = main(_resume_args(faster, ckpt, tmp_path / "x.bin"))
+    assert code == 2
+    err = _one_error_line(capsys)
+    assert "ckpt.bin.json: fps is 10, this run has 20" in err, err
+
+
+@pytest.mark.parametrize("missing", [".json", ".log.csv"])
+def test_train_resume_without_sidecar_or_log_exits_2(work, tmp_path, capsys,
+                                                     missing):
+    prev = _resumable(work, tmp_path, "prev.bin")
+    (tmp_path / f"prev.bin{missing}").unlink()
+    capsys.readouterr()
+    code = main(_resume_args(work[1], prev, tmp_path / "x.bin"))
+    assert code == 2
+    assert str(tmp_path / f"prev.bin{missing}") in _one_error_line(capsys)
+    assert not (tmp_path / "x.bin").exists()
+
+
+@pytest.mark.parametrize("cut", ["last-epoch", "step", "header", "extra-row"])
+def test_train_resume_log_not_matching_checkpoint_exits_2(work, tmp_path,
+                                                          capsys, cut):
+    prev = _resumable(work, tmp_path, "prev.bin")
+    log = tmp_path / "prev.bin.log.csv"
+    lines = log.read_text().splitlines()
+    if cut == "last-epoch":
+        lines = lines[:-3]
+    elif cut == "step":
+        lines[-1] = "7" + lines[-1][1:]
+    elif cut == "header":
+        lines = lines[1:]
+    else:
+        lines.append(lines[-2])
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(_resume_args(work[1], prev, tmp_path / "x.bin"))
+    assert code == 2
+    assert str(log) in _one_error_line(capsys)
+    assert not (tmp_path / "x.bin").exists()
+
+
+# the sections and keys that train sidecars of earlier versions hold beside
+# the current ones, at the values those versions wrote for the fixture
+_EARLIER_TRAIN_KEYS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                       "clip_norm": 5.0}
+_EARLIER_LOSS = {"fps": 10, "gamma": 50.0, "tau_c": 0.1,
+                 "neighbor_mask_radius": 2, "t_pool": None,
+                 "earliness_units": "seconds"}
+
+
+def test_train_resume_from_sidecar_of_earlier_versions(work, tmp_path):
+    now = _resumable(work, tmp_path, "now.bin")
+    old = _resumable(work, tmp_path, "old.bin", _earlier_format)
+    assert set(json.loads((tmp_path / "old.bin.json").read_text())) == {
+        "model", "features", "loss", "train", "frames", "fps", "epochs_done"}
+    assert main(_resume_args(work[1], now, tmp_path / "a.bin")) == 0
+    assert main(_resume_args(work[1], old, tmp_path / "b.bin")) == 0
+    for suffix in ("", ".json", ".log.csv"):
+        assert (tmp_path / f"a.bin{suffix}").read_bytes() == \
+            (tmp_path / f"b.bin{suffix}").read_bytes(), suffix
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "clip_norm", 1.0),
+    ("loss", "t_pool", 1),
+    ("loss", "gamma", 10.0),
+    (None, "epochs_done", 3),
+])
+def test_train_resume_retired_key_at_another_value_exits_2(
+        work, tmp_path, capsys, section, key, value):
+    def edit(sidecar):
+        _earlier_format(sidecar)
+        (sidecar if section is None else sidecar[section])[key] = value
+
+    prev = _resumable(work, tmp_path, "prev.bin", edit)
+    capsys.readouterr()
+    code = main(_resume_args(work[1], prev, tmp_path / "x.bin"))
+    assert code == 2
+    err = _one_error_line(capsys)
+    assert str(tmp_path / "prev.bin.json") in err
+    assert (key if section is None else f"{section}.{key}") in err, err
+
+
+def test_train_resume_fewer_epochs_exits_2(work, tmp_path, capsys):
+    _, data, ckpt = work
+    capsys.readouterr()
+    code = main(_resume_args(data, ckpt, tmp_path / "x.bin", "--epochs", 1))
+    assert code == 2
+    assert "--epochs must be >= 2" in _one_error_line(capsys)
 
 
 def test_train_resume_sidecar_without_model_exits_2(work, tmp_path, capsys):
@@ -354,6 +489,9 @@ def _with_sidecar(work, tmp_path, name, edit):
 def _earlier_format(sidecar, older=False):
     sidecar["model"].update(_EARLIER_MODEL_KEYS)
     sidecar["features"] = dict(_EARLIER_FEATURE_KEYS)
+    sidecar["train"].update(_EARLIER_TRAIN_KEYS)
+    sidecar["loss"] = dict(_EARLIER_LOSS)
+    sidecar["epochs_done"] = sidecar["train"]["epochs"]
     if older:  # before the edge-weight constants moved to the model
         sidecar["features"].update(
             {k: _EARLIER_MODEL_KEYS[k] for k in ("scale", "tau_text", "velocity_sign")})
@@ -399,6 +537,21 @@ def test_eval_retired_sidecar_key_at_another_value_exits_2(
     assert f"{section}.{key}" in err[0], err[0]
     assert not (tmp_path / "r.json").exists()
     assert not (tmp_path / "r.json.curves.csv").exists()
+
+
+def test_eval_one_class_dataset_exits_3_naming_it(work, tmp_path, capsys):
+    _, data, ckpt = work
+    positives = tmp_path / "positives.jsonl"
+    positives.write_text("".join(
+        line + "\n" for line in data.read_text().splitlines()
+        if json.loads(line)["positive"]))
+    capsys.readouterr()
+    code = main(["eval", "--data", str(positives), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    err = _one_error_line(capsys)
+    assert str(positives) in err and "both classes" in err, err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_eval_missing_sidecar_exits_2(work, tmp_path):
@@ -547,10 +700,14 @@ def test_eval_truncated_checkpoint_exits_3(work, tmp_path, capsys, cut):
 @pytest.mark.parametrize("module", ["crashcast", "crashcast.cli"])
 def test_module_invocation_subprocess(tmp_path, module):
     out = tmp_path / "d.jsonl"
+    # the child imports the same crashcast as this process, installed or not
+    src = str(Path(crashcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", module, "gen-data", "--count", "2",
          "--positive-ratio", "0.5", "--seed", "1", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "wrote 2 scenarios" in proc.stdout
     assert len(read_dataset(out)) == 2

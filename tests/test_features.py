@@ -26,7 +26,6 @@ from crashcast.features import (
 )
 from crashcast.scenario import (
     EnvironmentProfile,
-    GenConfig,
     ObjectState,
     ScenarioRecord,
     generate_one,
@@ -372,7 +371,7 @@ def test_synth_visual_matches_per_object_loop():
     ])
     cases = [(hand, ("a", "b", "c"))]
     for i in range(6):
-        rec = generate_one(GenConfig(), 31, i, 6, 0.5)[0]
+        rec = generate_one(31, i, 6, 0.5)[0]
         cases.append((rec, assign_slots(rec, 3)))  # most objects fall outside
     for rec, slots in cases:
         for sigma in [0.0, 0.01]:
@@ -440,8 +439,7 @@ def test_assign_slots_ranks_by_coverage_then_entry_then_id():
 
 
 def _small_dataset(count=6, ratio=0.5, seed=17):
-    cfg = GenConfig()
-    return [generate_one(cfg, seed, i, count, ratio)[0] for i in range(count)]
+    return [generate_one(seed, i, count, ratio)[0] for i in range(count)]
 
 
 def test_build_features_shapes_and_mask():

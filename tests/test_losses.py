@@ -7,7 +7,6 @@ from crashcast import autodiff as ad
 from crashcast.autodiff import Parameter, grad_check
 from crashcast.losses import (
     LabeledBatch,
-    LossConfig,
     align_loss,
     earliness_weights,
     frame_loss,
@@ -24,7 +23,7 @@ def _batch(logits, labels, taus):
 # --- earliness weights -------------------------------------------------------
 
 def test_earliness_weight_hand_value():
-    w = earliness_weights([1], [50], 50, LossConfig())
+    w = earliness_weights([1], [50], 50, fps=10)
     assert w[0, 29] == pytest.approx(0.14956861922263506, abs=1e-12)
     # from one frame before onset onward the weight is exactly 1
     assert w[0, 47] == math.exp(-0.1)
@@ -32,22 +31,15 @@ def test_earliness_weight_hand_value():
 
 
 def test_earliness_weight_properties():
-    cfg = LossConfig()
-    w = earliness_weights([1, 0], [26, 0], 50, cfg)
+    w = earliness_weights([1, 0], [26, 0], 50, fps=10)
     assert np.all(w > 0) and np.all(w <= 1)
     assert np.all(np.diff(w[0]) >= 0)
     assert np.all(w[1] == 1.0)
 
 
-def test_earliness_weight_frames_convention():
-    cfg = LossConfig(earliness_units="frames")
-    w = earliness_weights([1], [50], 50, cfg)
-    assert w[0, 29] == pytest.approx(math.exp(-19.0), rel=1e-12)
-
-
 def test_earliness_weight_missing_tau_raises():
     with pytest.raises(ValueError):
-        earliness_weights([1], [0], 50, LossConfig())
+        earliness_weights([1], [0], 50, fps=10)
 
 
 # --- frame loss --------------------------------------------------------------
@@ -56,7 +48,7 @@ def test_frame_loss_negative_video_is_plain_mean_ce():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(2, 5, 2))
     batch = _batch(logits, [0, 0], [0, 0])
-    got = frame_loss(batch, LossConfig()).item()
+    got = frame_loss(batch, fps=10).item()
     flat = logits.reshape(-1, 2)
     lse = np.log(np.exp(flat).sum(axis=-1))
     want = float(np.mean(lse - flat[:, 0]))
@@ -65,21 +57,22 @@ def test_frame_loss_negative_video_is_plain_mean_ce():
 
 def test_frame_loss_positive_weighting_hand_case():
     batch = _batch(np.zeros((1, 3, 2)), [1], [3])
-    got = frame_loss(batch, LossConfig()).item()
+    got = frame_loss(batch, fps=10).item()
     want = math.log(2.0) * (math.exp(-0.1) + 1.0 + 1.0) / 3.0
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_frame_loss_requires_tau_for_positives():
     with pytest.raises(ValueError):
-        frame_loss(_batch(np.zeros((1, 4, 2)), [1], [0]), LossConfig())
+        frame_loss(_batch(np.zeros((1, 4, 2)), [1], [0]), fps=10)
 
 
 # --- video loss --------------------------------------------------------------
 
 def test_video_loss_pool_of_one_is_first_frame_ce():
-    batch = _batch([[[2.0, 0.0], [0.0, 5.0]]], [1], [2])
-    got = video_loss(batch, LossConfig(t_pool=1)).item()
+    # a positive whose accident is on frame 1 pools over that frame alone
+    batch = _batch([[[2.0, 0.0], [0.0, 5.0]]], [1], [1])
+    got = video_loss(batch).item()
     assert got == pytest.approx(math.log(1.0 + math.exp(2.0)), abs=1e-12)
 
 
@@ -87,12 +80,12 @@ def test_video_loss_saturated_frame_is_near_zero():
     logits = np.zeros((1, 4, 2))
     logits[0, 2, 1] = 50.0
     batch = _batch(logits, [1], [4])
-    assert video_loss(batch, LossConfig()).item() <= 1e-9
+    assert video_loss(batch).item() <= 1e-9
 
 
 def test_video_loss_tie_picks_earliest_frame():
     batch = _batch([[[0.0, 0.0], [1.0, 0.0]]], [1], [2])
-    got = video_loss(batch, LossConfig(t_pool=2)).item()
+    got = video_loss(batch).item()
     assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -100,27 +93,22 @@ def test_video_loss_pool_window_per_item():
     logits = np.zeros((1, 4, 2))
     logits[0, 3, 1] = 50.0  # confident frame after the onset
     pos = _batch(logits, [1], [2])
-    assert video_loss(pos, LossConfig()).item() == pytest.approx(math.log(2.0), abs=1e-12)
+    assert video_loss(pos).item() == pytest.approx(math.log(2.0), abs=1e-12)
     neg = _batch(logits, [0], [0])
     # the negative pools over the whole video and pays for the spike
-    assert video_loss(neg, LossConfig()).item() > 10.0
-
-
-def test_video_loss_rejects_oversized_fixed_pool():
-    with pytest.raises(ValueError):
-        video_loss(_batch(np.zeros((1, 3, 2)), [0], [0]), LossConfig(t_pool=4))
+    assert video_loss(neg).item() > 10.0
 
 
 # --- alignment loss ----------------------------------------------------------
 
 def test_align_loss_single_matched_pair_is_zero():
     v = np.array([[1.0, 0.0]])
-    assert align_loss(v, v, LossConfig()).item() == pytest.approx(0.0, abs=1e-12)
+    assert align_loss(v, v).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_align_loss_orthogonal_pairs_hand_value():
     e = np.eye(2)
-    got = align_loss(e, e, LossConfig(tau_c=1.0)).item()
+    got = align_loss(e, e, tau_c=1.0).item()
     assert got == pytest.approx(0.3132616875182228, abs=1e-9)
 
 
@@ -128,8 +116,8 @@ def test_align_loss_mask_reduces_to_lone_positives():
     rng = np.random.default_rng(1)
     v = rng.normal(size=(1, 3, 4))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    cfg = LossConfig(neighbor_mask_radius=5)
-    assert align_loss(v, v, cfg).item() == pytest.approx(0.0, abs=1e-12)
+    # three frames lie within the radius-2 neighborhood of each other
+    assert align_loss(v, v).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_align_loss_symmetric_in_modalities():
@@ -138,29 +126,26 @@ def test_align_loss_symmetric_in_modalities():
     x = rng.normal(size=(3, 4, 6))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    cfg = LossConfig()
-    assert align_loss(v, x, cfg).item() == pytest.approx(
-        align_loss(x, v, cfg).item(), abs=1e-12)
-    assert align_loss(v, x, cfg).item() >= 0.0
+    assert align_loss(v, x).item() == pytest.approx(
+        align_loss(x, v).item(), abs=1e-12)
+    assert align_loss(v, x).item() >= 0.0
 
 
 def test_align_loss_input_validation():
     with pytest.raises(ValueError):
-        align_loss(np.zeros((2, 3)), np.zeros((3, 3)), LossConfig())
+        align_loss(np.zeros((2, 3)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        align_loss(np.zeros((2, 3, 4, 5)), np.zeros((2, 3, 4, 5)), LossConfig())
+        align_loss(np.zeros((2, 3, 4, 5)), np.zeros((2, 3, 4, 5)))
 
 
-# --- total loss and config ---------------------------------------------------
+# --- total loss -------------------------------------------------------------
 
 def test_total_loss_combination():
-    cfg = LossConfig.for_frames(50)
-    assert cfg.gamma == 50.0
     zero = ad.as_tensor(0.0)
-    got = total_loss(zero, ad.as_tensor(0.01), zero, cfg).item()
+    got = total_loss(zero, ad.as_tensor(0.01), zero, 50.0).item()
     assert got == pytest.approx(0.5, abs=1e-12)
-    assert total_loss(zero, zero, zero, cfg).item() == 0.0
-    l = total_loss(ad.as_tensor(0.25), zero, ad.as_tensor(0.5), cfg).item()
+    assert total_loss(zero, zero, zero, 50.0).item() == 0.0
+    l = total_loss(ad.as_tensor(0.25), zero, ad.as_tensor(0.5), 50.0).item()
     assert l == pytest.approx(0.75, abs=1e-12)
 
 
@@ -168,27 +153,15 @@ def test_loss_terms_are_nonnegative():
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(4, 6, 2)) * 3
     batch = _batch(logits, [1, 0, 1, 0], [4, 0, 6, 0])
-    cfg = LossConfig()
-    l1 = frame_loss(batch, cfg)
-    l2 = video_loss(batch, cfg)
+    l1 = frame_loss(batch, fps=10)
+    l2 = video_loss(batch)
     v = rng.normal(size=(4, 6, 4))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     x = rng.normal(size=(4, 6, 4))
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    l3 = align_loss(v, x, cfg)
+    l3 = align_loss(v, x)
     assert l1.item() >= 0 and l2.item() >= 0 and l3.item() >= 0
-    assert total_loss(l1, l2, l3, cfg).item() >= 0
-
-
-def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(tau_c=0.0)
-    with pytest.raises(ValueError):
-        LossConfig(gamma=-1.0)
-    with pytest.raises(ValueError):
-        LossConfig(t_pool=0)
-    with pytest.raises(ValueError):
-        LossConfig(earliness_units="fortnights")
+    assert total_loss(l1, l2, l3, 50.0).item() >= 0
 
 
 # --- gradients ---------------------------------------------------------------
@@ -198,13 +171,12 @@ def test_frame_and_video_loss_gradients_match_fd():
     logits = Parameter(rng.normal(size=(2, 4, 2)), name="logits")
     labels = np.array([1, 0])
     taus = np.array([3, 0])
-    cfg = LossConfig()
 
     def f1():
-        return frame_loss(LabeledBatch(logits, labels, taus), cfg)
+        return frame_loss(LabeledBatch(logits, labels, taus), fps=10)
 
     def f2():
-        return video_loss(LabeledBatch(logits, labels, taus), cfg)
+        return video_loss(LabeledBatch(logits, labels, taus))
 
     assert grad_check(f1, [logits], rng=rng) < 1e-6
     assert grad_check(f2, [logits], rng=rng) < 1e-6
@@ -214,10 +186,9 @@ def test_align_loss_gradients_match_fd():
     rng = np.random.default_rng(5)
     v = Parameter(rng.normal(size=(2, 3, 4)), name="v")
     x = Parameter(rng.normal(size=(2, 3, 4)), name="x")
-    cfg = LossConfig()
 
     def f():
         return align_loss(ad.l2_normalize_lastdim(v),
-                          ad.l2_normalize_lastdim(x), cfg)
+                          ad.l2_normalize_lastdim(x))
 
     assert grad_check(f, [v, x], rng=rng) < 1e-6

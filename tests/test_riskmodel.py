@@ -13,9 +13,7 @@ from crashcast.riskmodel import (
     align_project,
     forward,
     gcn_layer,
-    load_model,
     pool_nodes,
-    save_model,
 )
 
 
@@ -74,27 +72,33 @@ def test_adjacency_preserves_symmetry():
 # --- gcn layer and pooling ---------------------------------------------------
 
 def test_gcn_layer_identity_propagation():
+    # one (batch, frame) of nodes, as forward passes them
     rng = np.random.default_rng(1)
-    h = rng.normal(size=(3, 4))
-    out = gcn_layer(h, np.eye(3), np.ones((3, 3)), np.eye(4)).value
+    h = rng.normal(size=(1, 1, 3, 4))
+    w_t = np.ones((1, 1, 3, 3))
+    out = gcn_layer(h, np.eye(3), w_t, np.eye(4)).value
     assert np.allclose(out, np.maximum(h, 0.0), atol=1e-12)
-    assert np.all(gcn_layer(np.zeros((3, 4)), np.eye(3), np.ones((3, 3)),
+    assert np.all(gcn_layer(np.zeros((1, 1, 3, 4)), np.eye(3), w_t,
                             np.eye(4)).value == 0.0)
 
 
 def test_gcn_layer_hand_case():
     at = np.array([[0.75, 0.25], [0.25, 0.75]])
-    out = gcn_layer(np.eye(2), at, np.ones((2, 2)), np.eye(2)).value
-    assert np.allclose(out, at, atol=1e-12)
+    out = gcn_layer(np.eye(2)[None, None], at, np.ones((1, 1, 2, 2)),
+                    np.eye(2)).value
+    assert np.allclose(out[0, 0], at, atol=1e-12)
 
 
 def test_pool_nodes():
+    # with every node present the pool is the plain mean
     row = np.array([2.0, -1.0, 3.0])
     h = np.tile(row, (4, 1))
-    assert np.allclose(pool_nodes(h).value, row, atol=1e-12)
-    assert np.allclose(pool_nodes(row[None, :]).value, row, atol=1e-12)
+    assert np.allclose(pool_nodes(h, np.ones(4, bool)).value, row, atol=1e-12)
+    assert np.allclose(pool_nodes(row[None, :], np.ones(1, bool)).value, row,
+                       atol=1e-12)
     h = np.array([[1.0, 3.0], [3.0, 5.0]])
-    assert np.allclose(pool_nodes(h).value, [2.0, 4.0], atol=1e-12)
+    assert np.allclose(pool_nodes(h, np.ones(2, bool)).value, [2.0, 4.0],
+                       atol=1e-12)
 
 
 def test_pool_nodes_masked():
@@ -371,8 +375,9 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     params = ModelParams.init(cfg, rng)
     path = str(tmp_path / "model.ckpt")
-    save_model(path, params)
-    loaded = load_model(path, cfg)
+    ad.save_checkpoint(path, params.state_dict())
+    loaded = ModelParams.init(cfg, np.random.default_rng(0))
+    loaded.load_state_dict(ad.load_checkpoint(path))
     for name, arr in params.state_dict().items():
         assert np.array_equal(loaded.state_dict()[name], arr)
     batch = random_batch(1, 4, 2, 4, rng)
@@ -384,6 +389,8 @@ def test_checkpoint_shape_mismatch_raises(tmp_path):
     cfg = _tiny_cfg()
     params = ModelParams.init(cfg, np.random.default_rng(13))
     path = str(tmp_path / "model.ckpt")
-    save_model(path, params)
+    ad.save_checkpoint(path, params.state_dict())
+    other = ModelParams.init(ModelConfig(feature_dim=8, max_objects=2),
+                             np.random.default_rng(0))
     with pytest.raises((KeyError, ValueError)):
-        load_model(path, ModelConfig(feature_dim=8, max_objects=2))
+        other.load_state_dict(ad.load_checkpoint(path))

@@ -12,7 +12,6 @@ from crashcast.scenario import (
     ConstraintUnsatisfiableError,
     EgoCamera,
     EnvironmentProfile,
-    GenConfig,
     RoleSpec,
     behavior_label,
     generate_one,
@@ -24,7 +23,12 @@ from crashcast.scenario import (
     scene_label,
     validate_scenario,
 )
+from crashcast.scenario import generate
 from crashcast.scenario.generate import (
+    COLLISION_THRESHOLD,
+    GEN_FRAMES,
+    MAX_VISIBLE,
+    SAFETY_RADIUS,
     Track,
     _assemble,
     _build_negative,
@@ -33,7 +37,6 @@ from crashcast.scenario.generate import (
 )
 from crashcast.util import stream_rng
 
-CFG = GenConfig()
 CAM = EgoCamera()
 
 
@@ -155,8 +158,8 @@ def test_environment_rejects_bad_weights():
 
 @pytest.mark.parametrize("kind", sorted(TEMPLATES))
 def test_positive_templates_satisfy_constraints(kind):
-    rec, meta = _build_positive(TEMPLATES[kind], CFG, stream_rng(17, kind), f"p-{kind}")
-    report = validate_scenario(rec, CFG, meta)
+    rec, meta = _build_positive(TEMPLATES[kind], stream_rng(17, kind), f"p-{kind}")
+    report = validate_scenario(rec, meta)
     assert report.ok, [c.name for c in report.failures()]
     names = {c.name for c in report.checks}
     assert {"c2_trajectories_intersect", "c3_collision_in_fov",
@@ -169,11 +172,11 @@ def test_positive_templates_satisfy_constraints(kind):
     dists = [math.hypot(a.x - b.x, a.y - b.y)
              for i, a in enumerate(frame) for b in frame[i + 1:]]
     cam_d = [CAM.camera_distance(o.cx, o.depth) for o in frame]
-    assert min(dists + cam_d) <= CFG.collision_threshold
+    assert min(dists + cam_d) <= COLLISION_THRESHOLD
 
 
 def test_positive_participants_freeze_after_accident():
-    rec, meta = _build_positive(TEMPLATES["crossing_path"], CFG,
+    rec, meta = _build_positive(TEMPLATES["crossing_path"],
                                 stream_rng(23, "freeze"), "p")
     lam = rec.accident_frame
     after = {}
@@ -188,13 +191,13 @@ def test_positive_participants_freeze_after_accident():
 
 def test_rear_end_ego_involved_variant():
     for k in range(40):
-        rec, meta = _build_positive(TEMPLATES["rear_end"], CFG,
+        rec, meta = _build_positive(TEMPLATES["rear_end"],
                                     stream_rng(99, "ego", k), "p")
         if len(meta.participant_ids) == 1:
             break
     else:
         pytest.fail("ego-involved variant never sampled in 40 draws")
-    assert validate_scenario(rec, CFG, meta).ok
+    assert validate_scenario(rec, meta).ok
     frame = rec.objects[rec.accident_frame - 1]
     assert min(CAM.camera_distance(o.cx, o.depth) for o in frame) <= 2.0
 
@@ -208,57 +211,55 @@ def test_parallel_routes_are_unsatisfiable():
         observer_ods=(("l2a", "l2b"),),
     )
     with pytest.raises(ConstraintUnsatisfiableError):
-        _build_positive(template, CFG, stream_rng(31), "positive")
+        _build_positive(template, stream_rng(31), "positive")
 
 
 def test_negative_min_spacing_sweep():
     graph = preset_graph("intersection")
     terminals = classify_terminals(graph)
     rng = stream_rng(41, "neg")
-    route = _sample_ego_route(graph, terminals, CFG, rng)
-    rec, _ = _build_negative(graph, terminals, CFG, route, rng, "negative")
+    route = _sample_ego_route(graph, terminals, rng)
+    rec, _ = _build_negative(graph, terminals, route, rng, "negative")
     assert not rec.positive and rec.accident_frame is None
     worst = math.inf
     for frame in rec.objects:
         for i, a in enumerate(frame):
             for b in frame[i + 1:]:
                 worst = min(worst, math.hypot(a.x - b.x, a.y - b.y))
-    assert worst >= CFG.safety_radius - 1e-5
-    assert validate_scenario(rec, CFG).ok
+    assert worst >= SAFETY_RADIUS - 1e-5
+    assert validate_scenario(rec).ok
 
 
-def test_negative_empty_traffic_keeps_parked_floor():
-    from dataclasses import replace
-
-    quiet = replace(CFG, arrival_vehicles=0.0)
+def test_negative_empty_traffic_keeps_parked_floor(monkeypatch):
+    monkeypatch.setattr(generate, "ARRIVAL_VEHICLES", 0.0)
     graph = preset_graph("straight")
     terminals = classify_terminals(graph)
     rng = stream_rng(43, "quiet")
-    route = _sample_ego_route(graph, terminals, quiet, rng)
-    rec, _ = _build_negative(graph, terminals, quiet, route, rng, "negative")
+    route = _sample_ego_route(graph, terminals, rng)
+    rec, _ = _build_negative(graph, terminals, route, rng, "negative")
     assert all(len(frame) >= 1 for frame in rec.objects)
     assert all(o.speed == 0.0 and o.behavior == "stopped"
                for frame in rec.objects for o in frame)
 
 
 def test_assemble_caps_at_nearest_nineteen():
-    g = CFG.gen_frames
+    g = GEN_FRAMES
     ego = Track("ego", np.zeros((g, 2)), np.zeros(g), np.zeros(g))
     tracks = []
     for k in range(25):
         xy = np.tile([5.0 + k, 0.0], (g, 1))
         tracks.append(Track(f"t{k:02d}", xy, np.zeros(g), np.zeros(g)))
     env = EnvironmentProfile("clear", "day", "urban")
-    rec = _assemble("cap", False, env, CFG, tracks, ego, None)
+    rec = _assemble("cap", False, env, tracks, ego, None)
     for frame in rec.objects:
-        assert len(frame) == CFG.max_visible
+        assert len(frame) == MAX_VISIBLE
         assert [o.id for o in frame] == [f"t{k:02d}" for k in range(19)]
         assert frame[0].depth <= frame[-1].depth
 
 
 def test_dataset_roundtrip_and_byte_determinism():
-    recs = [generate_one(CFG, 57, i, 6, 0.5)[0] for i in range(6)]
-    again = [generate_one(CFG, 57, i, 6, 0.5)[0] for i in range(6)]
+    recs = [generate_one(57, i, 6, 0.5)[0] for i in range(6)]
+    again = [generate_one(57, i, 6, 0.5)[0] for i in range(6)]
     lines = [record_to_json(r) for r in recs]
     assert lines == [record_to_json(r) for r in again]
     for line, rec in zip(lines, recs):
@@ -271,7 +272,7 @@ def test_dataset_roundtrip_and_byte_determinism():
 
 
 def test_read_dataset_skips_blank_lines(tmp_path):
-    rec = generate_one(CFG, 58, 0, 1, 0.0)[0]
+    rec = generate_one(58, 0, 1, 0.0)[0]
     path = tmp_path / "tiny.jsonl"
     path.write_text(record_to_json(rec) + "\n\n")
     assert [r.id for r in read_dataset(str(path))] == [rec.id]
@@ -280,7 +281,7 @@ def test_read_dataset_skips_blank_lines(tmp_path):
 def test_positive_schedule_is_even():
     flags = []
     for i in range(10):
-        rec, _ = generate_one(CFG, 61, i, 10, 0.3)
+        rec, _ = generate_one(61, i, 10, 0.3)
         flags.append(rec.positive)
     assert sum(flags) == 3
     # no two positives adjacent at this ratio
@@ -288,22 +289,22 @@ def test_positive_schedule_is_even():
 
 
 def test_validator_flags_zero_accident_frame():
-    rec, _ = _build_positive(TEMPLATES["rear_end"], CFG, stream_rng(71), "p")
+    rec, _ = _build_positive(TEMPLATES["rear_end"], stream_rng(71), "p")
     rec.accident_frame = 0
-    report = validate_scenario(rec, CFG)
+    report = validate_scenario(rec)
     assert not report.ok
     assert "c4_accident_annotated" in {c.name for c in report.failures()}
 
 
 def test_validator_flags_collision_outside_fov():
-    rec, meta = _build_positive(TEMPLATES["rear_end"], CFG, stream_rng(73), "p")
+    rec, meta = _build_positive(TEMPLATES["rear_end"], stream_rng(73), "p")
     g = rec.accident_frame - 1 + meta.stored_offset
     pose = meta.ego_xy[g]
     heading = float(meta.ego_heading[g])
     off = heading + math.radians(31.0)
     meta.collision_xy = (pose[0] + 20.0 * math.cos(off),
                          pose[1] + 20.0 * math.sin(off))
-    report = validate_scenario(rec, CFG, meta)
+    report = validate_scenario(rec, meta)
     assert "c3_collision_in_fov" in {c.name for c in report.failures()}
 
 
@@ -314,5 +315,5 @@ def test_custom_graph_negatives():
         [("a", 0.0, 0.0), ("b", 400.0, 0.0), ("c", 800.0, 0.0)],
         [("ab", "a", "b", 400.0, 12.0), ("bc", "b", "c", 400.0, 12.0)],
     )
-    rec, meta = generate_one(CFG, 83, 1, 4, 0.0, graph=graph)
-    assert validate_scenario(rec, CFG, meta).ok
+    rec, meta = generate_one(83, 1, 4, 0.0, graph=graph)
+    assert validate_scenario(rec, meta).ok
