@@ -52,7 +52,6 @@ _TRAIN_DEFAULTS = {
     "epochs": 10,
     "seed": 0,
     "out": None,
-    "log": None,
     "resume": None,
     "learning_rate": 1e-3,
     "batch_size": 8,
@@ -109,8 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", help="checkpoint path; a config sidecar "
                                  "<out>.json and log <out>.log.csv are "
                                  "written next to it")
-    t.add_argument("--log", help="training log CSV path "
-                                 "(default: <out>.log.csv)")
     t.add_argument("--resume", help="checkpoint to continue from; its "
                                     "<resume>.json sidecar must match every "
                                     "setting but --epochs, and its "
@@ -407,7 +404,7 @@ def _run_train(cfg: dict) -> int:
     started = _utcnow()
     data = _require(cfg, "data", "train")
     out = _require(cfg, "out", "train")
-    log_path = cfg["log"] or out + ".log.csv"
+    log_path = out + ".log.csv"
     sidecar_path = out + ".json"
     _refuse_overwrite([out, log_path, sidecar_path], cfg["force"])
 
@@ -420,6 +417,11 @@ def _run_train(cfg: dict) -> int:
     val_records = None
     if cfg["val_data"]:
         val_records = _read_records(cfg["val_data"], "validation dataset")
+        val_frames, val_fps = val_records[0].frames, val_records[0].fps
+        if (val_frames, val_fps) != (frames, fps):
+            raise ValueError(
+                f"validation dataset {cfg['val_data']}: frames {val_frames} and "
+                f"fps {val_fps} differ from the training data's {frames} and {fps}")
         inputs[cfg["val_data"]] = sha256_file(cfg["val_data"])
 
     try:

@@ -76,14 +76,19 @@ def assign_slots(record: ScenarioRecord, max_objects: int) -> tuple[str, ...]:
     max_objects are dropped for the whole video rather than flickering in
     and out of different slots.
     """
-    count: dict[str, int] = {}
-    first: dict[str, int] = {}
-    for t, frame in enumerate(record.objects):
-        for o in frame:
-            count[o.id] = count.get(o.id, 0) + 1
-            first.setdefault(o.id, t)
-    order = sorted(count, key=lambda i: (-count[i], first[i], i))
-    return tuple(order[:max_objects])
+    count = np.bincount(record.id_of, minlength=len(record.ids)).tolist()
+    first_row = np.unique(record.id_of, return_index=True)[1]
+    first = (np.searchsorted(record.frame_starts, first_row, side="right") - 1).tolist()
+    order = sorted(range(len(record.ids)),
+                   key=lambda k: (-count[k], first[k], record.ids[k]))
+    return tuple(record.ids[k] for k in order[:max_objects])
+
+
+def _slot_of_rows(record: ScenarioRecord, slot_ids: tuple[str, ...]) -> np.ndarray:
+    """(n,) the 0-based slot of each object row, -1 for ids not in slot_ids."""
+    index = {oid: k for k, oid in enumerate(slot_ids)}
+    return np.array([index.get(oid, -1) for oid in record.ids],
+                    dtype=np.int64)[record.id_of]
 
 
 def _visual_projections(feature_dim: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -103,7 +108,6 @@ def synth_visual_features(record: ScenarioRecord, feature_dim: int,
     slots (in slot_ids order) project (x, y, speed, heading, size, depth).
     Deterministic given the generator; the projections are shared by the
     whole dataset."""
-    index = {oid: k + 1 for k, oid in enumerate(slot_ids)}
     t_count = record.frames
     n_slots = len(slot_ids) + 1
     out = np.zeros((t_count, n_slots, feature_dim))
@@ -111,19 +115,12 @@ def synth_visual_features(record: ScenarioRecord, feature_dim: int,
     env_code = (stable_u64("env", record.environment.weather,
                            record.environment.lighting,
                            record.environment.road_type) % 1000) / 1000.0
-    sizes: dict[str, float] = {}
-    rows, frame_of, slot_of = [], [], []
-    for t, frame in enumerate(record.objects):
-        for o in frame:
-            if o.id not in sizes:
-                sizes[o.id] = object_size(o.id)
-            rows.append((o.x, o.y, o.speed, o.heading, sizes[o.id], o.depth))
-            frame_of.append(t)
-            slot_of.append(index.get(o.id, 0))  # 0: not in a slot
-    if rows:
-        state = np.array(rows)  # (n, 6) raw (x, y, speed, heading, size, depth)
-        frame_of = np.array(frame_of)
-        slot_of = np.array(slot_of)
+    if len(record.states):
+        sizes = np.array([object_size(oid) for oid in record.ids])[record.id_of]
+        # (n, 6) raw (x, y, speed, heading, size, depth)
+        state = np.column_stack([record.states[:, :4], sizes, record.states[:, 6]])
+        frame_of = record.frame_of
+        slot_of = _slot_of_rows(record, slot_ids) + 1  # 0: not in a slot
         count = np.bincount(frame_of, minlength=t_count)
         seen = count > 0
 
@@ -161,14 +158,11 @@ def _label_embedding(table_seed: int, label: str, feature_dim: int) -> np.ndarra
 
 def synth_text_features(labels, feature_dim: int, rng: np.random.Generator, *,
                         table_seed: int,
-                        noise_sigma: float = _NOISE_SIGMA,
-                        vocab=None) -> np.ndarray:
+                        noise_sigma: float = _NOISE_SIGMA) -> np.ndarray:
     """(len(labels), F) rows from a fixed unit-norm per-label table plus
-    small noise, re-normalized. With a vocab, labels outside it raise."""
+    small noise, re-normalized."""
     rows = np.empty((len(labels), feature_dim))
     for i, label in enumerate(labels):
-        if vocab is not None and label not in vocab:
-            raise ValueError(f"unknown label {label!r}")
         rows[i] = _label_embedding(table_seed, label, feature_dim)
     if noise_sigma > 0:
         rows = rows + noise_sigma * rng.normal(size=rows.shape)
@@ -198,7 +192,6 @@ def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
 
     for i, rec in enumerate(records):
         slots = assign_slots(rec, max_objects)
-        index = {oid: k for k, oid in enumerate(slots)}
         vis = synth_visual_features(
             rec, feature_dim, stream_rng(_FEATURE_SEED, "visual", rec.id),
             projections=projections, slot_ids=slots)
@@ -208,24 +201,16 @@ def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
         frame_rows = synth_text_features(
             rec.scene_labels, feature_dim, text_rng, table_seed=_FEATURE_SEED)
         text[i, :, 0] = frame_rows
-        slots_at: list[tuple[int, int]] = []
-        obj_labels: list[str] = []
-        for t, frame in enumerate(rec.objects):
-            for o in frame:
-                k = index.get(o.id)
-                if k is None:
-                    continue
-                slots_at.append((t, k))
-                obj_labels.append(o.behavior)
-                mask[i, t, k] = True
-                centers[i, t, k] = (o.cx, o.cy)
-                depths[i, t, k] = o.depth
-        if obj_labels:
-            rows = synth_text_features(
-                obj_labels, feature_dim, text_rng, table_seed=_FEATURE_SEED,
-                vocab=BEHAVIOR_LABELS)
-            for (t, k), row in zip(slots_at, rows):
-                text[i, t, k + 1] = row
+        slot = _slot_of_rows(rec, slots)
+        kept = slot >= 0
+        t, k = rec.frame_of[kept], slot[kept]
+        mask[i, t, k] = True
+        centers[i, t, k] = rec.states[kept, 4:6]
+        depths[i, t, k] = rec.states[kept, 6]
+        if kept.any():
+            text[i, t, k + 1] = synth_text_features(
+                [BEHAVIOR_LABELS[c] for c in rec.behavior[kept].tolist()],
+                feature_dim, text_rng, table_seed=_FEATURE_SEED)
         labels[i] = int(rec.positive)
         lam[i] = rec.accident_frame or 0
 

@@ -4,7 +4,6 @@ from .records import (
     BEHAVIOR_LABELS,
     EgoCamera,
     EnvironmentProfile,
-    ObjectState,
     ScenarioRecord,
     behavior_label,
     read_dataset,
@@ -29,7 +28,6 @@ __all__ = [
     "BEHAVIOR_LABELS",
     "EgoCamera",
     "EnvironmentProfile",
-    "ObjectState",
     "ScenarioRecord",
     "behavior_label",
     "read_dataset",

@@ -37,6 +37,7 @@ from ..trafficgen import (
     TripSpec,
     build_trips,
     deconflict,
+    min_same_time_distance,
     sample_departures,
     sample_od,
     sample_trajectory,
@@ -44,12 +45,11 @@ from ..trafficgen import (
 from ..util import stream_rng
 from .presets import TEMPLATES, AccidentTemplate, preset_graph
 from .records import (
-    BEHAVIOR_LABELS,
     EgoCamera,
     EnvironmentProfile,
-    ObjectState,
     ScenarioRecord,
     behavior_label,
+    object_columns,
     scene_label,
 )
 
@@ -225,14 +225,6 @@ def _anchored_track(geom: RouteGeometry, track_id: str, anchor: float,
     return Track(track_id, geom.point_at(s), spd, geom.heading_at(s))
 
 
-def _min_track_distance(a: Track, b: Track) -> float:
-    both = a.present & b.present
-    if not both.any():
-        return math.inf
-    d = a.xy[both] - b.xy[both]
-    return float(np.sqrt((d * d).sum(axis=1)).min())
-
-
 def _place_pads(tracks: list[Track], ego: Track) -> list[Track]:
     """Parked roadside objects guaranteeing every stored frame shows >= 1.
 
@@ -297,7 +289,7 @@ def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
               tracks: list[Track], ego: Track,
               accident_gen_frame: int | None) -> ScenarioRecord:
     cam = CAMERA
-    frames: list[list[ObjectState]] = []
+    frames: list[list[tuple]] = []
     labels: list[str] = []
     for j in range(STORED_FRAMES):
         g = j + TRIM_FRAMES
@@ -310,22 +302,18 @@ def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
                 continue
             visible.append((proj[2], tr.id, proj[0], proj[1], tr))
         visible.sort(key=lambda v: (v[0], v[1]))
-        objs = [
-            ObjectState(tid, x=float(tr.xy[g, 0]), y=float(tr.xy[g, 1]),
-                        speed=float(tr.speed[g]), heading=float(tr.heading[g]),
-                        cx=float(cx), cy=float(cy), depth=float(depth),
-                        behavior=_behavior_at(tr, g))
-            for depth, tid, cx, cy, tr in visible[:MAX_VISIBLE]
-        ]
-        frames.append(objs)
-        labels.append(scene_label(env, len(objs)))
+        rows = [(tid, tr.xy[g, 0], tr.xy[g, 1], tr.speed[g], tr.heading[g],
+                 cx, cy, depth, _behavior_at(tr, g))
+                for depth, tid, cx, cy, tr in visible[:MAX_VISIBLE]]
+        frames.append(rows)
+        labels.append(scene_label(env, len(rows)))
     lam = None
     if positive:
         lam = accident_gen_frame - TRIM_FRAMES + 1  # 1-based stored index
         if not 0 < lam < STORED_FRAMES:
             raise GenerationError(f"accident frame {lam} outside (0, T)")
-    return ScenarioRecord(rec_id, positive, FPS, STORED_FRAMES, lam,
-                          env, frames, labels)
+    return ScenarioRecord(rec_id, positive, FPS, STORED_FRAMES, lam, env,
+                          labels, **object_columns(frames))
 
 
 def _background_tracks(graph: RoadGraph, terminals: TerminalSets,
@@ -398,7 +386,7 @@ def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
     terminals = classify_terminals(graph)
     bg = _background_tracks(graph, terminals, rng, grid)
     keep = [tr for tr in bg
-            if all(_min_track_distance(tr, other) >= SAFETY_RADIUS
+            if all(min_same_time_distance(tr.xy, other.xy) >= SAFETY_RADIUS
                    for other in participants + [ego])]
 
     tracks = participants + keep
@@ -438,7 +426,7 @@ def _build_negative(graph: RoadGraph, terminals: TerminalSets,
     movers = tracks + [ego]
     for i in range(len(movers)):
         for j in range(i + 1, len(movers)):
-            if _min_track_distance(movers[i], movers[j]) < SAFETY_RADIUS:
+            if min_same_time_distance(movers[i].xy, movers[j].xy) < SAFETY_RADIUS:
                 raise GenerationError(
                     f"{movers[i].id} and {movers[j].id} violate the safety "
                     "radius on the frame grid")
@@ -469,22 +457,22 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _camera_frame_points(cam: EgoCamera, frame: list[ObjectState]) -> np.ndarray:
-    pts = np.empty((len(frame), 2))
-    for k, o in enumerate(frame):
-        lateral = (cam.width / 2.0 - o.cx) * o.depth / cam.focal
-        pts[k] = (o.depth, lateral)
-    return pts
+def _frame_pairs(record: ScenarioRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Each stored frame's object rows padded to the most objects in any
+    frame: (T, K) rows, and (T, K, K) true where slots i < j both hold an
+    object."""
+    counts = np.diff(record.frame_starts)
+    col = np.arange(counts.max(initial=0))
+    held = col < counts[:, None]
+    rows = np.where(held, record.frame_starts[:-1, None] + col, 0)
+    return rows, held[:, :, None] & held[:, None, :] & (col[:, None] < col)
 
 
-def _closest_pair(frame: list[ObjectState]) -> tuple[float, int, int]:
-    best = (math.inf, -1, -1)
-    for i in range(len(frame)):
-        for j in range(i + 1, len(frame)):
-            d = math.hypot(frame[i].x - frame[j].x, frame[i].y - frame[j].y)
-            if d < best[0]:
-                best = (d, i, j)
-    return best
+def _pair_distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(T, K, K) distances between the (n, 2) points gathered by rows."""
+    p = points[rows]
+    d = p[:, :, None] - p[:, None]
+    return np.sqrt((d * d).sum(-1))
 
 
 def validate_scenario(record: ScenarioRecord,
@@ -500,51 +488,38 @@ def validate_scenario(record: ScenarioRecord,
         checks.append(CheckResult(name, bool(ok), detail))
 
     t = record.frames
+    counts = np.diff(record.frame_starts).tolist()
+    x, y, _, _, cx, _, depth = record.states.T
     add("frame_count",
-        t == STORED_FRAMES == len(record.objects) == len(record.scene_labels),
-        f"frames={t}, objects={len(record.objects)}, labels={len(record.scene_labels)}")
+        t == STORED_FRAMES == len(counts) == len(record.scene_labels),
+        f"frames={t}, objects={len(counts)}, labels={len(record.scene_labels)}")
 
-    counts = [len(f) for f in record.objects]
     add("object_count",
         bool(counts) and min(counts) >= 1 and max(counts) <= MAX_VISIBLE,
         f"min={min(counts, default=0)}, max={max(counts, default=0)}")
 
-    bad_behavior = {o.behavior for f in record.objects for o in f} - set(BEHAVIOR_LABELS)
-    add("behavior_labels", not bad_behavior, f"unknown={sorted(bad_behavior)}")
-
-    expect = [scene_label(record.environment, len(f)) for f in record.objects]
+    expect = [scene_label(record.environment, n) for n in counts]
     add("scene_labels", list(record.scene_labels) == expect)
 
-    depth_ok = all(o.depth > 0 for f in record.objects for o in f)
-    cx_ok = all(-1e-6 <= o.cx <= cam.width + 1e-6 for f in record.objects for o in f)
+    depth_ok = bool((depth > 0).all())
+    cx_ok = bool(((-1e-6 <= cx) & (cx <= cam.width + 1e-6)).all())
     add("projection_bounds", depth_ok and cx_ok)
 
     # stored (cx, depth) and stored (x, y) must be the same points up to a
     # rigid transform, hence identical pairwise distances
-    worst = 0.0
-    for f in record.objects:
-        if len(f) < 2:
-            continue
-        cam_pts = _camera_frame_points(cam, f)
-        world = np.array([(o.x, o.y) for o in f])
-        dc = np.sqrt(((cam_pts[:, None] - cam_pts[None]) ** 2).sum(-1))
-        dw = np.sqrt(((world[:, None] - world[None]) ** 2).sum(-1))
-        worst = max(worst, float(np.abs(dc - dw).max()))
+    rows, pairs = _frame_pairs(record)
+    world = _pair_distances(record.states[:, :2], rows)
+    seen = _pair_distances(np.column_stack([depth, cam.lateral(cx, depth)]), rows)
+    worst = float(np.abs(seen - world)[pairs].max(initial=0.0))
     add("projection_rigid", worst <= 1e-5, f"max gap {worst:.2e} m")
 
     if meta is not None:
-        worst = 0.0
-        bearing_ok = True
-        for j, f in enumerate(record.objects):
-            g = j + meta.stored_offset
-            pose, heading = meta.ego_xy[g], float(meta.ego_heading[g])
-            for o in f:
-                wx, wy = cam.unproject(pose, heading, o.cx, o.depth)
-                worst = max(worst, math.hypot(wx - o.x, wy - o.y))
-                if abs(cam.bearing(o.cx, o.depth)) > cam.half_fov + 1e-9:
-                    bearing_ok = False
+        g = record.frame_of + meta.stored_offset
+        wx, wy = cam.unproject(meta.ego_xy[g].T, meta.ego_heading[g], cx, depth)
+        worst = float(np.hypot(wx - x, wy - y).max(initial=0.0))
         add("projection_roundtrip", worst <= 1e-6, f"max gap {worst:.2e} m")
-        add("projection_fov", bearing_ok)
+        add("projection_fov",
+            bool((np.abs(cam.bearing(cx, depth)) <= cam.half_fov + 1e-9).all()))
 
     if record.positive:
         lam = record.accident_frame
@@ -552,26 +527,28 @@ def validate_scenario(record: ScenarioRecord,
             lam is not None and 0 < lam < t,
             f"accident_frame={lam}")
         if lam is not None and 0 < lam < t:
-            frame = record.objects[lam - 1]
-            pair_d, i, j = _closest_pair(frame)
-            cam_d = min((cam.camera_distance(o.cx, o.depth) for o in frame),
-                        default=math.inf)
+            a, b = record.frame_starts[lam - 1], record.frame_starts[lam]
+            between = np.where(pairs[lam - 1], world[lam - 1], math.inf)
+            pair_d = float(between.min(initial=math.inf))
+            to_cam = cam.camera_distance(cx[a:b], depth[a:b])
+            cam_d = float(to_cam.min(initial=math.inf))
             hit = min(pair_d, cam_d)
             add("c2_trajectories_intersect",
                 hit <= COLLISION_THRESHOLD + 1e-6,
                 f"closest pair {pair_d:.3f} m, closest to camera {cam_d:.3f} m")
+            bearings = np.abs(cam.bearing(cx[a:b], depth[a:b]))
             if meta is not None and meta.collision_xy is not None:
                 g = lam - 1 + meta.stored_offset
                 proj = cam.project(meta.ego_xy[g], float(meta.ego_heading[g]),
                                    meta.collision_xy)
                 bearing = math.inf if proj is None else abs(
                     cam.bearing(proj[0], proj[2]))
-            elif pair_d <= cam_d and i >= 0:
-                bearing = max(abs(cam.bearing(frame[i].cx, frame[i].depth)),
-                              abs(cam.bearing(frame[j].cx, frame[j].depth)))
-            elif frame:
-                nearest = min(frame, key=lambda o: cam.camera_distance(o.cx, o.depth))
-                bearing = abs(cam.bearing(nearest.cx, nearest.depth))
+            elif pair_d <= cam_d and math.isfinite(pair_d):
+                # the first closest pair i < j, as the rows are stored
+                i, j = np.unravel_index(np.argmin(between), between.shape)
+                bearing = max(bearings[i], bearings[j])
+            elif b > a:
+                bearing = bearings[np.argmin(to_cam)]
             else:
                 bearing = math.inf
             add("c3_collision_in_fov", bearing <= cam.half_fov + 1e-9,
@@ -583,10 +560,7 @@ def validate_scenario(record: ScenarioRecord,
             add("c1_od_pairs", ok)
     else:
         add("no_accident_frame", record.accident_frame is None)
-        worst_gap = math.inf
-        for f in record.objects:
-            d, _, _ = _closest_pair(f)
-            worst_gap = min(worst_gap, d)
+        worst_gap = float(world[pairs].min(initial=math.inf))
         add("safety_spacing", worst_gap >= SAFETY_RADIUS - 1e-5,
             f"min pairwise distance {worst_gap:.3f} m")
 

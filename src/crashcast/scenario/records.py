@@ -8,6 +8,8 @@ import operator
 from dataclasses import dataclass
 from itertools import chain
 
+import numpy as np
+
 BEHAVIOR_LABELS = (
     "straight",
     "left-turn",
@@ -30,31 +32,57 @@ class EnvironmentProfile:
     road_type: str
 
 
-@dataclass(frozen=True)
-class ObjectState:
-    """One visible object in one frame: world state plus camera projection."""
-
-    id: str
-    x: float
-    y: float
-    speed: float
-    heading: float
-    cx: float
-    cy: float
-    depth: float
-    behavior: str
+# the columns of ScenarioRecord.states
+STATE_COLUMNS = ("x", "y", "speed", "heading", "cx", "cy", "depth")
+_BEHAVIOR_CODES = {label: k for k, label in enumerate(BEHAVIOR_LABELS)}
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioRecord:
+    """One video. Its visible objects are stored as columns with one row per
+    object per frame, frame-major: frame t holds the rows
+    frame_starts[t]:frame_starts[t + 1], in the stored order (nearest first)."""
+
     id: str
     positive: bool
     fps: int
     frames: int
     accident_frame: int | None  # 1-based stored-frame index; None for negatives
     environment: EnvironmentProfile
-    objects: list[list[ObjectState]]  # one list per stored frame
     scene_labels: list[str]
+    states: np.ndarray  # (n, 7) float64, columns as in STATE_COLUMNS
+    frame_starts: np.ndarray  # (frames + 1,) int64 row offsets
+    ids: tuple[str, ...]  # distinct object ids, in order of first appearance
+    id_of: np.ndarray  # (n,) int64 index into ids
+    behavior: np.ndarray  # (n,) int64 index into BEHAVIOR_LABELS
+
+    @property
+    def frame_of(self) -> np.ndarray:
+        """(n,) the 0-based frame of each row."""
+        return np.repeat(np.arange(len(self.frame_starts) - 1),
+                         np.diff(self.frame_starts))
+
+
+def object_columns(frames) -> dict:
+    """The object columns of ScenarioRecord (states, frame_starts, ids, id_of,
+    behavior) from nested rows: one list per frame, one
+    (id, x, y, speed, heading, cx, cy, depth, behavior) row per object.
+    A behavior outside BEHAVIOR_LABELS raises ValueError."""
+    rows = list(chain.from_iterable(frames))
+    ids, *numbers, labels = zip(*rows) if rows else ((),) * 9
+    index: dict[str, int] = {}
+    id_of = [index.setdefault(i, len(index)) for i in ids]
+    codes = list(map(_BEHAVIOR_CODES.get, labels))
+    if None in codes:
+        unknown = set(labels).difference(BEHAVIOR_LABELS)
+        raise ValueError(f"unknown behavior {min(unknown)!r}")
+    return {
+        "states": np.array(numbers, dtype=np.float64).T,
+        "frame_starts": np.cumsum([0, *map(len, frames)], dtype=np.int64),
+        "ids": tuple(index),
+        "id_of": np.array(id_of, dtype=np.int64),
+        "behavior": np.array(codes, dtype=np.int64),
+    }
 
 
 @dataclass(frozen=True)
@@ -95,23 +123,27 @@ class EgoCamera:
         cy = self.height / 2.0 + self.focal * self.mount_height / forward
         return cx, cy, forward
 
-    def unproject(self, ego_xy, ego_heading: float, cx: float, depth: float):
-        """Invert project() back to the world plane."""
-        lateral = (self.width / 2.0 - cx) * depth / self.focal
-        cos_h = math.cos(ego_heading)
-        sin_h = math.sin(ego_heading)
+    def lateral(self, cx, depth):
+        """Offset left of the heading, meters, of a stored projection;
+        elementwise over arrays."""
+        return (self.width / 2.0 - cx) * depth / self.focal
+
+    def unproject(self, ego_xy, ego_heading, cx, depth):
+        """Invert project() back to the world plane; elementwise over arrays
+        (ego_xy as its x and y arrays)."""
+        lateral = self.lateral(cx, depth)
+        cos_h = np.cos(ego_heading)
+        sin_h = np.sin(ego_heading)
         return (ego_xy[0] + cos_h * depth - sin_h * lateral,
                 ego_xy[1] + sin_h * depth + cos_h * lateral)
 
-    def bearing(self, cx: float, depth: float) -> float:
+    def bearing(self, cx, depth):
         """Bearing (radians) recovered from a stored projection."""
-        lateral = (self.width / 2.0 - cx) * depth / self.focal
-        return math.atan2(lateral, depth)
+        return np.arctan2(self.lateral(cx, depth), depth)
 
-    def camera_distance(self, cx: float, depth: float) -> float:
+    def camera_distance(self, cx, depth):
         """Euclidean planar distance from the camera to a stored projection."""
-        lateral = (self.width / 2.0 - cx) * depth / self.focal
-        return math.hypot(lateral, depth)
+        return np.hypot(self.lateral(cx, depth), depth)
 
 
 def wrap_angle(a: float) -> float:
@@ -169,6 +201,15 @@ def _round7(x: float) -> float:
 def record_to_json(record: ScenarioRecord) -> str:
     """One JSON line per record; key order and float rounding are fixed so
     identical records serialize to identical bytes."""
+    ids = record.ids
+    objects = [
+        {"id": ids[k], "x": _round7(x), "y": _round7(y), "speed": _round7(speed),
+         "heading": _round7(heading), "cx": _round7(cx), "cy": _round7(cy),
+         "depth": _round7(depth), "behavior": BEHAVIOR_LABELS[code]}
+        for k, (x, y, speed, heading, cx, cy, depth), code in zip(
+            record.id_of.tolist(), record.states.tolist(), record.behavior.tolist())
+    ]
+    starts = record.frame_starts.tolist()
     payload = {
         "id": record.id,
         "positive": record.positive,
@@ -180,42 +221,24 @@ def record_to_json(record: ScenarioRecord) -> str:
             "lighting": record.environment.lighting,
             "road_type": record.environment.road_type,
         },
-        "objects": [
-            [
-                {
-                    "id": o.id,
-                    "x": _round7(o.x),
-                    "y": _round7(o.y),
-                    "speed": _round7(o.speed),
-                    "heading": _round7(o.heading),
-                    "cx": _round7(o.cx),
-                    "cy": _round7(o.cy),
-                    "depth": _round7(o.depth),
-                    "behavior": o.behavior,
-                }
-                for o in frame
-            ]
-            for frame in record.objects
-        ],
+        "objects": [objects[a:b] for a, b in zip(starts, starts[1:])],
         "scene_labels": list(record.scene_labels),
     }
     return json.dumps(payload, separators=(",", ":"))
 
 
-_object_numbers = operator.attrgetter("x", "y", "speed", "heading", "cx", "cy", "depth")
-
-
-def _finite_numbers(values) -> bool:
-    return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+_OBJECT_KEYS = ("id", *STATE_COLUMNS, "behavior")
+_object_row = operator.itemgetter(*_OBJECT_KEYS)
+_object_numbers = operator.itemgetter(*STATE_COLUMNS)
 
 
 def _check_record(rec: ScenarioRecord) -> None:
     """Structural checks that every reader relies on; the full constraint
     validation runs once, at generation time."""
-    if not rec.frames == len(rec.objects) == len(rec.scene_labels):
+    if not rec.frames == len(rec.frame_starts) - 1 == len(rec.scene_labels):
         raise ValueError(
-            f"frames is {rec.frames} but there are {len(rec.objects)} object "
-            f"lists and {len(rec.scene_labels)} scene labels")
+            f"frames is {rec.frames} but there are {len(rec.frame_starts) - 1} "
+            f"object lists and {len(rec.scene_labels)} scene labels")
     if rec.fps < 1:
         raise ValueError(f"fps must be >= 1, got {rec.fps}")
     lam = rec.accident_frame
@@ -224,23 +247,30 @@ def _check_record(rec: ScenarioRecord) -> None:
                          f"got {lam!r}")
     if not rec.positive and lam is not None:
         raise ValueError(f"a negative needs accident_frame null, got {lam!r}")
-    states = [o for frame in rec.objects for o in frame]
-    unknown = {o.behavior for o in states}.difference(BEHAVIOR_LABELS)
-    if unknown:
-        raise ValueError(f"unknown behavior {min(unknown)!r}")
-    # one pass over all values; the per-object pass only names the culprit
-    if not _finite_numbers(list(chain.from_iterable(map(_object_numbers, states)))):
-        bad = next(o for o in states if not _finite_numbers(_object_numbers(o)))
-        raise ValueError(f"object {bad.id!r}: x, y, speed, heading, cx, cy, "
-                         f"depth must be finite numbers, got {_object_numbers(bad)}")
+    finite = np.isfinite(rec.states).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(
+            f"object {rec.ids[rec.id_of[bad]]!r}: {', '.join(STATE_COLUMNS)} "
+            f"must be finite numbers, got {tuple(rec.states[bad].tolist())}")
 
 
 def record_from_json(line: str) -> ScenarioRecord:
-    """One record from its JSON line; a record whose structure does not
-    hold (see _check_record) raises ValueError."""
+    """One record from its JSON line. A missing key raises KeyError. An
+    object with a key other than id, x, y, speed, heading, cx, cy, depth and
+    behavior, a number that is not an int or float, or an unknown behavior
+    raises ValueError, as does a record whose structure does not hold (see
+    _check_record)."""
     raw = json.loads(line)
     env = EnvironmentProfile(**raw["environment"])
-    objects = [[ObjectState(**obj) for obj in frame] for frame in raw["objects"]]
+    frames = [list(map(_object_row, frame)) for frame in raw["objects"]]
+    flat = list(chain.from_iterable(raw["objects"]))
+    if set(map(len, flat)) - {len(_OBJECT_KEYS)}:
+        raise ValueError(f"object keys must be exactly {', '.join(_OBJECT_KEYS)}")
+    types = set(map(type, chain.from_iterable(map(_object_numbers, flat))))
+    if not types <= {int, float}:
+        raise ValueError(f"object {', '.join(STATE_COLUMNS)} must be int or float, "
+                         f"got {min(t.__name__ for t in types - {int, float})}")
     rec = ScenarioRecord(
         id=raw["id"],
         positive=bool(raw["positive"]),
@@ -248,8 +278,8 @@ def record_from_json(line: str) -> ScenarioRecord:
         frames=int(raw["frames"]),
         accident_frame=raw["accident_frame"],
         environment=env,
-        objects=objects,
         scene_labels=list(raw["scene_labels"]),
+        **object_columns(frames),
     )
     _check_record(rec)
     return rec
@@ -268,7 +298,7 @@ def read_dataset(path: str) -> list[ScenarioRecord]:
                 rec = record_from_json(raw.decode("utf-8"))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: record lacks the {exc} key") from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
             if records and (rec.frames, rec.fps) != (records[0].frames, records[0].fps):
                 raise ValueError(

@@ -238,7 +238,7 @@ def deconflict(trips: list[TripSpec], trajectories: list[Trajectory],
         for step in range(max_delay_steps + 1):
             delay = step * dt
             pos = _positions_on_grid(trajectories[i], delay, grid)
-            if all(_min_same_time_distance(pos, other) >= safety_radius
+            if all(min_same_time_distance(pos, other) >= safety_radius
                    for other in placed):
                 delays[i] = delay
                 placed.append(pos)
@@ -253,7 +253,9 @@ def deconflict(trips: list[TripSpec], trajectories: list[Trajectory],
     return sorted(out, key=lambda t: (t.depart, t.vehicle))
 
 
-def _min_same_time_distance(a: np.ndarray, b: np.ndarray) -> float:
+def min_same_time_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Smallest distance between two (G, 2) position arrays over the grid
+    times where both are present (not NaN); inf when there are none."""
     both = ~(np.isnan(a[:, 0]) | np.isnan(b[:, 0]))
     if not both.any():
         return math.inf

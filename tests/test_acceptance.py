@@ -219,10 +219,10 @@ def test_criterion_04_scenario_constraints_hold():
         report = validate_scenario(record)
         assert report.ok, f"negative {i}: {report.failures()}"
         # min-distance sweep recomputed from stored world coordinates
-        for frame in record.objects:
-            if len(frame) < 2:
+        for t in range(record.frames):
+            pts = record.states[record.frame_starts[t]:record.frame_starts[t + 1], :2]
+            if len(pts) < 2:
                 continue
-            pts = np.array([(o.x, o.y) for o in frame])
             d = np.hypot(pts[:, None, 0] - pts[None, :, 0],
                          pts[:, None, 1] - pts[None, :, 1])
             np.fill_diagonal(d, np.inf)

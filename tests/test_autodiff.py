@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ def test_unary_primitives_match_finite_differences():
     xr = x.copy()
     xr[np.abs(xr) < 0.05] = 0.2
     check_unary(relu, xr)
+
+
+def test_sigmoid_matches_expit_in_both_tails():
+    from scipy.special import expit
+
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.linspace(-1000.0, 1000.0, 20001),
+                        rng.normal(scale=20.0, size=20000),
+                        [-np.inf, -745.2, -709.8, 0.0, 36.8, 709.8, np.inf]])
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise",
+                                                invalid="raise"):
+        warnings.simplefilter("error")
+        y = ad.sigmoid(x).value
+    # numpy's exp and the C library's differ in the last bit: at most 2**-52
+    assert np.all(np.abs(y - expit(x)) <= np.finfo(float).eps)
+    assert ad.sigmoid(0.0).value == 0.5
+    assert np.all((y >= 0.0) & (y <= 1.0))
 
 
 def test_arithmetic_and_broadcasting_gradients():

@@ -402,6 +402,41 @@ def test_train_validation_rows_logged(work, tmp_path):
     assert sum(1 for l in log[1:] if l.split(",")[2] == "val") == 2
 
 
+
+@pytest.mark.parametrize("key,value", [("fps", 20), ("frames", 49)])
+def test_train_val_data_of_another_shape_exits_3(work, tmp_path, capsys, key, value):
+    _, data, _ = work
+    val = tmp_path / "val.jsonl"
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    for record in records:
+        if key == "frames":
+            _drop_last_frame(record)
+        else:
+            record[key] = value
+    val.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--val-data", str(val),
+                 "--epochs", "1", "--out", str(tmp_path / "x.bin"),
+                 "--feature-dim", "8", "--max-objects", "4"])
+    assert code == 3
+    err = _one_error_line(capsys)
+    frames, fps = (49, 10) if key == "frames" else (50, 20)
+    assert (f"validation dataset {val}: frames {frames} and fps {fps} differ "
+            "from the training data's 50 and 10") in err, err
+    assert list(tmp_path.iterdir()) == [val]
+
+
+def test_train_log_option_is_gone(work, tmp_path):
+    _, data, _ = work
+    out = tmp_path / "x.bin"
+    args = ["train", "--data", str(data), "--epochs", "0", "--out", str(out)]
+    assert main([*args, "--log", str(tmp_path / "custom.csv")]) == 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"log": str(tmp_path / "custom.csv")}))
+    assert main([*args, "--config", str(cfg_path)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -593,6 +628,12 @@ _RECORD_EDITS = {
     "extra-object-list": ("negative", lambda r: r["objects"].append([])),
     "x-not-a-number": ("negative", lambda r: _first_object(r).update(x="abc")),
     "x-nan": ("negative", lambda r: _first_object(r).update(x=float("nan"))),
+    "x-inf": ("negative", lambda r: _first_object(r).update(x=float("inf"))),
+    "x-bool": ("negative", lambda r: _first_object(r).update(x=True)),
+    "x-null": ("negative", lambda r: _first_object(r).update(x=None)),
+    "x-huge-int": ("negative", lambda r: _first_object(r).update(x=10**400)),
+    "object-lacks-depth": ("negative", lambda r: _first_object(r).pop("depth")),
+    "object-extra-key": ("negative", lambda r: _first_object(r).update(size=2.0)),
     "unknown-behavior": ("negative",
                          lambda r: _first_object(r).update(behavior="flying")),
     "fps-0": ("negative", lambda r: r.update(fps=0)),

@@ -26,23 +26,24 @@ from crashcast.features import (
 )
 from crashcast.scenario import (
     EnvironmentProfile,
-    ObjectState,
     ScenarioRecord,
     generate_one,
     scene_label,
 )
+from crashcast.scenario.records import object_columns
 
 
 def _state(oid, x=0.0, y=0.0, speed=5.0, heading=0.0, cx=640.0, cy=360.0,
            depth=10.0, behavior="straight"):
-    return ObjectState(oid, x, y, speed, heading, cx, cy, depth, behavior)
+    """One object row of one frame, as object_columns takes it."""
+    return (oid, x, y, speed, heading, cx, cy, depth, behavior)
 
 
-def _record(objects, rec_id="vid-0", positive=False, accident_frame=None):
+def _record(frames, rec_id="vid-0", positive=False, accident_frame=None):
     env = EnvironmentProfile("clear", "day", "urban")
-    labels = [scene_label(env, len(frame)) for frame in objects]
-    return ScenarioRecord(rec_id, positive, 10, len(objects), accident_frame,
-                          env, objects, labels)
+    labels = [scene_label(env, len(frame)) for frame in frames]
+    return ScenarioRecord(rec_id, positive, 10, len(frames), accident_frame,
+                          env, labels, **object_columns(frames))
 
 
 # --- pairwise distance and relative velocity -------------------------------
@@ -338,24 +339,27 @@ def test_synth_visual_matches_per_object_loop():
         env = record.environment
         env_code = (stable_u64("env", env.weather, env.lighting, env.road_type)
                     % 1000) / 1000.0
-        for t, frame in enumerate(record.objects):
-            if frame:
+        for t in range(record.frames):
+            a, b = record.frame_starts[t], record.frame_starts[t + 1]
+            x, y, speed, heading, _, _, depth = record.states[a:b].T
+            if b > a:
                 agg = np.array([
-                    len(frame) / 19.0,
-                    float(np.mean([o.speed for o in frame])) / 15.0,
-                    float(np.mean([o.depth for o in frame])) / 100.0,
-                    float(np.mean([o.x for o in frame])) / 100.0,
-                    float(np.mean([o.y for o in frame])) / 100.0,
+                    (b - a) / 19.0,
+                    float(np.mean(speed)) / 15.0,
+                    float(np.mean(depth)) / 100.0,
+                    float(np.mean(x)) / 100.0,
+                    float(np.mean(y)) / 100.0,
                     env_code,
                 ])
                 out[t, 0] = agg @ projections["frame"]
                 filled[t, 0] = True
-            for o in frame:
-                k = index.get(o.id)
+            for r in range(b - a):
+                oid = record.ids[record.id_of[a + r]]
+                k = index.get(oid)
                 if k is None:
                     continue
-                state = np.array([o.x, o.y, o.speed, o.heading,
-                                  object_size(o.id), o.depth]) / _STATE_SCALES
+                state = np.array([x[r], y[r], speed[r], heading[r],
+                                  object_size(oid), depth[r]]) / _STATE_SCALES
                 out[t, k] = state @ projections["object"]
                 filled[t, k] = True
         if noise_sigma > 0:
@@ -418,12 +422,6 @@ def test_synth_text_rows_unit_norm_with_noise():
     assert np.allclose(np.linalg.norm(rows, axis=-1), 1.0, atol=1e-12)
 
 
-def test_synth_text_unknown_label_raises():
-    with pytest.raises(ValueError, match="unknown label"):
-        synth_text_features(["warp-speed"], 8, np.random.default_rng(0),
-                            table_seed=7, vocab=("straight", "braking"))
-
-
 # --- slot assignment and batch assembly -------------------------------------
 
 def test_assign_slots_ranks_by_coverage_then_entry_then_id():
@@ -478,9 +476,13 @@ def test_build_features_rejects_bad_input():
     records = _small_dataset(count=2)
     with pytest.raises(ValueError):
         build_features([], 8, 4)
-    short = dataclasses.replace(records[0], frames=records[0].frames - 1,
-                                objects=records[0].objects[:-1],
-                                scene_labels=records[0].scene_labels[:-1])
+    rec = records[0]
+    cut = rec.frame_starts[-2]
+    short = dataclasses.replace(rec, frames=rec.frames - 1,
+                                scene_labels=rec.scene_labels[:-1],
+                                states=rec.states[:cut],
+                                frame_starts=rec.frame_starts[:-1],
+                                id_of=rec.id_of[:cut], behavior=rec.behavior[:cut])
     with pytest.raises(ValueError):
         build_features([records[1], short], 8, 4)
 

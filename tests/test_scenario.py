@@ -7,6 +7,7 @@ import pytest
 
 from crashcast.roadnet import classify_terminals
 from crashcast.scenario import (
+    BEHAVIOR_LABELS,
     TEMPLATES,
     AccidentTemplate,
     ConstraintUnsatisfiableError,
@@ -38,6 +39,11 @@ from crashcast.scenario.generate import (
 from crashcast.util import stream_rng
 
 CAM = EgoCamera()
+
+
+def _frame(rec, t):
+    """The state rows (x, y, speed, heading, cx, cy, depth) of frame t."""
+    return rec.states[rec.frame_starts[t]:rec.frame_starts[t + 1]].tolist()
 
 
 def test_camera_on_axis_object():
@@ -168,10 +174,10 @@ def test_positive_templates_satisfy_constraints(kind):
 
     # independent sweep: some pair of stored objects sits inside the
     # collision threshold at the accident frame
-    frame = rec.objects[rec.accident_frame - 1]
-    dists = [math.hypot(a.x - b.x, a.y - b.y)
+    frame = _frame(rec, rec.accident_frame - 1)
+    dists = [math.hypot(a[0] - b[0], a[1] - b[1])
              for i, a in enumerate(frame) for b in frame[i + 1:]]
-    cam_d = [CAM.camera_distance(o.cx, o.depth) for o in frame]
+    cam_d = [CAM.camera_distance(o[4], o[6]) for o in frame]
     assert min(dists + cam_d) <= COLLISION_THRESHOLD
 
 
@@ -180,11 +186,12 @@ def test_positive_participants_freeze_after_accident():
                                 stream_rng(23, "freeze"), "p")
     lam = rec.accident_frame
     after = {}
-    for frame in rec.objects[lam - 1:]:
-        for o in frame:
-            if o.id in meta.participant_ids:
-                assert o.speed == 0.0
-                after.setdefault(o.id, set()).add((o.x, o.y))
+    for r in range(rec.frame_starts[lam - 1], len(rec.states)):
+        oid = rec.ids[rec.id_of[r]]
+        if oid in meta.participant_ids:
+            x, y, speed = rec.states[r, :3]
+            assert speed == 0.0
+            after.setdefault(oid, set()).add((x, y))
     assert after
     assert all(len(spots) == 1 for spots in after.values())
 
@@ -198,8 +205,8 @@ def test_rear_end_ego_involved_variant():
     else:
         pytest.fail("ego-involved variant never sampled in 40 draws")
     assert validate_scenario(rec, meta).ok
-    frame = rec.objects[rec.accident_frame - 1]
-    assert min(CAM.camera_distance(o.cx, o.depth) for o in frame) <= 2.0
+    frame = _frame(rec, rec.accident_frame - 1)
+    assert min(CAM.camera_distance(o[4], o[6]) for o in frame) <= 2.0
 
 
 def test_parallel_routes_are_unsatisfiable():
@@ -222,10 +229,11 @@ def test_negative_min_spacing_sweep():
     rec, _ = _build_negative(graph, terminals, route, rng, "negative")
     assert not rec.positive and rec.accident_frame is None
     worst = math.inf
-    for frame in rec.objects:
+    for t in range(rec.frames):
+        frame = _frame(rec, t)
         for i, a in enumerate(frame):
             for b in frame[i + 1:]:
-                worst = min(worst, math.hypot(a.x - b.x, a.y - b.y))
+                worst = min(worst, math.hypot(a[0] - b[0], a[1] - b[1]))
     assert worst >= SAFETY_RADIUS - 1e-5
     assert validate_scenario(rec).ok
 
@@ -237,9 +245,9 @@ def test_negative_empty_traffic_keeps_parked_floor(monkeypatch):
     rng = stream_rng(43, "quiet")
     route = _sample_ego_route(graph, terminals, rng)
     rec, _ = _build_negative(graph, terminals, route, rng, "negative")
-    assert all(len(frame) >= 1 for frame in rec.objects)
-    assert all(o.speed == 0.0 and o.behavior == "stopped"
-               for frame in rec.objects for o in frame)
+    assert np.diff(rec.frame_starts).min() >= 1
+    assert np.all(rec.states[:, 2] == 0.0)
+    assert all(BEHAVIOR_LABELS[c] == "stopped" for c in rec.behavior)
 
 
 def test_assemble_caps_at_nearest_nineteen():
@@ -251,10 +259,11 @@ def test_assemble_caps_at_nearest_nineteen():
         tracks.append(Track(f"t{k:02d}", xy, np.zeros(g), np.zeros(g)))
     env = EnvironmentProfile("clear", "day", "urban")
     rec = _assemble("cap", False, env, tracks, ego, None)
-    for frame in rec.objects:
-        assert len(frame) == MAX_VISIBLE
-        assert [o.id for o in frame] == [f"t{k:02d}" for k in range(19)]
-        assert frame[0].depth <= frame[-1].depth
+    for t in range(rec.frames):
+        a, b = rec.frame_starts[t], rec.frame_starts[t + 1]
+        assert b - a == MAX_VISIBLE
+        assert [rec.ids[k] for k in rec.id_of[a:b]] == [f"t{k:02d}" for k in range(19)]
+        assert rec.states[a, 6] <= rec.states[b - 1, 6]
 
 
 def test_dataset_roundtrip_and_byte_determinism():
@@ -267,8 +276,8 @@ def test_dataset_roundtrip_and_byte_determinism():
         assert record_to_json(back) == line
         assert back.id == rec.id and back.frames == rec.frames
     # floats are rounded to 7 decimals on the way out
-    o = record_from_json(lines[0]).objects[0][0]
-    assert o.x == round(o.x, 7)
+    x = float(record_from_json(lines[0]).states[0, 0])
+    assert x == round(x, 7)
 
 
 def test_read_dataset_skips_blank_lines(tmp_path):
