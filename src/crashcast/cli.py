@@ -49,14 +49,10 @@ _GEN_DEFAULTS = {
 _TRAIN_DEFAULTS = {
     "data": None,
     "val_data": None,
-    "epochs": 10,
-    "seed": 0,
     "out": None,
     "resume": None,
-    "learning_rate": 1e-3,
-    "batch_size": 8,
-    "feature_dim": 32,
-    "max_objects": 19,
+    **dataclasses.asdict(TrainConfig()),
+    **ModelConfig().to_dict(),
     "force": False,
 }
 
@@ -321,11 +317,11 @@ def _drop_retired(path: str, prefix: str, values: dict, retired: dict) -> None:
                           f"{prefix}{min(values)}")
 
 
-def _read_sidecar(path: str) -> tuple[ModelConfig, dict]:
-    """The model config and the resume settings from a checkpoint's
-    <checkpoint>.json sidecar. A sidecar that cannot be read as one, or that
-    holds a retired key at another value than its version wrote, is a config
-    error."""
+def _read_sidecar(path: str) -> tuple[ModelConfig, dict, int]:
+    """The model config, the resume settings and the epoch count from a
+    checkpoint's <checkpoint>.json sidecar. A sidecar that cannot be read as
+    one, or that holds a retired key at another value than its version
+    wrote, is a config error."""
     try:
         with open(path, encoding="utf-8") as fh:
             snap = json.load(fh)
@@ -342,7 +338,8 @@ def _read_sidecar(path: str) -> tuple[ModelConfig, dict]:
         _drop_retired(path, "loss.", snap.pop("loss", {}),
                       {**_RETIRED_KEYS["loss"], "fps": fps, "gamma": frames})
         _drop_retired(path, "", snap, {"epochs_done": train_cfg.epochs})
-        return model_cfg, _settings(model_cfg, train_cfg, frames, fps)
+        return (model_cfg, _settings(model_cfg, train_cfg, frames, fps),
+                train_cfg.epochs)
     except KeyError as exc:
         raise ConfigError(f"checkpoint sidecar {path} lacks the {exc} key")
     except (AttributeError, TypeError, ValueError) as exc:
@@ -448,26 +445,41 @@ def _run_train(cfg: dict) -> int:
                 raise ConfigError(f"{what} not found: {path}")
             inputs[path] = sha256_file(path)
         here = _settings(model_cfg, train_cfg, frames, fps)
-        for key, there in _read_sidecar(prev_sidecar)[1].items():
+        _, settings, start_epoch = _read_sidecar(prev_sidecar)
+        for key, there in settings.items():
             if here[key] != there:
                 raise ConfigError(
                     f"resume sidecar {prev_sidecar}: {key} is {there!r}, "
                     f"this run has {here[key]!r}; only --epochs may differ")
         resume_state = ad.load_checkpoint(resume)
-        if "meta.epochs_done" in resume_state:
-            start_epoch = int(np.asarray(resume_state["meta.epochs_done"]))
-        if train_cfg.epochs < start_epoch:
-            raise ConfigError(
-                f"checkpoint already covers {start_epoch} epochs; "
-                f"--epochs must be >= {start_epoch}")
         try:
             params.load_state_dict(resume_state)
         except (KeyError, ValueError) as exc:
             raise ConfigError(
-                f"resume checkpoint does not fit the model: {exc}")
-        opt_state = {k: v for k, v in resume_state.items()
-                     if k.startswith("opt.")} or None
-        step = int(np.asarray(resume_state.get("opt.step", 0.0)))
+                f"resume checkpoint {resume} does not fit the model: {exc}")
+        # what train writes beside the parameters, each at its shape
+        shapes = {"meta.epochs_done": (), "opt.step": ()}
+        for p in params.parameters():
+            shapes[f"opt.m.{p.name}"] = shapes[f"opt.v.{p.name}"] = p.value.shape
+        for key, shape in shapes.items():
+            if key not in resume_state:
+                raise ConfigError(f"resume checkpoint {resume} lacks the "
+                                  f"{key} tensor")
+            if resume_state[key].shape != shape:
+                raise ConfigError(
+                    f"resume checkpoint {resume}: {key} has shape "
+                    f"{resume_state[key].shape}, expected {shape}")
+        done = float(resume_state["meta.epochs_done"])
+        if done != start_epoch:
+            raise ConfigError(
+                f"resume checkpoint {resume}: meta.epochs_done is {done!r}, "
+                f"its sidecar {prev_sidecar} has train.epochs {start_epoch}")
+        if train_cfg.epochs < start_epoch:
+            raise ConfigError(
+                f"resume checkpoint {resume} already covers {start_epoch} "
+                f"epochs; --epochs must be >= {start_epoch}")
+        opt_state = {k: resume_state[k] for k in shapes if k.startswith("opt.")}
+        step = int(resume_state["opt.step"])
         log_lines = _previous_log(prev_log, start_epoch, step)
         inputs[prev_log] = sha256_file(prev_log)
 
@@ -533,7 +545,7 @@ def _run_eval(cfg: dict) -> int:
         inputs[data] = sha256_file(data)
     records = _read_records(data, "dataset")
 
-    model_cfg, _ = _read_sidecar(sidecar_path)
+    model_cfg = _read_sidecar(sidecar_path)[0]
     params = ModelParams.init(model_cfg, np.random.default_rng(0))
     state = ad.load_checkpoint(ckpt)
     try:

@@ -15,7 +15,7 @@ never sees a vehicle popping into existence at t = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -123,16 +123,18 @@ def sample_environment(dist_config: Mapping[str, Mapping[str, float]],
 
 @dataclass
 class Track:
-    """One mover sampled on the full generation grid; NaN rows mean absent."""
+    """One mover sampled on the full generation grid; NaN rows mean absent.
+    Its arrays are not written after construction, so presence is computed
+    once."""
 
     id: str
     xy: np.ndarray  # (G, 2)
     speed: np.ndarray  # (G,)
     heading: np.ndarray  # (G,)
+    present: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def present(self) -> np.ndarray:
-        return ~np.isnan(self.xy[:, 0])
+    def __post_init__(self):
+        self.present = ~np.isnan(self.xy[:, 0])
 
 
 @dataclass
@@ -225,56 +227,6 @@ def _anchored_track(geom: RouteGeometry, track_id: str, anchor: float,
     return Track(track_id, geom.point_at(s), spd, geom.heading_at(s))
 
 
-def _place_pads(tracks: list[Track], ego: Track) -> list[Track]:
-    """Parked roadside objects guaranteeing every stored frame shows >= 1.
-
-    Repeatedly takes the last stored frame with nothing visible and parks an
-    object ahead of the ego pose there, offset laterally past the safety
-    radius and clear of every mover. Deterministic: no randomness involved.
-    """
-    cam = CAMERA
-    n_grid = len(ego.xy)
-    pads: list[Track] = []
-
-    def visible_any(g: int) -> bool:
-        for tr in tracks + pads:
-            if tr.present[g] and cam.project(ego.xy[g], ego.heading[g], tr.xy[g]):
-                return True
-        return False
-
-    for _ in range(STORED_FRAMES):
-        uncovered = [j + TRIM_FRAMES for j in range(STORED_FRAMES)
-                     if not visible_any(j + TRIM_FRAMES)]
-        if not uncovered:
-            break
-        g0 = uncovered[-1]
-        hx, hy = math.cos(ego.heading[g0]), math.sin(ego.heading[g0])
-        spot = None
-        for forward in _PAD_FORWARD:
-            for lateral in (_PAD_LATERAL, -_PAD_LATERAL):
-                p = np.array([ego.xy[g0, 0] + forward * hx - lateral * hy,
-                              ego.xy[g0, 1] + forward * hy + lateral * hx])
-                clear = all(
-                    float(np.sqrt(((tr.xy[tr.present] - p) ** 2).sum(axis=1)).min())
-                    >= _PAD_CLEARANCE
-                    for tr in tracks + pads + [ego] if tr.present.any())
-                if clear:
-                    spot = p
-                    break
-            if spot is not None:
-                break
-        if spot is None:
-            raise GenerationError(
-                f"no parked-object slot clears traffic near frame {g0}")
-        pads.append(Track(
-            f"parked{len(pads)}",
-            np.tile(spot, (n_grid, 1)),
-            np.zeros(n_grid),
-            np.full(n_grid, float(ego.heading[g0])),
-        ))
-    return pads
-
-
 def _behavior_at(track: Track, g: int) -> str:
     lo = max(0, g - _BEHAVIOR_WINDOW + 1)
     window = [(n * DT, track.xy[n, 0], track.xy[n, 1],
@@ -285,26 +237,63 @@ def _behavior_at(track: Track, g: int) -> str:
     return behavior_label(window)
 
 
+def _views(track: Track, ego: Track) -> list[tuple[float, float, float] | None]:
+    """The track's (cx, cy, depth) on each stored frame, None where it is
+    absent or out of view."""
+    return [CAMERA.project(ego.xy[g], ego.heading[g], track.xy[g])
+            if track.present[g] else None
+            for g in range(TRIM_FRAMES, TRIM_FRAMES + STORED_FRAMES)]
+
+
+def _pad_spot(obstacles: list[Track], ego: Track, g: int) -> np.ndarray:
+    """The first roadside spot ahead of the ego pose at frame g, offset
+    laterally past the safety radius, that clears every obstacle."""
+    hx, hy = math.cos(ego.heading[g]), math.sin(ego.heading[g])
+    for forward in _PAD_FORWARD:
+        for lateral in (_PAD_LATERAL, -_PAD_LATERAL):
+            p = np.array([ego.xy[g, 0] + forward * hx - lateral * hy,
+                          ego.xy[g, 1] + forward * hy + lateral * hx])
+            if all(float(np.sqrt(((tr.xy[tr.present] - p) ** 2).sum(axis=1)).min())
+                   >= _PAD_CLEARANCE for tr in obstacles if tr.present.any()):
+                return p
+    raise GenerationError(f"no parked-object slot clears traffic near frame {g}")
+
+
 def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
               tracks: list[Track], ego: Track,
               accident_gen_frame: int | None) -> ScenarioRecord:
-    cam = CAMERA
+    """Project every track once into a view table, park objects until every
+    stored frame shows at least one, and store each frame's nearest
+    MAX_VISIBLE views.
+
+    Each pad goes on the last stored frame that shows nothing, clear of the
+    tracks, the earlier pads and the ego. Parking draws no random numbers.
+    """
+    tracks = list(tracks)
+    views = [_views(tr, ego) for tr in tracks]
+    shown = [any(v[j] is not None for v in views) for j in range(STORED_FRAMES)]
+    n_grid = len(ego.xy)
+    for k in range(STORED_FRAMES):
+        if all(shown):
+            break
+        g0 = TRIM_FRAMES + max(j for j, s in enumerate(shown) if not s)
+        spot = _pad_spot(tracks + [ego], ego, g0)
+        tracks.append(Track(f"parked{k}", np.tile(spot, (n_grid, 1)),
+                            np.zeros(n_grid),
+                            np.full(n_grid, float(ego.heading[g0]))))
+        views.append(_views(tracks[-1], ego))
+        shown = [s or v is not None for s, v in zip(shown, views[-1])]
+
     frames: list[list[tuple]] = []
     labels: list[str] = []
     for j in range(STORED_FRAMES):
         g = j + TRIM_FRAMES
-        visible = []
-        for tr in tracks:
-            if not tr.present[g]:
-                continue
-            proj = cam.project(ego.xy[g], ego.heading[g], tr.xy[g])
-            if proj is None:
-                continue
-            visible.append((proj[2], tr.id, proj[0], proj[1], tr))
-        visible.sort(key=lambda v: (v[0], v[1]))
-        rows = [(tid, tr.xy[g, 0], tr.xy[g, 1], tr.speed[g], tr.heading[g],
+        visible = sorted(((v[j], tr) for tr, v in zip(tracks, views)
+                          if v[j] is not None),
+                         key=lambda vt: (vt[0][2], vt[1].id))
+        rows = [(tr.id, tr.xy[g, 0], tr.xy[g, 1], tr.speed[g], tr.heading[g],
                  cx, cy, depth, _behavior_at(tr, g))
-                for depth, tid, cx, cy, tr in visible[:MAX_VISIBLE]]
+                for (cx, cy, depth), tr in visible[:MAX_VISIBLE]]
         frames.append(rows)
         labels.append(scene_label(env, len(rows)))
     lam = None
@@ -390,7 +379,6 @@ def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
                    for other in participants + [ego])]
 
     tracks = participants + keep
-    tracks += _place_pads(tracks, ego)
 
     crash_points = [tr.xy[g_c] for tr in participants]
     if ego_involved:
@@ -431,7 +419,6 @@ def _build_negative(graph: RoadGraph, terminals: TerminalSets,
                     f"{movers[i].id} and {movers[j].id} violate the safety "
                     "radius on the frame grid")
 
-    tracks += _place_pads(tracks, ego)
     record = _assemble(rec_id, False, env, tracks, ego, None)
     meta = GenMeta(ego_xy=ego.xy, ego_heading=ego.heading,
                    stored_offset=TRIM_FRAMES)

@@ -332,8 +332,7 @@ def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
 
 
 def evaluate(records, params: ModelParams, model_cfg: ModelConfig, *,
-             threshold: float = 0.5, fps: int | None = None,
-             jobs: int = 1) -> tuple[EvalReport, np.ndarray]:
+             threshold: float = 0.5, jobs: int = 1) -> tuple[EvalReport, np.ndarray]:
     """Full evaluation: AP over video scores, grid mTTA, per-video triggers
     at the report threshold, and the threshold sweep table. Returns the
     report plus the raw risk curves for export."""
@@ -342,8 +341,7 @@ def evaluate(records, params: ModelParams, model_cfg: ModelConfig, *,
         raise ValueError("evaluation set is empty")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    if fps is None:
-        fps = records[0].fps
+    fps = records[0].fps
     curves = risk_curves(records, params, model_cfg, jobs=jobs)
     labels = np.array([int(r.positive) for r in records])
     lams = np.array([r.accident_frame or 0 for r in records])

@@ -1,6 +1,7 @@
 import os
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,7 +272,7 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     # same content twice -> identical bytes
     path2 = os.path.join(tmp_path, "model2.bin")
     save_checkpoint(path2, tensors)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -361,6 +361,34 @@ def test_train_resume_fewer_epochs_exits_2(work, tmp_path, capsys):
     assert "--epochs must be >= 2" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("key,edit,expected", [
+    ("meta.epochs_done", None, "lacks the meta.epochs_done tensor"),
+    ("opt.step", None, "lacks the opt.step tensor"),
+    ("opt.m.adj.u", None, "lacks the opt.m.adj.u tensor"),
+    ("opt.v.head.b2", None, "lacks the opt.v.head.b2 tensor"),
+    ("opt.v.adj.v", np.zeros(1), "opt.v.adj.v has shape (1,), expected (4, 4)"),
+    ("opt.step", np.zeros(2), "opt.step has shape (2,), expected ()"),
+    ("meta.epochs_done", np.array(1.0),
+     "meta.epochs_done is 1.0, its sidecar"),
+])
+def test_train_resume_checkpoint_lacking_what_train_writes_exits_2(
+        work, tmp_path, capsys, key, edit, expected):
+    prev = _resumable(work, tmp_path, "prev.bin")
+    state = ad.load_checkpoint(str(prev))
+    if edit is None:
+        del state[key]
+    else:
+        state[key] = edit
+    ad.save_checkpoint(str(prev), state)
+    capsys.readouterr()
+    code = main(_resume_args(work[1], prev, tmp_path / "x.bin"))
+    assert code == 2
+    err = _one_error_line(capsys)
+    assert str(prev) in err and expected in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "prev.bin", "prev.bin.json", "prev.bin.log.csv"]
+
+
 def test_train_resume_sidecar_without_model_exits_2(work, tmp_path, capsys):
     _, data, ckpt = work
     prev = tmp_path / "prev.bin"
@@ -384,6 +412,7 @@ def test_train_missing_data_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_train_divergence_exits_3(work, tmp_path):
     _, data, _ = work
     code = main(["train", "--data", str(data), "--epochs", "3", "--seed",

@@ -1,5 +1,6 @@
 """Scenario synthesis: camera, behavior rules, templates, validation, IO."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -30,6 +31,8 @@ from crashcast.scenario.generate import (
     GEN_FRAMES,
     MAX_VISIBLE,
     SAFETY_RADIUS,
+    STORED_FRAMES,
+    TRIM_FRAMES,
     Track,
     _assemble,
     _build_negative,
@@ -264,6 +267,26 @@ def test_assemble_caps_at_nearest_nineteen():
         assert b - a == MAX_VISIBLE
         assert [rec.ids[k] for k in rec.id_of[a:b]] == [f"t{k:02d}" for k in range(19)]
         assert rec.states[a, 6] <= rec.states[b - 1, 6]
+
+
+# record_to_json of the turning-ego record below, recorded when pads were
+# placed in a pass of their own before assembly
+_TURNING_EGO_SHA256 = "de90ea5753347b87f026f2b53bffc6cc256c265aad00a78882a07cd70d424157"
+
+
+def test_assemble_parks_several_pads_for_a_turning_ego():
+    # a parked ego turning through 180 degrees with no movers: no single
+    # pad stays in view, so parking takes several rounds
+    g = GEN_FRAMES
+    heading = math.pi * np.clip((np.arange(g) - TRIM_FRAMES) / (STORED_FRAMES - 1),
+                                0.0, 1.0)
+    ego = Track("ego", np.zeros((g, 2)), np.zeros(g), heading)
+    env = EnvironmentProfile("clear", "day", "urban")
+    rec = _assemble("turn", False, env, [], ego, None)
+    assert sum(i.startswith("parked") for i in rec.ids) >= 2
+    assert np.diff(rec.frame_starts).min() >= 1
+    digest = hashlib.sha256(record_to_json(rec).encode()).hexdigest()
+    assert digest == _TURNING_EGO_SHA256
 
 
 def test_dataset_roundtrip_and_byte_determinism():
