@@ -313,11 +313,15 @@ def sqrt(a) -> Tensor:
     return _record(Tensor(y), (a,), (lambda g: g / (2.0 * y),))
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    # exp only of -|x|, so neither tail overflows
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    # exp only of -|x|, so neither tail overflows
-    e = np.exp(-np.abs(a.value))
-    y = np.where(a.value >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _sigmoid(a.value)
     return _record(Tensor(y), (a,), (lambda g: g * y * (1.0 - y),))
 
 
@@ -458,26 +462,73 @@ def l2_normalize_lastdim(a) -> Tensor:
     return div(a, sqrt(add(sq, constant(1e-24))))
 
 
-def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
-    """Standard GRU cell for one step.
+def gru_sequence(x, w_ih, w_hh, b_ih, b_hh) -> Tensor:
+    """GRU over a whole sequence from a zero state, as one tape node.
 
-    x: (B, I), h: (B, H). Weights stack the reset/update/new gates row-wise:
-    w_ih: (3H, I), w_hh: (3H, H), biases (3H,). With all-zero weights and
-    state the new state is zero.
+    x: (B, T, I) -> (B, T, H). Weights stack the reset/update/new gates
+    row-wise: w_ih: (3H, I), w_hh: (3H, H), biases (3H,). Per step
+    r = σ(i_r + h_r), z = σ(i_z + h_z), n = tanh(i_n + r h_n) and
+    h' = (1 - z) n + z h, where i_* and h_* are the gate blocks of
+    x_t W_ihᵀ + b_ih and h W_hhᵀ + b_hh. The input gates of every step come
+    from one product; backward is one hand-written pass through time shared
+    by the five gradients.
     """
-    hidden = h.shape[-1]
-    gi = add(matmul(x, transpose2d(w_ih)), b_ih)
-    gh = add(matmul(h, transpose2d(w_hh)), b_hh)
-    i_r = narrow(gi, (slice(None), slice(0, hidden)))
-    i_z = narrow(gi, (slice(None), slice(hidden, 2 * hidden)))
-    i_n = narrow(gi, (slice(None), slice(2 * hidden, 3 * hidden)))
-    h_r = narrow(gh, (slice(None), slice(0, hidden)))
-    h_z = narrow(gh, (slice(None), slice(hidden, 2 * hidden)))
-    h_n = narrow(gh, (slice(None), slice(2 * hidden, 3 * hidden)))
-    r = sigmoid(add(i_r, h_r))
-    z = sigmoid(add(i_z, h_z))
-    n = tanh(add(i_n, mul(r, h_n)))
-    return add(mul(sub(constant(1.0), z), n), mul(z, h))
+    x, w_ih, w_hh, b_ih, b_hh = (as_tensor(t) for t in (x, w_ih, w_hh, b_ih, b_hh))
+    if x.ndim != 3:
+        raise ValueError(f"gru_sequence expects (B, T, I) input, got {x.shape}")
+    batch, steps, _ = x.shape
+    hidden = w_hh.shape[-1]
+    two = 2 * hidden
+    # time-major, so each step reads and writes contiguous blocks; with
+    # both operands contiguous each step's gates equal a per-step product
+    # bit for bit
+    x_tm = np.ascontiguousarray(x.value.transpose(1, 0, 2))
+    gi = x_tm @ w_ih.value.T.copy() + b_ih.value
+    w_hh_t = w_hh.value.T.copy()
+    hs = np.zeros((steps + 1, batch, hidden))  # hs[t] is the state step t reads
+    rz = np.empty((steps, batch, two))
+    r, z = rz[..., :hidden], rz[..., hidden:]
+    n = np.empty((steps, batch, hidden))
+    h_n = np.empty((steps, batch, hidden))
+    for t in range(steps):
+        gh = hs[t] @ w_hh_t + b_hh.value
+        rz[t] = _sigmoid(gi[t, :, :two] + gh[:, :two])
+        h_n[t] = gh[:, two:]
+        n[t] = np.tanh(gi[t, :, two:] + r[t] * h_n[t])
+        hs[t + 1] = (1.0 - z[t]) * n[t] + z[t] * hs[t]
+    memo: list = []
+
+    def bptt(g):
+        """(dL/d input gates, dL/d hidden gates), each (T, B, 3H)."""
+        if memo and memo[0] is g:
+            return memo[1]
+        g_t = g.transpose(1, 0, 2)
+        d_gi = np.empty_like(gi)
+        d_gh = np.empty_like(gi)
+        dh = np.zeros((batch, hidden))
+        for t in reversed(range(steps)):
+            dh = dh + g_t[t]
+            dn = dh * (1.0 - z[t]) * (1.0 - n[t] * n[t])
+            d_gi[t, :, two:] = dn
+            d_gh[t, :, two:] = dn * r[t]
+            d_gi[t, :, :hidden] = dn * h_n[t] * r[t] * (1.0 - r[t])
+            d_gi[t, :, hidden:two] = dh * (hs[t] - n[t]) * z[t] * (1.0 - z[t])
+            d_gh[t, :, :two] = d_gi[t, :, :two]
+            dh = dh * z[t] + d_gh[t] @ w_hh.value
+        memo[:] = [g, (d_gi, d_gh)]
+        return memo[1]
+
+    def flat(a):
+        return a.reshape(-1, a.shape[-1])
+
+    out = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
+    return _record(Tensor(out), (x, w_ih, w_hh, b_ih, b_hh), (
+        lambda g: (bptt(g)[0] @ w_ih.value).transpose(1, 0, 2),
+        lambda g: flat(bptt(g)[0]).T @ flat(x_tm),
+        lambda g: flat(bptt(g)[1]).T @ flat(hs[:-1]),
+        lambda g: bptt(g)[0].sum(axis=(0, 1)),
+        lambda g: bptt(g)[1].sum(axis=(0, 1)),
+    ))
 
 
 def transpose2d(a) -> Tensor:

@@ -478,8 +478,13 @@ def _run_train(cfg: dict) -> int:
             raise ConfigError(
                 f"resume checkpoint {resume} already covers {start_epoch} "
                 f"epochs; --epochs must be >= {start_epoch}")
+        step = float(resume_state["opt.step"])
+        if not (step >= 0 and step.is_integer()):
+            raise ConfigError(
+                f"resume checkpoint {resume}: opt.step is {step!r}, "
+                f"expected a whole number >= 0")
+        step = int(step)
         opt_state = {k: resume_state[k] for k in shapes if k.startswith("opt.")}
-        step = int(resume_state["opt.step"])
         log_lines = _previous_log(prev_log, start_epoch, step)
         inputs[prev_log] = sha256_file(prev_log)
 

@@ -208,7 +208,6 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
     if batch.feature_dim != cfg.feature_dim:
         raise ValueError(
             f"batch feature dim {batch.feature_dim} != model {cfg.feature_dim}")
-    b, t = batch.batch_size, batch.frames
 
     vis_obj = batch.visual[:, :, 1:]
     text_obj = batch.text[:, :, 1:]
@@ -234,15 +233,8 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
         x = ad.relu(ad.add(x, ad.causal_dilated_conv1d(
             x, block.weight, block.bias, block.dilation)))
 
-    hidden = cfg.hidden_dim
-    h_t = ad.constant(np.zeros((b, hidden)))
-    steps = []
-    for step in range(t):
-        x_t = ad.narrow(x, (slice(None), step))
-        h_t = ad.gru_cell(x_t, h_t, params.gru_w_ih, params.gru_w_hh,
-                          params.gru_b_ih, params.gru_b_hh)
-        steps.append(ad.reshape(h_t, (b, 1, hidden)))
-    h_all = ad.concat(steps, axis=1)
+    h_all = ad.gru_sequence(x, params.gru_w_ih, params.gru_w_hh,
+                            params.gru_b_ih, params.gru_b_hh)
 
     inner = ad.relu(ad.add(ad.matmul(h_all, params.head_w1), params.head_b1))
     logits = ad.add(ad.matmul(inner, params.head_w2), params.head_b2)

@@ -16,7 +16,7 @@ from crashcast.autodiff import (
     concat,
     cross_entropy_logits,
     grad_check,
-    gru_cell,
+    gru_sequence,
     l2_normalize_lastdim,
     load_checkpoint,
     matmul,
@@ -30,6 +30,50 @@ from crashcast.autodiff import (
 
 def rand(rng, *shape):
     return rng.standard_normal(shape)
+
+
+def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
+    """One GRU step from the recorded primitives: the loop oracle that
+    gru_sequence is checked against.
+
+    x: (B, I), h: (B, H). Weights stack the reset/update/new gates row-wise:
+    w_ih: (3H, I), w_hh: (3H, H), biases (3H,).
+    """
+    hidden = h.shape[-1]
+    gi = ad.add(matmul(x, transpose2d(w_ih)), b_ih)
+    gh = ad.add(matmul(h, transpose2d(w_hh)), b_hh)
+    i_r = narrow(gi, (slice(None), slice(0, hidden)))
+    i_z = narrow(gi, (slice(None), slice(hidden, 2 * hidden)))
+    i_n = narrow(gi, (slice(None), slice(2 * hidden, 3 * hidden)))
+    h_r = narrow(gh, (slice(None), slice(0, hidden)))
+    h_z = narrow(gh, (slice(None), slice(hidden, 2 * hidden)))
+    h_n = narrow(gh, (slice(None), slice(2 * hidden, 3 * hidden)))
+    r = ad.sigmoid(ad.add(i_r, h_r))
+    z = ad.sigmoid(ad.add(i_z, h_z))
+    n = ad.tanh(ad.add(i_n, ad.mul(r, h_n)))
+    return ad.add(ad.mul(ad.sub(ad.constant(1.0), z), n), ad.mul(z, h))
+
+
+def gru_loop(x, w_ih, w_hh, b_ih, b_hh) -> Tensor:
+    """gru_cell once per step from a zero state, stacked to (B, T, H)."""
+    batch, steps, _ = x.shape
+    hidden = w_hh.shape[-1]
+    h = ad.constant(np.zeros((batch, hidden)))
+    outs = []
+    for t in range(steps):
+        h = gru_cell(narrow(x, (slice(None), t)), h, w_ih, w_hh, b_ih, b_hh)
+        outs.append(h.reshape(batch, 1, hidden))
+    return concat(outs, axis=1)
+
+
+def gru_params(rng, batch, steps, inp, hid):
+    """x and the four GRU weights at a scale that keeps the gates off
+    saturation."""
+    return [Parameter(rand(rng, batch, steps, inp)),
+            Parameter(rand(rng, 3 * hid, inp) * 0.4),
+            Parameter(rand(rng, 3 * hid, hid) * 0.4),
+            Parameter(rand(rng, 3 * hid) * 0.1),
+            Parameter(rand(rng, 3 * hid) * 0.1)]
 
 
 def check_unary(op, x0, tol=1e-6):
@@ -152,6 +196,41 @@ def test_gru_cell_gradients_and_zero_case():
     zeros = [Tensor(np.zeros_like(t.value)) for t in (x, h, w_ih, w_hh, b_ih, b_hh)]
     out = gru_cell(*zeros)
     assert np.all(out.value == 0.0)
+
+
+def test_gru_sequence_gradients_and_zero_case():
+    rng = np.random.default_rng(37)
+    params = gru_params(rng, 2, 5, 3, 4)
+    probe = rand(rng, 2, 5, 4)
+    err = grad_check(lambda: (gru_sequence(*params) * probe).sum(), params)
+    assert err <= 1e-6
+    with Tape() as tape:
+        gru_sequence(*params)
+    assert len(tape) == 1
+
+    zeros = [Tensor(np.zeros_like(p.value)) for p in params]
+    out = gru_sequence(*zeros)
+    assert out.shape == (2, 5, 4)
+    assert np.all(out.value == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 3, 4), (8, 50, 16, 16), (1, 1, 2, 3)])
+def test_gru_sequence_matches_gru_cell_loop(shape):
+    rng = np.random.default_rng(41)
+    params = gru_params(rng, *shape)
+    probe = rand(rng, *shape[:2], shape[3])
+    outs, grads = [], []
+    for fn in (gru_loop, gru_sequence):
+        for p in params:
+            p.zero_grad()
+        with Tape() as tape:
+            out = fn(*params)
+            tape.backward((out * probe).sum())
+        outs.append(out.value)
+        grads.append([p.grad.copy() for p in params])
+    assert np.abs(outs[0] - outs[1]).max() <= 1e-12
+    for want, got in zip(*grads):
+        assert np.abs(want - got).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_causal_conv_is_causal_and_differentiable():

@@ -370,6 +370,9 @@ def test_train_resume_fewer_epochs_exits_2(work, tmp_path, capsys):
     ("opt.step", np.zeros(2), "opt.step has shape (2,), expected ()"),
     ("meta.epochs_done", np.array(1.0),
      "meta.epochs_done is 1.0, its sidecar"),
+    *(("opt.step", np.array(step),
+       f"opt.step is {step!r}, expected a whole number >= 0")
+      for step in (np.inf, np.nan, 2.5, -1.0)),
 ])
 def test_train_resume_checkpoint_lacking_what_train_writes_exits_2(
         work, tmp_path, capsys, key, edit, expected):

@@ -323,6 +323,18 @@ def test_forward_matches_numpy_oracle():
     assert np.abs(got - want).max() <= 1e-9
 
 
+def test_forward_tape_does_not_grow_with_frames():
+    cfg = _tiny_cfg(feature_dim=8, max_objects=4)
+    params = ModelParams.init(cfg, np.random.default_rng(9))
+    sizes = []
+    for frames in (10, 20):
+        batch = random_batch(2, frames, 4, 8, np.random.default_rng(frames))
+        with ad.Tape() as tape:
+            forward(batch, params, cfg)
+        sizes.append(len(tape))
+    assert sizes[0] == sizes[1], sizes
+
+
 # --- gradients, alignment head, persistence ----------------------------------
 
 def test_forward_gradients_match_fd():
