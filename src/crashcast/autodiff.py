@@ -631,9 +631,11 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
     atomic_write_bytes(path, bytes(blob))
 
 
-def load_checkpoint(path: str) -> dict[str, np.ndarray]:
+def load_checkpoint(path: str, exempt: Sequence[str] = ()) -> dict[str, np.ndarray]:
     """Inverse of save_checkpoint. A short or malformed file raises
-    ValueError naming the path and the byte offset where reading stopped."""
+    ValueError naming the path and the byte offset where reading stopped.
+    A tensor that holds NaN or infinity raises ValueError naming the path
+    and the tensor, unless it is named in exempt (its caller checks it)."""
     with open(path, "rb") as fh:
         data = fh.read()
     off = 0
@@ -668,6 +670,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         n = math.prod(dims)
         start = take(8 * n, f"payload of {name!r}")
         arr = np.frombuffer(data, dtype="<f8", count=n, offset=start).reshape(dims)
+        if name not in exempt and not np.isfinite(arr).all():
+            raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
         out[name] = arr.astype(np.float64)
     if off != len(data):
         raise ValueError(f"{path}: trailing bytes after last tensor at byte {off}")

@@ -422,9 +422,13 @@ def _run_train(cfg: dict) -> int:
         inputs[cfg["val_data"]] = sha256_file(cfg["val_data"])
 
     try:
+        learning_rate = float(cfg["learning_rate"])
+        if not 0.0 <= learning_rate < np.inf:
+            raise ValueError("--learning-rate must be a finite number >= 0, "
+                             f"got {learning_rate}")
         model_cfg = ModelConfig(feature_dim=int(cfg["feature_dim"]),
                                 max_objects=int(cfg["max_objects"]))
-        train_cfg = TrainConfig(learning_rate=float(cfg["learning_rate"]),
+        train_cfg = TrainConfig(learning_rate=learning_rate,
                                 epochs=int(cfg["epochs"]),
                                 batch_size=int(cfg["batch_size"]),
                                 seed=int(cfg["seed"]))
@@ -451,7 +455,8 @@ def _run_train(cfg: dict) -> int:
                 raise ConfigError(
                     f"resume sidecar {prev_sidecar}: {key} is {there!r}, "
                     f"this run has {here[key]!r}; only --epochs may differ")
-        resume_state = ad.load_checkpoint(resume)
+        # opt.step has a stricter rule of its own, checked below
+        resume_state = ad.load_checkpoint(resume, exempt=("opt.step",))
         try:
             params.load_state_dict(resume_state)
         except (KeyError, ValueError) as exc:

@@ -5,7 +5,6 @@ from .records import (
     EgoCamera,
     EnvironmentProfile,
     ScenarioRecord,
-    behavior_label,
     read_dataset,
     record_from_json,
     record_to_json,
@@ -29,7 +28,6 @@ __all__ = [
     "EgoCamera",
     "EnvironmentProfile",
     "ScenarioRecord",
-    "behavior_label",
     "read_dataset",
     "record_from_json",
     "record_to_json",

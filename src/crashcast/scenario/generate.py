@@ -48,8 +48,7 @@ from .records import (
     EgoCamera,
     EnvironmentProfile,
     ScenarioRecord,
-    behavior_label,
-    object_columns,
+    behavior_codes,
     scene_label,
 )
 
@@ -67,7 +66,6 @@ _EGO_STOP_GAP = 8.0
 _PAD_LATERAL = 5.5
 _PAD_CLEARANCE = 5.25
 _PAD_FORWARD = tuple(range(12, 27, 2))
-_BEHAVIOR_WINDOW = 5  # generation frames per labeling window
 
 FPS = 10
 HORIZON = 6.0  # seconds on the generation grid
@@ -227,24 +225,6 @@ def _anchored_track(geom: RouteGeometry, track_id: str, anchor: float,
     return Track(track_id, geom.point_at(s), spd, geom.heading_at(s))
 
 
-def _behavior_at(track: Track, g: int) -> str:
-    lo = max(0, g - _BEHAVIOR_WINDOW + 1)
-    window = [(n * DT, track.xy[n, 0], track.xy[n, 1],
-               track.speed[n], track.heading[n])
-              for n in range(lo, g + 1) if track.present[n]]
-    if len(window) < 2:
-        return "straight"
-    return behavior_label(window)
-
-
-def _views(track: Track, ego: Track) -> list[tuple[float, float, float] | None]:
-    """The track's (cx, cy, depth) on each stored frame, None where it is
-    absent or out of view."""
-    return [CAMERA.project(ego.xy[g], ego.heading[g], track.xy[g])
-            if track.present[g] else None
-            for g in range(TRIM_FRAMES, TRIM_FRAMES + STORED_FRAMES)]
-
-
 def _pad_spot(obstacles: list[Track], ego: Track, g: int) -> np.ndarray:
     """The first roadside spot ahead of the ego pose at frame g, offset
     laterally past the safety radius, that clears every obstacle."""
@@ -262,47 +242,62 @@ def _pad_spot(obstacles: list[Track], ego: Track, g: int) -> np.ndarray:
 def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
               tracks: list[Track], ego: Track,
               accident_gen_frame: int | None) -> ScenarioRecord:
-    """Project every track once into a view table, park objects until every
-    stored frame shows at least one, and store each frame's nearest
-    MAX_VISIBLE views.
+    """Project every track once, park objects until every stored frame
+    shows at least one, and store each frame's nearest MAX_VISIBLE views.
 
     Each pad goes on the last stored frame that shows nothing, clear of the
     tracks, the earlier pads and the ego. Parking draws no random numbers.
     """
     tracks = list(tracks)
-    views = [_views(tr, ego) for tr in tracks]
-    shown = [any(v[j] is not None for v in views) for j in range(STORED_FRAMES)]
     n_grid = len(ego.xy)
+    stored = slice(TRIM_FRAMES, TRIM_FRAMES + STORED_FRAMES)
+
+    def view(xy):  # (cx, cy, depth, visible), each (K, S), of (K, G, 2) positions
+        return CAMERA.project(ego.xy[stored].T, ego.heading[stored],
+                              xy[:, stored].transpose(2, 0, 1))
+
+    views = [view(np.array([tr.xy for tr in tracks]).reshape(-1, n_grid, 2))]
+    shown = views[0][3].any(axis=0)
     for k in range(STORED_FRAMES):
-        if all(shown):
+        if shown.all():
             break
-        g0 = TRIM_FRAMES + max(j for j, s in enumerate(shown) if not s)
+        g0 = TRIM_FRAMES + int(np.flatnonzero(~shown)[-1])
         spot = _pad_spot(tracks + [ego], ego, g0)
         tracks.append(Track(f"parked{k}", np.tile(spot, (n_grid, 1)),
                             np.zeros(n_grid),
                             np.full(n_grid, float(ego.heading[g0]))))
-        views.append(_views(tracks[-1], ego))
-        shown = [s or v is not None for s, v in zip(shown, views[-1])]
+        views.append(view(tracks[-1].xy[None]))
+        shown |= views[-1][3][0]
+    cx, cy, depth, visible = map(np.concatenate, zip(*views))
 
-    frames: list[list[tuple]] = []
-    labels: list[str] = []
-    for j in range(STORED_FRAMES):
-        g = j + TRIM_FRAMES
-        visible = sorted(((v[j], tr) for tr, v in zip(tracks, views)
-                          if v[j] is not None),
-                         key=lambda vt: (vt[0][2], vt[1].id))
-        rows = [(tr.id, tr.xy[g, 0], tr.xy[g, 1], tr.speed[g], tr.heading[g],
-                 cx, cy, depth, _behavior_at(tr, g))
-                for (cx, cy, depth), tr in visible[:MAX_VISIBLE]]
-        frames.append(rows)
-        labels.append(scene_label(env, len(rows)))
+    # rows are the visible (track k, stored frame j) pairs ordered by frame,
+    # depth and id, at most MAX_VISIBLE per frame
+    # each track's place in id order (the inverse of the sorting permutation)
+    rank = np.argsort(sorted(range(len(tracks)), key=lambda i: tracks[i].id))
+    j, k = np.nonzero(visible.T)
+    order = np.lexsort((rank[k], depth[k, j], j))
+    j, k = j[order], k[order]
+    keep = np.arange(len(j)) - np.searchsorted(j, j) < MAX_VISIBLE
+    j, k = j[keep], k[keep]
+    frame_starts = np.searchsorted(j, np.arange(STORED_FRAMES + 1))
+    seen = k[np.sort(np.unique(k, return_index=True)[1])]  # by first appearance
+    slot = np.empty(len(tracks), dtype=np.int64)
+    slot[seen] = np.arange(len(seen))
+    xy, speed, heading, present = (np.array([getattr(tr, a) for tr in tracks])
+                                   for a in ("xy", "speed", "heading", "present"))
+    g = j + TRIM_FRAMES
     lam = None
     if positive:
         lam = accident_gen_frame - TRIM_FRAMES + 1  # 1-based stored index
         if not 0 < lam < STORED_FRAMES:
             raise GenerationError(f"accident frame {lam} outside (0, T)")
-    return ScenarioRecord(rec_id, positive, FPS, STORED_FRAMES, lam, env,
-                          labels, **object_columns(frames))
+    return ScenarioRecord(
+        rec_id, positive, FPS, STORED_FRAMES, lam, env,
+        [scene_label(env, n) for n in np.diff(frame_starts).tolist()],
+        states=np.column_stack([xy[k, g, 0], xy[k, g, 1], speed[k, g],
+                                heading[k, g], cx[k, j], cy[k, j], depth[k, j]]),
+        frame_starts=frame_starts, ids=tuple(tracks[i].id for i in seen.tolist()),
+        id_of=slot[k], behavior=behavior_codes(speed, heading, present, DT)[k, g])
 
 
 def _background_tracks(graph: RoadGraph, terminals: TerminalSets,
@@ -526,10 +521,9 @@ def validate_scenario(record: ScenarioRecord,
             bearings = np.abs(cam.bearing(cx[a:b], depth[a:b]))
             if meta is not None and meta.collision_xy is not None:
                 g = lam - 1 + meta.stored_offset
-                proj = cam.project(meta.ego_xy[g], float(meta.ego_heading[g]),
-                                   meta.collision_xy)
-                bearing = math.inf if proj is None else abs(
-                    cam.bearing(proj[0], proj[2]))
+                cx_c, _, depth_c, seen = cam.project(
+                    meta.ego_xy[g], meta.ego_heading[g], meta.collision_xy)
+                bearing = abs(cam.bearing(cx_c, depth_c)) if seen else math.inf
             elif pair_d <= cam_d and math.isfinite(pair_d):
                 # the first closest pair i < j, as the rows are stored
                 i, j = np.unravel_index(np.argmin(between), between.shape)

@@ -9,17 +9,12 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-BEHAVIOR_LABELS = (
-    "straight",
-    "left-turn",
-    "right-turn",
-    "accelerating",
-    "braking",
-    "stopped",
-    "lane-change",
-)
+BEHAVIOR_LABELS = ("straight", "left-turn", "right-turn", "accelerating", "braking",
+                   "stopped", "lane-change")
 
+BEHAVIOR_WINDOW = 5  # frames in the trailing labeling window
 _TURN_THRESHOLD = math.radians(10.0)
 _ACCEL_THRESHOLD = 1.0  # m/s^2
 _STOP_SPEED = 0.05  # m/s
@@ -103,25 +98,26 @@ class EgoCamera:
     def focal(self) -> float:
         return (self.width / 2.0) / math.tan(self.half_fov)
 
-    def project(self, ego_xy, ego_heading: float, point_xy):
-        """(cx, cy, depth) for a visible point, else None.
+    def project(self, ego_xy, ego_heading, point_xy):
+        """(cx, cy, depth, visible) of world points; elementwise over arrays
+        (ego_xy and point_xy as their x and y arrays).
 
-        depth is the forward distance along the ego heading; not-visible
-        means the point is behind the camera or outside the half-FOV cone.
+        depth is the forward distance along the ego heading. A point is not
+        visible when it is behind the camera, outside the half-FOV cone or
+        NaN; cx and cy mean nothing there.
         """
         dx = point_xy[0] - ego_xy[0]
         dy = point_xy[1] - ego_xy[1]
-        cos_h = math.cos(ego_heading)
-        sin_h = math.sin(ego_heading)
+        cos_h = np.cos(ego_heading)
+        sin_h = np.sin(ego_heading)
         forward = cos_h * dx + sin_h * dy
         lateral = -sin_h * dx + cos_h * dy  # left of heading is positive
-        if forward <= 0.0:
-            return None
-        if abs(math.atan2(lateral, forward)) > self.half_fov:
-            return None
-        cx = self.width / 2.0 - self.focal * lateral / forward
-        cy = self.height / 2.0 + self.focal * self.mount_height / forward
-        return cx, cy, forward
+        visible = (forward > 0.0) & (np.abs(np.arctan2(lateral, forward))
+                                     <= self.half_fov)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cx = self.width / 2.0 - self.focal * lateral / forward
+            cy = self.height / 2.0 + self.focal * self.mount_height / forward
+        return cx, cy, forward, visible
 
     def lateral(self, cx, depth):
         """Offset left of the heading, meters, of a stored projection;
@@ -146,42 +142,41 @@ class EgoCamera:
         return np.hypot(self.lateral(cx, depth), depth)
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    return math.atan2(math.sin(a), math.cos(a))
+def behavior_codes(speed, heading, present, dt: float) -> np.ndarray:
+    """(..., G) BEHAVIOR_LABELS codes of tracks sampled every dt seconds,
+    frame g labelled from the present samples among its trailing
+    BEHAVIOR_WINDOW frames. Precedence: fewer than 2 samples, stopped,
+    left/right turn (net heading change), lane-change (a heading excursion
+    that nets out), accelerating/braking (first to last sample), straight."""
+    def windows(a):  # (..., G, W): frames g - W + 1 .. g, zero before frame 0
+        lead = np.zeros(a.shape[:-1] + (BEHAVIOR_WINDOW - 1,), a.dtype)
+        return sliding_window_view(np.concatenate([lead, a], -1), BEHAVIOR_WINDOW, axis=-1)
 
+    held = windows(present)
+    # absent samples read 0: no speed above the stop speed, no excursion
+    v, h = (windows(np.where(present, a, 0.0)) for a in (speed, heading))
+    first = held.argmax(-1)
+    last = BEHAVIOR_WINDOW - 1 - held[..., ::-1].argmax(-1)
 
-def behavior_label(window) -> str:
-    """Rule-based maneuver label from a short trajectory window.
+    def at(a, n):  # a[..., g, n[..., g]]
+        return np.take_along_axis(a, n[..., None], -1)[..., 0]
 
-    window: sequence of (t, x, y, speed, heading) with at least 2 samples.
-    Precedence: stopped, then turns (net heading change beyond 10 degrees),
-    then lane-change (transient heading excursion that nets out), then
-    speed changes beyond 1 m/s^2, else straight.
-    """
-    if len(window) < 2:
-        raise ValueError("behavior window needs at least 2 samples")
-    t0, _, _, v0, h0 = window[0]
-    t1, _, _, v1, h1 = window[-1]
-    speeds = [w[3] for w in window]
-    if max(speeds) <= _STOP_SPEED:
-        return "stopped"
-    net_turn = wrap_angle(h1 - h0)
-    if net_turn >= _TURN_THRESHOLD:
-        return "left-turn"
-    if net_turn <= -_TURN_THRESHOLD:
-        return "right-turn"
-    peak = max(abs(wrap_angle(w[4] - h0)) for w in window)
-    if peak >= _TURN_THRESHOLD:
-        return "lane-change"
-    span = t1 - t0
-    if span > 0:
-        accel = (v1 - v0) / span
-        if accel >= _ACCEL_THRESHOLD:
-            return "accelerating"
-        if accel <= -_ACCEL_THRESHOLD:
-            return "braking"
-    return "straight"
+    turn = h - at(h, first)[..., None]
+    turn = np.arctan2(np.sin(turn), np.cos(turn))  # wrapped to (-pi, pi]
+    net = at(turn, last)
+    start = np.arange(held.shape[-2]) - (BEHAVIOR_WINDOW - 1)  # window's frame 0
+    span = (start + last) * dt - (start + first) * dt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        accel = (at(v, last) - at(v, first)) / span
+    code = _BEHAVIOR_CODES
+    return np.select(
+        [held.sum(-1) < 2, v.max(-1) <= _STOP_SPEED,
+         net >= _TURN_THRESHOLD, net <= -_TURN_THRESHOLD,
+         np.where(held, np.abs(turn), 0.0).max(-1) >= _TURN_THRESHOLD,
+         accel >= _ACCEL_THRESHOLD, accel <= -_ACCEL_THRESHOLD],
+        [code[c] for c in ("straight", "stopped", "left-turn", "right-turn",
+                           "lane-change", "accelerating", "braking")],
+        code["straight"])
 
 
 def scene_label(env: EnvironmentProfile, visible_count: int) -> str:
@@ -216,11 +211,7 @@ def record_to_json(record: ScenarioRecord) -> str:
         "fps": record.fps,
         "frames": record.frames,
         "accident_frame": record.accident_frame,
-        "environment": {
-            "weather": record.environment.weather,
-            "lighting": record.environment.lighting,
-            "road_type": record.environment.road_type,
-        },
+        "environment": vars(record.environment),  # weather, lighting, road_type
         "objects": [objects[a:b] for a, b in zip(starts, starts[1:])],
         "scene_labels": list(record.scene_labels),
     }
@@ -230,6 +221,10 @@ def record_to_json(record: ScenarioRecord) -> str:
 _OBJECT_KEYS = ("id", *STATE_COLUMNS, "behavior")
 _object_row = operator.itemgetter(*_OBJECT_KEYS)
 _object_numbers = operator.itemgetter(*STATE_COLUMNS)
+_object_id = operator.itemgetter("id")
+# the exact JSON type of each record field, so a bool is no int
+_FIELD_TYPES = {"id": str, "positive": bool, "fps": int, "frames": int,
+                "scene_labels": list}
 
 
 def _check_record(rec: ScenarioRecord) -> None:
@@ -256,31 +251,33 @@ def _check_record(rec: ScenarioRecord) -> None:
 
 
 def record_from_json(line: str) -> ScenarioRecord:
-    """One record from its JSON line. A missing key raises KeyError. An
-    object with a key other than id, x, y, speed, heading, cx, cy, depth and
-    behavior, a number that is not an int or float, or an unknown behavior
-    raises ValueError, as does a record whose structure does not hold (see
-    _check_record)."""
+    """One record from its JSON line. A missing key raises KeyError. A field
+    of another type than _FIELD_TYPES gives; an environment value, scene
+    label or object id that is not a string; an object with a key other
+    than id, x, y, speed, heading, cx, cy, depth and behavior; a number that
+    is not an int or float; or an unknown behavior raises ValueError, as
+    does a record whose structure does not hold (see _check_record)."""
     raw = json.loads(line)
+    for key, kind in _FIELD_TYPES.items():
+        if type(raw[key]) is not kind:
+            raise ValueError(f"{key} must be {kind.__name__}, "
+                             f"got {type(raw[key]).__name__}")
     env = EnvironmentProfile(**raw["environment"])
     frames = [list(map(_object_row, frame)) for frame in raw["objects"]]
     flat = list(chain.from_iterable(raw["objects"]))
     if set(map(len, flat)) - {len(_OBJECT_KEYS)}:
         raise ValueError(f"object keys must be exactly {', '.join(_OBJECT_KEYS)}")
+    texts = chain(vars(env).values(), raw["scene_labels"], map(_object_id, flat))
+    if set(map(type, texts)) - {str}:
+        raise ValueError("environment values, scene labels and object ids "
+                         "must be strings")
     types = set(map(type, chain.from_iterable(map(_object_numbers, flat))))
     if not types <= {int, float}:
         raise ValueError(f"object {', '.join(STATE_COLUMNS)} must be int or float, "
                          f"got {min(t.__name__ for t in types - {int, float})}")
-    rec = ScenarioRecord(
-        id=raw["id"],
-        positive=bool(raw["positive"]),
-        fps=int(raw["fps"]),
-        frames=int(raw["frames"]),
-        accident_frame=raw["accident_frame"],
-        environment=env,
-        scene_labels=list(raw["scene_labels"]),
-        **object_columns(frames),
-    )
+    rec = ScenarioRecord(raw["id"], raw["positive"], raw["fps"], raw["frames"],
+                         raw["accident_frame"], env, raw["scene_labels"],
+                         **object_columns(frames))
     _check_record(rec)
     return rec
 

@@ -36,8 +36,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be a finite number >= 0, "
+                             f"got {self.learning_rate!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs >= 0, batch_size >= 1")
 

@@ -354,6 +354,18 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
+def test_checkpoint_rejects_non_finite_tensors(tmp_path):
+    path = os.path.join(tmp_path, "bad.bin")
+    for value in (np.nan, np.inf, -np.inf):
+        save_checkpoint(path, {"w": np.ones(3), "b": np.array([0.0, value])})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: tensor 'b' holds a non-finite value")):
+            load_checkpoint(path)
+        # a tensor its caller checks itself loads as stored
+        loaded = load_checkpoint(path, exempt=("b",))
+        assert loaded["b"][1] == value or np.isnan(loaded["b"][1])
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = os.path.join(tmp_path, "junk.bin")
     with open(path, "wb") as fh:

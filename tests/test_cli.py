@@ -424,6 +424,18 @@ def test_train_divergence_exits_3(work, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+def test_train_non_finite_or_negative_learning_rate_exits_2(work, tmp_path, capsys, rate):
+    _, data, _ = work
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--epochs", "1", "--seed", "1",
+                 "--out", str(tmp_path / "x.bin"), "--feature-dim", "8",
+                 "--max-objects", "4", "--learning-rate", rate])
+    assert code == 2
+    assert "--learning-rate must be a finite number >= 0" in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_validation_rows_logged(work, tmp_path):
     _, data, _ = work
     out = tmp_path / "v.bin"
@@ -674,6 +686,17 @@ _RECORD_EDITS = {
     "negative-with-accident": ("negative", lambda r: r.update(accident_frame=10)),
     "fps-differs": ("negative", lambda r: r.update(fps=r["fps"] * 2)),
     "frames-differ": ("negative", _drop_last_frame),
+    "object-id-int": ("negative", lambda r: _first_object(r).update(id=7)),
+    "record-id-list": ("negative", lambda r: r.update(id=[r["id"]])),
+    "scene-label-int": ("negative", lambda r: r["scene_labels"].__setitem__(0, 3)),
+    "environment-int": ("negative", lambda r: r["environment"].update(weather=1)),
+    "fps-float": ("negative", lambda r: r.update(fps=10.9)),
+    "fps-bool": ("negative", lambda r: r.update(fps=True)),
+    "frames-float": ("negative", lambda r: r.update(frames=float(r["frames"]))),
+    "positive-string": ("positive", lambda r: r.update(positive="false")),
+    "positive-accident-bool": ("positive", lambda r: r.update(accident_frame=True)),
+    "positive-accident-float": ("positive",
+                                lambda r: r.update(accident_frame=float(r["accident_frame"]))),
 }
 
 
@@ -767,20 +790,54 @@ def test_eval_truncated_checkpoint_exits_3(work, tmp_path, capsys, cut):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "resume"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_checkpoint_exits_3(work, tmp_path, capsys, command, value):
+    prev = _resumable(work, tmp_path, "prev.bin")
+    state = ad.load_checkpoint(str(prev))
+    state["head.b2"].flat[0] = value
+    ad.save_checkpoint(str(prev), state)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    if command == "eval":
+        code = main(["eval", "--data", str(work[1]), "--checkpoint", str(prev),
+                     "--out", str(tmp_path / "r.json")])
+    else:
+        code = main(_resume_args(work[1], prev, tmp_path / "x.bin"))
+    assert code == 3
+    err = _one_error_line(capsys)
+    assert f"{prev}: tensor 'head.b2' holds a non-finite value" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 # ---------------------------------------------------------------------------
 # entry point
+
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports the same
+    crashcast as this process, installed or not."""
+    src = str(Path(crashcast.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs about a third of a second to import; the CLI needs none of it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, crashcast.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 @pytest.mark.parametrize("module", ["crashcast", "crashcast.cli"])
 def test_module_invocation_subprocess(tmp_path, module):
     out = tmp_path / "d.jsonl"
-    # the child imports the same crashcast as this process, installed or not
-    src = str(Path(crashcast.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", module, "gen-data", "--count", "2",
          "--positive-ratio", "0.5", "--seed", "1", "--out", str(out)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "wrote 2 scenarios" in proc.stdout
     assert len(read_dataset(out)) == 2

@@ -15,7 +15,6 @@ from crashcast.scenario import (
     EgoCamera,
     EnvironmentProfile,
     RoleSpec,
-    behavior_label,
     generate_one,
     preset_graph,
     read_dataset,
@@ -28,6 +27,7 @@ from crashcast.scenario import (
 from crashcast.scenario import generate
 from crashcast.scenario.generate import (
     COLLISION_THRESHOLD,
+    DT,
     GEN_FRAMES,
     MAX_VISIBLE,
     SAFETY_RADIUS,
@@ -39,6 +39,7 @@ from crashcast.scenario.generate import (
     _build_positive,
     _sample_ego_route,
 )
+from crashcast.scenario.records import BEHAVIOR_WINDOW, behavior_codes
 from crashcast.util import stream_rng
 
 CAM = EgoCamera()
@@ -50,26 +51,44 @@ def _frame(rec, t):
 
 
 def test_camera_on_axis_object():
-    got = CAM.project((0.0, 0.0), 0.0, (10.0, 0.0))
-    assert got is not None
-    cx, cy, depth = got
+    cx, cy, depth, visible = CAM.project((0.0, 0.0), 0.0, (10.0, 0.0))
+    assert visible
     assert cx == pytest.approx(CAM.width / 2)
     assert depth == pytest.approx(10.0)
 
 
 def test_camera_rejects_behind_and_wide():
-    assert CAM.project((0.0, 0.0), 0.0, (-5.0, 0.0)) is None
+    assert not CAM.project((0.0, 0.0), 0.0, (-5.0, 0.0))[3]
     # bearing 45 degrees with a 30 degree half-FOV
-    assert CAM.project((0.0, 0.0), 0.0, (10.0, 10.0)) is None
+    assert not CAM.project((0.0, 0.0), 0.0, (10.0, 10.0))[3]
+    # beside the camera (forward exactly 0) and NaN points: hidden, no warning
+    assert not CAM.project((0.0, 0.0), 0.0, (0.0, 3.0))[3]
+    assert not CAM.project((0.0, 0.0), 0.0, (math.nan, math.nan))[3]
 
 
 def test_camera_fov_boundary_maps_to_image_edge():
     # exactly on the half-FOV ray: still visible, lands on the image edge
     left = CAM.project((0.0, 0.0), 0.0, (10.0, 10.0 * math.tan(CAM.half_fov)))
     right = CAM.project((0.0, 0.0), 0.0, (10.0, -10.0 * math.tan(CAM.half_fov)))
-    assert left is not None and right is not None
+    assert left[3] and right[3]
     assert left[0] == pytest.approx(0.0, abs=1e-9)
     assert right[0] == pytest.approx(CAM.width, abs=1e-9)
+
+
+def test_camera_projects_elementwise():
+    # the scalar cases above, as one (2, 4) batch of points seen from two poses
+    tan = 10.0 * math.tan(CAM.half_fov)
+    points = np.array([[10.0, -5.0, 10.0, 10.0], [0.0, 0.0, 10.0, tan]])
+    for heading in (0.0, 0.7):
+        c, s = math.cos(heading), math.sin(heading)
+        world = np.array([[c, -s], [s, c]]) @ points + np.array([[3.0], [-2.0]])
+        ego = np.array([[3.0], [-2.0]])
+        batch = CAM.project(ego, np.full((1, 4), heading), world[:, None])
+        for i in range(4):
+            one = CAM.project((3.0, -2.0), heading, world[:, i])
+            assert [float(col[0, i]) for col in batch] == pytest.approx(
+                [float(v) for v in one], abs=1e-9, nan_ok=True)
+        assert batch[3][0, :3].tolist() == [True, False, False]
 
 
 def test_camera_unproject_roundtrip():
@@ -81,51 +100,145 @@ def test_camera_unproject_roundtrip():
         dist = rng.uniform(0.5, 120.0)
         world = (pose[0] + dist * math.cos(heading + bearing),
                  pose[1] + dist * math.sin(heading + bearing))
-        cx, _, depth = CAM.project(pose, heading, world)
+        cx, _, depth, visible = CAM.project(pose, heading, world)
+        assert visible
         back = CAM.unproject(pose, heading, cx, depth)
         assert math.hypot(back[0] - world[0], back[1] - world[1]) < 1e-9
         assert CAM.bearing(cx, depth) == pytest.approx(bearing, abs=1e-9)
         assert CAM.camera_distance(cx, depth) == pytest.approx(dist, abs=1e-9)
 
 
-def _window(headings, speeds, dt=0.1):
-    return [(k * dt, 0.0, 0.0, v, h)
-            for k, (h, v) in enumerate(zip(headings, speeds))]
+# --- behaviour rule: behavior_codes against a one-window loop oracle ----------
+
+_TURN, _ACCEL, _STOP = math.radians(10.0), 1.0, 0.05
+
+
+def _wrap_angle(a: float) -> float:
+    """Wrap to (-pi, pi]."""
+    return math.atan2(math.sin(a), math.cos(a))
+
+
+def behavior_label(window) -> str:
+    """Loop oracle: the maneuver label of one window of (t, speed, heading)
+    samples, at least 2 of them. Precedence: stopped, turns (net heading
+    change beyond 10 degrees), lane-change (transient heading excursion that
+    nets out), speed changes beyond 1 m/s^2, else straight."""
+    t0, v0, h0 = window[0]
+    t1, v1, h1 = window[-1]
+    if max(w[1] for w in window) <= _STOP:
+        return "stopped"
+    net_turn = _wrap_angle(h1 - h0)
+    if net_turn >= _TURN:
+        return "left-turn"
+    if net_turn <= -_TURN:
+        return "right-turn"
+    if max(abs(_wrap_angle(w[2] - h0)) for w in window) >= _TURN:
+        return "lane-change"
+    span = t1 - t0
+    if span > 0:
+        accel = (v1 - v0) / span
+        if accel >= _ACCEL:
+            return "accelerating"
+        if accel <= -_ACCEL:
+            return "braking"
+    return "straight"
+
+
+def _oracle_at(speed, heading, present, g, dt=DT) -> str:
+    """The label of frame g from the present samples of its trailing window."""
+    window = [(n * dt, speed[n], heading[n])
+              for n in range(max(0, g - BEHAVIOR_WINDOW + 1), g + 1) if present[n]]
+    return behavior_label(window) if len(window) >= 2 else "straight"
+
+
+def _label(headings, speeds, dt=0.1) -> str:
+    """behavior_codes of the last frame of one track, every sample present."""
+    n = len(speeds)
+    codes = behavior_codes(np.asarray(speeds, float), np.asarray(headings, float),
+                           np.ones(n, bool), dt)
+    assert codes.shape == (n,)
+    label = BEHAVIOR_LABELS[codes[-1]]
+    assert label == _oracle_at(speeds, headings, [True] * n, n - 1, dt)
+    return label
 
 
 def test_behavior_straight():
-    assert behavior_label(_window([0.1] * 5, [8.0] * 5)) == "straight"
+    assert _label([0.1] * 5, [8.0] * 5) == "straight"
 
 
 def test_behavior_stopped():
-    assert behavior_label(_window([0.0] * 5, [0.0] * 5)) == "stopped"
+    assert _label([0.0] * 5, [0.0] * 5) == "stopped"
 
 
 def test_behavior_turns():
     up20 = np.linspace(0.0, math.radians(20.0), 5)
-    assert behavior_label(_window(up20, [8.0] * 5)) == "left-turn"
-    assert behavior_label(_window(-up20, [8.0] * 5)) == "right-turn"
+    assert _label(up20, [8.0] * 5) == "left-turn"
+    assert _label(-up20, [8.0] * 5) == "right-turn"
     # turning wins over the simultaneous speed change
     accel = np.linspace(5.0, 9.0, 5)
-    assert behavior_label(_window(up20, accel)) == "left-turn"
+    assert _label(up20, accel) == "left-turn"
 
 
 def test_behavior_lane_change():
     excursion = [0.0, math.radians(15.0), math.radians(15.0), 0.0, 0.0]
-    assert behavior_label(_window(excursion, [8.0] * 5)) == "lane-change"
+    assert _label(excursion, [8.0] * 5) == "lane-change"
 
 
 def test_behavior_speed_changes():
-    assert behavior_label(_window([0.0] * 5, np.linspace(5.0, 5.6, 5))) == "accelerating"
-    assert behavior_label(_window([0.0] * 5, np.linspace(5.6, 5.0, 5))) == "braking"
+    assert _label([0.0] * 5, np.linspace(5.0, 5.6, 5)) == "accelerating"
+    assert _label([0.0] * 5, np.linspace(5.6, 5.0, 5)) == "braking"
     # threshold is 1 m/s^2 over the window span
-    assert behavior_label(_window([0.0] * 5, np.linspace(5.0, 5.4, 5))) == "accelerating"
-    assert behavior_label(_window([0.0] * 5, np.linspace(5.0, 5.39, 5))) == "straight"
+    assert _label([0.0] * 5, np.linspace(5.0, 5.4, 5)) == "accelerating"
+    assert _label([0.0] * 5, np.linspace(5.0, 5.39, 5)) == "straight"
 
 
 def test_behavior_needs_two_samples():
-    with pytest.raises(ValueError):
-        behavior_label(_window([0.0], [5.0]))
+    # one sample reads straight, even for a stopped or turning track
+    assert _label([0.0], [0.0]) == "straight"
+    codes = behavior_codes(np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0]),
+                           np.array([True, False, False, False]), 0.1)
+    assert [BEHAVIOR_LABELS[c] for c in codes] == ["straight"] * 4
+
+
+def test_behavior_window_is_trailing_and_skips_absent_frames():
+    # a turn ahead of the window is forgotten; absent frames are left out
+    heading = np.array([0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
+    present = np.array([True, True, True, True, False, True, True])
+    codes = behavior_codes(np.full(7, 8.0), heading, present, 0.1)
+    want = [_oracle_at(np.full(7, 8.0), heading, present, g, 0.1) for g in range(7)]
+    assert [BEHAVIOR_LABELS[c] for c in codes] == want
+    assert want[1] == "left-turn" and want[-1] == "straight"
+
+
+def test_behavior_codes_match_oracle_on_generated_tracks(monkeypatch):
+    """Every present frame of every track behind 100 generated scenarios,
+    ego included, labelled per track equals the one-window oracle."""
+    seen = []
+    assemble = generate._assemble
+
+    def spy(rec_id, positive, env, tracks, ego, accident_gen_frame):
+        seen.append(list(tracks) + [ego])
+        return assemble(rec_id, positive, env, tracks, ego, accident_gen_frame)
+
+    monkeypatch.setattr(generate, "_assemble", spy)
+    for i in range(100):
+        generate_one(71, i, 100, 0.5)
+    tracks = [tr for group in seen for tr in group]
+    assert sum(not tr.present[0] and tr.present.any() for tr in tracks) > 100  # enter late
+    checked = set()
+    for tr in tracks:
+        codes = behavior_codes(tr.speed, tr.heading, tr.present, DT)
+        for g in np.flatnonzero(tr.present):
+            want = _oracle_at(tr.speed, tr.heading, tr.present, g)
+            assert BEHAVIOR_LABELS[codes[g]] == want, (tr.id, g)
+            checked.add(want)
+    # a stacked (K, G) call gives the per-track rows
+    some = tracks[:50]
+    stacked = behavior_codes(*(np.array([getattr(tr, k) for tr in some])
+                               for k in ("speed", "heading", "present")), DT)
+    assert all((row == behavior_codes(tr.speed, tr.heading, tr.present, DT)).all()
+               for row, tr in zip(stacked, some))
+    assert {"straight", "stopped", "left-turn", "right-turn"} <= checked
 
 
 def test_scene_label_density_buckets():

@@ -374,8 +374,9 @@ def test_train_emits_validation_rows():
 def test_train_config_validation():
     assert [f.name for f in dataclasses.fields(TrainConfig)] == [
         "learning_rate", "epochs", "batch_size", "seed"]
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1.0)
+    for rate in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate must be a finite number"):
+            TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
 
