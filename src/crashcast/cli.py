@@ -543,6 +543,9 @@ def _run_eval(cfg: dict) -> int:
         raise ConfigError(f"--threshold must lie in [0, 1], got {threshold}")
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
+    for name, path in (("--out", out), ("the manifest", out + ".manifest.json")):
+        if os.path.realpath(curves_path) == os.path.realpath(path):
+            raise ConfigError(f"--curves {curves_path} is the same file as {name}")
     _refuse_overwrite([out, curves_path], cfg["force"])
 
     if not os.path.isfile(ckpt):

@@ -32,12 +32,11 @@ from ..trafficgen import (
     ArrivalConfig,
     DeconflictError,
     ODSamplingError,
-    RouteGeometry,
-    TimeMapping,
+    RoutePath,
     TripSpec,
     build_trips,
     deconflict,
-    min_same_time_distance,
+    same_time_gaps,
     sample_departures,
     sample_od,
     sample_trajectory,
@@ -76,6 +75,7 @@ MAX_VISIBLE = 19  # objects stored per frame, nearest first
 ARRIVAL_VEHICLES = 3.0  # mean background vehicles per arrival period
 ARRIVAL_PERIOD = 6.0
 MAX_ATTEMPTS = 20  # seeded retries per scenario
+EGO_ROUTE_TRIES = 50  # OD draws for a negative's ego route
 CAMERA = EgoCamera()
 
 DT = 1.0 / FPS
@@ -150,23 +150,19 @@ class GenMeta:
     participant_ids: tuple[str, ...] = ()
 
 
-def _route_cum_arcs(graph: RoadGraph, edge_ids) -> np.ndarray:
-    arcs = [0.0]
-    for eid in edge_ids:
-        arcs.append(arcs[-1] + graph.edges[eid].length)
-    return np.asarray(arcs)
+def _stack_xy(tracks: list[Track], n_grid: int) -> np.ndarray:
+    """(K, G, 2) positions of the tracks, (0, G, 2) for none."""
+    return np.array([tr.xy for tr in tracks]).reshape(-1, n_grid, 2)
 
 
-def _node_arc(graph: RoadGraph, edge_ids, node_id: str) -> float:
+def _node_arc(graph: RoadGraph, path: RoutePath, node_id: str) -> float:
     """Arc position of a node's first occurrence along a route."""
-    if graph.edges[edge_ids[0]].source == node_id:
+    if graph.edges[path.edges[0]].source == node_id:
         return 0.0
-    s = 0.0
-    for eid in edge_ids:
-        s += graph.edges[eid].length
+    for k, eid in enumerate(path.edges):
         if graph.edges[eid].target == node_id:
-            return s
-    raise KeyError(f"node {node_id!r} not on route {tuple(edge_ids)!r}")
+            return float(path.ends[k + 1])
+    raise KeyError(f"node {node_id!r} not on route {path.edges!r}")
 
 
 def _interior_nodes(graph: RoadGraph, route: Route) -> tuple[str, ...]:
@@ -184,27 +180,22 @@ def _collision_node(graph: RoadGraph, a: Route, b: Route) -> str:
         "so their trajectories cannot intersect")
 
 
-def _trip_track(graph: RoadGraph, trip: TripSpec, grid: np.ndarray,
+def _trip_track(path: RoutePath, depart: float, grid: np.ndarray,
                 track_id: str) -> Track:
     """Sample a route-following trip (per-edge speeds) on the grid."""
-    mapping = TimeMapping(graph, trip.route, trip.depart)
-    geom = RouteGeometry(graph, trip.route.edges)
-    present = (grid >= trip.depart - 1e-9) & (grid <= trip.depart + mapping.duration + 1e-9)
+    present = (grid >= depart - 1e-9) & (grid <= depart + path.duration + 1e-9)
     xy = np.full((len(grid), 2), np.nan)
     speed = np.zeros(len(grid))
     heading = np.zeros(len(grid))
     if present.any():
-        arcs = np.asarray(mapping.arc_at(grid[present]))
-        xy[present] = geom.point_at(arcs)
-        heading[present] = geom.heading_at(arcs)
-        cum = _route_cum_arcs(graph, trip.route.edges)
-        idx = np.clip(np.searchsorted(cum, arcs, side="right") - 1, 0, len(cum) - 2)
-        edge_speeds = np.asarray([graph.edges[e].speed for e in trip.route.edges])
-        speed[present] = edge_speeds[idx]
+        arcs = path.arc_at(grid[present] - depart)
+        xy[present] = path.point_at(arcs)
+        heading[present] = path.heading_at(arcs)
+        speed[present] = path.speed_at(arcs)
     return Track(track_id, xy, speed, heading)
 
 
-def _anchored_track(geom: RouteGeometry, track_id: str, anchor: float,
+def _anchored_track(path: RoutePath, track_id: str, anchor: float,
                     speed: float, t_anchor: float, grid: np.ndarray, *,
                     freeze: bool = False, max_arc: float | None = None) -> Track:
     """Constant-speed mover pinned to arc `anchor` at time `t_anchor`.
@@ -218,23 +209,24 @@ def _anchored_track(geom: RouteGeometry, track_id: str, anchor: float,
     if freeze:
         frozen = grid >= t_anchor - 1e-9
         s_raw = np.where(frozen, anchor, s_raw)
-    hi = geom.length if max_arc is None else max_arc
+    hi = path.length if max_arc is None else max_arc
     s = np.clip(s_raw, 0.0, hi)
     moving = ~frozen & (s_raw > 0.0) & (s_raw < hi)
     spd = np.where(moving, speed, 0.0)
-    return Track(track_id, geom.point_at(s), spd, geom.heading_at(s))
+    return Track(track_id, path.point_at(s), spd, path.heading_at(s))
 
 
 def _pad_spot(obstacles: list[Track], ego: Track, g: int) -> np.ndarray:
     """The first roadside spot ahead of the ego pose at frame g, offset
     laterally past the safety radius, that clears every obstacle."""
     hx, hy = math.cos(ego.heading[g]), math.sin(ego.heading[g])
+    xy = _stack_xy(obstacles, len(ego.xy))
     for forward in _PAD_FORWARD:
         for lateral in (_PAD_LATERAL, -_PAD_LATERAL):
             p = np.array([ego.xy[g, 0] + forward * hx - lateral * hy,
                           ego.xy[g, 1] + forward * hy + lateral * hx])
-            if all(float(np.sqrt(((tr.xy[tr.present] - p) ** 2).sum(axis=1)).min())
-                   >= _PAD_CLEARANCE for tr in obstacles if tr.present.any()):
+            spot = np.broadcast_to(p, (1, len(ego.xy), 2))
+            if (same_time_gaps(xy, spot) >= _PAD_CLEARANCE).all():
                 return p
     raise GenerationError(f"no parked-object slot clears traffic near frame {g}")
 
@@ -256,7 +248,7 @@ def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
         return CAMERA.project(ego.xy[stored].T, ego.heading[stored],
                               xy[:, stored].transpose(2, 0, 1))
 
-    views = [view(np.array([tr.xy for tr in tracks]).reshape(-1, n_grid, 2))]
+    views = [view(_stack_xy(tracks, n_grid))]
     shown = views[0][3].any(axis=0)
     for k in range(STORED_FRAMES):
         if shown.all():
@@ -303,20 +295,21 @@ def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
 def _background_tracks(graph: RoadGraph, terminals: TerminalSets,
                        rng: np.random.Generator, grid: np.ndarray,
                        extra_trips: list[TripSpec] | None = None) -> list[Track]:
-    """Poisson traffic, deconflicted. The spacing pass works on chord-
-    interpolated trajectories, so it runs with a padded radius; the exact
-    per-frame spacing is re-checked by callers on the sampled tracks."""
+    """Poisson traffic, deconflicted. Each trip's `RoutePath` is built once,
+    keyed by vehicle, and serves both the chord-interpolated trajectory the
+    spacing pass works on and the track sampled on the grid. The spacing
+    pass runs with a padded radius; the exact per-frame spacing is
+    re-checked by callers on the sampled tracks."""
     arrivals = ArrivalConfig(ARRIVAL_VEHICLES, ARRIVAL_PERIOD, HORIZON)
     departures = sample_departures(arrivals, rng)
     trips = build_trips(graph, terminals, departures, rng)
     if extra_trips:
         trips = extra_trips + trips
-    trajs = [sample_trajectory(RouteGeometry(graph, t.route.edges),
-                               TimeMapping(graph, t.route, t.depart),
-                               t.vehicle, DT)
-             for t in trips]
+    paths = {t.vehicle: RoutePath(graph, t.route.edges) for t in trips}
+    trajs = [sample_trajectory(paths[t.vehicle], t.depart, DT) for t in trips]
     placed = deconflict(trips, trajs, SAFETY_RADIUS + 0.5, DT, HORIZON)
-    return [_trip_track(graph, t, grid, f"car{t.vehicle}") for t in placed]
+    return [_trip_track(paths[t.vehicle], t.depart, grid, f"car{t.vehicle}")
+            for t in placed]
 
 
 def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
@@ -334,8 +327,8 @@ def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
     ego_involved = template.ego_role is not None and rng.random() < 0.5
 
     grid = np.arange(GEN_FRAMES) * DT
-    geoms = [RouteGeometry(graph, rt.edges) for rt in role_routes]
-    anchors = [_node_arc(graph, rt.edges, node) for rt in role_routes]
+    paths = [RoutePath(graph, rt.edges) for rt in role_routes]
+    anchors = [_node_arc(graph, path, node) for path in paths]
     if role_routes[0].edges == role_routes[1].edges:
         # same-lane pair: trail the second role so it strikes from behind
         anchors[1] -= _COLLISION_GAP
@@ -345,16 +338,16 @@ def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
         if ego_involved and r == template.ego_role:
             continue
         participants.append(_anchored_track(
-            geoms[r], f"agent{r}", anchors[r], speeds[r], t_c, grid, freeze=True))
+            paths[r], f"agent{r}", anchors[r], speeds[r], t_c, grid, freeze=True))
 
     if ego_involved:
         r = template.ego_role
-        ego = _anchored_track(geoms[r], "ego", anchors[r], speeds[r], t_c, grid,
+        ego = _anchored_track(paths[r], "ego", anchors[r], speeds[r], t_c, grid,
                               freeze=True)
     else:
         od = template.observer_ods[int(rng.integers(len(template.observer_ods)))]
         ego_route = shortest_path(graph, *od)
-        ego_geom = RouteGeometry(graph, ego_route.edges)
+        ego_path = RoutePath(graph, ego_route.edges)
         shared = [r for r in range(2) if role_routes[r].edges == ego_route.edges]
         if shared:
             # ego trails a same-lane participant at matched speed so nobody
@@ -363,17 +356,16 @@ def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
             v_ego, base = speeds[r], anchors[r]
         else:
             v_ego = float(rng.uniform(6.0, 12.0))
-            base = _node_arc(graph, ego_route.edges, node)
-        ego = _anchored_track(ego_geom, "ego", base - d_view, v_ego, t_c, grid,
+            base = _node_arc(graph, ego_path, node)
+        ego = _anchored_track(ego_path, "ego", base - d_view, v_ego, t_c, grid,
                               max_arc=base - _EGO_STOP_GAP)
 
     terminals = classify_terminals(graph)
     bg = _background_tracks(graph, terminals, rng, grid)
-    keep = [tr for tr in bg
-            if all(min_same_time_distance(tr.xy, other.xy) >= SAFETY_RADIUS
-                   for other in participants + [ego])]
-
-    tracks = participants + keep
+    clear = (same_time_gaps(_stack_xy(bg, len(grid)),
+                            _stack_xy(participants + [ego], len(grid)))
+             >= SAFETY_RADIUS).all(axis=1)
+    tracks = participants + [tr for tr, ok in zip(bg, clear) if ok]
 
     crash_points = [tr.xy[g_c] for tr in participants]
     if ego_involved:
@@ -393,12 +385,11 @@ def _build_negative(graph: RoadGraph, terminals: TerminalSets,
                     ego_route: Route, rng: np.random.Generator, rec_id: str
                     ) -> tuple[ScenarioRecord, GenMeta]:
     env = sample_environment(DEFAULT_ENV_DISTS, rng)
-    mapping = TimeMapping(graph, ego_route, 0.0)
-    if mapping.duration < HORIZON:
+    if ego_route.cost < HORIZON:
         raise GenerationError(
-            f"ego route lasts {mapping.duration:.2f} s, shorter than the "
+            f"ego route lasts {ego_route.cost:.2f} s, shorter than the "
             f"{HORIZON:.2f} s window")
-    ego_trip = TripSpec(-1, ego_route.edges[0], ego_route.edges[-1], 0.0, ego_route)
+    ego_trip = TripSpec(-1, 0.0, ego_route)
     grid = np.arange(GEN_FRAMES) * DT
     placed = _background_tracks(graph, terminals, rng, grid,
                                 extra_trips=[ego_trip])
@@ -407,12 +398,12 @@ def _build_negative(graph: RoadGraph, terminals: TerminalSets,
     tracks = [tr for tr in placed if tr.id != "car-1"]
 
     movers = tracks + [ego]
-    for i in range(len(movers)):
-        for j in range(i + 1, len(movers)):
-            if min_same_time_distance(movers[i].xy, movers[j].xy) < SAFETY_RADIUS:
-                raise GenerationError(
-                    f"{movers[i].id} and {movers[j].id} violate the safety "
-                    "radius on the frame grid")
+    xy = _stack_xy(movers, len(grid))
+    close = np.argwhere(np.triu(same_time_gaps(xy, xy) < SAFETY_RADIUS, 1))
+    if len(close):
+        i, j = close[0]  # the first pair i < j in row order
+        raise GenerationError(f"{movers[i].id} and {movers[j].id} violate the "
+                              "safety radius on the frame grid")
 
     record = _assemble(rec_id, False, env, tracks, ego, None)
     meta = GenMeta(ego_xy=ego.xy, ego_heading=ego.heading,
@@ -553,12 +544,13 @@ _PRESET_CYCLE = ("straight", "intersection", "t_junction", "multilane")
 
 
 def _sample_ego_route(graph: RoadGraph, terminals: TerminalSets,
-                      rng: np.random.Generator, tries: int = 50) -> Route:
-    for _ in range(tries):
+                      rng: np.random.Generator) -> Route:
+    for _ in range(EGO_ROUTE_TRIES):
         _, _, route = sample_od(graph, terminals, rng)
         if route.cost >= HORIZON:
             return route
-    raise GenerationError(f"no ego route spanning {HORIZON} s in {tries} draws")
+    raise GenerationError(
+        f"no ego route spanning {HORIZON} s in {EGO_ROUTE_TRIES} draws")
 
 
 def generate_one(seed: int, index: int, count: int, positive_ratio: float,

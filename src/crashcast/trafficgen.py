@@ -1,15 +1,17 @@
 """Background traffic: Poisson departures, OD trips, and trajectory math.
 
-Vehicles follow route centerlines at per-edge free-flow speeds. The time
-mapping between arc position and clock time is piecewise linear (constant
-speed per edge), so both directions are evaluated exactly with linear
-interpolation over the per-edge breakpoints.
+Vehicles follow route centerlines at per-edge free-flow speeds. A trip's
+`RoutePath` holds its centerline and its clock: the mapping between arc
+position and time is piecewise linear (constant speed per edge), so both
+directions are evaluated exactly with linear interpolation over the edge
+ends. Spacing between vehicles is one function, `same_time_gaps`, over
+stacked position tracks on a shared time grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,8 +46,6 @@ class ArrivalConfig:
 @dataclass(frozen=True)
 class TripSpec:
     vehicle: int
-    source_edge: str
-    target_edge: str
     depart: float
     route: Route
 
@@ -54,8 +54,6 @@ class TripSpec:
 class Trajectory:
     """Samples (x_n, y_n, t_n) at t_n = depart + n * dt for n = 1..N."""
 
-    vehicle: int
-    dt: float
     xy: np.ndarray  # (N, 2)
     t: np.ndarray  # (N,)
 
@@ -96,59 +94,30 @@ def build_trips(graph: RoadGraph, terminals: TerminalSets, departures: list[floa
     """One trip per departure time, numbered in departure order."""
     trips = []
     for k, depart in enumerate(sorted(departures)):
-        src, dst, route = sample_od(graph, terminals, rng)
-        trips.append(TripSpec(k, src, dst, depart, route))
+        _, _, route = sample_od(graph, terminals, rng)
+        trips.append(TripSpec(k, depart, route))
     return trips
 
 
-class TimeMapping:
-    """Bijection between arc position s on a route and clock time.
+class RoutePath:
+    """One route's centerline and clock, both indexed by arc length.
 
-    t(s) = depart + integral of 1/v over [0, s] with piecewise-constant
-    per-edge speeds; strictly increasing because speeds are positive.
-    """
-
-    def __init__(self, graph: RoadGraph, route: Route, depart: float):
-        arcs = [0.0]
-        times = [0.0]
-        for eid in route.edges:
-            e = graph.edges[eid]
-            arcs.append(arcs[-1] + e.length)
-            times.append(times[-1] + e.travel_time)
-        self.depart = depart
-        self._arcs = np.asarray(arcs)
-        self._times = np.asarray(times)
-
-    @property
-    def duration(self) -> float:
-        return float(self._times[-1])
-
-    @property
-    def length(self) -> float:
-        return float(self._arcs[-1])
-
-    def time_at(self, s):
-        """Clock time at arc position(s); clamps outside [0, length]."""
-        return self.depart + np.interp(s, self._arcs, self._times)
-
-    def arc_at(self, t):
-        """Arc position at clock time(s); clamps outside the travel window."""
-        return np.interp(np.asarray(t, dtype=float) - self.depart, self._times, self._arcs)
-
-
-class RouteGeometry:
-    """Concatenated centerline of a route, indexed by arc length.
-
-    Per-edge polylines are rescaled so each edge spans exactly its declared
-    length, keeping geometry consistent with the time mapping.
+    The edge ends carry cumulative arc lengths and travel times, so the time
+    mapping is piecewise linear (constant speed per edge) and strictly
+    increasing. Each edge's polyline is rescaled to span exactly its
+    declared length, keeping the geometry consistent with the clock. Times
+    are seconds since departure.
     """
 
     def __init__(self, graph: RoadGraph, edge_ids):
+        self.edges = tuple(edge_ids)
+        ends = [0.0]
+        times = [0.0]
+        speeds = []
         arcs = [0.0]
         xs = []
         ys = []
-        base = 0.0
-        for eid in edge_ids:
+        for eid in self.edges:
             e = graph.edges[eid]
             pts = np.asarray(e.shape)
             seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
@@ -156,23 +125,37 @@ class RouteGeometry:
             if local[-1] <= 0:
                 raise ValueError(f"edge {eid!r} has zero-length centerline")
             local *= e.length / local[-1]
-            if xs:
-                # drop the duplicated junction vertex
-                xs.extend(pts[1:, 0])
-                ys.extend(pts[1:, 1])
-                arcs.extend(base + local[1:])
-            else:
-                xs.extend(pts[:, 0])
-                ys.extend(pts[:, 1])
-                arcs.extend(base + local[1:])
-            base += e.length
+            # after the first edge, drop the duplicated junction vertex
+            first = 1 if xs else 0
+            xs.extend(pts[first:, 0])
+            ys.extend(pts[first:, 1])
+            arcs.extend(ends[-1] + local[1:])
+            ends.append(ends[-1] + e.length)
+            times.append(times[-1] + e.travel_time)
+            speeds.append(e.speed)
+        self.ends = np.asarray(ends)  # arc length at each edge end
+        self._times = np.asarray(times)
+        self._speeds = np.asarray(speeds)
         self._arcs = np.asarray(arcs)
         self._x = np.asarray(xs)
         self._y = np.asarray(ys)
 
     @property
+    def duration(self) -> float:
+        return float(self._times[-1])
+
+    @property
     def length(self) -> float:
+        """End of the rescaled polyline, which can sit an ulp off ends[-1]."""
         return float(self._arcs[-1])
+
+    def time_at(self, s):
+        """Time since departure at arc position(s); clamps outside [0, length]."""
+        return np.interp(s, self.ends, self._times)
+
+    def arc_at(self, t):
+        """Arc position at time(s) since departure; clamps outside [0, duration]."""
+        return np.interp(t, self._times, self.ends)
 
     def point_at(self, s):
         s = np.asarray(s, dtype=float)
@@ -188,16 +171,20 @@ class RouteGeometry:
         dy = self._y[idx + 1] - self._y[idx]
         return np.arctan2(dy, dx)
 
+    def speed_at(self, s) -> np.ndarray:
+        """Free-flow speed of the edge containing s."""
+        idx = np.clip(np.searchsorted(self.ends, s, side="right") - 1, 0,
+                      len(self.ends) - 2)
+        return self._speeds[idx]
 
-def sample_trajectory(geometry: RouteGeometry, mapping: TimeMapping, vehicle: int,
-                      dt: float) -> Trajectory:
+
+def sample_trajectory(path: RoutePath, depart: float, dt: float) -> Trajectory:
     """Positions at uniform clock ticks depart + n*dt, n = 1..floor(T/dt)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n = int(math.floor(mapping.duration / dt))
-    ticks = mapping.depart + dt * np.arange(1, n + 1)
-    arcs = mapping.arc_at(ticks)
-    return Trajectory(vehicle, dt, geometry.point_at(arcs), ticks)
+    n = int(math.floor(path.duration / dt))
+    ticks = depart + dt * np.arange(1, n + 1)
+    return Trajectory(path.point_at(path.arc_at(ticks - depart)), ticks)
 
 
 def _positions_on_grid(traj: Trajectory, delay: float, grid: np.ndarray) -> np.ndarray:
@@ -228,36 +215,27 @@ def deconflict(trips: list[TripSpec], trajectories: list[Trajectory],
         raise ValueError("need one trajectory per trip")
     order = sorted(range(len(trips)), key=lambda i: (trips[i].depart, trips[i].vehicle))
     grid = np.arange(0.0, horizon + dt / 2, dt)
-    placed: list[np.ndarray] = []
+    placed = np.empty((len(trips), len(grid), 2))
     delays = [0.0] * len(trips)
     for rank, i in enumerate(order):
-        if rank == 0:
-            placed.append(_positions_on_grid(trajectories[i], 0.0, grid))
-            continue
-        ok = False
         for step in range(max_delay_steps + 1):
-            delay = step * dt
-            pos = _positions_on_grid(trajectories[i], delay, grid)
-            if all(min_same_time_distance(pos, other) >= safety_radius
-                   for other in placed):
-                delays[i] = delay
-                placed.append(pos)
-                ok = True
+            pos = _positions_on_grid(trajectories[i], step * dt, grid)
+            if (same_time_gaps(pos[None], placed[:rank]) >= safety_radius).all():
+                delays[i] = step * dt
+                placed[rank] = pos
                 break
-        if not ok:
+        else:
             raise DeconflictError(
                 f"vehicle {trips[i].vehicle} cannot be spaced >= {safety_radius} m "
                 f"within {max_delay_steps} delay steps")
-    out = [TripSpec(t.vehicle, t.source_edge, t.target_edge, t.depart + delays[i], t.route)
-           for i, t in enumerate(trips)]
+    out = [replace(t, depart=t.depart + delays[i]) for i, t in enumerate(trips)]
     return sorted(out, key=lambda t: (t.depart, t.vehicle))
 
 
-def min_same_time_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest distance between two (G, 2) position arrays over the grid
-    times where both are present (not NaN); inf when there are none."""
-    both = ~(np.isnan(a[:, 0]) | np.isnan(b[:, 0]))
-    if not both.any():
-        return math.inf
-    d = a[both] - b[both]
-    return float(np.sqrt((d * d).sum(axis=1)).min())
+def same_time_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(P, Q) smallest distances between the (P, G, 2) and (Q, G, 2)
+    position tracks over the grid times where both are present (not NaN);
+    inf where a pair is never present together."""
+    d = a[:, None] - b[None]
+    dist = np.sqrt((d * d).sum(axis=-1))
+    return np.where(np.isnan(dist), math.inf, dist).min(axis=-1, initial=math.inf)

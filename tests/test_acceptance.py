@@ -31,8 +31,7 @@ from crashcast.scenario import generate_dataset, generate_one, validate_scenario
 from crashcast.scenario.generate import CAMERA, SAFETY_RADIUS
 from crashcast.trafficgen import (
     ArrivalConfig,
-    RouteGeometry,
-    TimeMapping,
+    RoutePath,
     sample_departures,
     sample_trajectory,
 )
@@ -167,18 +166,13 @@ def test_criterion_03_time_mapping_inversion_and_sample_count():
         edges = [(f"e{i}", f"n{i}", f"n{i + 1}", float(rng.uniform(20, 120)),
                   float(rng.uniform(3, 25))) for i in range(n_edges)]
         g = build_graph(nodes, edges)
-        from crashcast.roadnet import Route, path_length
-        ids = tuple(e[0] for e in edges)
-        route = Route(ids, sum(g.edges[e].travel_time for e in ids),
-                      path_length(g, ids))
+        path = RoutePath(g, [e[0] for e in edges])
         depart = float(rng.uniform(0, 30))
-        mapping = TimeMapping(g, route, depart)
         dt = float(rng.uniform(0.05, 1.0))
-        traj = sample_trajectory(RouteGeometry(g, ids), mapping,
-                                 vehicle=0, dt=dt)
-        assert len(traj.t) == int(math.floor(mapping.duration / dt))
+        traj = sample_trajectory(path, depart, dt=dt)
+        assert len(traj.t) == int(math.floor(path.duration / dt))
         assert len(traj.xy) == len(traj.t)
-        back = mapping.time_at(mapping.arc_at(traj.t))
+        back = depart + path.time_at(path.arc_at(traj.t - depart))
         if len(traj.t):
             worst = max(worst, float(np.abs(back - traj.t).max()))
     _report(3, "time-mapping inversion and N = floor(T/dt)", worst <= 1e-9,

@@ -534,6 +534,20 @@ def test_eval_threshold_out_of_range_exits_2(work, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("curves", ["r.json", "r.json.manifest.json"])
+def test_eval_curves_on_another_output_exits_2(work, tmp_path, capsys,
+                                              monkeypatch, curves):
+    _, data, ckpt = work
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code = main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "r.json"), "--curves", curves,
+                 "--force"])
+    assert code == 2
+    assert f"--curves {curves} is the same file as" in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_checkpoint_config_mismatch_exits_2(work, tmp_path):
     _, data, ckpt = work
     other = tmp_path / "other.bin"

@@ -8,12 +8,20 @@ platform-pinned (numpy's generators and libm on x86-64 Linux).
 
 import hashlib
 
+import pytest
+
 from crashcast.cli import main
 from crashcast.features import build_features
 from crashcast.scenario import read_dataset
 
-GEN_SHA256 = "dacf4a882dd0e47e2b06f5a844307fabbbca123cc6315e444b74102dc0055f7a"
-FEATURES_SHA256 = "28d6f15ae8e2cbc286bbfa00475ece139523fd31a95676137799b256a8928676"
+# (count, seed, gen-data sha256, features sha256), all at --positive-ratio 0.5.
+# Seed 3 x 40 also reaches a negative's safety-radius rejection and retry.
+GOLDEN = [
+    (8, 7, "dacf4a882dd0e47e2b06f5a844307fabbbca123cc6315e444b74102dc0055f7a",
+     "28d6f15ae8e2cbc286bbfa00475ece139523fd31a95676137799b256a8928676"),
+    (40, 3, "f1387f01ce236074047a8aaace1a3bca9cf55c1114dd0a95134f16d6282c4cd3",
+     "359c536f76decb9d5d7af0d7d6677f76c8bff4d934da24a2a5e1f3c704b0edc2"),
+]
 
 _ARRAYS = ("visual", "text", "mask", "centers", "depths", "labels",
            "accident_frames")
@@ -29,10 +37,13 @@ def _features_digest(batch) -> str:
     return h.hexdigest()
 
 
-def test_gen_data_and_features_match_recorded_digests(tmp_path):
+@pytest.mark.parametrize("count, seed, gen_sha256, features_sha256", GOLDEN,
+                         ids=[f"seed{seed}-{count}" for count, seed, *_ in GOLDEN])
+def test_gen_data_and_features_match_recorded_digests(tmp_path, count, seed,
+                                                      gen_sha256, features_sha256):
     out = tmp_path / "golden.jsonl"
-    assert main(["gen-data", "--count", "8", "--positive-ratio", "0.5",
-                 "--seed", "7", "--jobs", "1", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_SHA256
+    assert main(["gen-data", "--count", str(count), "--positive-ratio", "0.5",
+                 "--seed", str(seed), "--jobs", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == gen_sha256
     batch = build_features(read_dataset(str(out)), 32, 19)
-    assert _features_digest(batch) == FEATURES_SHA256
+    assert _features_digest(batch) == features_sha256

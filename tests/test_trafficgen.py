@@ -9,11 +9,11 @@ from crashcast.trafficgen import (
     ArrivalConfig,
     DeconflictError,
     ODSamplingError,
-    RouteGeometry,
-    TimeMapping,
+    RoutePath,
     TripSpec,
     build_trips,
     deconflict,
+    same_time_gaps,
     sample_departures,
     sample_od,
     sample_trajectory,
@@ -109,35 +109,29 @@ def test_build_trips_orders_by_departure():
     trips = build_trips(g, classify_terminals(g), [4.0, 1.0, 2.5], stream_rng(3))
     assert [t.depart for t in trips] == [1.0, 2.5, 4.0]
     assert [t.vehicle for t in trips] == [0, 1, 2]
-    for t in trips:
-        assert t.route.edges[0] == t.source_edge
-        assert t.route.edges[-1] == t.target_edge
 
 
 def test_time_mapping_hand_values():
     g = two_edge_graph()
-    m = TimeMapping(g, route_for(g, ["e1", "e2"]), depart=0.0)
+    m = RoutePath(g, ["e1", "e2"])
     assert m.duration == pytest.approx(15.0)
     assert m.time_at(200.0) == pytest.approx(15.0)
     assert m.time_at(100.0) == pytest.approx(10.0)
     assert m.arc_at(12.5) == pytest.approx(150.0)  # 50 m into the second edge
+    assert m.speed_at(np.array([0.0, 99.9, 100.0, 200.0])).tolist() == [
+        10.0, 10.0, 20.0, 20.0]
 
 
 def test_trajectory_sample_count_and_position():
     g = build_graph([("a", 0, 0), ("b", 100, 0)], [("e1", "a", "b", 100.0, 10.0)])
-    route = route_for(g, ["e1"])
-    mapping = TimeMapping(g, route, depart=0.0)
-    geom = RouteGeometry(g, route.edges)
-    traj = sample_trajectory(geom, mapping, 0, dt=0.5)
+    traj = sample_trajectory(RoutePath(g, ["e1"]), 0.0, dt=0.5)
     assert len(traj.t) == 20  # floor(10 / 0.5)
     assert traj.t[0] == pytest.approx(0.5)
     assert traj.t[-1] == pytest.approx(10.0)
     assert traj.xy[-1] == pytest.approx([100.0, 0.0])  # route end inclusive
 
-    g2 = two_edge_graph()
-    route2 = route_for(g2, ["e1", "e2"])
-    traj2 = sample_trajectory(RouteGeometry(g2, route2.edges),
-                              TimeMapping(g2, route2, 0.0), 0, dt=12.5)
+    traj2 = sample_trajectory(RoutePath(two_edge_graph(), ["e1", "e2"]), 0.0,
+                              dt=12.5)
     assert traj2.xy[0] == pytest.approx([150.0, 0.0])
 
 
@@ -149,13 +143,12 @@ def test_time_mapping_inversion_roundtrip_on_random_routes():
         edges = [(f"e{i}", f"n{i}", f"n{i+1}", 50.0, float(rng.uniform(3, 25)))
                  for i in range(n_edges)]
         g = build_graph(nodes, edges)
-        route = route_for(g, [e[0] for e in edges])
+        path = RoutePath(g, [e[0] for e in edges])
         depart = float(rng.uniform(0, 20))
-        mapping = TimeMapping(g, route, depart)
         dt = float(rng.uniform(0.05, 1.0))
-        n = int(math.floor(mapping.duration / dt))
+        n = int(math.floor(path.duration / dt))
         ticks = depart + dt * np.arange(1, n + 1)
-        back = mapping.time_at(mapping.arc_at(ticks))
+        back = depart + path.time_at(path.arc_at(ticks - depart))
         assert np.abs(back - ticks).max() <= 1e-9
 
 
@@ -164,17 +157,14 @@ def test_heading_follows_centerline():
         [("a", 0, 0), ("b", 100, 0), ("c", 100, 100)],
         [("e1", "a", "b", 100.0, 10.0), ("e2", "b", "c", 100.0, 10.0)],
     )
-    geom = RouteGeometry(g, ["e1", "e2"])
+    geom = RoutePath(g, ["e1", "e2"])
     assert geom.heading_at(50.0)[0] == pytest.approx(0.0)
     assert geom.heading_at(150.0)[0] == pytest.approx(math.pi / 2)
 
 
 def make_trip_and_traj(graph, edge_ids, vehicle, depart, dt=0.1):
-    route = route_for(graph, edge_ids)
-    trip = TripSpec(vehicle, edge_ids[0], edge_ids[-1], depart, route)
-    traj = sample_trajectory(RouteGeometry(graph, edge_ids),
-                             TimeMapping(graph, route, depart), vehicle, dt)
-    return trip, traj
+    trip = TripSpec(vehicle, depart, route_for(graph, edge_ids))
+    return trip, sample_trajectory(RoutePath(graph, edge_ids), depart, dt)
 
 
 def test_deconflict_delays_identical_trips():
@@ -209,3 +199,52 @@ def test_deconflict_budget_exhaustion_raises():
     with pytest.raises(DeconflictError):
         deconflict([t0, t1], [traj0, traj1], safety_radius=5.0, dt=0.1,
                    horizon=20.0, max_delay_steps=2)
+
+
+def min_same_time_distance(a, b):
+    """The scalar per-pair definition: smallest distance between two (G, 2)
+    tracks over the grid times where both are present; inf when none."""
+    both = ~(np.isnan(a[:, 0]) | np.isnan(b[:, 0]))
+    if not both.any():
+        return math.inf
+    d = a[both] - b[both]
+    return float(np.sqrt((d * d).sum(axis=1)).min())
+
+
+def random_tracks(rng, n, g):
+    xy = rng.uniform(-50.0, 50.0, size=(n, g, 2))
+    xy[rng.random((n, g)) < 0.4] = np.nan
+    return xy
+
+
+def test_same_time_gaps_matches_per_pair_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        g = int(rng.integers(1, 40))
+        a = random_tracks(rng, int(rng.integers(1, 6)), g)
+        b = random_tracks(rng, int(rng.integers(1, 6)), g)
+        b[0] = np.nan  # a track absent on every frame
+        got = same_time_gaps(a, b)
+        assert got.shape == (len(a), len(b))
+        assert got.tolist() == [[min_same_time_distance(p, q) for q in b] for p in a]
+        assert (got[:, 0] == math.inf).all()
+
+
+def test_same_time_gaps_edge_operands():
+    a = np.full((2, 4, 2), np.nan)
+    a[0, :2] = [[0.0, 0.0], [1.0, 0.0]]  # on the road at frames 0-1
+    a[1, 2:] = [[0.0, 3.0], [0.0, 4.0]]  # on the road at frames 2-3
+    gaps = same_time_gaps(a, a)
+    assert gaps[0, 1] == gaps[1, 0] == math.inf  # never present together
+    assert gaps[0, 0] == gaps[1, 1] == 0.0
+
+    # nothing placed yet, as for the first trip deconflict places
+    none = same_time_gaps(a[:1], np.empty((0, 4, 2)))
+    assert none.shape == (1, 0) and (none >= 5.0).all()
+    assert same_time_gaps(np.empty((0, 4, 2)), a).shape == (0, 2)
+
+    # a parked spot: one static point broadcast over the grid
+    spot = np.broadcast_to(np.array([3.0, 4.0]), (1, 4, 2))
+    got = same_time_gaps(a, spot)
+    assert got[:, 0].tolist() == [min_same_time_distance(tr, spot[0]) for tr in a]
+    assert got[:, 0].tolist() == [math.sqrt(20.0), 3.0]
