@@ -3,8 +3,9 @@
 Config resolution order is defaults < CRASHCAST_SEED (default seed only)
 < JSON config file (keys mirror flag names, dashes as underscores) < flags.
 Every run writes a manifest next to its primary output recording the command,
-the resolved config, input hashes (taken before processing), and output
-hashes, so a run can be reproduced bit for bit.
+the resolved config, input hashes (taken before processing), output hashes
+and the BLAS thread count, so a run can be reproduced bit for bit. No output
+may be the same file as an input, even with --force.
 
 Exit codes: 0 success, 2 usage/config error, 3 runtime failure.
 """
@@ -23,7 +24,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREADS, __version__
 from . import autodiff as ad
 from .riskmodel import ModelConfig, ModelParams
 from .roadnet import NetworkError, parse_network
@@ -168,6 +169,18 @@ def _require(cfg: dict, key: str, command: str):
     return cfg[key]
 
 
+def _refuse_same_file(outputs, inputs) -> None:
+    """Refuse, even with --force, an output (name, path) that resolves to
+    an input or to an earlier output."""
+    seen = [(name, path) for name, path in inputs if path]
+    for name, path in outputs:
+        for other, other_path in seen:
+            if os.path.realpath(path) == os.path.realpath(other_path):
+                raise ConfigError(f"{name} {path} is the same file as "
+                                  f"{other} {other_path}")
+        seen.append((name, path))
+
+
 def _refuse_overwrite(paths, force) -> None:
     for path in paths:
         if path and os.path.exists(path) and not force:
@@ -178,6 +191,10 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _manifest_path(out: str) -> str:
+    return out + ".manifest.json"
+
+
 def _write_manifest(out: str, command: str, cfg: dict, inputs: dict,
                     outputs, started: str) -> None:
     manifest = {
@@ -185,11 +202,12 @@ def _write_manifest(out: str, command: str, cfg: dict, inputs: dict,
         "command": command,
         "config": cfg,
         "inputs": inputs,
+        "blas_threads": BLAS_THREADS,
         "outputs": {p: sha256_file(p) for p in outputs},
         "started_at": started,
         "finished_at": _utcnow(),
     }
-    atomic_write_text(out + ".manifest.json",
+    atomic_write_text(_manifest_path(out),
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -239,6 +257,8 @@ def _run_gen_data(cfg: dict) -> int:
         raise ConfigError("--positive-ratio must lie in [0, 1]")
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
+    _refuse_same_file([("--out", out), ("the manifest", _manifest_path(out))],
+                      [("--network", cfg["network"])])
     _refuse_overwrite([out], cfg["force"])
 
     inputs = {}
@@ -403,6 +423,10 @@ def _run_train(cfg: dict) -> int:
     out = _require(cfg, "out", "train")
     log_path = out + ".log.csv"
     sidecar_path = out + ".json"
+    _refuse_same_file(
+        [("--out", out), ("the log", log_path), ("the sidecar", sidecar_path),
+         ("the manifest", _manifest_path(out))],
+        [("--data", data), ("--val-data", cfg["val_data"])])
     _refuse_overwrite([out, log_path, sidecar_path], cfg["force"])
 
     inputs = {}
@@ -543,14 +567,15 @@ def _run_eval(cfg: dict) -> int:
         raise ConfigError(f"--threshold must lie in [0, 1], got {threshold}")
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
-    for name, path in (("--out", out), ("the manifest", out + ".manifest.json")):
-        if os.path.realpath(curves_path) == os.path.realpath(path):
-            raise ConfigError(f"--curves {curves_path} is the same file as {name}")
+    sidecar_path = ckpt + ".json"
+    _refuse_same_file(
+        [("--out", out), ("the manifest", _manifest_path(out)),
+         ("--curves", curves_path)],
+        [("--data", data), ("--checkpoint", ckpt), ("its sidecar", sidecar_path)])
     _refuse_overwrite([out, curves_path], cfg["force"])
 
     if not os.path.isfile(ckpt):
         raise ConfigError(f"checkpoint not found: {ckpt}")
-    sidecar_path = ckpt + ".json"
     if not os.path.isfile(sidecar_path):
         raise ConfigError(f"missing checkpoint config sidecar: {sidecar_path}")
     inputs = {ckpt: sha256_file(ckpt), sidecar_path: sha256_file(sidecar_path)}

@@ -262,9 +262,15 @@ def geo_weights(dbar, vbar, alpha) -> Tensor:
     return alpha * np.exp(-np.asarray(dbar, dtype=float)) + (1.0 - alpha) * np.asarray(vbar, dtype=float)
 
 
-def text_weights(embeddings, tau_text: float, pair_mask=None) -> Tensor:
+def text_weights(embeddings, tau_text: float, pair_mask=None, slots=None) -> Tensor:
     """Row softmax over cosine similarity / tau; masked pairs contribute
-    exactly zero. Expects unit-normalized embeddings (..., O, F).
+    exactly zero. Expects unit-normalized embeddings (..., k, F) and returns
+    (..., k, k) weights.
+
+    ``slots`` (default k) is the width O of the row softmax: the columns
+    k..O-1 past the embeddings are masked pairs of absent slots, as at full
+    width. So a row whose pairs are all masked (an absent object) is uniform
+    1/O over all O slots, and its first k entries are returned.
 
     The embeddings are data: the similarity is one product e @ e^T of their
     values, and no gradient flows back to them."""
@@ -274,7 +280,11 @@ def text_weights(embeddings, tau_text: float, pair_mask=None) -> Tensor:
     logits = (e @ np.swapaxes(e, -1, -2)) / tau_text
     if pair_mask is not None:
         logits = logits + np.where(np.asarray(pair_mask, dtype=bool), 0.0, -1e30)
-    return ad.softmax_lastdim(logits)
+    k = logits.shape[-1]
+    slots = k if slots is None else slots
+    pad = np.full(logits.shape[:-1] + (slots - k,), -1e30)
+    w = ad.softmax_lastdim(np.concatenate([logits, pad], axis=-1))
+    return ad.constant(w.value[..., :k])
 
 
 def fuse_weights(w_geo, w_text, beta) -> Tensor:
@@ -332,10 +342,11 @@ class EdgeWeightStack:
 
 
 def edge_weight_stack(centers, depths, mask, text_normalized, *,
-                      alpha, beta) -> EdgeWeightStack:
-    """Full geometry/text/fused weight pipeline over (..., T, O, ...) data."""
+                      alpha, beta, slots=None) -> EdgeWeightStack:
+    """Full geometry/text/fused weight pipeline over (..., T, k, ...) data.
+    ``slots`` is the width O of the text row softmax (see text_weights)."""
     _, _, dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask, _SCALE)
     w_geo = geo_weights(dbar, vbar, alpha)
-    w_text = text_weights(text_normalized, _TAU_TEXT, pair)
+    w_text = text_weights(text_normalized, _TAU_TEXT, pair, slots)
     w = fuse_weights(w_geo, w_text, beta)
     return EdgeWeightStack(w_geo, w_text, w)

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .features import FeatureBatch, FusionGate, GeometryParams, edge_weight_stack, gated_fuse
+from .features import (FeatureBatch, FusionGate, GeometryParams, edge_weight_stack,
+                       fuse_weights, gated_fuse)
 
 _GCN_LAYERS = 2
 _TCN_KERNEL = 3
@@ -185,9 +186,16 @@ def adjacency(u, v) -> Tensor:
 
 
 def gcn_layer(h, a_tilde, w_t, psi) -> Tensor:
-    """H' = relu((W_t elementwise Ã) H Ψ) over batched (..., O, F) nodes
-    with (..., O, O) edge weights. Rows of W_t at absent objects are zero,
-    which keeps their embeddings at exactly zero."""
+    """H' = relu((W_t elementwise Ã) H Ψ) over batched (..., n, F) nodes
+    with (..., m, n) edge weights and an (m, n) adjacency block.
+
+    Absent objects are not zeroed out. An absent slot's edge weight is the
+    fused weight of dbar = vbar = 0 (geometry alpha) and of its text row or
+    column: w = (1 - lambda) alpha + lambda / O on an absent row, whose text
+    softmax is uniform over the O slots, and (1 - lambda) alpha at a
+    (present, absent) pair. Absent slots carry zero embeddings into the
+    first layer, but leave it nonzero and feed the second layer's present
+    rows (ROADMAP item 1A removes this)."""
     return ad.relu(ad.matmul(ad.bmm(ad.mul(w_t, a_tilde), h), psi))
 
 
@@ -200,8 +208,33 @@ def pool_nodes(h, mask) -> Tensor:
     return ad.div(total, np.maximum(m.sum(axis=-2), 1.0))
 
 
+def used_slots(mask) -> int:
+    """Width k of the object slots a (B, T, O) mask uses: one past the last
+    slot present in any frame, and 1 when no slot is, so slots >= k are
+    absent everywhere. assign_slots ranks a video's objects into its leading
+    slots, so k is the most objects any of the batch's videos holds (or 1)."""
+    present = np.flatnonzero(np.asarray(mask).any(axis=(0, 1)))
+    return int(present[-1]) + 1 if present.size else 1
+
+
+def _pad(w, value, shape, axis) -> Tensor:
+    """w extended along axis by a constant block of the given shape."""
+    return ad.concat([w, ad.mul(value, np.ones(shape))], axis=axis)
+
+
 def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskOutput:
-    """Run the full network over a feature batch."""
+    """Run the full network over a feature batch whose absent object slots
+    carry zero features, centers and depths.
+
+    The graph layers run on the k = used_slots(mask) leading object slots
+    and pool what the same equations give at the full width O, up to
+    summation order: slots >= k are absent everywhere, so their edge weights
+    are two constants (see gcn_layer) and their first-layer inputs are zero.
+    The first GCN layer covers all O rows and the k used columns. The second
+    covers the k used rows and all O columns, whose columns >= k carry the
+    (present, absent) weight: exact on the present rows, the only ones
+    pool_nodes reads. The width depends on the batch, so a video's risk may
+    move in the last bit with the videos that share its batch."""
     if batch.objects != cfg.max_objects:
         raise ValueError(
             f"batch has {batch.objects} object slots, model expects {cfg.max_objects}")
@@ -209,20 +242,33 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
         raise ValueError(
             f"batch feature dim {batch.feature_dim} != model {cfg.feature_dim}")
 
-    vis_obj = batch.visual[:, :, 1:]
-    text_obj = batch.text[:, :, 1:]
+    o = cfg.max_objects
+    k = used_slots(batch.mask)
+    mask = batch.mask[:, :, :k]
+    vis_obj = batch.visual[:, :, 1:k + 1]
+    text_obj = batch.text[:, :, 1:k + 1]
     norm = np.linalg.norm(text_obj, axis=-1, keepdims=True)
     text_norm = np.divide(text_obj, norm, out=np.zeros_like(text_obj),
                           where=norm > 0)
+    alpha, beta = params.geometry.alpha, params.gate_obj.beta
     stack = edge_weight_stack(
-        batch.centers, batch.depths, batch.mask, text_norm,
-        alpha=params.geometry.alpha, beta=params.gate_obj.beta)
+        batch.centers[:, :, :k], batch.depths[:, :, :k], mask, text_norm,
+        alpha=alpha, beta=beta, slots=o)
+    # edge weights at (present, absent) pairs and on absent rows
+    w_to_absent = fuse_weights(alpha, 0.0, beta)
+    w_absent_row = fuse_weights(alpha, 1.0 / o, beta)
 
     h_nodes = gated_fuse(vis_obj, text_obj, params.gate_obj)
     a_tilde = adjacency(params.u, params.v)
-    for psi in params.psi:
-        h_nodes = gcn_layer(h_nodes, a_tilde, stack.w, psi)
-    pooled = pool_nodes(h_nodes, batch.mask)
+    lead = (batch.batch_size, batch.frames)
+    psi_in, psi_out = params.psi
+    h_nodes = gcn_layer(
+        h_nodes, ad.narrow(a_tilde, (slice(None), slice(0, k))),
+        _pad(stack.w, w_absent_row, lead + (o - k, k), -2), psi_in)
+    h_nodes = gcn_layer(
+        h_nodes, ad.narrow(a_tilde, (slice(0, k), slice(None))),
+        _pad(stack.w, w_to_absent, lead + (k, o - k), -1), psi_out)
+    pooled = pool_nodes(h_nodes, mask)
 
     f_fuse = gated_fuse(batch.visual[:, :, 0], batch.text[:, :, 0],
                         params.gate_frame)

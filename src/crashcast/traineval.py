@@ -309,8 +309,10 @@ class EvalReport:
 def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
                 chunk: int = 32, jobs: int = 1) -> np.ndarray:
     """(B, T) risk curves, computed in fixed-size chunks. Features are
-    per-record deterministic, so the chunk size moves values only in the
-    last bits (a batch of another size can take another BLAS path).
+    per-record deterministic, so a chunk's contents move a video's values
+    only in the last bits: a batch of another size can take another BLAS
+    path, and the forward runs at the chunk's width k (the object slots its
+    videos use), which changes summation order.
 
     ``jobs`` > 1 runs the same chunks on a thread pool. Results are merged
     in chunk order, so the output bytes never depend on the worker count.

@@ -170,6 +170,7 @@ def test_train_writes_checkpoint_sidecar_log_manifest(work):
 
     manifest = json.loads((root / "ckpt.bin.manifest.json").read_text())
     assert str(data) in manifest["inputs"]
+    assert manifest["blas_threads"] == crashcast.BLAS_THREADS
     assert set(manifest["outputs"]) == {str(ckpt), str(root / "ckpt.bin.json"),
                                         str(root / "ckpt.bin.log.csv")}
 
@@ -470,6 +471,39 @@ def test_train_val_data_of_another_shape_exits_3(work, tmp_path, capsys, key, va
     assert list(tmp_path.iterdir()) == [val]
 
 
+# (input flag, input file name, --out): the output that --out implies
+# lands on the input
+_TRAIN_COLLISIONS = {
+    "out-on-data": ("--data", "x.bin", "x.bin"),
+    "log-on-data": ("--data", "x.bin.log.csv", "x.bin"),
+    "sidecar-on-data": ("--data", "x.bin.json", "x.bin"),
+    "manifest-on-data": ("--data", "x.bin.manifest.json", "x.bin"),
+    "out-on-val-data": ("--val-data", "x.bin", "x.bin"),
+    "log-on-val-data": ("--val-data", "x.bin.log.csv", "x.bin"),
+    "sidecar-on-val-data": ("--val-data", "x.bin.json", "x.bin"),
+    "manifest-on-val-data": ("--val-data", "x.bin.manifest.json", "x.bin"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRAIN_COLLISIONS))
+def test_train_output_on_an_input_exits_2(work, tmp_path, capsys, case):
+    _, data, _ = work
+    flag, name, out = _TRAIN_COLLISIONS[case]
+    victim = tmp_path / name
+    victim.write_bytes(data.read_bytes())
+    inputs = {"--data": str(data), "--val-data": str(data), flag: str(victim)}
+    capsys.readouterr()
+    code = main(["train", "--data", inputs["--data"], "--val-data",
+                 inputs["--val-data"], "--epochs", "1",
+                 "--out", str(tmp_path / out), "--feature-dim", "8",
+                 "--max-objects", "4", "--force"])
+    assert code == 2
+    err = _one_error_line(capsys)
+    assert f"{victim} is the same file as {flag} {victim}" in err, err
+    assert victim.read_bytes() == data.read_bytes()
+    assert list(tmp_path.iterdir()) == [victim]
+
+
 def test_train_log_option_is_gone(work, tmp_path):
     _, data, _ = work
     out = tmp_path / "x.bin"
@@ -546,6 +580,67 @@ def test_eval_curves_on_another_output_exits_2(work, tmp_path, capsys,
     assert code == 2
     assert f"--curves {curves} is the same file as" in _one_error_line(capsys)
     assert list(tmp_path.iterdir()) == []
+
+
+# (input, output flag or None for the manifest of --out r.json)
+_EVAL_COLLISIONS = {
+    "out-on-data": ("--data", "--out"),
+    "out-on-checkpoint": ("--checkpoint", "--out"),
+    "out-on-sidecar": ("its sidecar", "--out"),
+    "curves-on-data": ("--data", "--curves"),
+    "curves-on-checkpoint": ("--checkpoint", "--curves"),
+    "curves-on-sidecar": ("its sidecar", "--curves"),
+    "manifest-on-data": ("--data", None),
+    "manifest-on-checkpoint": ("--checkpoint", None),
+    "manifest-on-sidecar": ("its sidecar", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EVAL_COLLISIONS))
+def test_eval_output_on_an_input_exits_2(work, tmp_path, capsys, case):
+    root, data, ckpt = work
+    which, output = _EVAL_COLLISIONS[case]
+    # the inputs live in tmp_path under names that the outputs can reach
+    names = {"--data": "d.jsonl", "--checkpoint": "c.bin",
+             "its sidecar": "c.bin.json"}
+    if output is None:
+        names[which] = "r.json.manifest.json"
+        if which == "its sidecar":
+            names["--checkpoint"] = "r.json.manifest"
+    sources = {"--data": data, "--checkpoint": ckpt,
+               "its sidecar": root / "ckpt.bin.json"}
+    for key, name in names.items():
+        (tmp_path / name).write_bytes(sources[key].read_bytes())
+    before = sorted(tmp_path.iterdir())
+    out, curves = tmp_path / "r.json", []
+    victim = tmp_path / names[which]
+    if output == "--out":
+        out = victim
+    elif output == "--curves":
+        curves = ["--curves", str(victim)]
+    argv = ["eval", "--data", str(tmp_path / names["--data"]),
+            "--checkpoint", str(tmp_path / names["--checkpoint"]),
+            "--out", str(out), *curves, "--force"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = _one_error_line(capsys)
+    label = output or "the manifest"
+    assert f"{label} {victim} is the same file as {which} {victim}" in err, err
+    assert sorted(tmp_path.iterdir()) == before
+    for key, name in names.items():
+        assert (tmp_path / name).read_bytes() == sources[key].read_bytes()
+
+
+def test_gen_data_output_on_the_network_exits_2(tmp_path, capsys):
+    net = tmp_path / "net.xml"
+    net.write_text(serialize_network(preset_graph("multilane")))
+    before = net.read_bytes()
+    capsys.readouterr()
+    assert _gen(net, "--network", net, "--force") == 2
+    err = _one_error_line(capsys)
+    assert f"--out {net} is the same file as --network {net}" in err, err
+    assert net.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [net]
 
 
 def test_eval_checkpoint_config_mismatch_exits_2(work, tmp_path):
@@ -855,3 +950,51 @@ def test_module_invocation_subprocess(tmp_path, module):
     assert proc.returncode == 0, proc.stderr
     assert "wrote 2 scenarios" in proc.stdout
     assert len(read_dataset(out)) == 2
+
+
+@pytest.mark.parametrize("first,pinned", [("crashcast", "1"),
+                                          ("numpy", "None")])
+def test_import_pins_blas_to_one_thread(first, pinned):
+    # the pin overrides the environment, and takes effect only before numpy
+    code = ("import os, sys, {0}, crashcast; print(os.environ["
+            "'OPENBLAS_NUM_THREADS'], crashcast.BLAS_THREADS)").format(first)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**_child_env(),
+                                          "OPENBLAS_NUM_THREADS": "4"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", pinned]
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a multi-threaded BLAS would reorder the training sums; the CLI pins it
+    # to one thread whatever the environment says
+    commands = (
+        ["gen-data", "--count", "12", "--seed", "5", "--out", "d.jsonl"],
+        ["train", "--data", "d.jsonl", "--epochs", "2", "--seed", "1",
+         "--out", "m.bin"],
+        ["eval", "--data", "d.jsonl", "--checkpoint", "m.bin", "--out", "r.json"],
+    )
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**_child_env(), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "crashcast", *argv],
+                                  cwd=cwd, env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        runs.append(cwd)
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    assert len(names) == 9
+    for name in names:
+        one, two = (run / name for run in runs)
+        if name.endswith(".manifest.json"):
+            manifests = [json.loads(p.read_text()) for p in (one, two)]
+            for manifest in manifests:
+                assert manifest.pop("blas_threads") == 1
+                del manifest["started_at"], manifest["finished_at"]
+            assert manifests[0] == manifests[1], name
+        else:
+            assert one.read_bytes() == two.read_bytes(), name

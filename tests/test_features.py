@@ -165,6 +165,24 @@ def test_text_weights_masked_pairs_are_exact_zero():
     assert np.all(np.isfinite(w))
 
 
+def test_text_weights_over_leading_slots_equal_full_width():
+    # slots >= k absent everywhere: the leading k x k block of the full
+    # softmax, bit for bit, with an absent row uniform 1/O over all O slots
+    rng = np.random.default_rng(9)
+    e = rng.standard_normal((4, 6, 8))
+    e /= np.linalg.norm(e, axis=-1, keepdims=True)
+    present = rng.random((4, 6)) < 0.6
+    present[:, 3:] = False
+    present[0, 1] = False
+    e[~present] = 0.0
+    pair = present[:, :, None] & present[:, None, :]
+    full = text_weights(e, 0.5, pair).value
+    for k in (3, 4, 6):
+        got = text_weights(e[:, :k], 0.5, pair[:, :k, :k], slots=6).value
+        assert np.array_equal(got, full[:, :k, :k])
+    assert np.all(got[0, 1] == 1.0 / 6.0)
+
+
 def test_text_weights_rejects_bad_tau():
     with pytest.raises(ValueError):
         text_weights(np.eye(2), 0.0)

@@ -14,18 +14,26 @@ from crashcast.riskmodel import (
     forward,
     gcn_layer,
     pool_nodes,
+    used_slots,
 )
 
 
-def random_batch(b, t, o, f, rng, holes=True):
+def random_batch(b, t, o, f, rng, holes=True, used=None):
     """Synthetic feature batch with the same zero conventions as the real
-    builder: absent slots carry zero features, centers, and depths."""
+    builder: absent slots carry zero features, centers, and depths.
+    ``used`` empties the object slots from that one on and fills slot
+    used - 1 in the first frame, so the batch's width is used (0 empties
+    every slot)."""
     visual = rng.normal(size=(b, t, o + 1, f))
     text = rng.normal(size=(b, t, o + 1, f))
     mask = np.ones((b, t, o), dtype=bool)
     if holes:
         mask &= rng.random((b, t, o)) > 0.3
         mask[..., 0] = True
+    if used is not None:
+        mask[..., used:] = False
+        if used:
+            mask[0, 0, used - 1] = True
     centers = rng.uniform(0, 1280, (b, t, o, 2))
     depths = rng.uniform(1, 80, (b, t, o))
     absent = ~mask
@@ -323,6 +331,52 @@ def test_forward_matches_numpy_oracle():
     assert np.abs(got - want).max() <= 1e-9
 
 
+def _off_default_mix(params):
+    """alpha and lambda away from 1/2, so that both constant blocks of the
+    padded slots (w = (1 - lambda) alpha + lambda / O on absent rows and
+    (1 - lambda) alpha at (present, absent) pairs) differ from each other and
+    from the weights of present pairs."""
+    params.geometry.a.value[...] = 0.7
+    params.gate_obj.beta.value[...] = 0.4
+    return params
+
+
+@pytest.mark.parametrize("used", range(6))
+def test_forward_at_every_width_matches_numpy_oracle(used):
+    # the forward runs on the leading `used` slots; the oracle at full width
+    cfg = _tiny_cfg(max_objects=5)
+    rng = np.random.default_rng(40 + used)
+    params = _off_default_mix(ModelParams.init(cfg, rng))
+    batch = random_batch(2, 3, 5, 4, rng, used=used)
+    assert used_slots(batch.mask) == max(used, 1)
+    got = forward(batch, params, cfg).risk.value
+    want = numpy_forward(batch, params, cfg)
+    assert np.abs(got - want).max() <= 1e-9
+
+
+def test_used_slots():
+    mask = np.zeros((2, 3, 6), dtype=bool)
+    assert used_slots(mask) == 1
+    mask[1, 2, 3] = True
+    assert used_slots(mask) == 4
+    mask[0, 0, 5] = True
+    assert used_slots(mask) == 6
+
+
+def test_video_risk_does_not_depend_on_its_batch_width():
+    cfg = ModelConfig(feature_dim=4, max_objects=6)
+    rng = np.random.default_rng(41)
+    params = _off_default_mix(ModelParams.init(cfg, rng))
+    narrow = random_batch(1, 6, 6, 4, rng, used=2)
+    wide = random_batch(1, 6, 6, 4, rng, used=6)
+    pair = FeatureBatch(*(np.concatenate([x, y]) for x, y in zip(
+        dataclasses.astuple(narrow)[:5], dataclasses.astuple(wide)[:5])),
+        ("narrow", "wide"), np.array([0, 1]), np.array([0, 4]))
+    alone = forward(narrow, params, cfg).risk.value[0]
+    beside = forward(pair, params, cfg).risk.value[0]
+    assert np.abs(alone - beside).max() <= 1e-12
+
+
 def test_forward_tape_does_not_grow_with_frames():
     cfg = _tiny_cfg(feature_dim=8, max_objects=4)
     params = ModelParams.init(cfg, np.random.default_rng(9))
@@ -337,19 +391,33 @@ def test_forward_tape_does_not_grow_with_frames():
 
 # --- gradients, alignment head, persistence ----------------------------------
 
+def _risk_grad_error(batch, params, cfg, rng):
+    """grad_check of a random projection of the risk curves."""
+    probe = rng.normal(size=batch.mask.shape[:2])
+
+    def f():
+        return ad.tsum(ad.mul(forward(batch, params, cfg).risk, probe))
+
+    return grad_check(f, params.parameters(), max_coords_per_param=3,
+                      rng=np.random.default_rng(0))
+
+
 def test_forward_gradients_match_fd():
     cfg = _tiny_cfg()
     rng = np.random.default_rng(10)
     params = ModelParams.init(cfg, rng)
     batch = random_batch(2, 3, 2, 4, rng)
-    probe = rng.normal(size=(2, 3))
+    assert _risk_grad_error(batch, params, cfg, rng) < 1e-4
 
-    def f():
-        return ad.tsum(ad.mul(forward(batch, params, cfg).risk, probe))
 
-    err = grad_check(f, params.parameters(), max_coords_per_param=3,
-                     rng=np.random.default_rng(0))
-    assert err < 1e-4
+def test_forward_gradients_match_fd_with_trailing_empty_slots():
+    # two used slots of four: the gradient reaches alpha and beta through
+    # the constant blocks too
+    cfg = _tiny_cfg(max_objects=4)
+    rng = np.random.default_rng(42)
+    params = _off_default_mix(ModelParams.init(cfg, rng))
+    batch = random_batch(2, 3, 4, 4, rng, used=2)
+    assert _risk_grad_error(batch, params, cfg, rng) < 1e-4
 
 
 def test_align_project_shape_and_norm():
