@@ -81,45 +81,71 @@ def video_loss(batch: LabeledBatch) -> Tensor:
     return ad.tmean(ad.cross_entropy_logits(chosen, targets))
 
 
-def _candidate_mask(videos: int, frames: int, radius: int) -> np.ndarray:
-    """(N, N) bool over flattened (video, frame) anchors: False where the
-    candidate is a temporal neighbor (0 < |dt| <= radius) of the anchor in
-    the same video; the anchor itself stays allowed."""
-    vid = np.repeat(np.arange(videos), frames)
-    frm = np.tile(np.arange(frames), videos)
-    same = vid[:, None] == vid[None, :]
-    dt = np.abs(frm[:, None] - frm[None, :])
-    return ~(same & (dt > 0) & (dt <= radius))
-
-
 def align_loss(f_vis, f_text, *, tau_c: float = TAU_C) -> Tensor:
-    """Bidirectional InfoNCE over all (video, frame) pairs in the batch.
+    """Bidirectional InfoNCE over all (video, frame) pairs in the batch, as
+    one tape node with a hand-written backward.
 
     Expects projected, unit-normalized embeddings of shape (B, T, D) or
     (N, D); the matching pair at the same (video, frame) is the positive
     and same-video temporal neighbors are masked out of the denominator.
+    With logits S = V Xᵀ / tau_c over the N = B·T anchors, -1e30 added at
+    each anchor's neighbors (0 < |dt| <= NEIGHBOR_MASK_RADIUS), the loss is
+    0.5 (mean(lse_row(S) - diag S) + mean(lse_col(S) - diag S)): the mask
+    is symmetric, so the text-to-visual direction reads the columns of the
+    same matrix. Backward reuses the forward's two softmaxes:
+    dS = g (P_row + P_col - 2I) / 2N, dV = dS X / tau_c, dX = dSᵀ V / tau_c.
     """
     v = ad.as_tensor(f_vis)
     x = ad.as_tensor(f_text)
     if v.shape != x.shape:
         raise ValueError(f"embedding shapes differ: {v.shape} vs {x.shape}")
-    if v.ndim == 2:
-        videos, frames = v.shape[0], 1
-    elif v.ndim == 3:
-        videos, frames = v.shape[0], v.shape[1]
-        v = ad.reshape(v, (videos * frames, v.shape[2]))
-        x = ad.reshape(x, (videos * frames, x.shape[2]))
-    else:
+    if v.ndim not in (2, 3):
         raise ValueError("align_loss expects (B, T, D) or (N, D) embeddings")
-    n = videos * frames
-    sim = ad.div(ad.matmul(v, ad.transpose2d(x)), tau_c)
-    penal = np.where(_candidate_mask(videos, frames, NEIGHBOR_MASK_RADIUS),
-                     0.0, -1e30)
-    targets = np.arange(n)
-    l_vt = ad.tmean(ad.cross_entropy_logits(ad.add(sim, penal), targets))
-    l_tv = ad.tmean(ad.cross_entropy_logits(ad.add(ad.transpose2d(sim), penal),
-                                            targets))
-    return ad.mul(ad.add(l_vt, l_tv), 0.5)
+    frames = v.shape[1] if v.ndim == 3 else 1
+    vv = v.value.reshape(-1, v.shape[-1])
+    xv = x.value.reshape(-1, x.shape[-1])
+    n = vv.shape[0]
+    s = vv @ xv.T
+    s /= tau_c
+    flat = s.reshape(-1)
+    frame = np.arange(n) % frames
+    for dt in range(1, min(NEIGHBOR_MASK_RADIUS, frames - 1) + 1):
+        a = np.flatnonzero(frame < frames - dt)  # anchors dt frames before a neighbor
+        flat[a * (n + 1) + dt] += -1e30  # (a, a + dt)
+        flat[a * (n + 1) + dt * n] += -1e30  # (a + dt, a)
+    diag = s.diagonal().copy()
+    # the softmaxes are exponentiated in place, the row one in the buffer of
+    # S: fresh N x N buffers cost more than the exp itself
+    m_row = s.max(axis=1, keepdims=True)
+    m_col = s.max(axis=0)
+    p_col = s - m_col
+    np.exp(p_col, out=p_col)
+    z_col = p_col.sum(axis=0)
+    p_row = s
+    p_row -= m_row
+    np.exp(p_row, out=p_row)
+    z_row = p_row.sum(axis=1, keepdims=True)
+    l_vt = np.mean(m_row[:, 0] + np.log(z_row[:, 0]) - diag)
+    l_tv = np.mean(m_col + np.log(z_col) - diag)
+    done: list = []  # the one d_logits result
+
+    def d_logits(g):
+        """dL/d(V Xᵀ) = g (P_row + P_col - 2I) / (2 N tau_c), built in the
+        buffer of P_row on the first call; a tape runs backward once, so
+        both callbacks get the same g."""
+        if not done:
+            d = np.divide(p_row, z_row, out=p_row)
+            d += np.divide(p_col, z_col, out=p_col)
+            d.flat[::n + 1] -= 2.0
+            d *= g / (2.0 * n * tau_c)
+            done.append(d)
+        return done[0]
+
+    out = Tensor((l_vt + l_tv) * 0.5)
+    return ad._record(out, (v, x), (
+        lambda g: (d_logits(g) @ xv).reshape(v.shape),
+        lambda g: (d_logits(g).T @ vv).reshape(x.shape),
+    ))
 
 
 def total_loss(l1, l2, l3, gamma: float) -> Tensor:

@@ -183,12 +183,30 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
                          "L1": values[0], "L2": values[1], "L3": values[2],
                          "L": values[3]})
         if val_fb is not None:
-            l1, l2, l3, loss = _batch_losses(val_fb, params, model_cfg,
-                                             frames, fps)
+            l1, l2, l3 = _validation_losses(val_fb, params, model_cfg,
+                                            train_cfg.batch_size, frames, fps)
             rows.append({"step": step, "epoch": epoch, "split": "val",
-                         "L1": l1.item(), "L2": l2.item(), "L3": l3.item(),
-                         "L": loss.item()})
+                         "L1": l1, "L2": l2, "L3": l3,
+                         "L": total_loss(l1, l2, l3, float(frames)).item()})
     return TrainResult(params, rows, opt.state_dict(), last)
+
+
+def _validation_losses(fb: FeatureBatch, params: ModelParams,
+                       model_cfg: ModelConfig, batch_size: int, frames: int,
+                       fps: int) -> tuple[float, float, float]:
+    """L1, L2 and L3 over the validation videos, scored in chunks of
+    batch_size in record order and averaged weighted by each chunk's video
+    count. L3 is thus the per-batch InfoNCE the train rows log, and the
+    alignment matrices stay (batch_size * T)^2 however large the set."""
+    count = len(fb.video_ids)
+    sums = np.zeros(3)
+    for lo in range(0, count, batch_size):
+        idx = np.arange(lo, min(lo + batch_size, count))
+        l1, l2, l3, _ = _batch_losses(_subset(fb, idx), params, model_cfg,
+                                      frames, fps)
+        sums += len(idx) * np.array([l1.item(), l2.item(), l3.item()])
+    l1, l2, l3 = sums / count
+    return float(l1), float(l2), float(l3)
 
 
 # ---------------------------------------------------------------------------

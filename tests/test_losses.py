@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from crashcast import autodiff as ad
-from crashcast.autodiff import Parameter, grad_check
+from crashcast.autodiff import Parameter, Tape, grad_check
 from crashcast.losses import (
+    NEIGHBOR_MASK_RADIUS,
+    TAU_C,
     LabeledBatch,
     align_loss,
     earliness_weights,
@@ -131,6 +133,70 @@ def test_align_loss_symmetric_in_modalities():
     assert align_loss(v, x).item() >= 0.0
 
 
+def _composite_align_loss(v, x, tau_c=TAU_C):
+    """The alignment loss as a chain of dense ops, in numpy: logits, an
+    N x N penalty of -1e30 at same-video temporal neighbors, and the mean
+    row cross entropy of S + penalty and of Sᵀ + penalty. Returns the loss
+    and its gradients with respect to v and x."""
+    frames = v.shape[1] if v.ndim == 3 else 1
+    vv = v.reshape(-1, v.shape[-1])
+    xv = x.reshape(-1, x.shape[-1])
+    n = vv.shape[0]
+    vid = np.repeat(np.arange(n // frames), frames)
+    frm = np.tile(np.arange(frames), n // frames)
+    dt = np.abs(frm[:, None] - frm[None, :])
+    neighbor = (vid[:, None] == vid[None, :]) & (dt > 0) & (dt <= NEIGHBOR_MASK_RADIUS)
+    penal = np.where(neighbor, -1e30, 0.0)
+    sim = vv @ xv.T / tau_c
+
+    def cross_entropy(logits):
+        m = logits.max(axis=1, keepdims=True)
+        p = np.exp(logits - m)
+        z = p.sum(axis=1, keepdims=True)
+        loss = np.mean(m[:, 0] + np.log(z[:, 0]) - np.diag(logits))
+        return loss, (p / z - np.eye(n)) / n
+
+    l_vt, g_vt = cross_entropy(sim + penal)
+    l_tv, g_tv = cross_entropy(sim.T + penal)
+    d_sim = 0.5 * (g_vt + g_tv.T) / tau_c
+    return (0.5 * (l_vt + l_tv), (d_sim @ xv).reshape(v.shape),
+            (d_sim.T @ vv).reshape(x.shape))
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 9, 4),  # one video
+    (6, 4),  # (N, D): every anchor its own video
+    (3, 2, 4),  # T <= radius: every same-video frame is a neighbor
+    (2, 7, 4),  # T > 2 radius + 1: same-video candidates survive
+    (8, 50, 8),  # a training batch
+])
+def test_align_loss_matches_dense_composite(shape):
+    rng = np.random.default_rng(6)
+    v, x = (rng.normal(size=shape) for _ in range(2))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    want, want_dv, want_dx = _composite_align_loss(v, x)
+    pv, px = Parameter(v.copy(), name="v"), Parameter(x.copy(), name="x")
+    with Tape() as tape:
+        loss = align_loss(pv, px)
+        tape.backward(loss)
+    assert loss.item() == pytest.approx(want, abs=1e-12)
+    assert np.allclose(pv.grad, want_dv, rtol=0.0, atol=1e-12)
+    assert np.allclose(px.grad, want_dx, rtol=0.0, atol=1e-12)
+
+
+def test_align_loss_is_one_tape_node():
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=(2, 7, 4))
+    with Tape() as tape:
+        align_loss(v, v)
+    assert len(tape) == 0
+    pv = Parameter(v, name="v")
+    with Tape() as tape:
+        align_loss(pv, v)
+    assert len(tape) == 1
+
+
 def test_align_loss_input_validation():
     with pytest.raises(ValueError):
         align_loss(np.zeros((2, 3)), np.zeros((3, 3)))
@@ -184,11 +250,13 @@ def test_frame_and_video_loss_gradients_match_fd():
 
 def test_align_loss_gradients_match_fd():
     rng = np.random.default_rng(5)
-    v = Parameter(rng.normal(size=(2, 3, 4)), name="v")
-    x = Parameter(rng.normal(size=(2, 3, 4)), name="x")
+    # at T = 3 the mask leaves no same-video candidate; at T = 7 it does
+    for shape in ((2, 3, 4), (2, 7, 4)):
+        v = Parameter(rng.normal(size=shape), name="v")
+        x = Parameter(rng.normal(size=shape), name="x")
 
-    def f():
-        return align_loss(ad.l2_normalize_lastdim(v),
-                          ad.l2_normalize_lastdim(x))
+        def f():
+            return align_loss(ad.l2_normalize_lastdim(v),
+                              ad.l2_normalize_lastdim(x))
 
-    assert grad_check(f, [v, x], rng=rng) < 1e-6
+        assert grad_check(f, [v, x], rng=rng) < 1e-6, shape

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from crashcast import autodiff as ad
+from crashcast import traineval
 from crashcast.autodiff import Parameter, Tape
+from crashcast.features import build_features
 from crashcast.riskmodel import ModelConfig, ModelParams
 from crashcast.scenario import generate_one
 from crashcast.traineval import (
@@ -369,6 +371,36 @@ def test_train_emits_validation_rows():
     val_rows = [r for r in res.log if r["split"] == "val"]
     assert len(val_rows) == 2
     assert all(np.isfinite(r["L"]) for r in res.log)
+
+
+def test_validation_rows_are_chunk_weighted_means(monkeypatch):
+    records = _records(count=14)
+    train_recs, val_recs = records[:4], records[4:]  # 10 videos: 2.5 batches
+    frames, fps = records[0].frames, records[0].fps
+    model_cfg, train_cfg = _cfgs(epochs=1, batch_size=4)
+    anchors = []
+    align_loss = traineval.align_loss
+
+    def spy(f_vis, f_text, **kw):
+        anchors.append(f_vis.shape[0] * f_vis.shape[1])
+        return align_loss(f_vis, f_text, **kw)
+
+    monkeypatch.setattr(traineval, "align_loss", spy)
+    params = ModelParams.init(model_cfg, np.random.default_rng(15))
+    res = train(train_recs, params, model_cfg, train_cfg, val_records=val_recs)
+    # one train step, then the validation chunks of 4, 4 and 2 videos
+    assert anchors == [4 * frames] * 3 + [2 * frames]
+    (row,) = [r for r in res.log if r["split"] == "val"]
+    fb = build_features(val_recs, F_DIM, N_OBJ)
+    want = np.zeros(3)
+    for lo, hi in ((0, 4), (4, 8), (8, 10)):
+        losses = traineval._batch_losses(traineval._subset(fb, np.arange(lo, hi)),
+                                         res.params, model_cfg, frames, fps)
+        want += (hi - lo) * np.array([l.item() for l in losses[:3]])
+    want /= len(val_recs)
+    got = [row["L1"], row["L2"], row["L3"], row["L"]]
+    full = want[0] + frames * want[1] + want[2]
+    assert np.allclose(got, [*want, full], rtol=0.0, atol=1e-12)
 
 
 def test_train_config_validation():
