@@ -131,6 +131,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _expected_json_type(value, default) -> str | None:
+    """The JSON type a config-file value must have, judged by the type of
+    its key's default, or None when it has it. Booleans take a boolean,
+    integers an integer (not a boolean), floats a finite number, and paths,
+    whose defaults are all null, a string or null."""
+    if isinstance(default, bool):
+        return None if type(value) is bool else "a JSON boolean"
+    if isinstance(default, int):
+        return None if type(value) is int else "a JSON integer"
+    if isinstance(default, float):
+        finite = (type(value) in (int, float)
+                  and abs(value) <= sys.float_info.max)
+        return None if finite else "a finite JSON number"
+    return None if value is None or type(value) is str else "a JSON string or null"
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults, CRASHCAST_SEED, the config file, and explicit flags."""
     cfg = dict(_DEFAULTS[command])
@@ -147,7 +163,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -155,6 +171,12 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(
                 f"unknown config keys for {command}: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            expected = _expected_json_type(value, cfg[key])
+            if expected:
+                raise ConfigError(
+                    f"config file {args.config}: {key} must be {expected}, "
+                    f"got {json.dumps(value)}")
         cfg.update(loaded)
     for key in _DEFAULTS[command]:
         value = getattr(args, key, None)
@@ -244,13 +266,8 @@ def _map_spans(tasks, jobs):
 def _run_gen_data(cfg: dict) -> int:
     started = _utcnow()
     out = _require(cfg, "out", "gen-data")
-    try:
-        count = int(cfg["count"])
-        ratio = float(cfg["positive_ratio"])
-        seed = int(cfg["seed"])
-        jobs = int(cfg["jobs"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad gen-data option: {exc}")
+    count, seed, jobs = cfg["count"], cfg["seed"], cfg["jobs"]
+    ratio = float(cfg["positive_ratio"])
     if count < 1:
         raise ConfigError("--count must be >= 1")
     if not 0.0 <= ratio <= 1.0:
@@ -450,13 +467,13 @@ def _run_train(cfg: dict) -> int:
         if not 0.0 <= learning_rate < np.inf:
             raise ValueError("--learning-rate must be a finite number >= 0, "
                              f"got {learning_rate}")
-        model_cfg = ModelConfig(feature_dim=int(cfg["feature_dim"]),
-                                max_objects=int(cfg["max_objects"]))
+        model_cfg = ModelConfig(feature_dim=cfg["feature_dim"],
+                                max_objects=cfg["max_objects"])
         train_cfg = TrainConfig(learning_rate=learning_rate,
-                                epochs=int(cfg["epochs"]),
-                                batch_size=int(cfg["batch_size"]),
-                                seed=int(cfg["seed"]))
-    except (TypeError, ValueError) as exc:
+                                epochs=cfg["epochs"],
+                                batch_size=cfg["batch_size"],
+                                seed=cfg["seed"])
+    except ValueError as exc:
         raise ConfigError(f"bad train option: {exc}")
 
     params = ModelParams.init(model_cfg, stream_rng(train_cfg.seed, "init"))
@@ -558,11 +575,8 @@ def _run_eval(cfg: dict) -> int:
     ckpt = _require(cfg, "checkpoint", "eval")
     out = _require(cfg, "out", "eval")
     curves_path = cfg["curves"] or out + ".curves.csv"
-    try:
-        threshold = float(cfg["threshold"])
-        jobs = int(cfg["jobs"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad eval option: {exc}")
+    threshold = float(cfg["threshold"])
+    jobs = cfg["jobs"]
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"--threshold must lie in [0, 1], got {threshold}")
     if jobs < 1:

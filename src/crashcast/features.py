@@ -3,8 +3,9 @@
 Embeddings are synthesized from simulator ground truth: object slots carry
 a fixed random projection of the kinematic state, text slots carry a fixed
 per-label table row, both lightly noised. Slot index 0 of every frame is
-the frame-level feature; objects occupy slots 1..O with a per-video stable
-assignment, so frame-to-frame differences are differences of the same
+the frame-level feature; objects occupy slots 1..S with a per-video stable
+assignment (S <= max_objects is the most slots any video of the batch
+fills), so frame-to-frame differences are differences of the same
 object, not of whichever object happened to sort first.
 """
 
@@ -31,13 +32,17 @@ _TAU_TEXT = 0.5
 
 @dataclass
 class FeatureBatch:
-    """Stacked per-video tensors; slot 0 is the frame-level feature."""
+    """Stacked per-video tensors; slot 0 is the frame-level feature.
 
-    visual: np.ndarray  # (B, T, N, F)
-    text: np.ndarray  # (B, T, N, F)
-    mask: np.ndarray  # (B, T, O) bool, object slots only
-    centers: np.ndarray  # (B, T, O, 2) pixel centers, zero where absent
-    depths: np.ndarray  # (B, T, O) meters, zero where absent
+    The object axis is S wide, S <= the model's max_objects: build_features
+    stores only as many object slots as the batch's fullest video fills, and
+    the slots a video does not fill hold +0.0."""
+
+    visual: np.ndarray  # (B, T, 1+S, F)
+    text: np.ndarray  # (B, T, 1+S, F)
+    mask: np.ndarray  # (B, T, S) bool, object slots only
+    centers: np.ndarray  # (B, T, S, 2) pixel centers, zero where absent
+    depths: np.ndarray  # (B, T, S) meters, zero where absent
     video_ids: tuple[str, ...]
     labels: np.ndarray  # (B,) int, 1 for accident videos
     accident_frames: np.ndarray  # (B,) 1-based frame index, 0 for negatives
@@ -104,10 +109,10 @@ def synth_visual_features(record: ScenarioRecord, feature_dim: int,
                           projections: dict[str, np.ndarray],
                           slot_ids: tuple[str, ...],
                           noise_sigma: float = _NOISE_SIGMA) -> np.ndarray:
-    """(T, 1+O, F) embeddings: slot 0 projects scene aggregates, object
-    slots (in slot_ids order) project (x, y, speed, heading, size, depth).
-    Deterministic given the generator; the projections are shared by the
-    whole dataset."""
+    """(T, 1+len(slot_ids), F) embeddings: slot 0 projects scene aggregates,
+    object slots (in slot_ids order) project (x, y, speed, heading, size,
+    depth). Deterministic given the generator; the projections are shared
+    by the whole dataset."""
     t_count = record.frames
     n_slots = len(slot_ids) + 1
     out = np.zeros((t_count, n_slots, feature_dim))
@@ -170,28 +175,32 @@ def synth_text_features(labels, feature_dim: int, rng: np.random.Generator, *,
 
 
 def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
-    """Stack records into one batch; features of a given video depend only
-    on (video, shape), never on which other videos share the batch."""
+    """Stack records into one batch with S = max(1, the most object slots
+    any of its videos fills) <= max_objects object slots.
+
+    A video's values depend only on (video, feature_dim, max_objects), never
+    on which other videos share the batch; only the width S of the +0.0 tail
+    past its own slots does."""
     records = list(records)
     if not records:
         raise ValueError("cannot build features from zero records")
     t_count = records[0].frames
     if any(r.frames != t_count for r in records):
         raise ValueError("all records in a batch must share the frame count")
-    n_slots = max_objects + 1
+    slot_ids = [assign_slots(rec, max_objects) for rec in records]
+    width = max(1, max(map(len, slot_ids)))
     b = len(records)
 
     projections = _visual_projections(feature_dim, stream_rng(_FEATURE_SEED, "projections"))
-    visual = np.zeros((b, t_count, n_slots, feature_dim))
-    text = np.zeros((b, t_count, n_slots, feature_dim))
-    mask = np.zeros((b, t_count, max_objects), dtype=bool)
-    centers = np.zeros((b, t_count, max_objects, 2))
-    depths = np.zeros((b, t_count, max_objects))
+    visual = np.zeros((b, t_count, width + 1, feature_dim))
+    text = np.zeros((b, t_count, width + 1, feature_dim))
+    mask = np.zeros((b, t_count, width), dtype=bool)
+    centers = np.zeros((b, t_count, width, 2))
+    depths = np.zeros((b, t_count, width))
     labels = np.zeros(b, dtype=np.int64)
     lam = np.zeros(b, dtype=np.int64)
 
-    for i, rec in enumerate(records):
-        slots = assign_slots(rec, max_objects)
+    for i, (rec, slots) in enumerate(zip(records, slot_ids)):
         vis = synth_visual_features(
             rec, feature_dim, stream_rng(_FEATURE_SEED, "visual", rec.id),
             projections=projections, slot_ids=slots)

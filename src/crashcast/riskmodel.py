@@ -224,7 +224,9 @@ def _pad(w, value, shape, axis) -> Tensor:
 
 def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskOutput:
     """Run the full network over a feature batch whose absent object slots
-    carry zero features, centers and depths.
+    carry zero features, centers and depths. The batch may hold any number
+    S <= O of object slots; slots past S are absent, as if padded with +0.0
+    to O, so the result is the same either way.
 
     The graph layers run on the k = used_slots(mask) leading object slots
     and pool what the same equations give at the full width O, up to
@@ -235,9 +237,9 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
     (present, absent) weight: exact on the present rows, the only ones
     pool_nodes reads. The width depends on the batch, so a video's risk may
     move in the last bit with the videos that share its batch."""
-    if batch.objects != cfg.max_objects:
-        raise ValueError(
-            f"batch has {batch.objects} object slots, model expects {cfg.max_objects}")
+    if batch.objects > cfg.max_objects:
+        raise ValueError(f"batch has {batch.objects} object slots, more than "
+                         f"the model's max_objects {cfg.max_objects}")
     if batch.feature_dim != cfg.feature_dim:
         raise ValueError(
             f"batch feature dim {batch.feature_dim} != model {cfg.feature_dim}")

@@ -1,17 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crashcast
 from crashcast import autodiff as ad
-from crashcast.cli import main
+from crashcast.cli import _DEFAULTS, main
 from crashcast.roadnet import serialize_network
 from crashcast.scenario import preset_graph, read_dataset
 
@@ -124,6 +129,89 @@ def test_config_file_unknown_key_exits_2(tmp_path):
     cfg_path.write_text(json.dumps({"bogus": 1}))
     assert main(["gen-data", "--config", str(cfg_path),
                  "--out", str(tmp_path / "d.jsonl")]) == 2
+
+
+# every config key of every command, by the JSON type it takes
+_KEY_KINDS = {
+    "gen-data": {"network": "path", "count": "int", "positive_ratio": "float",
+                 "seed": "int", "out": "path", "jobs": "int", "force": "bool"},
+    "train": {"data": "path", "val_data": "path", "out": "path",
+              "resume": "path", "learning_rate": "float", "epochs": "int",
+              "batch_size": "int", "seed": "int", "feature_dim": "int",
+              "max_objects": "int", "force": "bool"},
+    "eval": {"data": "path", "checkpoint": "path", "out": "path",
+             "curves": "path", "threshold": "float", "jobs": "int",
+             "force": "bool"},
+}
+
+# JSON texts of values no key takes: non-finite numbers (Python's json
+# reads 1e400 as inf) and containers
+_NEVER_VALID = st.one_of(
+    st.sampled_from(["Infinity", "-Infinity", "NaN", "1e400", "-1e400"]),
+    st.lists(st.integers(0, 3), max_size=2).map(json.dumps),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3),
+                    max_size=1).map(json.dumps))
+
+
+def _wrong(values):
+    return _NEVER_VALID | values.map(json.dumps)
+
+
+# per kind, the type the error names and the JSON texts of wrong values
+_KINDS = {
+    "bool": ("a JSON boolean", _wrong(
+        st.integers() | st.floats() | st.text(max_size=4) | st.none())),
+    # any JSON float, fractional or not (1.0), is not an integer
+    "int": ("a JSON integer", _wrong(
+        st.booleans() | st.floats() | st.text(max_size=4) | st.none())),
+    "float": ("a finite JSON number", _wrong(
+        st.booleans() | st.text(max_size=4) | st.none()
+        | st.integers(min_value=2 ** 1024))),
+    "path": ("a JSON string or null", _wrong(
+        st.booleans() | st.integers() | st.floats())),
+}
+
+
+@st.composite
+def _bad_config(draw):
+    command = draw(st.sampled_from(sorted(_KEY_KINDS)))
+    key = draw(st.sampled_from(sorted(_KEY_KINDS[command])))
+    kind = _KEY_KINDS[command][key]
+    return command, key, kind, draw(_KINDS[kind][1])
+
+
+def test_config_key_kinds_cover_every_option():
+    assert {c: set(k) for c, k in _KEY_KINDS.items()} == \
+        {c: set(d) for c, d in _DEFAULTS.items()}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=_bad_config())
+def test_config_value_of_a_wrong_type_exits_2(work, case):
+    # the flags make a run that would succeed, were the file value accepted
+    command, key, kind, text = case
+    _, data, ckpt = work
+    flags = {"gen-data": {"count": 2},
+             "train": {"data": data, "epochs": 1, "feature_dim": 8,
+                       "max_objects": 4},
+             "eval": {"data": data, "checkpoint": ckpt}}[command]
+    with tempfile.TemporaryDirectory() as root:
+        cfg_path = os.path.join(root, "cfg.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(f'{{"{key}": {text}}}')
+        argv = [command, "--config", cfg_path,
+                "--out", os.path.join(root, "out")]
+        for flag, value in flags.items():
+            if flag != key:
+                argv += [f"--{flag.replace('_', '-')}", str(value)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code == 2, (argv, text, lines)
+        assert len(lines) == 1 and lines[0].startswith("crashcast: error:")
+        assert f"{cfg_path}: {key} must be {_KINDS[kind][0]}" in lines[0], lines
+        assert os.listdir(root) == ["cfg.json"]
 
 
 def test_env_seed_overrides_default_seed_only(tmp_path, monkeypatch):

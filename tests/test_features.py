@@ -461,9 +461,15 @@ def _small_dataset(count=6, ratio=0.5, seed=17):
 def test_build_features_shapes_and_mask():
     records = _small_dataset()
     batch = build_features(records, 16, 5)
-    assert batch.visual.shape == (6, records[0].frames, 6, 16)
+    width = max(len(assign_slots(r, 5)) for r in records)
+    assert 1 <= width <= 5
+    assert batch.visual.shape == (6, records[0].frames, 1 + width, 16)
     assert batch.text.shape == batch.visual.shape
-    assert batch.objects == batch.slots - 1 == 5
+    assert batch.objects == batch.slots - 1 == width
+    assert batch.mask.shape == batch.depths.shape == batch.centers.shape[:-1]
+    assert batch.mask.shape == (6, records[0].frames, width)
+    # the widest video fills the last stored slot
+    assert batch.mask[:, :, -1].any()
     assert np.all(np.isfinite(batch.visual)) and np.all(np.isfinite(batch.text))
     absent = ~batch.mask
     assert np.all(batch.depths[absent] == 0.0)
@@ -485,9 +491,30 @@ def test_build_features_deterministic_and_batch_independent():
     assert np.array_equal(one.visual, two.visual)
     assert np.array_equal(one.text, two.text)
     solo = build_features([records[2]], 8, 4)
-    assert np.array_equal(one.visual[2], solo.visual[0])
-    assert np.array_equal(one.text[2], solo.text[0])
-    assert np.array_equal(one.mask[2], solo.mask[0])
+    # the same values over the solo video's own width, +0.0 past it
+    own = solo.objects
+    assert own <= one.objects
+    for name, first in (("visual", 1), ("text", 1), ("mask", 0),
+                        ("centers", 0), ("depths", 0)):
+        arr = getattr(one, name)[2]
+        assert np.array_equal(arr[:, :first + own], getattr(solo, name)[0]), name
+        tail = arr[:, first + own:]
+        assert not tail.any() and not np.signbit(tail).any(), name
+
+
+def test_build_features_stores_only_the_slots_used():
+    records = _small_dataset(count=4)
+    for max_objects in (1, 3, 19):
+        batch = build_features(records, 8, max_objects)
+        width = max(1, max(len(assign_slots(r, max_objects)) for r in records))
+        assert batch.objects == width
+        b, t = len(records), records[0].frames
+        assert batch.visual.nbytes == b * t * (1 + width) * 8 * 8
+        assert batch.text.nbytes == batch.visual.nbytes
+    # a batch of videos with no objects keeps one all-absent slot
+    empty = _record([[] for _ in range(4)])
+    batch = build_features([empty], 8, 19)
+    assert batch.objects == 1 and not batch.mask.any()
 
 
 def test_build_features_rejects_bad_input():
@@ -517,7 +544,8 @@ def test_edge_weight_stack_end_to_end():
     stack = edge_weight_stack(batch.centers, batch.depths, batch.mask,
                               text_norm, alpha=0.5, beta=0.0)
     w = stack.w.value
-    assert w.shape == (2, batch.frames, 4, 4)
+    assert w.shape == (2, batch.frames, batch.objects, batch.objects)
+    assert batch.objects <= 4
     assert np.all(np.isfinite(w))
     mid = 0.5 * (stack.w_geo.value + stack.w_text.value)
     assert np.allclose(w, mid, atol=1e-12)

@@ -8,6 +8,7 @@ platform-pinned (numpy's generators and libm on x86-64 Linux).
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from crashcast.cli import main
@@ -25,12 +26,20 @@ GOLDEN = [
 
 _ARRAYS = ("visual", "text", "mask", "centers", "depths", "labels",
            "accident_frames")
+_OBJECT_AXIS = ("visual", "text", "mask", "centers", "depths")
+_MAX_OBJECTS = 19
 
 
 def _features_digest(batch) -> str:
+    """The digest of the arrays padded on the object axis with +0.0 (False
+    for the mask) to max_objects slots, the width they were recorded at;
+    build_features stores only the slots the batch uses."""
     h = hashlib.sha256()
     for name in _ARRAYS:
         arr = getattr(batch, name)
+        if name in _OBJECT_AXIS:
+            pad = _MAX_OBJECTS - batch.objects
+            arr = np.pad(arr, [(0, 0), (0, 0), (0, pad)] + [(0, 0)] * (arr.ndim - 3))
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
         h.update(arr.tobytes())
     h.update(",".join(batch.video_ids).encode())
@@ -45,5 +54,5 @@ def test_gen_data_and_features_match_recorded_digests(tmp_path, count, seed,
     assert main(["gen-data", "--count", str(count), "--positive-ratio", "0.5",
                  "--seed", str(seed), "--jobs", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == gen_sha256
-    batch = build_features(read_dataset(str(out)), 32, 19)
+    batch = build_features(read_dataset(str(out)), 32, _MAX_OBJECTS)
     assert _features_digest(batch) == features_sha256

@@ -377,6 +377,30 @@ def test_video_risk_does_not_depend_on_its_batch_width():
     assert np.abs(alone - beside).max() <= 1e-12
 
 
+def test_forward_on_a_narrow_batch_equals_the_zero_padded_batch():
+    cfg = ModelConfig(feature_dim=4, max_objects=6)
+    rng = np.random.default_rng(42)
+    params = _off_default_mix(ModelParams.init(cfg, rng))
+    narrow = random_batch(2, 5, 3, 4, rng)
+    padded = FeatureBatch(
+        *(np.pad(x, [(0, 0), (0, 0), (0, 3)] + [(0, 0)] * (x.ndim - 3))
+          for x in dataclasses.astuple(narrow)[:5]),
+        narrow.video_ids, narrow.labels, narrow.accident_frames)
+    assert padded.objects == cfg.max_objects
+    a, b = forward(narrow, params, cfg), forward(padded, params, cfg)
+    assert np.array_equal(a.logits.value, b.logits.value)
+    assert np.array_equal(a.risk.value, b.risk.value)
+
+
+def test_forward_refuses_a_batch_wider_than_the_model():
+    cfg = _tiny_cfg(max_objects=3)
+    rng = np.random.default_rng(43)
+    params = ModelParams.init(cfg, rng)
+    forward(random_batch(1, 4, 3, 4, rng), params, cfg)
+    with pytest.raises(ValueError, match=r"4 object slots.*max_objects 3"):
+        forward(random_batch(1, 4, 4, 4, rng), params, cfg)
+
+
 def test_forward_tape_does_not_grow_with_frames():
     cfg = _tiny_cfg(feature_dim=8, max_objects=4)
     params = ModelParams.init(cfg, np.random.default_rng(9))
