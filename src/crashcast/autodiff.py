@@ -51,51 +51,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.value.shape})"
 
-    # arithmetic sugar; all routed through the recorded primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return narrow(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
-
 
 class Parameter(Tensor):
     """Leaf tensor that collects gradients across backward passes."""
@@ -255,12 +210,6 @@ def div(a, b) -> Tensor:
     ))
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(-a.value)
-    return _record(out, (a,), (lambda g: -g,))
-
-
 # ---------------------------------------------------------------------------
 # matrix products
 
@@ -295,17 +244,6 @@ def bmm(a, b) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # unary math
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.value)
-    return _record(Tensor(y), (a,), (lambda g: g * y,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _record(Tensor(np.log(a.value)), (a,), (lambda g: g / a.value,))
-
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
@@ -420,32 +358,26 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 # losses
 
 def cross_entropy_logits(logits, labels) -> Tensor:
-    """Per-row cross entropy from raw logits via log-sum-exp.
+    """Per-row cross entropy from raw (n, k) logits via log-sum-exp.
 
-    logits: (n, k) (or (k,) with an int label); labels: int array (n,).
-    Returns the (n,) vector of losses (scalar for the 1-D case).
+    labels: int array (n,). Returns the (n,) vector of losses.
     """
     logits = as_tensor(logits)
-    single = logits.ndim == 1
-    lv = logits.value[None, :] if single else logits.value
-    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    lv = logits.value
+    lab = np.asarray(labels, dtype=np.int64)
     if lv.ndim != 2 or lab.shape != (lv.shape[0],):
         raise ValueError("cross_entropy_logits expects (n, k) logits and (n,) labels")
     m = lv.max(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(lv - m).sum(axis=-1))
     picked = lv[np.arange(lv.shape[0]), lab]
-    losses = lse - picked
 
     def grad(g):
         p = np.exp(lv - m)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(lv.shape[0]), lab] -= 1.0
-        ga = np.atleast_1d(g)
-        full = p * ga[:, None]
-        return full[0] if single else full
+        return p * g[:, None]
 
-    out = Tensor(losses[0] if single else losses)
-    return _record(out, (logits,), (grad,))
+    return _record(Tensor(lse - picked), (logits,), (grad,))
 
 
 # ---------------------------------------------------------------------------

@@ -249,17 +249,18 @@ def _gen_span(task):
             for i in range(lo, hi)]
 
 
-def _map_spans(tasks, jobs):
-    """Run the span tasks on a process pool, falling back to threads when the
-    platform cannot spawn workers. Results keep task order either way, so the
-    merged dataset is byte-identical for every jobs value."""
-    if jobs <= 1 or len(tasks) <= 1:
+def _map_spans(tasks):
+    """Run the span tasks on a process pool of one worker per task, falling
+    back to threads when the platform cannot spawn workers. Results keep task
+    order either way, so the merged dataset is byte-identical for every jobs
+    value."""
+    if len(tasks) <= 1:
         return [_gen_span(t) for t in tasks]
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             return list(pool.map(_gen_span, tasks))
     except (OSError, PermissionError, BrokenProcessPool):
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
             return list(pool.map(_gen_span, tasks))
 
 
@@ -291,10 +292,11 @@ def _run_gen_data(cfg: dict) -> int:
         except NetworkError as exc:
             raise ConfigError(f"cannot parse network file: {exc}")
 
-    span = max(1, -(-count // max(jobs, 1)))
+    # ceil(count / jobs): at most jobs spans, each one worker's share
+    span = -(-count // jobs)
     tasks = [(seed, count, ratio, network_text, lo, min(lo + span, count))
              for lo in range(0, count, span)]
-    records = [rec for part in _map_spans(tasks, jobs) for rec in part]
+    records = [rec for part in _map_spans(tasks) for rec in part]
 
     atomic_write_text(out, "\n".join(record_to_json(r) for r in records) + "\n")
     _write_manifest(out, "gen-data", cfg, inputs, [out], started)

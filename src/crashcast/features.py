@@ -268,7 +268,8 @@ def distance_velocity_stacks(centers, depths, mask, s: float):
 def geo_weights(dbar, vbar, alpha) -> Tensor:
     """W_geo = alpha * exp(-dbar) + (1 - alpha) * vbar."""
     alpha = ad.as_tensor(alpha)
-    return alpha * np.exp(-np.asarray(dbar, dtype=float)) + (1.0 - alpha) * np.asarray(vbar, dtype=float)
+    return ad.add(ad.mul(alpha, np.exp(-np.asarray(dbar, dtype=float))),
+                  ad.mul(ad.sub(1.0, alpha), np.asarray(vbar, dtype=float)))
 
 
 def text_weights(embeddings, tau_text: float, pair_mask=None, slots=None) -> Tensor:
@@ -299,7 +300,7 @@ def text_weights(embeddings, tau_text: float, pair_mask=None, slots=None) -> Ten
 def fuse_weights(w_geo, w_text, beta) -> Tensor:
     """W = (1 - sigmoid(beta)) * W_geo + sigmoid(beta) * W_text."""
     lam = ad.sigmoid(ad.as_tensor(beta))
-    return (1.0 - lam) * w_geo + lam * w_text
+    return ad.add(ad.mul(ad.sub(1.0, lam), w_geo), ad.mul(lam, w_text))
 
 
 @dataclass
@@ -340,7 +341,7 @@ def gated_fuse(x_vis, x_text, gate: FusionGate) -> Tensor:
     x_text = ad.as_tensor(x_text)
     both = ad.concat([x_vis, x_text], axis=-1)
     g = ad.sigmoid(ad.add(ad.matmul(both, gate.w_g), gate.b_g))
-    return g * x_vis + (1.0 - g) * x_text
+    return ad.add(ad.mul(g, x_vis), ad.mul(ad.sub(1.0, g), x_text))
 
 
 @dataclass

@@ -178,7 +178,7 @@ def adjacency(u, v) -> Tensor:
     u, v = ad.as_tensor(u), ad.as_tensor(v)
     n = u.shape[0]
     a = ad.softmax_lastdim(ad.matmul(u, v))
-    a_hat = a + np.eye(n)
+    a_hat = ad.add(a, np.eye(n))
     d_inv_sqrt = ad.div(1.0, ad.sqrt(ad.tsum(a_hat, axis=-1)))
     left = ad.reshape(d_inv_sqrt, (n, 1))
     right = ad.reshape(d_inv_sqrt, (1, n))

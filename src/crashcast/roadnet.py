@@ -60,7 +60,6 @@ class Route:
 
     edges: tuple[str, ...]
     cost: float  # total travel time, seconds
-    length: float  # total arc length, meters
 
 
 @dataclass(frozen=True)
@@ -207,22 +206,6 @@ def parse_network(text: str) -> RoadGraph:
     return graph
 
 
-def serialize_network(graph: RoadGraph) -> str:
-    """Inverse of parse_network on the validated graph model."""
-    lines = ["<network>"]
-    for node in graph.nodes.values():
-        lines.append(f'  <node id="{node.id}" x="{node.x!r}" y="{node.y!r}"/>')
-    for e in graph.edges.values():
-        flag = ' internal="true"' if e.internal else ""
-        lines.append(f'  <edge id="{e.id}" from="{e.source}" to="{e.target}" '
-                     f'length="{e.length!r}" speed="{e.speed!r}"{flag}>')
-        for x, y in e.shape:
-            lines.append(f'    <pt x="{x!r}" y="{y!r}"/>')
-        lines.append("  </edge>")
-    lines.append("</network>")
-    return "\n".join(lines) + "\n"
-
-
 def classify_terminals(graph: RoadGraph) -> TerminalSets:
     """Routable trip endpoints: every non-internal edge (single-edge routes
     are legal, so any such edge can begin or end a trip)."""
@@ -244,12 +227,9 @@ def shortest_path(graph: RoadGraph, source_edge: str, target_edge: str) -> Route
         if eid not in graph.edges:
             raise NoRouteError(f"unknown edge {eid!r}")
 
-    def finish(path: tuple[str, ...], cost: float) -> Route:
-        return Route(path, cost, sum(graph.edges[e].length for e in path))
-
     start_cost = graph.edges[source_edge].travel_time
     if source_edge == target_edge:
-        return finish((source_edge,), start_cost)
+        return Route((source_edge,), start_cost)
 
     # priority = (cost, edge-id sequence): the first settle of a state is
     # both cheapest and lexicographically smallest among equal-cost paths.
@@ -262,13 +242,8 @@ def shortest_path(graph: RoadGraph, source_edge: str, target_edge: str) -> Route
             continue
         settled.add(last)
         if last == target_edge:
-            return finish(path, cost)
+            return Route(path, cost)
         for nxt in graph.continuations(last):
             if nxt not in settled:
                 heapq.heappush(heap, (cost + graph.edges[nxt].travel_time, path + (nxt,)))
     raise NoRouteError(f"no route from edge {source_edge!r} to {target_edge!r}")
-
-
-def path_length(graph: RoadGraph, edge_ids) -> float:
-    """Total arc length of an edge sequence; empty input is 0."""
-    return sum(graph.edges[e].length for e in edge_ids)

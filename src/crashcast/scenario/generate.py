@@ -144,7 +144,6 @@ class GenMeta:
     ego_heading: np.ndarray
     stored_offset: int
     collision_xy: tuple[float, float] | None = None
-    collision_gen_frame: int | None = None
     template: AccidentTemplate | None = None
     role_routes: tuple[tuple[str, ...], ...] | None = None
     participant_ids: tuple[str, ...] = ()
@@ -375,7 +374,7 @@ def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
     record = _assemble(rec_id, True, env, tracks, ego, g_c)
     meta = GenMeta(ego_xy=ego.xy, ego_heading=ego.heading,
                    stored_offset=TRIM_FRAMES, collision_xy=collision_xy,
-                   collision_gen_frame=g_c, template=template,
+                   template=template,
                    role_routes=tuple(rt.edges for rt in role_routes),
                    participant_ids=tuple(t.id for t in participants))
     return record, meta
@@ -453,7 +452,9 @@ def validate_scenario(record: ScenarioRecord,
     """Check every record invariant, and the four accident constraints for
     positives. With generation meta the camera checks run against the true
     ego poses; without it they fall back to what the record alone supports
-    (rigid-transform consistency of the stored projections)."""
+    (rigid-transform consistency of the stored projections), and the
+    meta-only accident checks c1 (OD pairs) and c3 (collision in view) are
+    skipped."""
     cam = CAMERA
     checks: list[CheckResult] = []
 
@@ -509,23 +510,14 @@ def validate_scenario(record: ScenarioRecord,
             add("c2_trajectories_intersect",
                 hit <= COLLISION_THRESHOLD + 1e-6,
                 f"closest pair {pair_d:.3f} m, closest to camera {cam_d:.3f} m")
-            bearings = np.abs(cam.bearing(cx[a:b], depth[a:b]))
             if meta is not None and meta.collision_xy is not None:
                 g = lam - 1 + meta.stored_offset
                 cx_c, _, depth_c, seen = cam.project(
                     meta.ego_xy[g], meta.ego_heading[g], meta.collision_xy)
                 bearing = abs(cam.bearing(cx_c, depth_c)) if seen else math.inf
-            elif pair_d <= cam_d and math.isfinite(pair_d):
-                # the first closest pair i < j, as the rows are stored
-                i, j = np.unravel_index(np.argmin(between), between.shape)
-                bearing = max(bearings[i], bearings[j])
-            elif b > a:
-                bearing = bearings[np.argmin(to_cam)]
-            else:
-                bearing = math.inf
-            add("c3_collision_in_fov", bearing <= cam.half_fov + 1e-9,
-                f"bearing {math.degrees(bearing):.1f} deg"
-                if math.isfinite(bearing) else "collision point not visible")
+                add("c3_collision_in_fov", bearing <= cam.half_fov + 1e-9,
+                    f"bearing {math.degrees(bearing):.1f} deg"
+                    if math.isfinite(bearing) else "collision point not visible")
         if meta is not None and meta.template is not None:
             ok = all(rt[0] == role.od[0] and rt[-1] == role.od[1]
                      for rt, role in zip(meta.role_routes, meta.template.roles))

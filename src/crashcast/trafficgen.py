@@ -38,10 +38,6 @@ class ArrivalConfig:
     def rate(self) -> float:
         return self.vehicles / self.period
 
-    @property
-    def expected_count(self) -> float:
-        return self.rate * self.horizon
-
 
 @dataclass(frozen=True)
 class TripSpec:

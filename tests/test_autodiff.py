@@ -62,7 +62,7 @@ def gru_loop(x, w_ih, w_hh, b_ih, b_hh) -> Tensor:
     outs = []
     for t in range(steps):
         h = gru_cell(narrow(x, (slice(None), t)), h, w_ih, w_hh, b_ih, b_hh)
-        outs.append(h.reshape(batch, 1, hidden))
+        outs.append(ad.reshape(h, (batch, 1, hidden)))
     return concat(outs, axis=1)
 
 
@@ -80,18 +80,16 @@ def check_unary(op, x0, tol=1e-6):
     p = Parameter(x0)
     # weighted sum so the objective is never trivially constant in x
     w = np.linspace(0.3, 1.7, x0.size).reshape(x0.shape)
-    err = grad_check(lambda: (op(p) * w).sum(), [p])
+    err = grad_check(lambda: ad.tsum(ad.mul(op(p), w)), [p])
     assert err <= tol, f"{op.__name__}: rel err {err}"
 
 
 def test_unary_primitives_match_finite_differences():
     rng = np.random.default_rng(7)
     x = rand(rng, 4, 5) * 0.8 + 0.1
-    check_unary(ad.exp, x)
     check_unary(ad.sigmoid, x)
     check_unary(ad.tanh, x)
     check_unary(ad.sqrt, np.abs(x) + 0.5)
-    check_unary(ad.log, np.abs(x) + 0.5)
     check_unary(softmax_lastdim, x)
     # keep relu inputs away from the kink
     xr = x.copy()
@@ -124,8 +122,9 @@ def test_arithmetic_and_broadcasting_gradients():
     scalar = Parameter(np.array(1.3))
 
     def f():
-        y = (a * b + bias) / (scalar + 2.0) - b * 0.5
-        return (y * y).mean()
+        y = ad.sub(ad.div(ad.add(ad.mul(a, b), bias), ad.add(scalar, 2.0)),
+                   ad.mul(b, 0.5))
+        return ad.tmean(ad.mul(y, y))
 
     err = grad_check(f, [a, b, bias, scalar])
     assert err <= 1e-6
@@ -135,16 +134,16 @@ def test_matmul_and_bmm_gradients():
     rng = np.random.default_rng(13)
     a = Parameter(rand(rng, 5, 3))
     w = Parameter(rand(rng, 3, 4))
-    err = grad_check(lambda: matmul(a, w).sum(), [a, w])
+    err = grad_check(lambda: ad.tsum(matmul(a, w)), [a, w])
     assert err <= 1e-6
 
     stacked = Parameter(rand(rng, 6, 2, 3))
-    err = grad_check(lambda: (matmul(stacked, w) * 0.3).sum(), [stacked, w])
+    err = grad_check(lambda: ad.tsum(ad.mul(matmul(stacked, w), 0.3)), [stacked, w])
     assert err <= 1e-6
 
     lhs = Parameter(rand(rng, 4, 2, 3))
     rhs = Parameter(rand(rng, 4, 3, 5))
-    err = grad_check(lambda: bmm(lhs, rhs).sum(), [lhs, rhs])
+    err = grad_check(lambda: ad.tsum(bmm(lhs, rhs)), [lhs, rhs])
     assert err <= 1e-6
 
 
@@ -156,26 +155,27 @@ def test_shape_ops_gradients():
     def f():
         joined = concat([a, b], axis=-1)
         part = narrow(joined, (slice(1, 3), slice(0, 5)))
-        return (part.reshape(10) * 2.0).sum()
+        return ad.tsum(ad.mul(ad.reshape(part, (10,)), 2.0))
 
     err = grad_check(f, [a, b])
     assert err <= 1e-6
 
     c = Parameter(rand(rng, 3, 4, 2))
-    err = grad_check(lambda: c.mean(axis=1).sum() + transpose2d(a).sum(), [c, a])
+    err = grad_check(lambda: ad.add(ad.tsum(ad.tmean(c, axis=1)), ad.tsum(transpose2d(a))),
+                     [c, a])
     assert err <= 1e-6
 
 
 def test_cross_entropy_matches_hand_value_and_gradient():
     # logits (10, -10), true class 0: loss = log(1 + exp(-20))
-    loss = cross_entropy_logits(Tensor([10.0, -10.0]), 0)
-    assert loss.item() == pytest.approx(np.log1p(np.exp(-20.0)), rel=1e-12)
-    assert loss.item() == pytest.approx(2.061e-9, rel=1e-3)
+    (loss,) = cross_entropy_logits(Tensor([[10.0, -10.0]]), [0]).value
+    assert loss == pytest.approx(np.log1p(np.exp(-20.0)), rel=1e-12)
+    assert loss == pytest.approx(2.061e-9, rel=1e-3)
 
     rng = np.random.default_rng(19)
     logits = Parameter(rand(rng, 6, 2))
     labels = np.array([0, 1, 1, 0, 1, 0])
-    err = grad_check(lambda: cross_entropy_logits(logits, labels).mean(), [logits])
+    err = grad_check(lambda: ad.tmean(cross_entropy_logits(logits, labels)), [logits])
     assert err <= 1e-6
 
 
@@ -188,7 +188,7 @@ def test_gru_cell_gradients_and_zero_case():
     w_hh = Parameter(rand(rng, 3 * hid, hid) * 0.4)
     b_ih = Parameter(rand(rng, 3 * hid) * 0.1)
     b_hh = Parameter(rand(rng, 3 * hid) * 0.1)
-    err = grad_check(lambda: gru_cell(x, h, w_ih, w_hh, b_ih, b_hh).sum(),
+    err = grad_check(lambda: ad.tsum(gru_cell(x, h, w_ih, w_hh, b_ih, b_hh)),
                      [x, h, w_ih, w_hh, b_ih, b_hh])
     assert err <= 1e-6
 
@@ -202,7 +202,7 @@ def test_gru_sequence_gradients_and_zero_case():
     rng = np.random.default_rng(37)
     params = gru_params(rng, 2, 5, 3, 4)
     probe = rand(rng, 2, 5, 4)
-    err = grad_check(lambda: (gru_sequence(*params) * probe).sum(), params)
+    err = grad_check(lambda: ad.tsum(ad.mul(gru_sequence(*params), probe)), params)
     assert err <= 1e-6
     with Tape() as tape:
         gru_sequence(*params)
@@ -225,7 +225,7 @@ def test_gru_sequence_matches_gru_cell_loop(shape):
             p.zero_grad()
         with Tape() as tape:
             out = fn(*params)
-            tape.backward((out * probe).sum())
+            tape.backward(ad.tsum(ad.mul(out, probe)))
         outs.append(out.value)
         grads.append([p.grad.copy() for p in params])
     assert np.abs(outs[0] - outs[1]).max() <= 1e-12
@@ -240,7 +240,7 @@ def test_causal_conv_is_causal_and_differentiable():
     w = Parameter(rand(rng, 3, c, c) * 0.5)
     b = Parameter(rand(rng, c) * 0.1)
 
-    err = grad_check(lambda: causal_dilated_conv1d(x, w, b, 2).sum(), [x, w, b])
+    err = grad_check(lambda: ad.tsum(causal_dilated_conv1d(x, w, b, 2)), [x, w, b])
     assert err <= 1e-6
 
     # output at step t must not change when only x[t+1:] changes
@@ -262,11 +262,11 @@ def test_l2_normalize_handles_zero_rows():
 def test_backward_requires_scalar_root_and_single_use():
     p = Parameter(np.ones(3))
     with Tape() as tape:
-        y = p * 2.0
+        y = ad.mul(p, 2.0)
         with pytest.raises(ValueError):
             tape.backward(y)
     with Tape() as tape:
-        z = (p * 2.0).sum()
+        z = ad.tsum(ad.mul(p, 2.0))
         tape.backward(z)
         with pytest.raises(RuntimeError):
             tape.backward(z)
@@ -276,7 +276,7 @@ def test_grad_accumulates_across_backward_passes():
     p = Parameter(np.array([2.0]))
     for _ in range(2):
         with Tape() as tape:
-            tape.backward((p * 3.0).sum())
+            tape.backward(ad.tsum(ad.mul(p, 3.0)))
     assert p.grad == pytest.approx([6.0])
     p.zero_grad()
     assert p.grad == pytest.approx([0.0])
@@ -285,8 +285,8 @@ def test_grad_accumulates_across_backward_passes():
 def test_tape_records_nothing_for_ops_on_constants():
     x = Tensor(np.arange(6.0).reshape(2, 3))
     with Tape() as tape:
-        y = softmax_lastdim(l2_normalize_lastdim(x) * 2.0)
-        _ = concat([y, x], axis=-1).sum()
+        y = softmax_lastdim(ad.mul(l2_normalize_lastdim(x), 2.0))
+        _ = ad.tsum(concat([y, x], axis=-1))
     assert len(tape) == 0
 
 
@@ -296,9 +296,9 @@ def test_tape_records_only_ops_that_reach_a_parameter():
     def run(c):
         p = Parameter(np.array([0.3, -0.2, 0.1]), name="p")
         with Tape() as tape:
-            k = ad.exp(c) * 2.0  # constants alone: not recorded
+            k = ad.mul(ad.sigmoid(c), 2.0)  # constants alone: not recorded
             h = ad.tanh(p)  # reaches p
-            y = (h * k).sum()  # consumes a recorded output
+            y = ad.tsum(ad.mul(h, k))  # consumes a recorded output
             tape.backward(y)
         return tape, p.grad
 
@@ -311,15 +311,25 @@ def test_tape_records_only_ops_that_reach_a_parameter():
     full_tape, full_grad = run(Parameter(c_value, name="c"))
     assert len(full_tape) == 5
     assert np.array_equal(grad, full_grad)
-    assert np.allclose(grad, (1.0 - np.tanh([0.3, -0.2, 0.1]) ** 2) * 2.0 * np.exp(c_value),
-                       atol=1e-15)
+    assert np.allclose(grad, (1.0 - np.tanh([0.3, -0.2, 0.1]) ** 2) * 2.0
+                       / (1.0 + np.exp(-c_value)), atol=1e-15)
 
 
 def test_no_tape_means_no_recording():
     p = Parameter(np.ones(2))
     before = len(ad._TAPE_STACK)
-    _ = (p * 2.0).sum()
+    _ = ad.tsum(ad.mul(p, 2.0))
     assert len(ad._TAPE_STACK) == before
+
+
+def test_tensor_has_no_arithmetic_operators():
+    # ops are called as functions; an operator, on either side of a numpy
+    # array, must not build an object array of Tensors off the tape
+    t = Tensor(np.ones(3))
+    for expr in (lambda: np.ones(3) * t, lambda: t * np.ones(3),
+                 lambda: 1.0 - t, lambda: t + t):
+        with pytest.raises(TypeError):
+            expr()
 
 
 def test_grad_check_flags_a_wrong_gradient():
@@ -329,7 +339,7 @@ def test_grad_check_flags_a_wrong_gradient():
         return ad._record(out, (t,), (lambda g: g * 3.0 * t.value,))
 
     p = Parameter(np.array([1.5, -0.7]))
-    err = grad_check(lambda: bad_square(p).sum(), [p])
+    err = grad_check(lambda: ad.tsum(bad_square(p)), [p])
     assert err > 1e-2
 
 

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 import crashcast
 from crashcast import autodiff as ad
+from crashcast import cli
 from crashcast.cli import _DEFAULTS, main
-from crashcast.roadnet import serialize_network
-from crashcast.scenario import preset_graph, read_dataset
+from crashcast.scenario import read_dataset
+from crashcast.scenario.presets import multilane_map_xml
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,25 @@ def test_gen_data_jobs_do_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_data_pool_has_one_worker_per_span(tmp_path, monkeypatch):
+    # the pool starts all its workers at once, so one sized at --jobs
+    # would start more processes than there are spans to run
+    sizes = []
+    pool = cli.ProcessPoolExecutor
+
+    def recording_pool(max_workers=None, **kwargs):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    a = tmp_path / "a.jsonl"
+    b = tmp_path / "b.jsonl"
+    assert main(["gen-data", "--count", "2", "--jobs", "1", "--out", str(a)]) == 0
+    assert main(["gen-data", "--count", "2", "--jobs", "8", "--out", str(b)]) == 0
+    assert sizes == [2]
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_gen_data_missing_network_exits_2(tmp_path):
     code = main(["gen-data", "--network", str(tmp_path / "nope.xml"),
                  "--count", "3", "--out", str(tmp_path / "d.jsonl")])
@@ -75,7 +95,7 @@ def test_gen_data_missing_network_exits_2(tmp_path):
 
 def test_gen_data_network_file_used_for_negatives(tmp_path):
     net = tmp_path / "net.txt"
-    net.write_text(serialize_network(preset_graph("multilane")))
+    net.write_text(multilane_map_xml())
     out = tmp_path / "d.jsonl"
     assert main(["gen-data", "--network", str(net), "--count", "4",
                  "--positive-ratio", "0.0", "--seed", "11",
@@ -721,7 +741,7 @@ def test_eval_output_on_an_input_exits_2(work, tmp_path, capsys, case):
 
 def test_gen_data_output_on_the_network_exits_2(tmp_path, capsys):
     net = tmp_path / "net.xml"
-    net.write_text(serialize_network(preset_graph("multilane")))
+    net.write_text(multilane_map_xml())
     before = net.read_bytes()
     capsys.readouterr()
     assert _gen(net, "--network", net, "--force") == 2

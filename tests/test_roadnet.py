@@ -10,8 +10,6 @@ from crashcast.roadnet import (
     RoadNode,
     classify_terminals,
     parse_network,
-    path_length,
-    serialize_network,
     shortest_path,
 )
 
@@ -49,12 +47,6 @@ def test_parse_basic_network():
     assert g.edges["ab"].travel_time == pytest.approx(10.0)
     assert g.edges["ab"].internal is False  # missing attribute defaults false
     assert g.edges["bc"].internal is True
-
-
-def test_parse_serialize_roundtrip():
-    g = parse_network(SIMPLE_NET)
-    again = parse_network(serialize_network(g))
-    assert again == g
 
 
 def test_parse_errors_report_id_and_line():
@@ -115,7 +107,6 @@ def test_single_edge_route_costs_full_edge():
     route = shortest_path(g, "only", "only")
     assert route.edges == ("only",)
     assert route.cost == pytest.approx(10.0)
-    assert route.length == pytest.approx(100.0)
 
 
 def test_tie_break_is_lexicographic_on_edge_ids():
@@ -140,12 +131,6 @@ def test_no_route_raises():
         shortest_path(g, "e1", "e2")
     with pytest.raises(NoRouteError):
         shortest_path(g, "e1", "nope")
-
-
-def test_path_length_sums_edges_and_handles_empty():
-    g = build_graph([("a", 0, 0), ("b", 1, 0)], [("e1", "a", "b", 7.5, 1.0)])
-    assert path_length(g, []) == 0.0
-    assert path_length(g, ["e1", "e1"]) == pytest.approx(15.0)
 
 
 # --- exhaustive oracle ------------------------------------------------------
