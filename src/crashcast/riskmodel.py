@@ -195,7 +195,7 @@ def gcn_layer(h, a_tilde, w_t, psi) -> Tensor:
     softmax is uniform over the O slots, and (1 - lambda) alpha at a
     (present, absent) pair. Absent slots carry zero embeddings into the
     first layer, but leave it nonzero and feed the second layer's present
-    rows (ROADMAP item 1A removes this)."""
+    rows (ROADMAP item 1 removes this)."""
     return ad.relu(ad.matmul(ad.bmm(ad.mul(w_t, a_tilde), h), psi))
 
 

@@ -75,6 +75,8 @@ class RoadGraph:
     # outgoing edge ids per node id, sorted for deterministic expansion
     _out: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False,
                                              compare=False)
+    # trafficgen.route_path's RoutePath per edge-id tuple
+    _paths: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add_node(self, node: RoadNode) -> None:
         self.nodes[node.id] = node
@@ -82,6 +84,7 @@ class RoadGraph:
     def add_edge(self, edge: RoadEdge) -> None:
         self.edges[edge.id] = edge
         self._out = {}
+        self._paths = {}
 
     def outgoing(self, node_id: str) -> tuple[str, ...]:
         if not self._out:

@@ -36,6 +36,7 @@ from ..trafficgen import (
     TripSpec,
     build_trips,
     deconflict,
+    route_path,
     same_time_gaps,
     sample_departures,
     sample_od,
@@ -294,9 +295,9 @@ def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
 def _background_tracks(graph: RoadGraph, terminals: TerminalSets,
                        rng: np.random.Generator, grid: np.ndarray,
                        extra_trips: list[TripSpec] | None = None) -> list[Track]:
-    """Poisson traffic, deconflicted. Each trip's `RoutePath` is built once,
-    keyed by vehicle, and serves both the chord-interpolated trajectory the
-    spacing pass works on and the track sampled on the grid. The spacing
+    """Poisson traffic, deconflicted. Each trip's `RoutePath`, shared with
+    every trip on its route, serves both the chord-interpolated trajectory
+    the spacing pass works on and the track sampled on the grid. The spacing
     pass runs with a padded radius; the exact per-frame spacing is
     re-checked by callers on the sampled tracks."""
     arrivals = ArrivalConfig(ARRIVAL_VEHICLES, ARRIVAL_PERIOD, HORIZON)
@@ -304,7 +305,7 @@ def _background_tracks(graph: RoadGraph, terminals: TerminalSets,
     trips = build_trips(graph, terminals, departures, rng)
     if extra_trips:
         trips = extra_trips + trips
-    paths = {t.vehicle: RoutePath(graph, t.route.edges) for t in trips}
+    paths = {t.vehicle: route_path(graph, t.route.edges) for t in trips}
     trajs = [sample_trajectory(paths[t.vehicle], t.depart, DT) for t in trips]
     placed = deconflict(trips, trajs, SAFETY_RADIUS + 0.5, DT, HORIZON)
     return [_trip_track(paths[t.vehicle], t.depart, grid, f"car{t.vehicle}")
@@ -326,7 +327,7 @@ def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
     ego_involved = template.ego_role is not None and rng.random() < 0.5
 
     grid = np.arange(GEN_FRAMES) * DT
-    paths = [RoutePath(graph, rt.edges) for rt in role_routes]
+    paths = [route_path(graph, rt.edges) for rt in role_routes]
     anchors = [_node_arc(graph, path, node) for path in paths]
     if role_routes[0].edges == role_routes[1].edges:
         # same-lane pair: trail the second role so it strikes from behind
@@ -346,7 +347,7 @@ def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
     else:
         od = template.observer_ods[int(rng.integers(len(template.observer_ods)))]
         ego_route = shortest_path(graph, *od)
-        ego_path = RoutePath(graph, ego_route.edges)
+        ego_path = route_path(graph, ego_route.edges)
         shared = [r for r in range(2) if role_routes[r].edges == ego_route.edges]
         if shared:
             # ego trails a same-lane participant at matched speed so nobody

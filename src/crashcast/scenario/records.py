@@ -189,20 +189,38 @@ def scene_label(env: EnvironmentProfile, visible_count: int) -> str:
     return f"{env.weather}|{env.lighting}|{env.road_type}|{density}"
 
 
-def _round7(x: float) -> float:
-    return round(float(x), 7)
+def round7(x: np.ndarray) -> np.ndarray:
+    """round(v, 7) of every element v, bit for bit, as a new float64 array.
+
+    rint(x * 1e7) is the integer that round() gives wherever the computed
+    product's fraction is further than one ulp from 1/2: the exact product
+    lies within half an ulp of it, so both round to the same integer, and one
+    correctly rounded division by 1e7 gives the float nearest that decimal,
+    which is what round() parses back. The rest (ties and near ties, every
+    |x * 1e7| >= 2**51 where the ulp reaches 1/2, NaN and inf) go through
+    round() itself."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * 1e7
+        out = np.rint(scaled) / 1e7
+        mag = np.abs(scaled)
+        safe = np.abs(mag - np.floor(mag) - 0.5) > np.spacing(mag)
+    for i in np.flatnonzero(~safe).tolist():
+        out.flat[i] = round(float(x.flat[i]), 7)
+    return out
 
 
 def record_to_json(record: ScenarioRecord) -> str:
     """One JSON line per record; key order and float rounding are fixed so
-    identical records serialize to identical bytes."""
+    identical records serialize to identical bytes. Every object number is
+    written as round(x, 7), in its shortest repr."""
     ids = record.ids
     objects = [
-        {"id": ids[k], "x": _round7(x), "y": _round7(y), "speed": _round7(speed),
-         "heading": _round7(heading), "cx": _round7(cx), "cy": _round7(cy),
-         "depth": _round7(depth), "behavior": BEHAVIOR_LABELS[code]}
+        {"id": ids[k], "x": x, "y": y, "speed": speed, "heading": heading,
+         "cx": cx, "cy": cy, "depth": depth, "behavior": BEHAVIOR_LABELS[code]}
         for k, (x, y, speed, heading, cx, cy, depth), code in zip(
-            record.id_of.tolist(), record.states.tolist(), record.behavior.tolist())
+            record.id_of.tolist(), round7(record.states).tolist(),
+            record.behavior.tolist())
     ]
     starts = record.frame_starts.tolist()
     payload = {

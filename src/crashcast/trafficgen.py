@@ -1,7 +1,8 @@
 """Background traffic: Poisson departures, OD trips, and trajectory math.
 
-Vehicles follow route centerlines at per-edge free-flow speeds. A trip's
-`RoutePath` holds its centerline and its clock: the mapping between arc
+Vehicles follow route centerlines at per-edge free-flow speeds. A route's
+`RoutePath` holds its centerline and its clock, built once per graph by
+`route_path` and shared by every trip on the route: the mapping between arc
 position and time is piecewise linear (constant speed per edge), so both
 directions are evaluated exactly with linear interpolation over the edge
 ends. Spacing between vehicles is one function, `same_time_gaps`, over
@@ -102,7 +103,8 @@ class RoutePath:
     mapping is piecewise linear (constant speed per edge) and strictly
     increasing. Each edge's polyline is rescaled to span exactly its
     declared length, keeping the geometry consistent with the clock. Times
-    are seconds since departure.
+    are seconds since departure. The arrays are read-only, because
+    `route_path` hands one RoutePath to every trip on the route.
     """
 
     def __init__(self, graph: RoadGraph, edge_ids):
@@ -135,6 +137,8 @@ class RoutePath:
         self._arcs = np.asarray(arcs)
         self._x = np.asarray(xs)
         self._y = np.asarray(ys)
+        for a in (self.ends, self._times, self._speeds, self._arcs, self._x, self._y):
+            a.flags.writeable = False
 
     @property
     def duration(self) -> float:
@@ -172,6 +176,16 @@ class RoutePath:
         idx = np.clip(np.searchsorted(self.ends, s, side="right") - 1, 0,
                       len(self.ends) - 2)
         return self._speeds[idx]
+
+
+def route_path(graph: RoadGraph, edge_ids) -> RoutePath:
+    """The graph's one RoutePath for this edge sequence, built on first use;
+    `RoadGraph.add_edge` drops them all."""
+    key = tuple(edge_ids)
+    path = graph._paths.get(key)
+    if path is None:
+        path = graph._paths[key] = RoutePath(graph, key)
+    return path
 
 
 def sample_trajectory(path: RoutePath, depart: float, dt: float) -> Trajectory:

@@ -5,7 +5,6 @@ complete. Every criterion is independent; the slow ones (scenario validity,
 closed-loop learning) print their runtime in the detail field.
 """
 
-import json
 import math
 import time
 from fractions import Fraction
@@ -13,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from crashcast import autodiff as ad
 from crashcast.autodiff import grad_check
 from crashcast.cli import main as cli_main
 from crashcast.features import geo_weights
@@ -26,7 +24,7 @@ from crashcast.losses import (
     video_loss,
 )
 from crashcast.riskmodel import ModelConfig, ModelParams, adjacency, align_project, forward
-from crashcast.roadnet import NoRouteError, RoadEdge, RoadGraph, RoadNode, shortest_path
+from crashcast.roadnet import NoRouteError, shortest_path
 from crashcast.scenario import generate_dataset, generate_one, validate_scenario
 from crashcast.scenario.generate import CAMERA, SAFETY_RADIUS
 from crashcast.trafficgen import (

@@ -15,13 +15,17 @@ from crashcast.cli import main
 from crashcast.features import build_features
 from crashcast.scenario import read_dataset
 
-# (count, seed, gen-data sha256, features sha256), all at --positive-ratio 0.5.
-# Seed 3 x 40 also reaches a negative's safety-radius rejection and retry.
+# (count, seed, jobs, gen-data sha256, features sha256), all at
+# --positive-ratio 0.5. Seed 3 x 40 also reaches a negative's safety-radius
+# rejection and retry; seed 2 x 300 runs the per-graph route paths inside
+# worker processes and writes about 165k rounded numbers.
 GOLDEN = [
-    (8, 7, "dacf4a882dd0e47e2b06f5a844307fabbbca123cc6315e444b74102dc0055f7a",
+    (8, 7, 1, "dacf4a882dd0e47e2b06f5a844307fabbbca123cc6315e444b74102dc0055f7a",
      "28d6f15ae8e2cbc286bbfa00475ece139523fd31a95676137799b256a8928676"),
-    (40, 3, "f1387f01ce236074047a8aaace1a3bca9cf55c1114dd0a95134f16d6282c4cd3",
+    (40, 3, 1, "f1387f01ce236074047a8aaace1a3bca9cf55c1114dd0a95134f16d6282c4cd3",
      "359c536f76decb9d5d7af0d7d6677f76c8bff4d934da24a2a5e1f3c704b0edc2"),
+    (300, 2, 2, "f9e57958c9ac882f7f122f9a4af52ac5e3b97f88fea9562132415d898786347e",
+     "44c864efed08b7b4d1d91bd5111ccae4d3634bda50aa3d23277a0adc8fdf9cea"),
 ]
 
 _ARRAYS = ("visual", "text", "mask", "centers", "depths", "labels",
@@ -46,13 +50,13 @@ def _features_digest(batch) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("count, seed, gen_sha256, features_sha256", GOLDEN,
+@pytest.mark.parametrize("count, seed, jobs, gen_sha256, features_sha256", GOLDEN,
                          ids=[f"seed{seed}-{count}" for count, seed, *_ in GOLDEN])
-def test_gen_data_and_features_match_recorded_digests(tmp_path, count, seed,
+def test_gen_data_and_features_match_recorded_digests(tmp_path, count, seed, jobs,
                                                       gen_sha256, features_sha256):
     out = tmp_path / "golden.jsonl"
     assert main(["gen-data", "--count", str(count), "--positive-ratio", "0.5",
-                 "--seed", str(seed), "--jobs", "1", "--out", str(out)]) == 0
+                 "--seed", str(seed), "--jobs", str(jobs), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == gen_sha256
     batch = build_features(read_dataset(str(out)), 32, _MAX_OBJECTS)
     assert _features_digest(batch) == features_sha256

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crashcast import autodiff as ad
-from crashcast.autodiff import Parameter, grad_check
+from crashcast.autodiff import grad_check
 from crashcast.features import FeatureBatch
 from crashcast.riskmodel import (
     ModelConfig,

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashcast.roadnet import classify_terminals
 from crashcast.scenario import (
@@ -25,6 +27,7 @@ from crashcast.scenario import (
     validate_scenario,
 )
 from crashcast.scenario import generate
+from crashcast.scenario.records import round7
 from crashcast.scenario.generate import (
     COLLISION_THRESHOLD,
     DT,
@@ -414,6 +417,46 @@ def test_dataset_roundtrip_and_byte_determinism():
     # floats are rounded to 7 decimals on the way out
     x = float(record_from_json(lines[0]).states[0, 0])
     assert x == round(x, 7)
+
+
+def _round_bytes(values) -> bytes:
+    """The bytes of round(v, 7) for each v, so -0.0 and NaN payloads count."""
+    return np.array([round(v, 7) for v in values], dtype=np.float64).tobytes()
+
+
+# two near ties that rint(x * 1e7) / 1e7 gets wrong, an exact binary tie, a
+# negative that rounds to -0.0, the smallest subnormal, two magnitudes past
+# where the scaled value's ulp reaches 1/2, inf and NaN
+_ROUND7_ROWS = [1.5e-7, 95.04636965, 1 / 256, -1e-9, 0.0, 5e-324, 1e300,
+                2**53 / 1e7, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", _ROUND7_ROWS + [-v for v in _ROUND7_ROWS])
+def test_round7_matches_round_bit_for_bit_on_fixed_rows(value):
+    assert round7(np.array([value])).tobytes() == _round_bytes([value])
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(),
+    st.floats(-1e4, 1e4),
+    # halfway between two 7-decimal values, give or take the product's ulp
+    st.integers(-10**13, 10**13).map(lambda k: (k + 0.5) / 1e7),
+), min_size=1, max_size=40))
+def test_round7_matches_round_bit_for_bit(values):
+    out = round7(np.array(values)[:, None])
+    assert out.shape == (len(values), 1)
+    assert out.tobytes() == _round_bytes(values)
+
+
+def test_route_paths_shared_across_scenarios_write_the_same_bytes():
+    preset_graph.cache_clear()  # fresh graphs: no route path built yet
+    cold = [record_to_json(generate_one(1, i, 600, 0.5)[0]) for i in (0, 1)]
+    for i in range(2, 20):
+        generate_one(1, i, 600, 0.5)
+    maps = {t.preset_map for t in TEMPLATES.values()}
+    assert all(preset_graph(m)._paths for m in maps)
+    assert [record_to_json(generate_one(1, i, 600, 0.5)[0]) for i in (0, 1)] == cold
 
 
 def test_read_dataset_skips_blank_lines(tmp_path):

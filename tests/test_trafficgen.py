@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from crashcast.roadnet import Route
+from crashcast.roadnet import RoadEdge, RoadNode, Route
 from crashcast.trafficgen import (
     ArrivalConfig,
     DeconflictError,
@@ -13,6 +13,7 @@ from crashcast.trafficgen import (
     TripSpec,
     build_trips,
     deconflict,
+    route_path,
     same_time_gaps,
     sample_departures,
     sample_od,
@@ -148,6 +149,25 @@ def test_time_mapping_inversion_roundtrip_on_random_routes():
         ticks = depart + dt * np.arange(1, n + 1)
         back = depart + path.time_at(path.arc_at(ticks - depart))
         assert np.abs(back - ticks).max() <= 1e-9
+
+
+def test_route_path_is_one_read_only_path_per_route_until_add_edge():
+    g = two_edge_graph()
+    path = route_path(g, ["e1", "e2"])
+    assert route_path(g, ("e1", "e2")) is path
+    arrays = [a for a in vars(path).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) == 6
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # replace e2 with a 150 m edge to a new node: the next call sees it
+    g.add_node(RoadNode("d", 200.0, 100.0))
+    g.add_edge(RoadEdge("e2", "b", "d", 150.0, 10.0, ((100.0, 0.0), (200.0, 100.0))))
+    fresh = route_path(g, ["e1", "e2"])
+    assert fresh is not path
+    assert fresh.length == pytest.approx(250.0)
+    assert fresh.point_at(250.0) == pytest.approx([200.0, 100.0])
+    assert route_path(g, ["e1", "e2"]) is fresh
 
 
 def test_heading_follows_centerline():
