@@ -1,5 +1,6 @@
 """Synthetic traffic scenarios and graph-based accident anticipation."""
 
+import ctypes
 import os
 import sys
 
@@ -15,3 +16,30 @@ BLAS_THREADS = None if "numpy" in sys.modules else 1
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 del _var
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_blocks(libc) -> None:
+    """Keep freed numpy temporaries in the heap instead of handing them back
+    to the OS, so the forward's next chunk reuses mapped pages rather than
+    faulting them in again. Blocks up to 32 MiB (glibc's largest mmap
+    threshold) come from the heap, and the heap's free top is trimmed only
+    above 128 MiB, more than the temporaries of a 32-video chunk at the
+    default shape with every object slot used (at 64 MiB such a chunk still
+    took about 6k faults per forward). Both are set: setting either one
+    turns off glibc's dynamic mmap threshold, and the trim threshold alone
+    left eval faulting more than before. A C library without mallopt keeps
+    its own policy."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
+try:
+    _keep_freed_blocks(ctypes.CDLL(None))
+except (OSError, TypeError):  # no handle to the process's own C library
+    pass

@@ -252,9 +252,14 @@ def sqrt(a) -> Tensor:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # exp only of -|x|, so neither tail overflows
+    # exp only of -|x|, so neither tail overflows: 1/(1+e) for x >= 0 and
+    # e/(1+e) below, as one division into the where's fresh array (which is
+    # an array even for a 0-d input, where e is a numpy scalar)
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = np.where(v >= 0.0, 1.0, e)
+    e += 1.0
+    y /= e
+    return y
 
 
 def sigmoid(a) -> Tensor:

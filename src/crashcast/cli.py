@@ -17,9 +17,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
 
 import numpy as np
@@ -256,6 +253,10 @@ def _map_spans(tasks):
     value."""
     if len(tasks) <= 1:
         return [_gen_span(t) for t in tasks]
+    # imported only here: the pools load multiprocessing, which no --jobs 1
+    # command needs
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     try:
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             return list(pool.map(_gen_span, tasks))

@@ -5,7 +5,6 @@ precision, and the threshold-averaged mean TTA.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -347,6 +346,7 @@ def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
     if jobs <= 1 or len(spans) <= 1:
         out = [one(s) for s in spans]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             out = list(pool.map(one, spans))
     return np.concatenate(out, axis=0)

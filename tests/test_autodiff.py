@@ -112,6 +112,12 @@ def test_sigmoid_matches_expit_in_both_tails():
     assert np.all(np.abs(y - expit(x)) <= np.finfo(float).eps)
     assert ad.sigmoid(0.0).value == 0.5
     assert np.all((y >= 0.0) & (y <= 1.0))
+    # the one-division form gives the bits of the two-branch one, also for
+    # NaN and for a 0-d input (fuse_weights passes the scalar beta)
+    for v in (np.append(x, np.nan), np.array(-3.5), np.array(0.25)):
+        e = np.exp(-np.abs(v))
+        old = np.where(v >= 0, 1 / (1 + e), e / (1 + e))
+        assert ad.sigmoid(v).value.tobytes() == old.tobytes()
 
 
 def test_arithmetic_and_broadcasting_gradients():

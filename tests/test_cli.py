@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -71,14 +72,16 @@ def test_gen_data_jobs_do_not_change_bytes(tmp_path):
 def test_gen_data_pool_has_one_worker_per_span(tmp_path, monkeypatch):
     # the pool starts all its workers at once, so one sized at --jobs
     # would start more processes than there are spans to run
+    # (cli imports the pool where it builds one, so the patch goes on the
+    # name it imports)
     sizes = []
-    pool = cli.ProcessPoolExecutor
+    pool = concurrent.futures.ProcessPoolExecutor
 
     def recording_pool(max_workers=None, **kwargs):
         sizes.append(max_workers)
         return pool(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
     assert main(["gen-data", "--count", "2", "--jobs", "1", "--out", str(a)]) == 0
@@ -1043,6 +1046,17 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, crashcast.cli; print(sorted("
          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_worker_pools_unloaded():
+    # the pools load multiprocessing, which only a --jobs > 1 command uses
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, crashcast.cli; print(sorted("
+         "m for m in ('multiprocessing', 'concurrent.futures.process') "
+         "if m in sys.modules))"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

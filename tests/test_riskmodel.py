@@ -1,8 +1,11 @@
 import dataclasses
+import platform
+import resource
 
 import numpy as np
 import pytest
 
+import crashcast
 from crashcast import autodiff as ad
 from crashcast.autodiff import grad_check
 from crashcast.features import FeatureBatch
@@ -498,3 +501,26 @@ def test_checkpoint_shape_mismatch_raises(tmp_path):
                              np.random.default_rng(0))
     with pytest.raises((KeyError, ValueError)):
         other.load_state_dict(ad.load_checkpoint(path))
+
+
+# --- allocator setting ---------------------------------------------------------
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator setting is glibc's mallopt")
+def test_repeated_forward_reuses_freed_heap_pages():
+    # glibc hands large freed blocks back to the OS by default, so each eval
+    # chunk faulted the forward's temporaries in again (about 11k minor
+    # faults for this 32-video batch with every object slot used); kept in
+    # the heap, a repeat takes none
+    cfg = ModelConfig()
+    rng = np.random.default_rng(14)
+    params = ModelParams.init(cfg, rng)
+    batch = random_batch(32, 50, cfg.max_objects, cfg.feature_dim, rng)
+    forward(batch, params, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    forward(batch, params, cfg)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+def test_allocator_setting_skips_a_c_library_without_mallopt():
+    crashcast._keep_freed_blocks(object())
