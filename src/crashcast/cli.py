@@ -129,10 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _expected_json_type(value, default) -> str | None:
-    """The JSON type a config-file value must have, judged by the type of
-    its key's default, or None when it has it. Booleans take a boolean,
-    integers an integer (not a boolean), floats a finite number, and paths,
-    whose defaults are all null, a string or null."""
+    """The JSON type a config-file or sidecar value must have, judged by the
+    type of its key's default, or None when it has it. Booleans take a
+    boolean, integers an integer (not a boolean), floats a finite number,
+    sections an object, and paths, whose defaults are all null, a string or
+    null."""
     if isinstance(default, bool):
         return None if type(value) is bool else "a JSON boolean"
     if isinstance(default, int):
@@ -141,7 +142,44 @@ def _expected_json_type(value, default) -> str | None:
         finite = (type(value) in (int, float)
                   and abs(value) <= sys.float_info.max)
         return None if finite else "a finite JSON number"
+    if isinstance(default, dict):
+        return None if type(value) is dict else "a JSON object"
     return None if value is None or type(value) is str else "a JSON string or null"
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in path. A file that cannot be read, is not JSON
+    (however deeply it nests) or holds another value is a config error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
+    if type(loaded) is not dict:
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return loaded
+
+
+def _check_keys(where: str, values: dict, schema: dict, complete: bool,
+                prefix: str = "") -> None:
+    """Require the keys of values to be keys of schema (all of them when
+    complete), each value of the JSON type that _expected_json_type asks of
+    its schema value; a section is checked against its schema alike."""
+    missing = sorted(set(schema) - set(values)) if complete else []
+    if missing:
+        raise ConfigError(f"{where} lacks the {prefix}{missing[0]} key")
+    unknown = sorted(set(values) - set(schema))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {prefix}{unknown[0]}")
+    for key, value in values.items():
+        expected = _expected_json_type(value, schema[key])
+        if expected:
+            raise ConfigError(f"{where}: {prefix}{key} must be {expected}, "
+                              f"got {json.dumps(value)}")
+        if type(value) is dict:
+            _check_keys(where, value, schema[key], complete, f"{prefix}{key}.")
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
@@ -155,25 +193,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             raise ConfigError(
                 f"CRASHCAST_SEED must be an integer, got {env_seed!r}")
     if args.config is not None:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(cfg))
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys for {command}: {', '.join(unknown)}")
-        for key, value in loaded.items():
-            expected = _expected_json_type(value, cfg[key])
-            if expected:
-                raise ConfigError(
-                    f"config file {args.config}: {key} must be {expected}, "
-                    f"got {json.dumps(value)}")
+        loaded = _read_json_object(args.config, "config file")
+        _check_keys(f"config file {args.config}", loaded, _DEFAULTS[command],
+                    complete=False)
         cfg.update(loaded)
     for key in _DEFAULTS[command]:
         value = getattr(args, key, None)
@@ -318,20 +340,16 @@ def _read_records(path: str, what: str):
     return records
 
 
-# Keys that sidecars of earlier versions hold, each with the one value those
-# versions wrote. Their features section also repeats feature_dim and
-# max_objects, which must equal the model's; their loss section also holds
-# fps and gamma, which must equal fps and frames; and their epochs_done must
-# equal train.epochs.
-_RETIRED_KEYS = {
-    "model": {"gcn_layers": 2, "tcn_kernel": 3, "scale": 1.0 / 1280.0,
-              "tau_text": 0.5, "velocity_sign": "as-printed"},
-    "features": {"feature_seed": 0, "noise_sigma": 0.01,
-                 "scale": 1.0 / 1280.0, "tau_text": 0.5,
-                 "velocity_sign": "as-printed"},
-    "train": {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "clip_norm": 5.0},
-    "loss": {"tau_c": 0.1, "neighbor_mask_radius": 2, "t_pool": None,
-             "earliness_units": "seconds"},
+# What _run_train writes to a sidecar: the fields of the two configs, each
+# typed like its config-file option, and the training data's frame count and
+# frame rate, both integers.
+_SIDECAR = {
+    "model": {f.name: _TRAIN_DEFAULTS[f.name]
+              for f in dataclasses.fields(ModelConfig)},
+    "train": {f.name: _TRAIN_DEFAULTS[f.name]
+              for f in dataclasses.fields(TrainConfig)},
+    "frames": 0,
+    "fps": 0,
 }
 
 
@@ -346,44 +364,21 @@ def _settings(model_cfg: ModelConfig, train_cfg: TrainConfig, frames: int,
             "train.seed": train_cfg.seed, "frames": frames, "fps": fps}
 
 
-def _drop_retired(path: str, prefix: str, values: dict, retired: dict) -> None:
-    for key, expected in retired.items():
-        got = values.pop(key, expected)
-        if got != expected:
-            raise ConfigError(f"checkpoint sidecar {path}: {prefix}{key} "
-                              f"is {got!r}, expected {expected!r}")
-    if values:
-        raise ConfigError(f"checkpoint sidecar {path}: unknown key "
-                          f"{prefix}{min(values)}")
-
-
 def _read_sidecar(path: str) -> tuple[ModelConfig, dict, int]:
     """The model config, the resume settings and the epoch count from a
-    checkpoint's <checkpoint>.json sidecar. A sidecar that cannot be read as
-    one, or that holds a retired key at another value than its version
-    wrote, is a config error."""
+    checkpoint's <checkpoint>.json sidecar. A sidecar that does not hold
+    exactly the keys train writes, each of its type, is a config error
+    naming the key."""
+    snap = _read_json_object(path, "checkpoint sidecar")
+    _check_keys(f"checkpoint sidecar {path}", snap, _SIDECAR, complete=True)
     try:
-        with open(path, encoding="utf-8") as fh:
-            snap = json.load(fh)
-        model, train = snap.pop("model"), snap.pop("train")
-        frames, fps = snap.pop("frames"), snap.pop("fps")
-        model_cfg = ModelConfig.from_dict(
-            {k: model.pop(k) for k in ("feature_dim", "max_objects")})
-        train_cfg = TrainConfig(**{k: train.pop(k) for k in (
-            "learning_rate", "epochs", "batch_size", "seed")})
-        _drop_retired(path, "model.", model, _RETIRED_KEYS["model"])
-        _drop_retired(path, "train.", train, _RETIRED_KEYS["train"])
-        _drop_retired(path, "features.", snap.pop("features", {}),
-                      {**_RETIRED_KEYS["features"], **model_cfg.to_dict()})
-        _drop_retired(path, "loss.", snap.pop("loss", {}),
-                      {**_RETIRED_KEYS["loss"], "fps": fps, "gamma": frames})
-        _drop_retired(path, "", snap, {"epochs_done": train_cfg.epochs})
-        return (model_cfg, _settings(model_cfg, train_cfg, frames, fps),
-                train_cfg.epochs)
-    except KeyError as exc:
-        raise ConfigError(f"checkpoint sidecar {path} lacks the {exc} key")
-    except (AttributeError, TypeError, ValueError) as exc:
+        model_cfg = ModelConfig.from_dict(snap["model"])
+        train_cfg = TrainConfig(**snap["train"])
+    except ValueError as exc:
         raise ConfigError(f"bad checkpoint sidecar {path}: {exc}")
+    return (model_cfg,
+            _settings(model_cfg, train_cfg, snap["frames"], snap["fps"]),
+            train_cfg.epochs)
 
 
 _LOG_HEADER = "step,epoch,split,L1,L2,L3,L"

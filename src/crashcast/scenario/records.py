@@ -313,7 +313,7 @@ def read_dataset(path: str) -> list[ScenarioRecord]:
                 rec = record_from_json(raw.decode("utf-8"))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: record lacks the {exc} key") from None
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
             if records and (rec.frames, rec.fps) != (records[0].frames, records[0].fps):
                 raise ValueError(

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import crashcast
 from crashcast import autodiff as ad
-from crashcast import cli
 from crashcast.cli import _DEFAULTS, main
 from crashcast.scenario import read_dataset
 from crashcast.scenario.presets import multilane_map_xml
@@ -423,48 +422,6 @@ def test_train_resume_log_not_matching_checkpoint_exits_2(work, tmp_path,
     assert not (tmp_path / "x.bin").exists()
 
 
-# the sections and keys that train sidecars of earlier versions hold beside
-# the current ones, at the values those versions wrote for the fixture
-_EARLIER_TRAIN_KEYS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
-                       "clip_norm": 5.0}
-_EARLIER_LOSS = {"fps": 10, "gamma": 50.0, "tau_c": 0.1,
-                 "neighbor_mask_radius": 2, "t_pool": None,
-                 "earliness_units": "seconds"}
-
-
-def test_train_resume_from_sidecar_of_earlier_versions(work, tmp_path):
-    now = _resumable(work, tmp_path, "now.bin")
-    old = _resumable(work, tmp_path, "old.bin", _earlier_format)
-    assert set(json.loads((tmp_path / "old.bin.json").read_text())) == {
-        "model", "features", "loss", "train", "frames", "fps", "epochs_done"}
-    assert main(_resume_args(work[1], now, tmp_path / "a.bin")) == 0
-    assert main(_resume_args(work[1], old, tmp_path / "b.bin")) == 0
-    for suffix in ("", ".json", ".log.csv"):
-        assert (tmp_path / f"a.bin{suffix}").read_bytes() == \
-            (tmp_path / f"b.bin{suffix}").read_bytes(), suffix
-
-
-@pytest.mark.parametrize("section,key,value", [
-    ("train", "clip_norm", 1.0),
-    ("loss", "t_pool", 1),
-    ("loss", "gamma", 10.0),
-    (None, "epochs_done", 3),
-])
-def test_train_resume_retired_key_at_another_value_exits_2(
-        work, tmp_path, capsys, section, key, value):
-    def edit(sidecar):
-        _earlier_format(sidecar)
-        (sidecar if section is None else sidecar[section])[key] = value
-
-    prev = _resumable(work, tmp_path, "prev.bin", edit)
-    capsys.readouterr()
-    code = main(_resume_args(work[1], prev, tmp_path / "x.bin"))
-    assert code == 2
-    err = _one_error_line(capsys)
-    assert str(tmp_path / "prev.bin.json") in err
-    assert (key if section is None else f"{section}.{key}") in err, err
-
-
 def test_train_resume_fewer_epochs_exits_2(work, tmp_path, capsys):
     _, data, ckpt = work
     capsys.readouterr()
@@ -504,21 +461,124 @@ def test_train_resume_checkpoint_lacking_what_train_writes_exits_2(
         "prev.bin", "prev.bin.json", "prev.bin.log.csv"]
 
 
-def test_train_resume_sidecar_without_model_exits_2(work, tmp_path, capsys):
-    _, data, ckpt = work
-    prev = tmp_path / "prev.bin"
-    prev.write_bytes(ckpt.read_bytes())
-    sidecar = json.loads((ckpt.parent / "ckpt.bin.json").read_text())
-    del sidecar["model"]
-    (tmp_path / "prev.bin.json").write_text(json.dumps(sidecar))
-    capsys.readouterr()
-    code = main(["train", "--data", str(data), "--epochs", "3", "--seed",
-                 "1", "--out", str(tmp_path / "x.bin"),
-                 "--resume", str(prev)])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("crashcast: error:")
-    assert str(tmp_path / "prev.bin.json") in err[0] and "'model'" in err[0]
+# sidecar edits that leave it other than train writes it, each with what the
+# error names; all but the last held values that versions before 06938e1
+# wrote
+_SIDECAR_EDITS = {
+    "no-model": (lambda s: s.pop("model"), "lacks the model key"),
+    "model-gcn_layers": (lambda s: s["model"].update(gcn_layers=2),
+                         "unknown key model.gcn_layers"),
+    "features-section": (lambda s: s.update(features={
+        "feature_dim": 8, "max_objects": 4, "feature_seed": 0}),
+        "unknown key features"),
+    "loss-section": (lambda s: s.update(loss={"fps": 10, "gamma": 50.0}),
+                     "unknown key loss"),
+    "train-clip_norm": (lambda s: s["train"].update(clip_norm=5.0),
+                        "unknown key train.clip_norm"),
+    "epochs_done": (lambda s: s.update(epochs_done=2), "unknown key epochs_done"),
+    "nesting-bomb": (None, "is not valid JSON"),
+}
+
+
+def _fixture_sidecar(work) -> dict:
+    return json.loads((work[2].parent / "ckpt.bin.json").read_text())
+
+
+def _run_on_sidecar(work, root: Path, command: str, text: bytes):
+    """Exit code and stderr lines of eval or train --resume, with --out in
+    root, on a copy in root of the fixture checkpoint and its log beside a
+    sidecar holding text."""
+    prev = _resumable(work, root, "prev.bin")
+    (root / "prev.bin.json").write_bytes(text)
+    out = root / "out"
+    argv = (["eval", "--data", str(work[1]), "--checkpoint", str(prev),
+             "--out", str(out)] if command == "eval"
+            else _resume_args(work[1], prev, out))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def _assert_one_error_and_no_output(root: Path, lines) -> None:
+    assert len(lines) == 1 and lines[0].startswith("crashcast: error:"), lines
+    assert sorted(p.name for p in root.iterdir()) == [
+        "prev.bin", "prev.bin.json", "prev.bin.log.csv"]
+
+
+@pytest.mark.parametrize("edit", sorted(_SIDECAR_EDITS))
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_sidecar_not_as_train_writes_it_exits_2(work, tmp_path, command, edit):
+    change, names = _SIDECAR_EDITS[edit]
+    if change is None:
+        text = b"[" * 200_000
+    else:
+        sidecar = _fixture_sidecar(work)
+        change(sidecar)
+        text = json.dumps(sidecar).encode()
+    code, lines = _run_on_sidecar(work, tmp_path, command, text)
+    assert code == 2, lines
+    _assert_one_error_and_no_output(tmp_path, lines)
+    assert str(tmp_path / "prev.bin.json") in lines[0] and names in lines[0], lines
+
+
+# every value of a sidecar, by its key, with the kind of config value it takes
+_SIDECAR_KINDS = {"model.feature_dim": "int", "model.max_objects": "int",
+                  "train.learning_rate": "float", "train.epochs": "int",
+                  "train.batch_size": "int", "train.seed": "int",
+                  "frames": "int", "fps": "int"}
+
+
+@st.composite
+def _bad_sidecar_value(draw):
+    command = draw(st.sampled_from(["eval", "resume"]))
+    key = draw(st.sampled_from(sorted(_SIDECAR_KINDS)))
+    kind = _SIDECAR_KINDS[key]
+    return command, key, kind, draw(_KINDS[kind][1])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=_bad_sidecar_value())
+def test_sidecar_value_of_a_wrong_type_exits_2(work, case):
+    command, key, kind, text = case
+    sidecar = _fixture_sidecar(work)
+    assert set(_SIDECAR_KINDS) == {f"{k}.{v}" for k in ("model", "train")
+                                   for v in sidecar[k]} | {"frames", "fps"}
+    *section, name = key.split(".")
+    (sidecar[section[0]] if section else sidecar)[name] = "@value@"
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        code, lines = _run_on_sidecar(
+            work, root, command,
+            json.dumps(sidecar).replace('"@value@"', text).encode())
+        assert code == 2, (command, key, text, lines)
+        _assert_one_error_and_no_output(root, lines)
+        assert f"{root / 'prev.bin.json'}: {key} must be {_KINDS[kind][0]}" \
+            in lines[0], lines
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["eval", "resume"]), data=st.data())
+def test_damaged_sidecar_exits_0_2_or_3(work, command, data):
+    # a flip can leave a sidecar that still fits the run, e.g. another seed
+    # for eval; such a run succeeds
+    text = bytearray((work[2].parent / "ckpt.bin.json").read_bytes())
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(text) - 1),
+                                         st.integers(0, 7)), max_size=3))
+    for at, bit in flips:
+        text[at] ^= 1 << bit
+    text = bytes(text[:data.draw(st.none() | st.integers(0, len(text) - 1))])
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        code, lines = _run_on_sidecar(work, root, command, text)
+        if code == 0:
+            assert lines == []
+            written = {"eval": [".curves.csv"],
+                       "resume": [".json", ".log.csv"]}[command]
+            assert all((root / f"out{s}").exists() for s in ["", *written])
+        else:
+            assert code in (2, 3), (text, lines)
+            _assert_one_error_and_no_output(root, lines)
 
 
 def test_train_missing_data_exits_2(tmp_path):
@@ -766,78 +826,6 @@ def test_eval_checkpoint_config_mismatch_exits_2(work, tmp_path):
     assert code == 2
 
 
-# the keys that sidecars of earlier versions hold beside the model shape,
-# at the values those versions wrote
-_EARLIER_MODEL_KEYS = {"gcn_layers": 2, "tcn_kernel": 3, "scale": 1.0 / 1280.0,
-                       "tau_text": 0.5, "velocity_sign": "as-printed"}
-_EARLIER_FEATURE_KEYS = {"feature_dim": 8, "max_objects": 4,
-                         "feature_seed": 0, "noise_sigma": 0.01}
-
-
-def _with_sidecar(work, tmp_path, name, edit):
-    """A copy of the fixture checkpoint whose sidecar is edited in place."""
-    _, _, ckpt = work
-    copy = tmp_path / name
-    copy.write_bytes(ckpt.read_bytes())
-    sidecar = json.loads((ckpt.parent / "ckpt.bin.json").read_text())
-    edit(sidecar)
-    (tmp_path / f"{name}.json").write_text(json.dumps(sidecar))
-    return copy
-
-
-def _earlier_format(sidecar, older=False):
-    sidecar["model"].update(_EARLIER_MODEL_KEYS)
-    sidecar["features"] = dict(_EARLIER_FEATURE_KEYS)
-    sidecar["train"].update(_EARLIER_TRAIN_KEYS)
-    sidecar["loss"] = dict(_EARLIER_LOSS)
-    sidecar["epochs_done"] = sidecar["train"]["epochs"]
-    if older:  # before the edge-weight constants moved to the model
-        sidecar["features"].update(
-            {k: _EARLIER_MODEL_KEYS[k] for k in ("scale", "tau_text", "velocity_sign")})
-
-
-def test_eval_sidecar_of_earlier_versions_gives_same_bytes(work, tmp_path):
-    data, ckpt = work[1], work[2]
-    assert set(json.loads((ckpt.parent / "ckpt.bin.json").read_text())["model"]) \
-        == {"feature_dim", "max_objects"}
-    assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
-                 "--out", str(tmp_path / "new.json")]) == 0
-    for older in (False, True):
-        old = _with_sidecar(work, tmp_path, f"old{older}.bin",
-                            lambda s: _earlier_format(s, older))
-        out = tmp_path / f"old{older}.json"
-        assert main(["eval", "--data", str(data), "--checkpoint", str(old),
-                     "--out", str(out)]) == 0
-        assert out.read_bytes() == (tmp_path / "new.json").read_bytes()
-        assert (tmp_path / f"old{older}.json.curves.csv").read_bytes() == \
-            (tmp_path / "new.json.curves.csv").read_bytes()
-
-
-@pytest.mark.parametrize("section,key,value", [
-    ("model", "velocity_sign", "negated"),
-    ("model", "tcn_kernel", 5),
-    ("features", "feature_seed", 4),
-    ("features", "max_objects", 5),
-])
-def test_eval_retired_sidecar_key_at_another_value_exits_2(
-        work, tmp_path, capsys, section, key, value):
-    def edit(sidecar):
-        _earlier_format(sidecar)
-        sidecar[section][key] = value
-
-    other = _with_sidecar(work, tmp_path, "other.bin", edit)
-    capsys.readouterr()
-    code = main(["eval", "--data", str(work[1]), "--checkpoint", str(other),
-                 "--out", str(tmp_path / "r.json")])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("crashcast: error:")
-    assert str(tmp_path / "other.bin.json") in err[0]
-    assert f"{section}.{key}" in err[0], err[0]
-    assert not (tmp_path / "r.json").exists()
-    assert not (tmp_path / "r.json.curves.csv").exists()
-
-
 def test_eval_one_class_dataset_exits_3_naming_it(work, tmp_path, capsys):
     _, data, ckpt = work
     positives = tmp_path / "positives.jsonl"
@@ -921,7 +909,7 @@ _RECORD_EDITS = {
 
 
 @pytest.mark.parametrize("corrupt", ["cut", "missing-keys", "not-utf8",
-                                     *_RECORD_EDITS])
+                                     "deep-nesting", *_RECORD_EDITS])
 def test_eval_corrupt_dataset_exits_3_naming_the_line(work, tmp_path, capsys, corrupt):
     _, data, ckpt = work
     lines = data.read_text().splitlines(keepends=True)
@@ -934,6 +922,9 @@ def test_eval_corrupt_dataset_exits_3_naming_the_line(work, tmp_path, capsys, co
         where = f"{bad}:2:"
     elif corrupt == "not-utf8":
         bad.write_bytes(lines[0].encode() + b'{"id": "\xff"}\n')
+        where = f"{bad}:2:"
+    elif corrupt == "deep-nesting":
+        bad.write_text(lines[0] + "[" * 200_000 + "\n")
         where = f"{bad}:2:"
     else:
         kind, edit = _RECORD_EDITS[corrupt]
