@@ -1,13 +1,18 @@
 """Minimal dense float64 tensor library with tape-based reverse-mode autodiff.
 
-Forward ops compute eagerly with numpy. While a Tape is active, a primitive
-appends a node holding the output, its inputs, and one gradient callback per
-input, but only when a gradient can reach a Parameter through it: at least
-one input is a Parameter or the output of a node already on the tape. Ops
-on constant data alone run forward-only, and inputs that are neither get no
-callback, so backward() never differentiates with respect to data. backward()
-replays the tape in reverse, accumulating vector-Jacobian products.
-Gradients land on Parameter.grad.
+Forward ops compute eagerly with numpy. Every Tensor carries a serial uid,
+which, unlike its id(), no later tensor can take over once it is freed.
+While a Tape is active, a primitive appends a node only when a gradient can
+reach a Parameter through it: at least one input is a Parameter or the
+output of a node already on the tape. The node holds the uids of its output
+and inputs, its Parameter inputs, and one gradient callback per input; the
+callbacks close over only the arrays and shapes they read, so a tensor that
+no callback reads is freed as soon as the forward drops it. Ops on constant
+data alone run forward-only, and inputs that are neither get no callback,
+so backward() never differentiates with respect to data. backward() replays
+the tape in reverse, accumulating vector-Jacobian products keyed by uid,
+and pops each node as it consumes it, so the arrays a node holds are freed
+during the pass. Gradients land on Parameter.grad.
 
 Only the shapes the downstream model needs are supported; this is not a
 general broadcasting framework.
@@ -15,6 +20,7 @@ general broadcasting framework.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from collections.abc import Callable, Sequence
@@ -28,14 +34,18 @@ _CKPT_VERSION = 1
 # active the library runs forward-only (cheap inference).
 _TAPE_STACK: list["Tape"] = []
 
+_next_uid = itertools.count().__next__
+
 
 class Tensor:
-    """Immutable-by-convention wrapper around a float64 ndarray."""
+    """Immutable-by-convention wrapper around a float64 ndarray, with a
+    serial uid that the tape keys it by."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "uid")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
+        self.uid = _next_uid()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -67,11 +77,16 @@ class Parameter(Tensor):
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "grad_fns")
+    """One recorded op: the uids of its output and inputs, the inputs that
+    are Parameters, and a gradient callback per input (None where no
+    gradient is wanted). It holds no tensor itself."""
 
-    def __init__(self, out, inputs, grad_fns):
+    __slots__ = ("out", "inputs", "params", "grad_fns")
+
+    def __init__(self, out, inputs, params, grad_fns):
         self.out = out
         self.inputs = inputs
+        self.params = params
         self.grad_fns = grad_fns
 
 
@@ -85,8 +100,8 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        # ids of recorded outputs; each stays alive in its node, so no
-        # other live tensor can share its id while the tape holds it
+        # uids of the recorded outputs. The outputs themselves may be freed
+        # before backward; a uid is never handed to another tensor.
         self._outputs: set[int] = set()
         self._used = False
 
@@ -108,46 +123,55 @@ class Tape:
         if root.value.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {root.value.shape}")
         self._used = True
-        grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.value)}
+        grads: dict[int, np.ndarray] = {root.uid: np.ones_like(root.value)}
+        leaves: dict[int, Parameter] = {root.uid: root} if isinstance(root, Parameter) else {}
         # Tape order is creation order, so a node's output can only be
         # consumed by later nodes; walking in reverse guarantees the output
-        # grad is complete when we pop it.
-        for node in reversed(self._nodes):
-            g = grads.pop(id(node.out), None)
+        # grad is complete when we pop it. A popped node and the arrays its
+        # callbacks hold are freed once its input gradients are passed on.
+        nodes = self._nodes
+        while nodes:
+            node = nodes.pop()
+            for p in node.params:
+                leaves[p.uid] = p
+            g = grads.pop(node.out, None)
             if g is None:
                 continue
-            for inp, gfn in zip(node.inputs, node.grad_fns):
+            for uid, gfn in zip(node.inputs, node.grad_fns):
                 if gfn is None:
                     continue
                 gi = gfn(g)
-                prev = grads.get(id(inp))
-                grads[id(inp)] = gi if prev is None else prev + gi
+                prev = grads.get(uid)
+                grads[uid] = gi if prev is None else prev + gi
+        self._outputs.clear()
         # Whatever is left keyed by a Parameter is a leaf gradient.
-        leaves = {id(node_inp): node_inp for node in self._nodes for node_inp in node.inputs}
-        leaves[id(root)] = root
-        for tid, g in grads.items():
-            leaf = leaves.get(tid)
-            if isinstance(leaf, Parameter):
+        for uid, g in grads.items():
+            leaf = leaves.get(uid)
+            if leaf is not None:
                 leaf.grad += g.reshape(leaf.value.shape)
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], grad_fns) -> Tensor:
     """Append out's node to the innermost tape if a gradient can reach a
-    Parameter through it; inputs it cannot reach get no callback."""
+    Parameter through it; inputs it cannot reach get no callback, so the
+    arrays only their callbacks hold are freed with them."""
     if _TAPE_STACK:
         tape = _TAPE_STACK[-1]
         outputs = tape._outputs
-        fns = []
+        uids, params, fns = [], [], []
         live = False
         for t, fn in zip(inputs, grad_fns):
-            if isinstance(t, Parameter) or id(t) in outputs:
-                fns.append(fn)
-                live = True
-            else:
+            uids.append(t.uid)
+            if isinstance(t, Parameter):
+                params.append(t)
+            elif t.uid not in outputs:
                 fns.append(None)
+                continue
+            fns.append(fn)
+            live = True
         if live:
-            tape._nodes.append(_Node(out, tuple(inputs), tuple(fns)))
-            outputs.add(id(out))
+            tape._nodes.append(_Node(out.uid, tuple(uids), tuple(params), tuple(fns)))
+            outputs.add(out.uid)
     return out
 
 
@@ -174,39 +198,48 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
+# Each callback closes over the arrays and shapes it reads and nothing else
+# (no input Tensor), so what only a dropped callback reads is freed.
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.value.shape, b.value.shape
     out = Tensor(a.value + b.value)
     return _record(out, (a, b), (
-        lambda g: _unbroadcast(g, a.value.shape),
-        lambda g: _unbroadcast(g, b.value.shape),
+        lambda g: _unbroadcast(g, sa),
+        lambda g: _unbroadcast(g, sb),
     ))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.value.shape, b.value.shape
     out = Tensor(a.value - b.value)
     return _record(out, (a, b), (
-        lambda g: _unbroadcast(g, a.value.shape),
-        lambda g: _unbroadcast(-g, b.value.shape),
+        lambda g: _unbroadcast(g, sa),
+        lambda g: _unbroadcast(-g, sb),
     ))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.value * b.value)
+    av, bv = a.value, b.value
+    sa, sb = av.shape, bv.shape
+    out = Tensor(av * bv)
     return _record(out, (a, b), (
-        lambda g: _unbroadcast(g * b.value, a.value.shape),
-        lambda g: _unbroadcast(g * a.value, b.value.shape),
+        lambda g: _unbroadcast(g * bv, sa),
+        lambda g: _unbroadcast(g * av, sb),
     ))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.value / b.value)
+    av, bv = a.value, b.value
+    sa, sb = av.shape, bv.shape
+    out = Tensor(av / bv)
     return _record(out, (a, b), (
-        lambda g: _unbroadcast(g / b.value, a.value.shape),
-        lambda g: _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
+        lambda g: _unbroadcast(g / bv, sa),
+        lambda g: _unbroadcast(-g * av / (bv * bv), sb),
     ))
 
 
@@ -218,14 +251,14 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if b.ndim != 2:
         raise ValueError("matmul expects a 2-D right operand; use bmm for batched pairs")
-    out = Tensor(a.value @ b.value)
+    av, bv = a.value, b.value
+    out = Tensor(av @ bv)
 
     def grad_a(g):
-        return g @ b.value.T
+        return g @ bv.T
 
     def grad_b(g):
-        k = a.value.shape[-1]
-        return a.value.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
+        return av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
     return _record(out, (a, b), (grad_a, grad_b))
 
@@ -235,10 +268,11 @@ def bmm(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 3 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"bmm batch dims must match, got {a.shape} and {b.shape}")
-    out = Tensor(np.matmul(a.value, b.value))
+    av, bv = a.value, b.value
+    out = Tensor(np.matmul(av, bv))
     return _record(out, (a, b), (
-        lambda g: np.matmul(g, np.swapaxes(b.value, -1, -2)),
-        lambda g: np.matmul(np.swapaxes(a.value, -1, -2), g),
+        lambda g: np.matmul(g, np.swapaxes(bv, -1, -2)),
+        lambda g: np.matmul(np.swapaxes(av, -1, -2), g),
     ))
 
 
@@ -275,9 +309,11 @@ def tanh(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """max(a, 0); backward masks on the output, as y > 0 exactly where
+    a > 0 (NaN in neither)."""
     a = as_tensor(a)
-    return _record(Tensor(np.maximum(a.value, 0.0)), (a,),
-                   (lambda g: g * (a.value > 0.0),))
+    y = np.maximum(a.value, 0.0)
+    return _record(Tensor(y), (a,), (lambda g: g * (y > 0.0),))
 
 
 def softmax_lastdim(a) -> Tensor:
@@ -297,17 +333,19 @@ def softmax_lastdim(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
+    sa = a.value.shape
     out = Tensor(a.value.reshape(shape))
-    return _record(out, (a,), (lambda g: g.reshape(a.value.shape),))
+    return _record(out, (a,), (lambda g: g.reshape(sa),))
 
 
 def narrow(a, key) -> Tensor:
     """Basic (non-fancy) slicing; backward scatters into zeros."""
     a = as_tensor(a)
+    sa = a.value.shape
     out = Tensor(a.value[key])
 
     def grad(g):
-        z = np.zeros_like(a.value)
+        z = np.zeros(sa)
         z[key] = g
         return z
 
@@ -332,29 +370,27 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
+    sa = a.value.shape
     out = Tensor(a.value.sum(axis=axis, keepdims=keepdims))
 
     def grad(g):
-        if axis is None:
-            return np.broadcast_to(g, a.value.shape).copy()
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.value.shape).copy()
+        return np.broadcast_to(g, sa).copy()
 
     return _record(out, (a,), (grad,))
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
+    sa = a.value.shape
     out = Tensor(a.value.mean(axis=axis, keepdims=keepdims))
-    count = a.value.size if axis is None else a.value.shape[axis]
+    count = a.value.size if axis is None else sa[axis]
 
     def grad(g):
-        if axis is None:
-            return np.broadcast_to(g, a.value.shape) / count
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.value.shape) / count
+        return np.broadcast_to(g, sa) / count
 
     return _record(out, (a,), (grad,))
 

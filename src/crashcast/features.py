@@ -96,12 +96,19 @@ def _slot_of_rows(record: ScenarioRecord, slot_ids: tuple[str, ...]) -> np.ndarr
                     dtype=np.int64)[record.id_of]
 
 
-def _visual_projections(feature_dim: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def _visual_projections(feature_dim: int) -> dict[str, np.ndarray]:
+    """The object and frame projections every video shares; cached per
+    feature dim, so read-only."""
+    rng = stream_rng(_FEATURE_SEED, "projections")
     shape = (len(_STATE_SCALES), feature_dim)
-    return {
+    out = {
         "object": rng.normal(size=shape) / math.sqrt(shape[0]),
         "frame": rng.normal(size=shape) / math.sqrt(shape[0]),
     }
+    for v in out.values():
+        v.flags.writeable = False
+    return out
 
 
 def synth_visual_features(record: ScenarioRecord, feature_dim: int,
@@ -180,7 +187,9 @@ def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
 
     A video's values depend only on (video, feature_dim, max_objects), never
     on which other videos share the batch; only the width S of the +0.0 tail
-    past its own slots does."""
+    past its own slots does. So stack() of one-record batches equals the
+    batch of all their records; train keeps its videos that way, each at
+    its own width, and eval builds each chunk here."""
     records = list(records)
     if not records:
         raise ValueError("cannot build features from zero records")
@@ -191,7 +200,7 @@ def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
     width = max(1, max(map(len, slot_ids)))
     b = len(records)
 
-    projections = _visual_projections(feature_dim, stream_rng(_FEATURE_SEED, "projections"))
+    projections = _visual_projections(feature_dim)
     visual = np.zeros((b, t_count, width + 1, feature_dim))
     text = np.zeros((b, t_count, width + 1, feature_dim))
     mask = np.zeros((b, t_count, width), dtype=bool)
@@ -225,6 +234,31 @@ def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
 
     return FeatureBatch(visual, text, mask, centers, depths,
                         tuple(r.id for r in records), labels, lam)
+
+
+def stack(batches) -> FeatureBatch:
+    """The videos of the batches, in order, as one batch padded with +0.0
+    (False in the mask) to the widest one's object slots: equal, byte for
+    byte, to build_features of all their records."""
+    batches = list(batches)
+
+    def padded(name: str) -> np.ndarray:
+        parts = [getattr(fb, name) for fb in batches]
+        first = parts[0]
+        out = np.zeros((sum(len(p) for p in parts), first.shape[1],
+                        max(p.shape[2] for p in parts)) + first.shape[3:],
+                       dtype=first.dtype)
+        lo = 0
+        for p in parts:
+            out[lo:lo + len(p), :, :p.shape[2]] = p
+            lo += len(p)
+        return out
+
+    return FeatureBatch(
+        *(padded(name) for name in ("visual", "text", "mask", "centers", "depths")),
+        tuple(vid for fb in batches for vid in fb.video_ids),
+        np.concatenate([fb.labels for fb in batches]),
+        np.concatenate([fb.accident_frames for fb in batches]))
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,11 @@ def align_loss(f_vis, f_text, *, tau_c: float = TAU_C) -> Tensor:
             done.append(d)
         return done[0]
 
+    shape = v.shape
     out = Tensor((l_vt + l_tv) * 0.5)
     return ad._record(out, (v, x), (
-        lambda g: (d_logits(g) @ xv).reshape(v.shape),
-        lambda g: (d_logits(g).T @ vv).reshape(x.shape),
+        lambda g: (d_logits(g) @ xv).reshape(shape),
+        lambda g: (d_logits(g).T @ vv).reshape(shape),
     ))
 
 

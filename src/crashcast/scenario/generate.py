@@ -289,7 +289,7 @@ def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
         states=np.column_stack([xy[k, g, 0], xy[k, g, 1], speed[k, g],
                                 heading[k, g], cx[k, j], cy[k, j], depth[k, j]]),
         frame_starts=frame_starts, ids=tuple(tracks[i].id for i in seen.tolist()),
-        id_of=slot[k], behavior=behavior_codes(speed, heading, present, DT)[k, g])
+        id_of=slot[k], behavior=behavior_codes(speed, heading, present, DT, (k, g)))
 
 
 def _background_tracks(graph: RoadGraph, terminals: TerminalSets,

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 BEHAVIOR_LABELS = ("straight", "left-turn", "right-turn", "accelerating", "braking",
                    "stopped", "lane-change")
@@ -142,29 +141,31 @@ class EgoCamera:
         return np.hypot(self.lateral(cx, depth), depth)
 
 
-def behavior_codes(speed, heading, present, dt: float) -> np.ndarray:
-    """(..., G) BEHAVIOR_LABELS codes of tracks sampled every dt seconds,
-    frame g labelled from the present samples among its trailing
-    BEHAVIOR_WINDOW frames. Precedence: fewer than 2 samples, stopped,
-    left/right turn (net heading change), lane-change (a heading excursion
-    that nets out), accelerating/braking (first to last sample), straight."""
-    def windows(a):  # (..., G, W): frames g - W + 1 .. g, zero before frame 0
-        lead = np.zeros(a.shape[:-1] + (BEHAVIOR_WINDOW - 1,), a.dtype)
-        return sliding_window_view(np.concatenate([lead, a], -1), BEHAVIOR_WINDOW, axis=-1)
-
-    held = windows(present)
+def behavior_codes(speed, heading, present, dt: float, rows) -> np.ndarray:
+    """(n,) BEHAVIOR_LABELS codes of the samples at rows, a tuple of n-long
+    index arrays into (..., G) tracks sampled every dt seconds, the last of
+    them the frame g. Each is labelled from the present samples among the
+    trailing BEHAVIOR_WINDOW frames up to its g. Precedence: fewer than 2
+    samples, stopped, left/right turn (net heading change), lane-change (a
+    heading excursion that nets out), accelerating/braking (first to last
+    sample), straight."""
+    *lead, g = (np.asarray(i)[:, None] for i in rows)
+    # (n, W) window frames g - W + 1 .. g; those before frame 0 are absent
+    frame = g + np.arange(1 - BEHAVIOR_WINDOW, 1)
+    at_window = (*lead, np.maximum(frame, 0))
+    held = present[at_window] & (frame >= 0)
     # absent samples read 0: no speed above the stop speed, no excursion
-    v, h = (windows(np.where(present, a, 0.0)) for a in (speed, heading))
+    v, h = (np.where(held, a[at_window], 0.0) for a in (speed, heading))
     first = held.argmax(-1)
     last = BEHAVIOR_WINDOW - 1 - held[..., ::-1].argmax(-1)
 
-    def at(a, n):  # a[..., g, n[..., g]]
+    def at(a, n):  # a[i, n[i]]
         return np.take_along_axis(a, n[..., None], -1)[..., 0]
 
     turn = h - at(h, first)[..., None]
     turn = np.arctan2(np.sin(turn), np.cos(turn))  # wrapped to (-pi, pi]
     net = at(turn, last)
-    start = np.arange(held.shape[-2]) - (BEHAVIOR_WINDOW - 1)  # window's frame 0
+    start = frame[:, 0]  # window's frame 0
     span = (start + last) * dt - (start + first) * dt
     with np.errstate(divide="ignore", invalid="ignore"):
         accel = (at(v, last) - at(v, first)) / span

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape
-from .features import FeatureBatch, build_features
+from .features import FeatureBatch, build_features, stack
 from .losses import LabeledBatch, align_loss, frame_loss, total_loss, video_loss
 from .riskmodel import ModelConfig, ModelParams, align_project, forward
 from .util import stable_u64, stream_rng
@@ -103,13 +103,6 @@ def split_dataset(records):
     return train, test
 
 
-def _subset(fb: FeatureBatch, idx) -> FeatureBatch:
-    return FeatureBatch(fb.visual[idx], fb.text[idx], fb.mask[idx],
-                        fb.centers[idx], fb.depths[idx],
-                        tuple(fb.video_ids[i] for i in idx),
-                        fb.labels[idx], fb.accident_frames[idx])
-
-
 def _batch_losses(fb: FeatureBatch, params: ModelParams, model_cfg: ModelConfig,
                   frames: int, fps: int):
     out = forward(fb, params, model_cfg)
@@ -135,14 +128,18 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
     """Minimize the total loss over the records; deterministic given the
     seed (the per-epoch shuffle is derived from (seed, epoch), so resuming
     at an epoch boundary replays the uninterrupted schedule). The training
-    records' frame count and rate set the loss for validation too."""
+    records' frame count and rate set the loss for validation too.
+
+    The features of every training and validation video are built once, as
+    one batch per video at that video's own slot width, and each step
+    stacks its videos into one batch (see features.stack)."""
     records = list(records)
     if not records:
         raise ValueError("training set is empty")
     frames, fps = records[0].frames, records[0].fps
     shape = (model_cfg.feature_dim, model_cfg.max_objects)
-    fb = build_features(records, *shape)
-    val_fb = build_features(val_records, *shape) if val_records else None
+    videos = [build_features([rec], *shape) for rec in records]
+    val_videos = [build_features([rec], *shape) for rec in val_records or ()]
     opt = Adam(params.parameters(), train_cfg.learning_rate)
     if opt_state is not None:
         opt.load_state_dict(opt_state)
@@ -153,12 +150,11 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
     for epoch in range(start_epoch, train_cfg.epochs):
         order = stream_rng(train_cfg.seed, "epoch", epoch).permutation(n)
         for lo in range(0, n, train_cfg.batch_size):
-            idx = order[lo:lo + train_cfg.batch_size]
-            sub = _subset(fb, idx)
+            batch = stack(videos[i] for i in order[lo:lo + train_cfg.batch_size])
             for p in params.parameters():
                 p.zero_grad()
             with Tape() as tape:
-                l1, l2, l3, loss = _batch_losses(sub, params, model_cfg,
+                l1, l2, l3, loss = _batch_losses(batch, params, model_cfg,
                                                  frames, fps)
                 values = (l1.item(), l2.item(), l3.item(), loss.item())
                 if not all(np.isfinite(values)):
@@ -181,8 +177,8 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
             rows.append({"step": step, "epoch": epoch, "split": "train",
                          "L1": values[0], "L2": values[1], "L3": values[2],
                          "L": values[3]})
-        if val_fb is not None:
-            l1, l2, l3 = _validation_losses(val_fb, params, model_cfg,
+        if val_videos:
+            l1, l2, l3 = _validation_losses(val_videos, params, model_cfg,
                                             train_cfg.batch_size, frames, fps)
             rows.append({"step": step, "epoch": epoch, "split": "val",
                          "L1": l1, "L2": l2, "L3": l3,
@@ -190,20 +186,21 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
     return TrainResult(params, rows, opt.state_dict(), last)
 
 
-def _validation_losses(fb: FeatureBatch, params: ModelParams,
+def _validation_losses(videos: list[FeatureBatch], params: ModelParams,
                        model_cfg: ModelConfig, batch_size: int, frames: int,
                        fps: int) -> tuple[float, float, float]:
-    """L1, L2 and L3 over the validation videos, scored in chunks of
-    batch_size in record order and averaged weighted by each chunk's video
-    count. L3 is thus the per-batch InfoNCE the train rows log, and the
-    alignment matrices stay (batch_size * T)^2 however large the set."""
-    count = len(fb.video_ids)
+    """L1, L2 and L3 over the validation videos (one batch each), scored in
+    chunks of batch_size in record order and averaged weighted by each
+    chunk's video count. L3 is thus the per-batch InfoNCE the train rows
+    log, and the alignment matrices stay (batch_size * T)^2 however large
+    the set."""
+    count = len(videos)
     sums = np.zeros(3)
     for lo in range(0, count, batch_size):
-        idx = np.arange(lo, min(lo + batch_size, count))
-        l1, l2, l3, _ = _batch_losses(_subset(fb, idx), params, model_cfg,
+        chunk = videos[lo:lo + batch_size]
+        l1, l2, l3, _ = _batch_losses(stack(chunk), params, model_cfg,
                                       frames, fps)
-        sums += len(idx) * np.array([l1.item(), l2.item(), l3.item()])
+        sums += len(chunk) * np.array([l1.item(), l2.item(), l3.item()])
     l1, l2, l3 = sums / count
     return float(l1), float(l2), float(l3)
 

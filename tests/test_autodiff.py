@@ -1,5 +1,6 @@
 import os
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -300,25 +301,79 @@ def test_tape_records_only_ops_that_reach_a_parameter():
     c_value = np.array([0.5, -1.0, 2.0])
 
     def run(c):
+        """The nodes recorded by the forward (backward consumes them) and
+        p's gradient."""
         p = Parameter(np.array([0.3, -0.2, 0.1]), name="p")
         with Tape() as tape:
             k = ad.mul(ad.sigmoid(c), 2.0)  # constants alone: not recorded
             h = ad.tanh(p)  # reaches p
             y = ad.tsum(ad.mul(h, k))  # consumes a recorded output
+            nodes = list(tape._nodes)
             tape.backward(y)
-        return tape, p.grad
+        return nodes, p.grad
 
-    tape, grad = run(Tensor(c_value))
-    assert len(tape) == 3
-    mul_node = tape._nodes[1]
+    nodes, grad = run(Tensor(c_value))
+    assert len(nodes) == 3
+    mul_node = nodes[1]
     assert mul_node.grad_fns[0] is not None and mul_node.grad_fns[1] is None
     # the same chain with the constant made a Parameter records every op,
     # and p's gradient comes out bit for bit the same
-    full_tape, full_grad = run(Parameter(c_value, name="c"))
-    assert len(full_tape) == 5
+    full_nodes, full_grad = run(Parameter(c_value, name="c"))
+    assert len(full_nodes) == 5
     assert np.array_equal(grad, full_grad)
     assert np.allclose(grad, (1.0 - np.tanh([0.3, -0.2, 0.1]) ** 2) * 2.0
                        / (1.0 + np.exp(-c_value)), atol=1e-15)
+
+
+def test_backward_empties_the_tape():
+    p = Parameter(np.array([0.5, -1.5]))
+    with Tape() as tape:
+        y = ad.tsum(ad.relu(ad.mul(p, 3.0)))
+        assert len(tape) == 3
+        tape.backward(y)
+    assert len(tape) == 0 and not tape._nodes and not tape._outputs
+    assert np.array_equal(p.grad, [3.0, 0.0])
+    with pytest.raises(RuntimeError, match="already consumed"):
+        tape.backward(y)
+
+
+def test_forward_frees_arrays_no_callback_reads():
+    # add's callbacks read only shapes and relu's its own output, so of each
+    # (add, relu) link only the relu output outlives the forward
+    n, links = 100_000, 8
+    p = Parameter(np.zeros(n))
+    c = ad.constant(np.full(n, 0.5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            h = p
+            for _ in range(links):
+                h = relu(ad.add(h, c))
+            held = tracemalloc.get_traced_memory()[0] - base
+            tape.backward(ad.tsum(h))
+    finally:
+        tracemalloc.stop()
+    assert held < (links + 2) * 8 * n
+    assert np.array_equal(p.grad, np.ones(n))
+
+
+def test_tensor_at_a_freed_recorded_tensors_id_is_not_recorded():
+    p = Parameter(np.ones(3))
+    with Tape() as tape:
+        h = ad.tanh(p)
+        freed = id(h)
+        del h  # no node holds the recorded output
+        kept = []
+        for _ in range(1000):
+            t = Tensor(np.ones(3))
+            if id(t) == freed:
+                break
+            kept.append(t)
+        else:
+            pytest.fail("no tensor landed at the freed tensor's id")
+        ad.mul(t, 2.0)  # constant data: not recorded
+        assert len(tape) == 1
 
 
 def test_no_tape_means_no_recording():

@@ -18,6 +18,7 @@ from crashcast.features import (
     geo_weights,
     object_size,
     pairwise_distance,
+    stack,
     synth_text_features,
     synth_visual_features,
     text_weights,
@@ -307,7 +308,7 @@ def test_gate_gradients_match_fd():
 
 # --- synthetic embeddings ---------------------------------------------------
 
-PROJ8 = _visual_projections(8, np.random.default_rng(7))
+PROJ8 = _visual_projections(8)
 
 
 def test_synth_visual_deterministic_given_seed():
@@ -515,6 +516,29 @@ def test_build_features_stores_only_the_slots_used():
     empty = _record([[] for _ in range(4)])
     batch = build_features([empty], 8, 19)
     assert batch.objects == 1 and not batch.mask.any()
+
+
+def test_stack_of_video_batches_equals_the_batch_of_their_records():
+    records = _small_dataset(count=8)
+    records.append(_record([[] for _ in range(records[0].frames)], rec_id="empty"))
+    max_objects = 3
+    widths = [len(assign_slots(r, max_objects)) for r in records]
+    assert widths[-1] == 0 and max_objects in widths
+    videos = [build_features([r], 8, max_objects) for r in records]
+    rng = np.random.default_rng(23)
+    subsets = [rng.choice(len(records), size=size, replace=False).tolist()
+               for size in (1, 2, 3, 5, 8, 9)]
+    subsets += [[len(records) - 1], [len(records) - 1, widths.index(max_objects)]]
+    for idx in subsets:
+        got = stack(videos[i] for i in idx)
+        want = build_features([records[i] for i in idx], 8, max_objects)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), (idx, field.name)
+                assert a.tobytes() == b.tobytes(), (idx, field.name)
+            else:
+                assert a == b, (idx, field.name)
 
 
 def test_build_features_rejects_bad_input():

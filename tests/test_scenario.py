@@ -147,6 +147,14 @@ def behavior_label(window) -> str:
     return "straight"
 
 
+def _codes(speed, heading, present, dt):
+    """behavior_codes at every sample of the (..., G) tracks, in their shape."""
+    speed = np.asarray(speed, float)
+    rows = tuple(np.indices(speed.shape).reshape(speed.ndim, -1))
+    return behavior_codes(speed, np.asarray(heading, float),
+                          np.asarray(present, bool), dt, rows).reshape(speed.shape)
+
+
 def _oracle_at(speed, heading, present, g, dt=DT) -> str:
     """The label of frame g from the present samples of its trailing window."""
     window = [(n * dt, speed[n], heading[n])
@@ -157,7 +165,7 @@ def _oracle_at(speed, heading, present, g, dt=DT) -> str:
 def _label(headings, speeds, dt=0.1) -> str:
     """behavior_codes of the last frame of one track, every sample present."""
     n = len(speeds)
-    codes = behavior_codes(np.asarray(speeds, float), np.asarray(headings, float),
+    codes = _codes(np.asarray(speeds, float), np.asarray(headings, float),
                            np.ones(n, bool), dt)
     assert codes.shape == (n,)
     label = BEHAVIOR_LABELS[codes[-1]]
@@ -198,7 +206,7 @@ def test_behavior_speed_changes():
 def test_behavior_needs_two_samples():
     # one sample reads straight, even for a stopped or turning track
     assert _label([0.0], [0.0]) == "straight"
-    codes = behavior_codes(np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0]),
+    codes = _codes(np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0]),
                            np.array([True, False, False, False]), 0.1)
     assert [BEHAVIOR_LABELS[c] for c in codes] == ["straight"] * 4
 
@@ -207,7 +215,7 @@ def test_behavior_window_is_trailing_and_skips_absent_frames():
     # a turn ahead of the window is forgotten; absent frames are left out
     heading = np.array([0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
     present = np.array([True, True, True, True, False, True, True])
-    codes = behavior_codes(np.full(7, 8.0), heading, present, 0.1)
+    codes = _codes(np.full(7, 8.0), heading, present, 0.1)
     want = [_oracle_at(np.full(7, 8.0), heading, present, g, 0.1) for g in range(7)]
     assert [BEHAVIOR_LABELS[c] for c in codes] == want
     assert want[1] == "left-turn" and want[-1] == "straight"
@@ -230,16 +238,16 @@ def test_behavior_codes_match_oracle_on_generated_tracks(monkeypatch):
     assert sum(not tr.present[0] and tr.present.any() for tr in tracks) > 100  # enter late
     checked = set()
     for tr in tracks:
-        codes = behavior_codes(tr.speed, tr.heading, tr.present, DT)
+        codes = _codes(tr.speed, tr.heading, tr.present, DT)
         for g in np.flatnonzero(tr.present):
             want = _oracle_at(tr.speed, tr.heading, tr.present, g)
             assert BEHAVIOR_LABELS[codes[g]] == want, (tr.id, g)
             checked.add(want)
     # a stacked (K, G) call gives the per-track rows
     some = tracks[:50]
-    stacked = behavior_codes(*(np.array([getattr(tr, k) for tr in some])
+    stacked = _codes(*(np.array([getattr(tr, k) for tr in some])
                                for k in ("speed", "heading", "present")), DT)
-    assert all((row == behavior_codes(tr.speed, tr.heading, tr.present, DT)).all()
+    assert all((row == _codes(tr.speed, tr.heading, tr.present, DT)).all()
                for row, tr in zip(stacked, some))
     assert {"straight", "stopped", "left-turn", "right-turn"} <= checked
 
