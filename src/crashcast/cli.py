@@ -27,7 +27,7 @@ from .riskmodel import ModelConfig, ModelParams
 from .roadnet import NetworkError, parse_network
 from .scenario import GenerationError, generate_one, read_dataset, record_to_json
 from .traineval import TrainConfig, TrainingDivergedError, evaluate, train
-from .util import atomic_write_text, sha256_file, stream_rng
+from .util import atomic_write_text, atomic_writer, sha256_file, stream_rng
 
 
 class ConfigError(Exception):
@@ -259,32 +259,50 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # gen-data
 
-def _gen_span(task):
-    """Generate a contiguous index span; used by the worker pool, so it must
-    stay a module-level function and take plain picklable arguments."""
+# scenarios in one generation span at most: the unit a worker makes and the
+# parent writes, so memory does not grow with --count
+GEN_SPAN = 16
+
+
+def _gen_span(task) -> tuple[bytes, int]:
+    """The dataset lines of one contiguous index span, each serialized and
+    ended by a newline, as UTF-8 bytes, and the span's count of positive
+    scenarios. Worker processes run it, so it stays a module-level function
+    of one picklable task: (seed, count, ratio, network_text, lo, hi)."""
     seed, count, ratio, network_text, lo, hi = task
     graph = parse_network(network_text) if network_text is not None else None
-    return [generate_one(seed, i, count, ratio, graph)[0]
-            for i in range(lo, hi)]
+    lines, positives = [], 0
+    for i in range(lo, hi):
+        record = generate_one(seed, i, count, ratio, graph)[0]
+        positives += record.positive
+        lines.append(record_to_json(record) + "\n")
+    return "".join(lines).encode("utf-8"), positives
 
 
-def _map_spans(tasks):
-    """Run the span tasks on a process pool of one worker per task, falling
-    back to threads when the platform cannot spawn workers. Results keep task
-    order either way, so the merged dataset is byte-identical for every jobs
-    value."""
-    if len(tasks) <= 1:
-        return [_gen_span(t) for t in tasks]
+def _map_spans(tasks, workers: int):
+    """Yield _gen_span of each task in task order, each as soon as it and
+    those before it are done: in this process when workers is 1, else on a
+    process pool of that many workers. When the pool cannot start or breaks,
+    threads run the tasks not yet yielded, so each span is yielded exactly
+    once and the dataset is byte-identical for every jobs value."""
+    if workers <= 1:
+        yield from map(_gen_span, tasks)
+        return
     # imported only here: the pools load multiprocessing, which no --jobs 1
     # command needs
     from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
+    done = 0
     try:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            return list(pool.map(_gen_span, tasks))
-    except (OSError, PermissionError, BrokenProcessPool):
-        with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
-            return list(pool.map(_gen_span, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_gen_span, tasks):
+                done += 1
+                yield part
+        return
+    except (OSError, BrokenProcessPool):
+        pass
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_gen_span, tasks[done:])
 
 
 def _run_gen_data(cfg: dict) -> int:
@@ -315,16 +333,18 @@ def _run_gen_data(cfg: dict) -> int:
         except NetworkError as exc:
             raise ConfigError(f"cannot parse network file: {exc}")
 
-    # ceil(count / jobs): at most jobs spans, each one worker's share
-    span = -(-count // jobs)
+    # spans of at most GEN_SPAN, and no more than ceil(count / jobs), so
+    # every worker gets one
+    span = min(GEN_SPAN, -(-count // jobs))
     tasks = [(seed, count, ratio, network_text, lo, min(lo + span, count))
              for lo in range(0, count, span)]
-    records = [rec for part in _map_spans(tasks) for rec in part]
-
-    atomic_write_text(out, "\n".join(record_to_json(r) for r in records) + "\n")
+    n_pos = 0
+    with atomic_writer(out) as fh:
+        for lines, positives in _map_spans(tasks, min(jobs, len(tasks))):
+            fh.write(lines)
+            n_pos += positives
     _write_manifest(out, "gen-data", cfg, inputs, [out], started)
-    n_pos = sum(1 for r in records if r.positive)
-    print(f"wrote {len(records)} scenarios ({n_pos} positive) to {out}")
+    print(f"wrote {count} scenarios ({n_pos} positive) to {out}")
     return 0
 
 

@@ -211,30 +211,44 @@ def round7(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# one object row as json.dumps writes it: the id and behavior go in as JSON
+# strings, the numbers as their shortest repr
+_OBJECT_TEMPLATE = ('{"id":%s,"x":%r,"y":%r,"speed":%r,"heading":%r,"cx":%r,'
+                    '"cy":%r,"depth":%r,"behavior":%s}')
+_BEHAVIOR_JSON = tuple(map(json.dumps, BEHAVIOR_LABELS))
+
+
 def record_to_json(record: ScenarioRecord) -> str:
-    """One JSON line per record; key order and float rounding are fixed so
-    identical records serialize to identical bytes. Every object number is
-    written as round(x, 7), in its shortest repr."""
-    ids = record.ids
-    objects = [
-        {"id": ids[k], "x": x, "y": y, "speed": speed, "heading": heading,
-         "cx": cx, "cy": cy, "depth": depth, "behavior": BEHAVIOR_LABELS[code]}
-        for k, (x, y, speed, heading, cx, cy, depth), code in zip(
-            record.id_of.tolist(), round7(record.states).tolist(),
-            record.behavior.tolist())
-    ]
+    """One JSON line per record, the bytes json.dumps writes with compact
+    separators; key order and float rounding are fixed so identical records
+    serialize to identical bytes. Every object number is written as
+    round(x, 7), in its shortest repr. A non-finite number raises ValueError
+    naming the record, the object and the column."""
+    finite = np.isfinite(record.states)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0].tolist()
+        raise ValueError(
+            f"record {record.id!r}: object {record.ids[record.id_of[row]]!r} "
+            f"has {STATE_COLUMNS[col]} {record.states[row, col]}, not a "
+            f"finite number")
+    ids = list(map(json.dumps, record.ids))
+    rows = list(map(_OBJECT_TEMPLATE.__mod__, zip(
+        map(ids.__getitem__, record.id_of.tolist()),
+        *round7(record.states).T.tolist(),
+        map(_BEHAVIOR_JSON.__getitem__, record.behavior.tolist()))))
     starts = record.frame_starts.tolist()
-    payload = {
+    objects = ",".join("[" + ",".join(rows[a:b]) + "]"
+                       for a, b in zip(starts, starts[1:]))
+    head = json.dumps({
         "id": record.id,
         "positive": record.positive,
         "fps": record.fps,
         "frames": record.frames,
         "accident_frame": record.accident_frame,
         "environment": vars(record.environment),  # weather, lighting, road_type
-        "objects": [objects[a:b] for a, b in zip(starts, starts[1:])],
-        "scene_labels": list(record.scene_labels),
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    }, separators=(",", ":"))
+    labels = json.dumps(list(record.scene_labels), separators=(",", ":"))
+    return f'{head[:-1]},"objects":[{objects}],"scene_labels":{labels}}}'
 
 
 _OBJECT_KEYS = ("id", *STATE_COLUMNS, "behavior")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import tempfile
@@ -42,21 +43,37 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write data to path via a synced temp file + rename, so readers never
-    see a torn file and a crash never leaves a renamed but empty one."""
+@contextlib.contextmanager
+def atomic_writer(path: str):
+    """Yield a binary file that replaces path when the block ends.
+
+    The data goes to a temp file beside path (``.tmp-*.part``), which is
+    flushed, synced, given the mode a plain open() would create (0o666 less
+    the umask) and renamed over path, so readers never see a torn file and a
+    crash never leaves a renamed but partial one. An exception in the block
+    removes the temp file and leaves path as it was; a killed process can
+    leave the temp file, never a partial path."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
             fh.flush()
+            umask = os.umask(0)  # read by setting it; put back at once
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write data to path through atomic_writer."""
+    with atomic_writer(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -8,6 +8,8 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,9 @@ from hypothesis import strategies as st
 
 import crashcast
 from crashcast import autodiff as ad
-from crashcast.cli import _DEFAULTS, main
-from crashcast.scenario import read_dataset
+from crashcast import cli
+from crashcast.cli import _DEFAULTS, GEN_SPAN, main
+from crashcast.scenario import GenerationError, generate_one, read_dataset
 from crashcast.scenario.presets import multilane_map_xml
 
 
@@ -127,6 +130,109 @@ def test_gen_data_manifest_records_output_hash(tmp_path):
     assert manifest["config"]["seed"] == 3
     assert len(manifest["outputs"][str(out)]) == 64
     assert manifest["started_at"] <= manifest["finished_at"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_gen_data_failure_leaves_no_partial_output(tmp_path, monkeypatch,
+                                                   capsys, existing):
+    # the failing scenario lies in the third span, after two were written
+    real = cli.generate_one
+    failing_index = 2 * GEN_SPAN + 3
+
+    def failing(seed, index, *args):
+        if index == failing_index:
+            raise GenerationError(f"scenario {index}: every attempt failed")
+        return real(seed, index, *args)
+
+    out = tmp_path / "d.jsonl"
+    extra = []
+    if existing:
+        out.write_bytes(b"old\n")
+        extra = ["--force"]
+    monkeypatch.setattr(cli, "generate_one", failing)
+    capsys.readouterr()
+    assert main(["gen-data", "--count", str(3 * GEN_SPAN), "--seed", "3",
+                 "--out", str(out), *extra]) == 3
+    assert f"scenario {failing_index}" in _one_error_line(capsys)
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == (["d.jsonl"] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"old\n"
+
+
+class _PoolThatCannotStart:
+    def __init__(self, max_workers=None):
+        raise OSError("cannot start a worker process")
+
+
+class _PoolThatBreaksAfterOneSpan:
+    """Runs the first task in this process, then fails as a pool does when a
+    worker dies."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        yield fn(tasks[0])
+        raise BrokenProcessPool("a worker died")
+
+
+@pytest.mark.parametrize("pool", [_PoolThatCannotStart,
+                                  _PoolThatBreaksAfterOneSpan])
+def test_gen_data_pool_failure_falls_back_to_threads(tmp_path, monkeypatch,
+                                                     pool):
+    made = []
+    real = cli._gen_span
+
+    def recording(task):
+        made.append(task[4])  # the span's first index
+        return real(task)
+
+    monkeypatch.setattr(cli, "_gen_span", recording)
+    a = tmp_path / "a.jsonl"
+    b = tmp_path / "b.jsonl"
+    assert main(["gen-data", "--count", "30", "--jobs", "1", "--out", str(a)]) == 0
+    made.clear()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    assert main(["gen-data", "--count", "30", "--jobs", "3", "--out", str(b)]) == 0
+    # spans of ceil(30 / 3) = 10; the threads resume after those written
+    assert sorted(made) == [0, 10, 20]
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_data_memory_is_flat_in_count(tmp_path, monkeypatch):
+    # gen-data writes each span as it is made, so it holds no more for 12
+    # spans than for 6. Every span repeats the same scenarios, made before
+    # tracing starts, so the peak is what gen-data holds beyond generation
+    # (whose own temporaries do not depend on the count either) and every
+    # span takes the same room. Both datasets (12.5 kB a scenario) are
+    # larger than the 1 MiB chunks in which the manifest's hash reads them.
+    # Measured: the peak grew by 2.4 MB when every line was held to the end,
+    # and by less than 0.1 MB with one span held at a time.
+    made = [generate_one(3, i, GEN_SPAN, 0.5) for i in range(GEN_SPAN)]
+    monkeypatch.setattr(cli, "generate_one",
+                        lambda seed, index, *_: made[index % GEN_SPAN])
+
+    def peak(n):
+        out = tmp_path / f"{n}.jsonl"
+        tracemalloc.start()
+        try:
+            assert main(["gen-data", "--count", str(n), "--seed", "3",
+                         "--out", str(out)]) == 0
+            held = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 2**20
+        return held
+
+    small, large = peak(6 * GEN_SPAN), peak(12 * GEN_SPAN)
+    assert large - small < 2**19, (small, large)
 
 
 # ---------------------------------------------------------------------------

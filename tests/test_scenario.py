@@ -1,11 +1,12 @@
 """Scenario synthesis: camera, behavior rules, templates, validation, IO."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crashcast.roadnet import classify_terminals
@@ -17,6 +18,7 @@ from crashcast.scenario import (
     EgoCamera,
     EnvironmentProfile,
     RoleSpec,
+    ScenarioRecord,
     generate_one,
     preset_graph,
     read_dataset,
@@ -27,7 +29,7 @@ from crashcast.scenario import (
     validate_scenario,
 )
 from crashcast.scenario import generate
-from crashcast.scenario.records import round7
+from crashcast.scenario.records import STATE_COLUMNS, object_columns, round7
 from crashcast.scenario.generate import (
     COLLISION_THRESHOLD,
     DT,
@@ -411,6 +413,94 @@ def test_assemble_parks_several_pads_for_a_turning_ego():
     assert np.diff(rec.frame_starts).min() >= 1
     digest = hashlib.sha256(record_to_json(rec).encode()).hexdigest()
     assert digest == _TURNING_EGO_SHA256
+
+
+def _record_to_json_oracle(record) -> str:
+    """The dataset line as json.dumps writes it from dicts: the writer's
+    former body, kept to check its row template against."""
+    ids = record.ids
+    objects = [
+        {"id": ids[k], "x": x, "y": y, "speed": speed, "heading": heading,
+         "cx": cx, "cy": cy, "depth": depth, "behavior": BEHAVIOR_LABELS[code]}
+        for k, (x, y, speed, heading, cx, cy, depth), code in zip(
+            record.id_of.tolist(), round7(record.states).tolist(),
+            record.behavior.tolist())
+    ]
+    starts = record.frame_starts.tolist()
+    payload = {
+        "id": record.id,
+        "positive": record.positive,
+        "fps": record.fps,
+        "frames": record.frames,
+        "accident_frame": record.accident_frame,
+        "environment": vars(record.environment),
+        "objects": [objects[a:b] for a, b in zip(starts, starts[1:])],
+        "scene_labels": list(record.scene_labels),
+    }
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def test_record_to_json_matches_oracle_on_generated_records():
+    for i in range(8):
+        rec = generate_one(59, i, 8, 0.5)[0]
+        assert record_to_json(rec) == _record_to_json_oracle(rec)
+
+
+_TEXT = st.one_of(st.text(max_size=6),
+                  st.sampled_from(['a"b', "c\\d", "é✓", "\x00\n", '"\\"']))
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-10**9, 10**9).map(float), st.just(-0.0),
+                    st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _records(draw):
+    """Records of 0 to 4 frames, each of 0 to 3 objects, with ids that need
+    escaping, whole-number floats and -0.0 among their values."""
+    ids = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    frames = draw(st.lists(st.lists(st.tuples(
+        st.sampled_from(ids), *[_NUMBER] * 7, st.sampled_from(BEHAVIOR_LABELS)),
+        max_size=3), max_size=4))
+    positive = draw(st.booleans()) and len(frames) > 1
+    return ScenarioRecord(
+        draw(_TEXT), positive, draw(st.integers(1, 30)), len(frames),
+        draw(st.integers(1, len(frames) - 1)) if positive else None,
+        EnvironmentProfile(draw(_TEXT), draw(_TEXT), draw(_TEXT)),
+        draw(st.lists(_TEXT, min_size=len(frames), max_size=len(frames))),
+        **object_columns(frames))
+
+
+def _record_of(frames, rec_id="r"):
+    n = len(frames)
+    return ScenarioRecord(rec_id, n > 1, 10, n, 1 if n > 1 else None,
+                          EnvironmentProfile("rain", "night", "urban"),
+                          [f"label {t}" for t in range(n)], **object_columns(frames))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_records())
+@example(_record_of([]))
+@example(_record_of([[], [('a"b', -0.0, 3.0, 1e16, -1e-5, 0.5, 2.0, 7.0,
+                           "braking")], []]))
+@example(_record_of([[("c\\d", 1.0, -2.0, 0.0, 0.1, 1e-7, 95.0, 4.25, "stopped"),
+                      ("é✓", 1.5, 2.5, -0.0, 0.0, 640.0, 360.0, 1.0, "straight")]],
+                    rec_id='q"é\\'))
+def test_record_to_json_matches_oracle(rec):
+    line = record_to_json(rec)
+    assert line == _record_to_json_oracle(rec)
+    back = record_from_json(line)
+    assert record_to_json(back) == line
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_record_to_json_refuses_a_non_finite_number(value):
+    rec = generate_one(59, 0, 1, 0.0)[0]
+    row = int(rec.frame_starts[1]) + 1
+    rec.states[row, STATE_COLUMNS.index("heading")] = value
+    with pytest.raises(ValueError, match=(
+            f"record '{rec.id}': object '{rec.ids[rec.id_of[row]]}' "
+            f"has heading {value}, not a finite number")):
+        record_to_json(rec)
 
 
 def test_dataset_roundtrip_and_byte_determinism():

@@ -1,0 +1,44 @@
+"""Atomic writes: a whole new file or the old one, with the mode open()
+would give."""
+
+import os
+import stat
+
+import pytest
+
+from crashcast.util import atomic_write_text, atomic_writer
+
+
+def test_atomic_writer_exception_keeps_the_old_file(tmp_path):
+    target = tmp_path / "out.jsonl"
+    target.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError, match="stop"):
+        with atomic_writer(str(target)) as fh:
+            fh.write(b"new, but only part of it")
+            raise RuntimeError("stop")
+    assert target.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_atomic_writer_replaces_the_file_when_the_block_ends(tmp_path):
+    target = tmp_path / "out.jsonl"
+    target.write_bytes(b"old\n")
+    with atomic_writer(str(target)) as fh:
+        fh.write(b"first\n")
+        fh.write(b"second\n")
+        assert target.read_bytes() == b"old\n"
+    assert target.read_bytes() == b"first\nsecond\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_gives_the_mode_open_would(tmp_path, umask, mode):
+    before = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "atomic.txt"), "x\n")
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(before)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"atomic.txt": mode, "plain.txt": mode}
