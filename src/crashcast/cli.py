@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -25,9 +26,11 @@ from . import BLAS_THREADS, __version__
 from . import autodiff as ad
 from .riskmodel import ModelConfig, ModelParams
 from .roadnet import NetworkError, parse_network
-from .scenario import GenerationError, generate_one, read_dataset, record_to_json
+from .scenario import (GenerationError, generate_one, iter_dataset, read_dataset,
+                       record_to_json)
 from .traineval import TrainConfig, TrainingDivergedError, evaluate, train
-from .util import atomic_write_text, atomic_writer, sha256_file, stream_rng
+from .util import (atomic_write_text, atomic_writer, map_in_order, sha256_file,
+                   stream_rng)
 
 
 class ConfigError(Exception):
@@ -279,32 +282,6 @@ def _gen_span(task) -> tuple[bytes, int]:
     return "".join(lines).encode("utf-8"), positives
 
 
-def _map_spans(tasks, workers: int):
-    """Yield _gen_span of each task in task order, each as soon as it and
-    those before it are done: in this process when workers is 1, else on a
-    process pool of that many workers. When the pool cannot start or breaks,
-    threads run the tasks not yet yielded, so each span is yielded exactly
-    once and the dataset is byte-identical for every jobs value."""
-    if workers <= 1:
-        yield from map(_gen_span, tasks)
-        return
-    # imported only here: the pools load multiprocessing, which no --jobs 1
-    # command needs
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    done = 0
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_gen_span, tasks):
-                done += 1
-                yield part
-        return
-    except (OSError, BrokenProcessPool):
-        pass
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_gen_span, tasks[done:])
-
-
 def _run_gen_data(cfg: dict) -> int:
     started = _utcnow()
     out = _require(cfg, "out", "gen-data")
@@ -340,7 +317,9 @@ def _run_gen_data(cfg: dict) -> int:
              for lo in range(0, count, span)]
     n_pos = 0
     with atomic_writer(out) as fh:
-        for lines, positives in _map_spans(tasks, min(jobs, len(tasks))):
+        for lines, positives in map_in_order(_gen_span, tasks,
+                                             min(jobs, len(tasks)),
+                                             processes=True):
             fh.write(lines)
             n_pos += positives
     _write_manifest(out, "gen-data", cfg, inputs, [out], started)
@@ -611,9 +590,15 @@ def _run_eval(cfg: dict) -> int:
     if not os.path.isfile(sidecar_path):
         raise ConfigError(f"missing checkpoint config sidecar: {sidecar_path}")
     inputs = {ckpt: sha256_file(ckpt), sidecar_path: sha256_file(sidecar_path)}
-    if os.path.isfile(data):
-        inputs[data] = sha256_file(data)
-    records = _read_records(data, "dataset")
+    if not os.path.isfile(data):
+        raise ConfigError(f"dataset not found: {data}")
+    inputs[data] = sha256_file(data)
+    # the dataset streams through evaluate a chunk at a time; a line that
+    # is not a record raises there, and nothing is written before the end
+    records = iter_dataset(data)
+    first = next(records, None)
+    if first is None:
+        raise ConfigError(f"dataset is empty: {data}")
 
     model_cfg = _read_sidecar(sidecar_path)[0]
     params = ModelParams.init(model_cfg, np.random.default_rng(0))
@@ -622,24 +607,27 @@ def _run_eval(cfg: dict) -> int:
         params.load_state_dict(state)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"checkpoint does not match its sidecar: {exc}")
+    del state  # copied into params
 
     try:
-        report, curves = evaluate(records, params, model_cfg,
-                                  threshold=threshold, jobs=jobs)
+        report, curves = evaluate(itertools.chain([first], records), params,
+                                  model_cfg, threshold=threshold, jobs=jobs)
     except ValueError as exc:
+        if str(exc).startswith(f"{data}:"):
+            raise  # a bad line, named by its path and line number
         # the flags were checked above, so what is left is the dataset's
         raise ValueError(f"dataset {data}: {exc}") from exc
 
     atomic_write_text(out, json.dumps(report.to_dict(), indent=2,
                                       sort_keys=True) + "\n")
-    lines = ["video_id,frame,u"]
-    for i, rec in enumerate(records):
-        for t in range(rec.frames):
-            lines.append(f"{rec.id},{t + 1},{_fmt(curves[i, t])}")
-    atomic_write_text(curves_path, "\n".join(lines) + "\n")
+    with atomic_writer(curves_path) as fh:
+        fh.write(b"video_id,frame,u\n")
+        for video, curve in zip(report.videos, curves):
+            fh.write("".join(f"{video.id},{t},{_fmt(u)}\n" for t, u
+                             in enumerate(curve.tolist(), 1)).encode("utf-8"))
     _write_manifest(out, "eval", cfg, inputs, [out, curves_path], started)
     print(f"AP {report.ap:.4f}, mTTA {report.mtta:.4f} s over "
-          f"{len(records)} videos (threshold {threshold})")
+          f"{len(report.videos)} videos (threshold {threshold})")
     return 0
 
 

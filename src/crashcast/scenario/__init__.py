@@ -5,6 +5,7 @@ from .records import (
     EgoCamera,
     EnvironmentProfile,
     ScenarioRecord,
+    iter_dataset,
     read_dataset,
     record_from_json,
     record_to_json,
@@ -28,6 +29,7 @@ __all__ = [
     "EgoCamera",
     "EnvironmentProfile",
     "ScenarioRecord",
+    "iter_dataset",
     "read_dataset",
     "record_from_json",
     "record_to_json",

@@ -315,11 +315,13 @@ def record_from_json(line: str) -> ScenarioRecord:
     return rec
 
 
-def read_dataset(path: str) -> list[ScenarioRecord]:
-    """Records of a JSON-lines file, blank lines skipped. A line that is not
-    a record, or whose frames or fps differ from the first record's, raises
-    ValueError naming the path and the 1-based line."""
-    records = []
+def iter_dataset(path: str):
+    """Yield the records of a JSON-lines file in order, blank lines skipped,
+    reading one line at a time. A line that is not a record, or whose
+    frames or fps differ from the first record's, raises ValueError naming
+    the path and the 1-based line when the reader reaches it, after the
+    records before it were yielded."""
+    first = None  # the first record's (frames, fps)
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             if not raw.strip():
@@ -330,9 +332,15 @@ def read_dataset(path: str) -> list[ScenarioRecord]:
                 raise ValueError(f"{path}:{lineno}: record lacks the {exc} key") from None
             except (TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
-            if records and (rec.frames, rec.fps) != (records[0].frames, records[0].fps):
+            if first is None:
+                first = (rec.frames, rec.fps)
+            elif (rec.frames, rec.fps) != first:
                 raise ValueError(
                     f"{path}:{lineno}: frames {rec.frames} and fps {rec.fps} differ "
-                    f"from the first record's {records[0].frames} and {records[0].fps}")
-            records.append(rec)
-    return records
+                    f"from the first record's {first[0]} and {first[1]}")
+            yield rec
+
+
+def read_dataset(path: str) -> list[ScenarioRecord]:
+    """All records of a JSON-lines file, checked as iter_dataset checks them."""
+    return list(iter_dataset(path))

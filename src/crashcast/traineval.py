@@ -5,6 +5,7 @@ precision, and the threshold-averaged mean TTA.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +14,7 @@ from .autodiff import Tape
 from .features import FeatureBatch, build_features, stack
 from .losses import LabeledBatch, align_loss, frame_loss, total_loss, video_loss
 from .riskmodel import ModelConfig, ModelParams, align_project, forward
-from .util import stable_u64, stream_rng
+from .util import map_in_order, stable_u64, stream_rng
 
 
 class TrainingDivergedError(RuntimeError):
@@ -320,60 +321,78 @@ class EvalReport:
         }
 
 
+def _chunks(records, size: int):
+    """Lists of up to size consecutive records, each drawn from the
+    iterable only when it is asked for."""
+    records = iter(records)
+    while chunk := list(itertools.islice(records, size)):
+        yield chunk
+
+
 def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
                 chunk: int = 32, jobs: int = 1) -> np.ndarray:
-    """(B, T) risk curves, computed in fixed-size chunks. Features are
-    per-record deterministic, so a chunk's contents move a video's values
-    only in the last bits: a batch of another size can take another BLAS
-    path, and the forward runs at the chunk's width k (the object slots its
-    videos use), which changes summation order.
+    """(B, T) risk curves, computed in chunks of at most ``chunk`` records
+    drawn from the iterable as they are scored, so only the chunks in
+    flight are held (one with jobs 1; see util.map_in_order). A chunk is
+    one batch, so the TCN, the GRU and the head pay their per-step work
+    once for its videos; the forward runs its graph stage in exact slices
+    of riskmodel.GRAPH_SLICE videos. Features are per-record deterministic,
+    so a chunk's contents move a video's values only in the last bits: a
+    batch of another size can take another BLAS path, and the forward runs
+    at the chunk's width k (the object slots its videos use), which changes
+    summation order.
 
-    ``jobs`` > 1 runs the same chunks on a thread pool. Results are merged
-    in chunk order, so the output bytes never depend on the worker count.
+    ``jobs`` > 1 scores chunks on that many threads. Results are merged in
+    chunk order, so the output bytes never depend on the worker count.
     """
-    records = list(records)
-    spans = [(lo, min(lo + chunk, len(records)))
-             for lo in range(0, len(records), chunk)]
-
-    def one(span):
-        fb = build_features(records[span[0]:span[1]], model_cfg.feature_dim,
-                            model_cfg.max_objects)
+    def score(videos):
+        fb = build_features(videos, model_cfg.feature_dim, model_cfg.max_objects)
         return forward(fb, params, model_cfg).risk.value
 
-    if jobs <= 1 or len(spans) <= 1:
-        out = [one(s) for s in spans]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            out = list(pool.map(one, spans))
-    return np.concatenate(out, axis=0)
+    return np.concatenate(list(map_in_order(score, _chunks(records, chunk), jobs)),
+                          axis=0)
 
 
 def evaluate(records, params: ModelParams, model_cfg: ModelConfig, *,
              threshold: float = 0.5, jobs: int = 1) -> tuple[EvalReport, np.ndarray]:
     """Full evaluation: AP over video scores, grid mTTA, per-video triggers
     at the report threshold, and the threshold sweep table. Returns the
-    report plus the raw risk curves for export."""
-    records = list(records)
-    if not records:
-        raise ValueError("evaluation set is empty")
+    report plus the raw risk curves for export.
+
+    The records may be any iterable; it is drawn once, in the chunks that
+    risk_curves scores, and of each video only its id, label, accident
+    frame and curve are kept. The frame rate is the first record's."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    fps = records[0].fps
-    curves = risk_curves(records, params, model_cfg, jobs=jobs)
-    labels = np.array([int(r.positive) for r in records])
-    lams = np.array([r.accident_frame or 0 for r in records])
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
+        raise ValueError("evaluation set is empty")
+    fps = first.fps
+    ids, labels, lams = [], [], []
+
+    def noted(records):
+        for rec in records:
+            ids.append(rec.id)
+            labels.append(int(rec.positive))
+            lams.append(rec.accident_frame or 0)
+            yield rec
+
+    curves = risk_curves(noted(itertools.chain([first], records)), params,
+                         model_cfg, jobs=jobs)
+    labels = np.array(labels)
+    lams = np.array(lams)
 
     scores = np.array([video_score(curves[i], labels[i], lams[i])
-                       for i in range(len(records))])
+                       for i in range(len(ids))])
     ap = average_precision(scores, labels)
     grid_ttas = _grid_ttas(curves, labels, lams, fps)
 
     videos = []
-    for i, rec in enumerate(records):
+    for i, video_id in enumerate(ids):
         m = trigger_frame(curves[i], threshold)
         t_sec = tta(m, int(lams[i]), fps) if (labels[i] == 1 and m is not None) else None
-        videos.append(VideoEval(rec.id, int(labels[i]), float(scores[i]),
+        videos.append(VideoEval(video_id, int(labels[i]), float(scores[i]),
                                 m, t_sec))
 
     sweep = [{"delta": round(float(delta), 2),

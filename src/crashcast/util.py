@@ -1,7 +1,9 @@
-"""Shared helpers: seeded RNG streams, stable hashing, atomic writes."""
+"""Shared helpers: seeded RNG streams, stable hashing, atomic writes, and
+the in-order parallel map."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import os
@@ -79,3 +81,66 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 def atomic_write_text(path: str, text: str) -> None:
     """UTF-8 text through atomic_write_bytes; newlines are written as given."""
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def map_in_order(fn, items, workers: int, processes: bool = False):
+    """Yield fn(item) for each item in order, each as soon as it and those
+    before it are done.
+
+    With workers <= 1 the items run here, one after another; otherwise on a
+    pool of that many threads or, with processes, worker processes (fn and
+    the items must then pickle). Items are drawn only as results are
+    yielded, so that at most 2 * workers are drawn and not yet yielded and
+    what is held does not grow with their number; an exception the
+    iterable raises comes out of this map where it is drawn. When the
+    process pool cannot start or breaks, threads run every item not yet
+    yielded, so each result is yielded exactly once and in order whatever
+    becomes of the pool."""
+    items = iter(items)
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    # imported only here: the pools load multiprocessing, which no --jobs 1
+    # command needs
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    end = object()
+    window = collections.deque()  # [item, future] drawn, not yet yielded
+    with contextlib.ExitStack() as pools:
+        pool = None
+        broken = ()  # what the pool raises when it fails, on a process pool
+
+        def to_threads():
+            nonlocal pool, broken
+            pool = pools.enter_context(ThreadPoolExecutor(max_workers=workers))
+            broken = ()
+            for entry in window:
+                entry[1] = pool.submit(fn, entry[0])
+
+        if processes:
+            broken = (OSError, BrokenProcessPool)
+            try:
+                pool = pools.enter_context(ProcessPoolExecutor(max_workers=workers))
+            except OSError:
+                to_threads()
+        else:
+            to_threads()
+        while True:
+            while len(window) < 2 * workers:
+                item = next(items, end)
+                if item is end:
+                    break
+                window.append([item, None])
+                try:
+                    window[-1][1] = pool.submit(fn, item)
+                except broken:
+                    to_threads()
+            if not window:
+                return
+            try:
+                result = window[0][1].result()
+            except broken:
+                to_threads()
+                continue
+            window.popleft()
+            yield result

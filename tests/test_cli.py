@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import crashcast
 from crashcast import autodiff as ad
-from crashcast import cli
+from crashcast import cli, traineval
 from crashcast.cli import _DEFAULTS, GEN_SPAN, main
 from crashcast.scenario import GenerationError, generate_one, read_dataset
 from crashcast.scenario.presets import multilane_map_xml
@@ -167,10 +167,10 @@ class _PoolThatCannotStart:
 
 class _PoolThatBreaksAfterOneSpan:
     """Runs the first task in this process, then fails as a pool does when a
-    worker dies."""
+    worker dies: every later task's future raises BrokenProcessPool."""
 
     def __init__(self, max_workers=None):
-        pass
+        self.submitted = 0
 
     def __enter__(self):
         return self
@@ -178,9 +178,14 @@ class _PoolThatBreaksAfterOneSpan:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        yield fn(tasks[0])
-        raise BrokenProcessPool("a worker died")
+    def submit(self, fn, task):
+        future = concurrent.futures.Future()
+        if self.submitted:
+            future.set_exception(BrokenProcessPool("a worker died"))
+        else:
+            future.set_result(fn(task))
+        self.submitted += 1
+        return future
 
 
 @pytest.mark.parametrize("pool", [_PoolThatCannotStart,
@@ -944,7 +949,131 @@ def test_eval_one_class_dataset_exits_3_naming_it(work, tmp_path, capsys):
     assert code == 3
     err = _one_error_line(capsys)
     assert str(positives) in err and "both classes" in err, err
-    assert not (tmp_path / "r.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["positives.jsonl"]
+
+
+def _cycled(work, path: Path, count: int) -> Path:
+    """A dataset of count records at path: the fixture's records in turn,
+    each under an id of its own."""
+    lines = work[1].read_text().splitlines(keepends=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(count):
+            line = lines[i % len(lines)]
+            rid = json.loads(line)["id"]
+            fh.write(line.replace(f'"id":"{rid}"', f'"id":"{rid}-{i}"', 1))
+    return path
+
+
+def _eval_on(data: Path, ckpt: Path, out: Path,
+             *extra) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of eval of ckpt on data with --out out."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(out), *extra])
+    return code, err.getvalue().splitlines()
+
+
+@pytest.fixture(scope="module")
+def eval40(work, tmp_path_factory):
+    """40 records: a full 32-record eval chunk and 8 more."""
+    return _cycled(work, tmp_path_factory.mktemp("eval40") / "d.jsonl", 40)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_bad_line_in_a_later_chunk_exits_3_and_writes_nothing(
+        work, eval40, tmp_path, monkeypatch, jobs):
+    # eval streams the dataset in chunks of 32, so the first chunk is scored
+    # (or, with --jobs 2, already handed to a worker) before line 40 is
+    # read; the report, the curves and the manifest are written only once
+    # every chunk is
+    lines = eval40.read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines[:39]) + lines[39][:len(lines[39]) // 2] + "\n")
+    scored = []
+    real = traineval.forward
+
+    def counting(fb, *args):
+        scored.append(fb.batch_size)
+        return real(fb, *args)
+
+    monkeypatch.setattr(traineval, "forward", counting)
+    code, err = _eval_on(bad, work[2], tmp_path / "r.json", "--jobs", jobs)
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("crashcast: error:"), err
+    assert f"{bad}:40: bad record" in err[0], err
+    assert scored == [32]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
+def test_eval_blank_dataset_exits_2_and_writes_nothing(work, tmp_path):
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n  \n\n")
+    code, err = _eval_on(blank, work[2], tmp_path / "r.json")
+    assert code == 2
+    assert err == [f"crashcast: error: dataset is empty: {blank}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blank.jsonl"]
+
+
+def test_eval_memory_is_flat_in_count(work, tmp_path):
+    # eval streams its dataset a chunk at a time and keeps of each video
+    # only its id, label, accident frame and curve, so 96 more videos raise
+    # its traced peak by their report and curves alone. Both counts fill
+    # whole 32-video chunks. Measured: 12.3 KiB more per video when every
+    # record and curve line was held to the end, 1.0 KiB streamed.
+    def peak(n):
+        data = _cycled(work, tmp_path / f"{n}.jsonl", n)
+        tracemalloc.start()
+        try:
+            code, err = _eval_on(data, work[2], tmp_path / f"{n}.json")
+            held = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        return held
+
+    small, large = peak(32), peak(128)
+    assert large - small < 2**19, (small, large)
+
+
+def _damage(lines: list[bytes], draw) -> bytes:
+    """The dataset with one line damaged: cut inside it, the high bit of
+    one of its bytes flipped, or one key dropped from it (of the record,
+    its environment or the first object of a frame)."""
+    at = draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[at]
+    kind = draw(st.sampled_from(["cut", "flip", "drop-key"]), label="kind")
+    if kind == "cut":
+        # a nonempty prefix of the line's JSON object, never all of it
+        return b"".join(lines[:at]) + line[:draw(st.integers(1, len(line) - 2))]
+    if kind == "flip":
+        # the lines are ASCII, so a byte with its high bit set is never UTF-8
+        damaged = bytearray(line)
+        damaged[draw(st.integers(0, len(line) - 1), label="byte")] ^= 0x80
+        line = bytes(damaged)
+    else:
+        record = json.loads(line)
+        holders = [record, record["environment"],
+                   *(frame[0] for frame in record["objects"] if frame)]
+        holder = draw(st.sampled_from(holders), label="holder")
+        del holder[draw(st.sampled_from(sorted(holder)), label="key")]
+        line = json.dumps(record).encode() + b"\n"
+    return b"".join(lines[:at]) + line + b"".join(lines[at + 1:])
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_eval_damaged_dataset_exits_2_or_3_and_writes_nothing(work, eval40,
+                                                                data):
+    lines = eval40.read_bytes().splitlines(keepends=True)
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        bad = root / "bad.jsonl"
+        bad.write_bytes(_damage(lines, data.draw))
+        code, err = _eval_on(bad, work[2], root / "r.json")
+        assert code in (2, 3), err
+        assert len(err) == 1 and err[0].startswith("crashcast: error:"), err
+        assert sorted(p.name for p in root.iterdir()) == ["bad.jsonl"]
 
 
 def test_eval_missing_sidecar_exits_2(work, tmp_path):

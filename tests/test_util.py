@@ -1,12 +1,13 @@
 """Atomic writes: a whole new file or the old one, with the mode open()
-would give."""
+would give. The in-order map: a bounded window of items ahead."""
 
+import itertools
 import os
 import stat
 
 import pytest
 
-from crashcast.util import atomic_write_text, atomic_writer
+from crashcast.util import atomic_write_text, atomic_writer, map_in_order
 
 
 def test_atomic_writer_exception_keeps_the_old_file(tmp_path):
@@ -42,3 +43,30 @@ def test_atomic_write_gives_the_mode_open_would(tmp_path, umask, mode):
         os.umask(before)
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
     assert modes == {"atomic.txt": mode, "plain.txt": mode}
+
+
+def _drawn(log, items):
+    for item in items:
+        log.append(item)
+        yield item
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_map_in_order_draws_only_a_window_ahead(workers):
+    # an endless iterable: a map that drew it all would never yield
+    drawn = []
+    results = map_in_order(abs, _drawn(drawn, itertools.count(-1, -1)), workers)
+    assert [next(results) for _ in range(10)] == list(range(1, 11))
+    assert len(drawn) <= 10 + 2 * workers
+    results.close()
+
+
+def test_map_in_order_raises_what_the_items_raise_on_a_process_pool():
+    # an OSError from the items is theirs, not a pool that failed to start,
+    # so it is raised rather than the items being handed to threads
+    def items():
+        yield -1
+        raise OSError("cannot read the next item")
+
+    with pytest.raises(OSError, match="cannot read the next item"):
+        list(map_in_order(abs, items(), 2, processes=True))
