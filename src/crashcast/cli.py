@@ -25,9 +25,7 @@ import numpy as np
 from . import BLAS_THREADS, __version__
 from . import autodiff as ad
 from .riskmodel import ModelConfig, ModelParams
-from .roadnet import NetworkError, parse_network
-from .scenario import (GenerationError, generate_one, iter_dataset, read_dataset,
-                       record_to_json)
+from .scenario.records import iter_dataset, read_dataset, record_to_json
 from .traineval import TrainConfig, TrainingDivergedError, evaluate, train
 from .util import (atomic_write_text, atomic_writer, map_in_order, sha256_file,
                    stream_rng)
@@ -262,6 +260,32 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # gen-data
 
+def _synthesis():
+    """The synthesis path's modules, roadnet and scenario.generate (which
+    loads presets and trafficgen), imported on first call. Only gen-data
+    calls it, in the parent before any worker starts, so train and eval
+    never compile them and forked workers inherit them."""
+    from . import roadnet
+    from .scenario import generate
+    return roadnet, generate
+
+
+def _synthesis_errors() -> tuple[type[Exception], ...]:
+    """GenerationError and NetworkError once gen-data has loaded the
+    synthesis path that raises them; nothing to catch before that."""
+    if f"{__package__}.scenario.generate" not in sys.modules:
+        return ()
+    roadnet, generate = _synthesis()
+    return generate.GenerationError, roadnet.NetworkError
+
+
+def generate_one(seed, index, count, positive_ratio, graph=None):
+    """scenario.generate_one, looked up on each call so that importing the
+    command line leaves the synthesis path unloaded."""
+    _, generate = _synthesis()
+    return generate.generate_one(seed, index, count, positive_ratio, graph)
+
+
 # scenarios in one generation span at most: the unit a worker makes and the
 # parent writes, so memory does not grow with --count
 GEN_SPAN = 16
@@ -273,7 +297,9 @@ def _gen_span(task) -> tuple[bytes, int]:
     scenarios. Worker processes run it, so it stays a module-level function
     of one picklable task: (seed, count, ratio, network_text, lo, hi)."""
     seed, count, ratio, network_text, lo, hi = task
-    graph = parse_network(network_text) if network_text is not None else None
+    roadnet, _ = _synthesis()
+    graph = (roadnet.parse_network(network_text)
+             if network_text is not None else None)
     lines, positives = [], 0
     for i in range(lo, hi):
         record = generate_one(seed, i, count, ratio, graph)[0]
@@ -297,18 +323,25 @@ def _run_gen_data(cfg: dict) -> int:
                       [("--network", cfg["network"])])
     _refuse_overwrite([out], cfg["force"])
 
+    roadnet, _ = _synthesis()
     inputs = {}
     network_text = None
-    if cfg["network"]:
-        if not os.path.isfile(cfg["network"]):
-            raise ConfigError(f"network file not found: {cfg['network']}")
-        inputs[cfg["network"]] = sha256_file(cfg["network"])
-        with open(cfg["network"], encoding="utf-8") as fh:
-            network_text = fh.read()
+    network = cfg["network"]
+    if network:
+        if not os.path.isfile(network):
+            raise ConfigError(f"network file not found: {network}")
+        inputs[network] = sha256_file(network)
+        with open(network, "rb") as fh:
+            raw = fh.read()
         try:
-            parse_network(network_text)
-        except NetworkError as exc:
-            raise ConfigError(f"cannot parse network file: {exc}")
+            network_text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"network file {network} is not UTF-8: "
+                              f"{exc.reason} at byte {exc.start}")
+        try:
+            roadnet.parse_network(network_text)
+        except roadnet.NetworkError as exc:
+            raise ConfigError(f"cannot parse network file {network}: {exc}")
 
     # spans of at most GEN_SPAN, and no more than ceil(count / jobs), so
     # every worker gets one
@@ -648,8 +681,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"crashcast: error: {exc}", file=sys.stderr)
         return 2
-    except (GenerationError, NetworkError, TrainingDivergedError, OSError,
-            ValueError, KeyError) as exc:
+    except (TrainingDivergedError, OSError, ValueError, KeyError,
+            *_synthesis_errors()) as exc:
         print(f"crashcast: error: {exc}", file=sys.stderr)
         return 3
 

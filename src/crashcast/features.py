@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .scenario import BEHAVIOR_LABELS, ScenarioRecord
+from .scenario.records import BEHAVIOR_LABELS, ScenarioRecord
 from .util import stable_u64, stream_rng
 
 # fixed scales that bring each state coordinate to roughly unit range

@@ -109,8 +109,9 @@ def parse_network(text: str) -> RoadGraph:
     """Parse and validate the XML network format.
 
     Raises NetworkParseError for malformed documents, dangling node
-    references, nonpositive length/speed, or centerlines whose arc length
-    disagrees with the declared length, reporting element id and line.
+    references, a non-finite coordinate, length, speed or travel time,
+    nonpositive length/speed, or centerlines whose arc length disagrees with
+    the declared length, reporting element id and line.
     """
     graph = RoadGraph()
     # element accumulation state for the edge currently being parsed
@@ -133,6 +134,9 @@ def parse_network(text: str) -> RoadGraph:
                 node = RoadNode(attrs["id"], float(attrs["x"]), float(attrs["y"]))
             except (KeyError, ValueError) as exc:
                 fail(f"bad <node> attributes {dict(attrs)}: {exc}")
+            if not (math.isfinite(node.x) and math.isfinite(node.y)):
+                fail(f"node {node.id!r} has a non-finite coordinate "
+                     f"({node.x}, {node.y})")
             if node.id in graph.nodes:
                 fail(f"duplicate node id {node.id!r}")
             graph.add_node(node)
@@ -156,9 +160,13 @@ def parse_network(text: str) -> RoadGraph:
             if state["edge"] is None:
                 fail("<pt> outside <edge>")
             try:
-                state["edge"]["pts"].append((float(attrs["x"]), float(attrs["y"])))
+                pt = float(attrs["x"]), float(attrs["y"])
             except (KeyError, ValueError) as exc:
                 fail(f"bad <pt> attributes {dict(attrs)}: {exc}")
+            if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
+                fail(f"edge {state['edge']['id']!r} has a non-finite <pt> "
+                     f"{pt}")
+            state["edge"]["pts"].append(pt)
         else:
             fail(f"unknown element <{tag}>")
 
@@ -176,12 +184,20 @@ def parse_network(text: str) -> RoadGraph:
                     f"edge {eid!r} references unknown node {ref!r} (line {line})")
         if spec["from"] == spec["to"]:
             raise NetworkParseError(f"edge {eid!r} is a self-loop (line {line})")
+        for key in ("length", "speed"):
+            if not math.isfinite(spec[key]):
+                raise NetworkParseError(
+                    f"edge {eid!r} has non-finite {key} {spec[key]} (line {line})")
         if spec["length"] <= 0:
             raise NetworkParseError(
                 f"edge {eid!r} has nonpositive length {spec['length']} (line {line})")
         if spec["speed"] <= 0:
             raise NetworkParseError(
                 f"edge {eid!r} has nonpositive speed {spec['speed']} (line {line})")
+        if not math.isfinite(spec["length"] / spec["speed"]):
+            raise NetworkParseError(
+                f"edge {eid!r} has non-finite travel time length/speed "
+                f"{spec['length']}/{spec['speed']} (line {line})")
         pts = spec["pts"]
         if not pts:
             # default centerline: straight segment between endpoint nodes

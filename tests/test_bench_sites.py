@@ -13,19 +13,44 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 KNOWN_MISSING = {"crashcast.autodiff.gru_cell"}
 
 
-def _load_sites():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SITES
+    return module
 
 
 def test_every_traced_site_exists():
     missing = set()
-    for _, module_name, attr in _load_sites():
+    for _, module_name, attr in _load_tracer().SITES:
         owner = importlib.import_module(module_name)
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         if not callable(owner):
             missing.add(f"{module_name}.{attr}")
     assert missing <= KNOWN_MISSING, sorted(missing - KNOWN_MISSING)
+
+
+def test_command_line_sites_are_called_by_the_commands(tmp_path, monkeypatch):
+    # a site that exists but that the commands no longer call through (say,
+    # a lazy import that binds the function elsewhere) reads 0 calls
+    # without an error
+    from crashcast import cli
+
+    tracer = _load_tracer()
+    recorder = tracer.Recorder()
+    wrapped = []
+    for name, module_name, attr in tracer.SITES:
+        if module_name == "crashcast.cli" and attr != "main":
+            monkeypatch.setattr(cli, attr, recorder.wrap(name, getattr(cli, attr)))
+            wrapped.append(name)
+    assert "scenario.generate_one" in wrapped
+    data, ckpt = tmp_path / "d.jsonl", tmp_path / "m.bin"
+    assert cli.main(["gen-data", "--count", "4", "--out", str(data)]) == 0
+    assert cli.main(["train", "--data", str(data), "--epochs", "1",
+                     "--feature-dim", "8", "--max-objects", "4",
+                     "--out", str(ckpt)]) == 0
+    assert cli.main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "r.json")]) == 0
+    called = tracer.aggregate(recorder.spans)  # a site never called has no row
+    assert sorted(called) == sorted(wrapped), sorted(set(wrapped) - set(called))

@@ -110,6 +110,86 @@ def test_gen_data_network_file_used_for_negatives(tmp_path):
     assert len(read_dataset(out)) == 4
 
 
+_MAP = multilane_map_xml().encode()
+
+
+def _l1b(attr: str, value: str) -> bytes:
+    """The multilane map with one attribute of its edge l1b replaced."""
+    return re.sub(rf'(id="l1b"[^>]* {attr}=")[^"]*'.encode(),
+                  rf"\g<1>{value}".encode(), _MAP)
+
+
+@pytest.mark.parametrize("network,message", [
+    (_l1b("length", "inf"), "cannot parse network file {}: edge 'l1b' has "
+                            "non-finite length inf (line 12)"),
+    (_l1b("length", "1e400"), "cannot parse network file {}: edge 'l1b' has "
+                              "non-finite length inf (line 12)"),
+    (_l1b("speed", "0"), "cannot parse network file {}: edge 'l1b' has "
+                         "nonpositive speed 0.0 (line 12)"),
+    # a lead byte whose continuation is ASCII
+    (_MAP[:444] + b"\xd6" + _MAP[445:],
+     "network file {} is not UTF-8: invalid continuation byte at byte 444"),
+])
+def test_gen_data_bad_network_exits_2_naming_file_and_place(tmp_path, capsys,
+                                                           network, message):
+    net = tmp_path / "net.xml"
+    net.write_bytes(network)
+    capsys.readouterr()
+    assert _gen(tmp_path / "d.jsonl", "--network", net) == 2
+    err = _one_error_line(capsys)
+    assert message.format(net) in err, err
+    assert list(tmp_path.iterdir()) == [net]
+
+
+@st.composite
+def _damaged_network(draw) -> bytes:
+    """The multilane map cut short, with bytes flipped, with a numeric
+    attribute set to an awkward value, or with an attribute dropped."""
+    text = multilane_map_xml()
+    kind = draw(st.sampled_from(["truncate", "flip", "value", "drop"]))
+    if kind in ("value", "drop"):
+        spans = [m.span() for m in re.finditer(
+            r'\b(?:x|y|length|speed)="[^"]*"' if kind == "value"
+            else r' \w+="[^"]*"', text)]
+        lo, hi = draw(st.sampled_from(spans))
+        if kind == "drop":
+            return (text[:lo] + text[hi:]).encode()
+        name = text[lo:text.index("=", lo)]
+        value = draw(st.sampled_from(
+            ["nan", "inf", "-inf", "1e400", "1e-320", "", "abc"]))
+        return (text[:lo] + f'{name}="{value}"' + text[hi:]).encode()
+    raw = bytearray(text.encode())
+    if kind == "truncate":
+        return bytes(raw[:draw(st.integers(0, len(raw) - 1))])
+    for at, mask in draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                            st.integers(1, 255)),
+                                  min_size=1, max_size=3)):
+        raw[at] ^= mask
+    return bytes(raw)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(network=_damaged_network())
+def test_damaged_network_exits_0_2_or_3(network):
+    # a flip can leave a network that still parses and routes, e.g. another
+    # digit of a speed; such a run succeeds
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        (root / "net.xml").write_bytes(network)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["gen-data", "--network", str(root / "net.xml"),
+                         "--count", "2", "--out", str(root / "out.jsonl")])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == [] and (root / "out.jsonl").exists()
+        else:
+            assert code in (2, 3), (network, lines)
+            assert len(lines) == 1 and lines[0].startswith(
+                "crashcast: error:"), (network, lines)
+            assert [p.name for p in root.iterdir()] == ["net.xml"]
+
+
 def test_gen_data_refuses_overwrite_without_force(tmp_path):
     out = tmp_path / "a.jsonl"
     assert _gen(out) == 0
@@ -1286,6 +1366,39 @@ def test_cli_import_leaves_worker_pools_unloaded():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_SYNTHESIS_MODULES = ("crashcast.scenario.generate", "crashcast.scenario.presets",
+                      "crashcast.trafficgen", "crashcast.roadnet",
+                      "xml.parsers.expat")
+
+_TRAIN_AND_EVAL = """
+import sys
+import crashcast.cli as cli
+data, out = sys.argv[1:]
+assert cli.main(["train", "--data", data, "--epochs", "1", "--feature-dim",
+                 "8", "--max-objects", "4", "--out", out + "/m.bin"]) == 0
+assert cli.main(["eval", "--data", data, "--checkpoint", out + "/m.bin",
+                 "--out", out + "/r.json"]) == 0
+print(sorted(m for m in {0!r} if m in sys.modules))
+import crashcast.scenario as scenario
+names = {{}}
+exec("from crashcast.scenario import *", names)
+print(sorted(set(scenario.__all__) - set(names)))
+"""
+
+
+def test_train_and_eval_leave_the_synthesis_path_unloaded(work, tmp_path):
+    # only gen-data runs scenario synthesis; train and eval would otherwise
+    # compile its modules on every start without running them
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRAIN_AND_EVAL.format(_SYNTHESIS_MODULES),
+         str(work[1]), str(tmp_path)],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    unloaded, unbound = proc.stdout.splitlines()[-2:]
+    assert unloaded == "[]"
+    assert unbound == "[]"  # star-import resolves every lazy name
 
 
 @pytest.mark.parametrize("module", ["crashcast", "crashcast.cli"])

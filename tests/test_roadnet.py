@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,27 @@ def test_parse_errors_report_id_and_line():
     arc_mismatch = SIMPLE_NET.replace('<pt x="100" y="50"/>', '<pt x="100" y="70"/>')
     with pytest.raises(NetworkParseError, match=r"bc.*arc"):
         parse_network(arc_mismatch)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ('length="50"', 'length="inf"', "'bc' has non-finite length inf"),
+    ('length="50"', 'length="1e400"', "'bc' has non-finite length inf"),
+    ('length="50"', 'length="-inf"', "'bc' has non-finite length -inf"),
+    ('length="50"', 'length="nan"', "'bc' has non-finite length nan"),
+    ('speed="5"', 'speed="nan"', "'bc' has non-finite speed nan"),
+    ('speed="5"', 'speed="1e-320"', "'bc' has non-finite travel time"),
+    ('id="a" x="0"', 'id="a" x="nan"', "node 'a' has a non-finite coordinate"),
+    ('<pt x="100" y="50"/>', '<pt x="100" y="-inf"/>',
+     "edge 'bc' has a non-finite <pt>"),
+])
+def test_non_finite_values_report_id_and_line(old, new, message):
+    # each of these passes the sign and arc checks, and an infinite travel
+    # time used to end generation in an OverflowError
+    assert old in SIMPLE_NET
+    with pytest.raises(NetworkParseError) as info:
+        parse_network(SIMPLE_NET.replace(old, new))
+    assert message in str(info.value)
+    assert re.search(r"\(line \d+\)$", str(info.value)), str(info.value)
 
 
 def test_terminals_exclude_internal_edges():
