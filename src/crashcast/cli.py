@@ -26,7 +26,8 @@ from . import BLAS_THREADS, __version__
 from . import autodiff as ad
 from .riskmodel import ModelConfig, ModelParams
 from .scenario.records import iter_dataset, read_dataset, record_to_json
-from .traineval import TrainConfig, TrainingDivergedError, evaluate, train
+from .traineval import (Adam, TrainConfig, TrainingDivergedError, evaluate,
+                        train)
 from .util import (atomic_write_text, atomic_writer, map_in_order, sha256_file,
                    stream_rng)
 
@@ -51,7 +52,7 @@ _TRAIN_DEFAULTS = {
     "out": None,
     "resume": None,
     **dataclasses.asdict(TrainConfig()),
-    **ModelConfig().to_dict(),
+    **dataclasses.asdict(ModelConfig()),
     "force": False,
 }
 
@@ -372,45 +373,42 @@ def _read_records(path: str, what: str):
     return records
 
 
-# What _run_train writes to a sidecar: the fields of the two configs, each
-# typed like its config-file option, and the training data's frame count and
-# frame rate, both integers.
-_SIDECAR = {
-    "model": {f.name: _TRAIN_DEFAULTS[f.name]
-              for f in dataclasses.fields(ModelConfig)},
-    "train": {f.name: _TRAIN_DEFAULTS[f.name]
-              for f in dataclasses.fields(TrainConfig)},
-    "frames": 0,
-    "fps": 0,
-}
+def _sidecar(model_cfg: ModelConfig, train_cfg: TrainConfig, frames: int,
+             fps: int) -> dict:
+    """What _run_train writes to a checkpoint's sidecar: the fields of the
+    two configs and the training data's frame count and frame rate."""
+    return {"model": dataclasses.asdict(model_cfg),
+            "train": dataclasses.asdict(train_cfg),
+            "frames": frames, "fps": fps}
 
 
-def _settings(model_cfg: ModelConfig, train_cfg: TrainConfig, frames: int,
-              fps: int) -> dict:
-    """The settings a resumed run must repeat, by sidecar key: all but the
-    epoch count."""
-    return {"model.feature_dim": model_cfg.feature_dim,
-            "model.max_objects": model_cfg.max_objects,
-            "train.learning_rate": train_cfg.learning_rate,
-            "train.batch_size": train_cfg.batch_size,
-            "train.seed": train_cfg.seed, "frames": frames, "fps": fps}
+# the keys and value types a sidecar must hold
+_SIDECAR = _sidecar(ModelConfig(), TrainConfig(), 0, 0)
 
 
-def _read_sidecar(path: str) -> tuple[ModelConfig, dict, int]:
-    """The model config, the resume settings and the epoch count from a
-    checkpoint's <checkpoint>.json sidecar. A sidecar that does not hold
+def _flat(sidecar: dict) -> dict:
+    """A sidecar's values by dotted key, in its own key order."""
+    flat = {}
+    for key, value in sidecar.items():
+        if type(value) is dict:
+            flat.update({f"{key}.{name}": v for name, v in value.items()})
+        else:
+            flat[key] = value
+    return flat
+
+
+def _read_sidecar(path: str) -> dict:
+    """A checkpoint's <checkpoint>.json sidecar. One that does not hold
     exactly the keys train writes, each of its type, is a config error
-    naming the key."""
+    naming the key, as is one whose configs are invalid."""
     snap = _read_json_object(path, "checkpoint sidecar")
     _check_keys(f"checkpoint sidecar {path}", snap, _SIDECAR, complete=True)
     try:
-        model_cfg = ModelConfig.from_dict(snap["model"])
-        train_cfg = TrainConfig(**snap["train"])
+        ModelConfig(**snap["model"])
+        TrainConfig(**snap["train"])
     except ValueError as exc:
         raise ConfigError(f"bad checkpoint sidecar {path}: {exc}")
-    return (model_cfg,
-            _settings(model_cfg, train_cfg, snap["frames"], snap["fps"]),
-            train_cfg.epochs)
+    return snap
 
 
 _LOG_HEADER = "step,epoch,split,L1,L2,L3,L"
@@ -497,17 +495,15 @@ def _run_train(cfg: dict) -> int:
         if not 0.0 <= learning_rate < np.inf:
             raise ValueError("--learning-rate must be a finite number >= 0, "
                              f"got {learning_rate}")
-        model_cfg = ModelConfig(feature_dim=cfg["feature_dim"],
-                                max_objects=cfg["max_objects"])
-        train_cfg = TrainConfig(learning_rate=learning_rate,
-                                epochs=cfg["epochs"],
-                                batch_size=cfg["batch_size"],
-                                seed=cfg["seed"])
+        options = dict(cfg, learning_rate=learning_rate)
+        model_cfg, train_cfg = (
+            c(**{f.name: options[f.name] for f in dataclasses.fields(c)})
+            for c in (ModelConfig, TrainConfig))
     except ValueError as exc:
         raise ConfigError(f"bad train option: {exc}")
 
     params = ModelParams.init(model_cfg, stream_rng(train_cfg.seed, "init"))
-    opt_state = None
+    resume_state = None
     start_epoch = 0
     log_lines: list[str] = []
     if cfg["resume"]:
@@ -519,13 +515,14 @@ def _run_train(cfg: dict) -> int:
             if not os.path.isfile(path):
                 raise ConfigError(f"{what} not found: {path}")
             inputs[path] = sha256_file(path)
-        here = _settings(model_cfg, train_cfg, frames, fps)
-        _, settings, start_epoch = _read_sidecar(prev_sidecar)
-        for key, there in settings.items():
-            if here[key] != there:
+        snap = _flat(_read_sidecar(prev_sidecar))
+        start_epoch = snap["train.epochs"]
+        for key, here in _flat(_sidecar(model_cfg, train_cfg, frames,
+                                        fps)).items():
+            if key != "train.epochs" and here != snap[key]:
                 raise ConfigError(
-                    f"resume sidecar {prev_sidecar}: {key} is {there!r}, "
-                    f"this run has {here[key]!r}; only --epochs may differ")
+                    f"resume sidecar {prev_sidecar}: {key} is {snap[key]!r}, "
+                    f"this run has {here!r}; only --epochs may differ")
         # opt.step has a stricter rule of its own, checked below
         resume_state = ad.load_checkpoint(resume, exempt=("opt.step",))
         try:
@@ -534,17 +531,16 @@ def _run_train(cfg: dict) -> int:
             raise ConfigError(
                 f"resume checkpoint {resume} does not fit the model: {exc}")
         # what train writes beside the parameters, each at its shape
-        shapes = {"meta.epochs_done": (), "opt.step": ()}
-        for p in params.parameters():
-            shapes[f"opt.m.{p.name}"] = shapes[f"opt.v.{p.name}"] = p.value.shape
-        for key, shape in shapes.items():
+        layout = {"meta.epochs_done": np.zeros(()),
+                  **Adam(params.parameters()).state_dict()}
+        for key, written in layout.items():
             if key not in resume_state:
                 raise ConfigError(f"resume checkpoint {resume} lacks the "
                                   f"{key} tensor")
-            if resume_state[key].shape != shape:
+            if resume_state[key].shape != written.shape:
                 raise ConfigError(
                     f"resume checkpoint {resume}: {key} has shape "
-                    f"{resume_state[key].shape}, expected {shape}")
+                    f"{resume_state[key].shape}, expected {written.shape}")
         done = float(resume_state["meta.epochs_done"])
         if done != start_epoch:
             raise ConfigError(
@@ -560,27 +556,21 @@ def _run_train(cfg: dict) -> int:
                 f"resume checkpoint {resume}: opt.step is {step!r}, "
                 f"expected a whole number >= 0")
         step = int(step)
-        opt_state = {k: resume_state[k] for k in shapes if k.startswith("opt.")}
         log_lines = _previous_log(prev_log, start_epoch, step)
         inputs[prev_log] = sha256_file(prev_log)
 
     result = train(records, params, model_cfg, train_cfg,
                    val_records=val_records, start_epoch=start_epoch,
-                   opt_state=opt_state)
+                   opt_state=resume_state)
 
     state = dict(result.params.state_dict())
     state.update(result.opt_state)
     state["meta.epochs_done"] = np.array(float(train_cfg.epochs))
     ad.save_checkpoint(out, state)
 
-    snapshot = {
-        "model": model_cfg.to_dict(),
-        "train": dataclasses.asdict(train_cfg),
-        "frames": frames,
-        "fps": fps,
-    }
     atomic_write_text(sidecar_path,
-                      json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+                      json.dumps(_sidecar(model_cfg, train_cfg, frames, fps),
+                                 indent=2, sort_keys=True) + "\n")
 
     log_lines += _log_lines(result.log)
     atomic_write_text(log_path, "\n".join([_LOG_HEADER] + log_lines) + "\n")
@@ -633,7 +623,7 @@ def _run_eval(cfg: dict) -> int:
     if first is None:
         raise ConfigError(f"dataset is empty: {data}")
 
-    model_cfg = _read_sidecar(sidecar_path)[0]
+    model_cfg = ModelConfig(**_read_sidecar(sidecar_path)["model"])
     params = ModelParams.init(model_cfg, np.random.default_rng(0))
     state = ad.load_checkpoint(ckpt)
     try:

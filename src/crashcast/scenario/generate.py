@@ -306,7 +306,8 @@ def _background_tracks(graph: RoadGraph, terminals: TerminalSets,
     if extra_trips:
         trips = extra_trips + trips
     paths = {t.vehicle: route_path(graph, t.route.edges) for t in trips}
-    trajs = [sample_trajectory(paths[t.vehicle], t.depart, DT) for t in trips]
+    trajs = [sample_trajectory(paths[t.vehicle], t.depart, DT, HORIZON)
+             for t in trips]
     placed = deconflict(trips, trajs, SAFETY_RADIUS + 0.5, DT, HORIZON)
     return [_trip_track(paths[t.vehicle], t.depart, grid, f"car{t.vehicle}")
             for t in placed]

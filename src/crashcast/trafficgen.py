@@ -188,11 +188,16 @@ def route_path(graph: RoadGraph, edge_ids) -> RoutePath:
     return path
 
 
-def sample_trajectory(path: RoutePath, depart: float, dt: float) -> Trajectory:
-    """Positions at uniform clock ticks depart + n*dt, n = 1..floor(T/dt)."""
+def sample_trajectory(path: RoutePath, depart: float, dt: float,
+                      horizon: float = math.inf) -> Trajectory:
+    """Positions at uniform clock ticks depart + n*dt, n = 1..floor(T/dt),
+    but with a horizon, no more than one tick past the first at or after it:
+    still past deconflict's grid, which ends before horizon + dt/2."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = int(math.floor(path.duration / dt))
+    if horizon < math.inf:
+        n = min(n, max(0, math.ceil((horizon - depart) / dt)) + 1)
     ticks = depart + dt * np.arange(1, n + 1)
     return Trajectory(path.point_at(path.arc_at(ticks - depart)), ticks)
 

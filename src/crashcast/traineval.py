@@ -142,6 +142,7 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
     videos = [build_features([rec], *shape) for rec in records]
     val_videos = [build_features([rec], *shape) for rec in val_records or ()]
     opt = Adam(params.parameters(), train_cfg.learning_rate)
+    # a whole checkpoint will do: Adam reads only its own opt.* keys
     if opt_state is not None:
         opt.load_state_dict(opt_state)
     n = len(records)
@@ -268,14 +269,13 @@ def average_precision(scores, labels) -> float:
 _MTTA_GRID = np.arange(1, 100) / 100.0
 
 
-def _grid_ttas(curves, labels, accident_frames, fps) -> list[np.ndarray]:
+def _grid_ttas(m, labels, accident_frames, fps) -> list[np.ndarray]:
     """Per threshold of the mTTA grid, the TTA seconds of the positives
-    that trigger there, in video order."""
+    that trigger there, in video order, from a trigger table m whose first
+    columns are first_crossings at _MTTA_GRID."""
     pos = np.asarray(labels, dtype=int) == 1
-    if not pos.any():
-        return [np.empty(0)] * len(_MTTA_GRID)
     lams = np.asarray(accident_frames)[pos].astype(np.int64)
-    m = first_crossings(np.asarray(curves, dtype=float)[pos], _MTTA_GRID)
+    m = m[pos, :len(_MTTA_GRID)]
     secs = np.maximum(0.0, (lams[:, None] - m) / fps)  # tta() per entry
     return [secs[m[:, k] > 0, k] for k in range(len(_MTTA_GRID))]
 
@@ -289,7 +289,8 @@ def mtta(curves, labels, accident_frames, fps: int) -> float:
     """Mean over the threshold grid {0.01..0.99} of the mean TTA across
     positives that trigger at that threshold; grid points with no trigger
     are skipped, and the result is 0 when nothing ever triggers."""
-    return _mean_of_grid(_grid_ttas(curves, labels, accident_frames, fps))
+    return _mean_of_grid(_grid_ttas(first_crossings(curves, _MTTA_GRID),
+                                    labels, accident_frames, fps))
 
 
 @dataclass
@@ -386,14 +387,16 @@ def evaluate(records, params: ModelParams, model_cfg: ModelConfig, *,
     scores = np.array([video_score(curves[i], labels[i], lams[i])
                        for i in range(len(ids))])
     ap = average_precision(scores, labels)
-    grid_ttas = _grid_ttas(curves, labels, lams, fps)
+    # one trigger table: the mTTA grid's columns, then the report threshold's
+    m = first_crossings(curves, np.append(_MTTA_GRID, threshold))
+    grid_ttas = _grid_ttas(m, labels, lams, fps)
 
-    videos = []
-    for i, video_id in enumerate(ids):
-        m = trigger_frame(curves[i], threshold)
-        t_sec = tta(m, int(lams[i]), fps) if (labels[i] == 1 and m is not None) else None
-        videos.append(VideoEval(video_id, int(labels[i]), float(scores[i]),
-                                m, t_sec))
+    triggers = m[:, -1].tolist()
+    videos = [VideoEval(video_id, int(labels[i]), float(scores[i]),
+                        triggers[i] or None,
+                        tta(triggers[i], int(lams[i]), fps)
+                        if labels[i] == 1 and triggers[i] else None)
+              for i, video_id in enumerate(ids)]
 
     sweep = [{"delta": round(float(delta), 2),
               "triggered": int(t.size),

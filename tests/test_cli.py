@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import contextlib
 import io
@@ -190,6 +191,22 @@ def test_damaged_network_exits_0_2_or_3(network):
             assert [p.name for p in root.iterdir()] == ["net.xml"]
 
 
+@pytest.mark.parametrize("speed", ["1e-9", "1e-300"])
+def test_gen_data_on_a_network_of_slow_edges_exits_0_or_3(tmp_path, capsys,
+                                                         speed):
+    # finite travel times of up to 1e300 s; the traffic sampled on them
+    # must not grow with them
+    net = tmp_path / "net.xml"
+    net.write_text(re.sub(r'speed="[^"]*"', f'speed="{speed}"',
+                          multilane_map_xml()))
+    capsys.readouterr()
+    code = _gen(tmp_path / "d.jsonl", "--network", net,
+                "--positive-ratio", "0.0")
+    err = capsys.readouterr().err
+    assert code in (0, 3) and "Traceback" not in err, err
+    assert len(err.splitlines()) <= 1 and err.count("crashcast: error:") <= 1, err
+
+
 def test_gen_data_refuses_overwrite_without_force(tmp_path):
     out = tmp_path / "a.jsonl"
     assert _gen(out) == 0
@@ -322,6 +339,20 @@ def test_gen_data_memory_is_flat_in_count(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # config resolution
+
+def test_each_command_takes_a_flag_per_config_key_and_config():
+    # _resolve reads flags only for _DEFAULTS keys, so any other flag would
+    # be ignored
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_DEFAULTS)
+    for command, subparser in sub.choices.items():
+        flags = {s for a in subparser._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == {
+            "--config", *(f"--{k.replace('_', '-')}" for k in _DEFAULTS[command])
+        }, command
+
 
 def test_config_file_overrides_defaults_flags_override_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
@@ -565,18 +596,24 @@ def test_train_resume_setting_differs_from_sidecar_exits_2(
     assert not (tmp_path / "x.bin").exists()
 
 
-def test_train_resume_dataset_of_another_rate_exits_2(work, tmp_path, capsys):
+@pytest.mark.parametrize("key,there,here", [("fps", 10, 20), ("frames", 50, 49)],
+                         ids=["fps", "frames"])
+def test_train_resume_dataset_of_another_rate_exits_2(work, tmp_path, capsys,
+                                                      key, there, here):
     _, data, ckpt = work
-    faster = tmp_path / "faster.jsonl"
+    other = tmp_path / "other.jsonl"
     records = [json.loads(line) for line in data.read_text().splitlines()]
     for record in records:
-        record["fps"] = 20
-    faster.write_text("".join(json.dumps(r) + "\n" for r in records))
+        if key == "frames":
+            _drop_last_frame(record)
+        else:
+            record[key] = here
+    other.write_text("".join(json.dumps(r) + "\n" for r in records))
     capsys.readouterr()
-    code = main(_resume_args(faster, ckpt, tmp_path / "x.bin"))
+    code = main(_resume_args(other, ckpt, tmp_path / "x.bin"))
     assert code == 2
     err = _one_error_line(capsys)
-    assert "ckpt.bin.json: fps is 10, this run has 20" in err, err
+    assert f"ckpt.bin.json: {key} is {there}, this run has {here}" in err, err
 
 
 @pytest.mark.parametrize("missing", [".json", ".log.csv"])

@@ -497,9 +497,8 @@ def test_align_project_shape_and_norm():
     assert np.all(zeroed == 0.0)
 
 
-def test_model_config_roundtrip_and_validation():
+def test_model_config_validation():
     cfg = ModelConfig(feature_dim=8, max_objects=5)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.hidden_dim == 16
     # the shape is the only setting; every other model value is a constant
     assert [f.name for f in dataclasses.fields(ModelConfig)] == [
