@@ -24,16 +24,15 @@ _M_MMAP_THRESHOLD = -3
 
 def _keep_freed_blocks(libc) -> None:
     """Keep freed numpy temporaries in the heap instead of handing them back
-    to the OS, so the forward's next chunk or graph slice reuses mapped
-    pages rather than faulting them in again. Blocks up to 32 MiB (glibc's
-    largest mmap threshold) come from the heap, and the heap's free top is
-    trimmed only above 128 MiB, several times what a forward holds at once:
-    about 17 MiB of temporaries for a 32-video eval chunk at the default
-    shape with every object slot used, whose graph stage runs in 8-video
-    slices, and a train step's tape. Both are set: setting either one turns
-    off glibc's dynamic mmap threshold, and the trim threshold alone left
-    eval faulting more than before. A C library without mallopt keeps its
-    own policy."""
+    to the OS, so the forward of eval's next chunk or train's next step
+    reuses mapped pages rather than faulting them in again. Blocks up to
+    32 MiB (glibc's largest mmap threshold) come from the heap, and the
+    heap's free top is trimmed only above 128 MiB, several times what a
+    forward holds at once: about 16 MiB of temporaries for an 8-video eval
+    chunk at the default shape with every object slot used, and a train
+    step's tape. Both are set: setting either one turns off glibc's dynamic
+    mmap threshold, and the trim threshold alone left eval faulting more
+    than before. A C library without mallopt keeps its own policy."""
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, 32 << 20)

@@ -219,43 +219,6 @@ def _pad(w, value, shape, axis) -> Tensor:
     return ad.concat([w, ad.mul(value, np.ones(shape))], axis=axis)
 
 
-# videos per slice of forward's per-frame graph stage, whose temporaries
-# are (videos, T, O, O) arrays
-GRAPH_SLICE = 8
-
-
-def _graph_stage(batch: FeatureBatch, videos: slice, k: int, a_tilde: Tensor,
-                 params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Pooled (b, T, F) object embeddings of the batch's videos in the
-    slice: edge weights, object fusion and both GCN layers at width k (see
-    forward)."""
-    o = cfg.max_objects
-    mask = batch.mask[videos, :, :k]
-    vis_obj = batch.visual[videos, :, 1:k + 1]
-    text_obj = batch.text[videos, :, 1:k + 1]
-    norm = np.linalg.norm(text_obj, axis=-1, keepdims=True)
-    text_norm = np.divide(text_obj, norm, out=np.zeros_like(text_obj),
-                          where=norm > 0)
-    alpha, beta = params.geometry.alpha, params.gate_obj.beta
-    stack = edge_weight_stack(
-        batch.centers[videos, :, :k], batch.depths[videos, :, :k], mask,
-        text_norm, alpha=alpha, beta=beta, slots=o)
-    # edge weights at (present, absent) pairs and on absent rows
-    w_to_absent = fuse_weights(alpha, 0.0, beta)
-    w_absent_row = fuse_weights(alpha, 1.0 / o, beta)
-
-    h_nodes = gated_fuse(vis_obj, text_obj, params.gate_obj)
-    lead = mask.shape[:2]
-    psi_in, psi_out = params.psi
-    h_nodes = gcn_layer(
-        h_nodes, ad.narrow(a_tilde, (slice(None), slice(0, k))),
-        _pad(stack.w, w_absent_row, lead + (o - k, k), -2), psi_in)
-    h_nodes = gcn_layer(
-        h_nodes, ad.narrow(a_tilde, (slice(0, k), slice(None))),
-        _pad(stack.w, w_to_absent, lead + (k, o - k), -1), psi_out)
-    return pool_nodes(h_nodes, mask)
-
-
 def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskOutput:
     """Run the full network over a feature batch whose absent object slots
     carry zero features, centers and depths. The batch may hold any number
@@ -272,13 +235,9 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
     pool_nodes reads. The width depends on the batch, so a video's risk may
     move in the last bit with the videos that share its batch.
 
-    That per-frame graph stage (edge weights, object fusion, both GCN
-    layers and pooling) runs on slices of at most GRAPH_SLICE videos, all
-    at the batch's width k, and only the pooled (B, T, F) embeddings are
-    joined. Every product in it is per (video, frame), so the slices give
-    the whole batch's values bit for bit while its (b, T, O, O) temporaries
-    stay at a slice's size. The TCN, the GRU and the head run on the whole
-    batch, which pays their per-step work once for all its videos."""
+    Every stage runs once over the whole batch, so its per-frame graph
+    temporaries are (B, T, O, O) arrays; eval bounds them by scoring
+    chunks of 8 videos (see traineval.risk_curves)."""
     if batch.objects > cfg.max_objects:
         raise ValueError(f"batch has {batch.objects} object slots, more than "
                          f"the model's max_objects {cfg.max_objects}")
@@ -286,12 +245,33 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
         raise ValueError(
             f"batch feature dim {batch.feature_dim} != model {cfg.feature_dim}")
 
+    o = cfg.max_objects
     k = used_slots(batch.mask)
+    mask = batch.mask[:, :, :k]
+    vis_obj = batch.visual[:, :, 1:k + 1]
+    text_obj = batch.text[:, :, 1:k + 1]
+    norm = np.linalg.norm(text_obj, axis=-1, keepdims=True)
+    text_norm = np.divide(text_obj, norm, out=np.zeros_like(text_obj),
+                          where=norm > 0)
+    alpha, beta = params.geometry.alpha, params.gate_obj.beta
+    stack = edge_weight_stack(
+        batch.centers[:, :, :k], batch.depths[:, :, :k], mask, text_norm,
+        alpha=alpha, beta=beta, slots=o)
+    # edge weights at (present, absent) pairs and on absent rows
+    w_to_absent = fuse_weights(alpha, 0.0, beta)
+    w_absent_row = fuse_weights(alpha, 1.0 / o, beta)
+
+    h_nodes = gated_fuse(vis_obj, text_obj, params.gate_obj)
     a_tilde = adjacency(params.u, params.v)
-    pooled = [_graph_stage(batch, slice(lo, lo + GRAPH_SLICE), k, a_tilde,
-                           params, cfg)
-              for lo in range(0, batch.batch_size, GRAPH_SLICE)]
-    pooled = pooled[0] if len(pooled) == 1 else ad.concat(pooled, axis=0)
+    lead = (batch.batch_size, batch.frames)
+    psi_in, psi_out = params.psi
+    h_nodes = gcn_layer(
+        h_nodes, ad.narrow(a_tilde, (slice(None), slice(0, k))),
+        _pad(stack.w, w_absent_row, lead + (o - k, k), -2), psi_in)
+    h_nodes = gcn_layer(
+        h_nodes, ad.narrow(a_tilde, (slice(0, k), slice(None))),
+        _pad(stack.w, w_to_absent, lead + (k, o - k), -1), psi_out)
+    pooled = pool_nodes(h_nodes, mask)
 
     f_fuse = gated_fuse(batch.visual[:, :, 0], batch.text[:, :, 0],
                         params.gate_frame)

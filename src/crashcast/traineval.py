@@ -217,10 +217,16 @@ def first_crossings(curves, deltas) -> np.ndarray:
     head = np.asarray(curves, dtype=float)[:, :-1]
     deltas = np.asarray(deltas, dtype=float)
     # running max of each curve with NaN read as -inf: nondecreasing, so the
-    # first crossing of delta is the number of entries still below it
-    peak = np.maximum.accumulate(np.where(np.isnan(head), -np.inf, head), axis=1)
-    below = (peak[:, :, None] < deltas).sum(axis=1)
-    return np.where(below < head.shape[1], below + 1, 0)
+    # first crossing of delta is the number of entries still below it, which
+    # a binary search counts without a (B, T - 1, D) comparison
+    peak = np.where(np.isnan(head), -np.inf, head)
+    np.maximum.accumulate(peak, axis=1, out=peak)
+    out = np.empty((len(head), len(deltas)), dtype=np.int64)
+    for row, curve_peak in zip(out, peak):
+        row[:] = np.searchsorted(curve_peak, deltas, side="left")
+    out += 1
+    out[out > head.shape[1]] = 0
+    return out
 
 
 def trigger_frame(curve, delta: float) -> int | None:
@@ -331,17 +337,18 @@ def _chunks(records, size: int):
 
 
 def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
-                chunk: int = 32, jobs: int = 1) -> np.ndarray:
+                chunk: int = 8, jobs: int = 1) -> np.ndarray:
     """(B, T) risk curves, computed in chunks of at most ``chunk`` records
     drawn from the iterable as they are scored, so only the chunks in
     flight are held (one with jobs 1; see util.map_in_order). A chunk is
-    one batch, so the TCN, the GRU and the head pay their per-step work
-    once for its videos; the forward runs its graph stage in exact slices
-    of riskmodel.GRAPH_SLICE videos. Features are per-record deterministic,
-    so a chunk's contents move a video's values only in the last bits: a
-    batch of another size can take another BLAS path, and the forward runs
-    at the chunk's width k (the object slots its videos use), which changes
-    summation order.
+    one forward batch, so the chunk size bounds the forward's (b, T, O, O)
+    graph temporaries. Features are per-record deterministic, so a chunk's
+    contents move a video's values only in the last bits: a batch of
+    another size can take another BLAS path, and the forward runs at the
+    chunk's width k (the object slots its videos use), which changes
+    summation order. Measured on 128 videos, chunks of 3 or more gave the
+    same bits and chunks of 1 or 2 did not; the trailing chunk is that
+    short whenever B mod 8 is 1 or 2 (ROADMAP item 7).
 
     ``jobs`` > 1 scores chunks on that many threads. Results are merged in
     chunk order, so the output bytes never depend on the worker count.

@@ -38,10 +38,13 @@ def stream_rng(seed: int, *key) -> np.random.Generator:
 
 
 def sha256_file(path: str) -> str:
+    """Hex sha256 of the file, read through one reused 64 KiB buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 

@@ -314,9 +314,9 @@ def test_gen_data_memory_is_flat_in_count(tmp_path, monkeypatch):
     # tracing starts, so the peak is what gen-data holds beyond generation
     # (whose own temporaries do not depend on the count either) and every
     # span takes the same room. Both datasets (12.5 kB a scenario) are
-    # larger than the 1 MiB chunks in which the manifest's hash reads them.
-    # Measured: the peak grew by 2.4 MB when every line was held to the end,
-    # and by less than 0.1 MB with one span held at a time.
+    # larger than the 64 KiB buffer through which the manifest's hash reads
+    # them. Measured: the peak grew by 2.4 MB when every line was held to
+    # the end, and by less than 0.1 MB with one span held at a time.
     made = [generate_one(3, i, GEN_SPAN, 0.5) for i in range(GEN_SPAN)]
     monkeypatch.setattr(cli, "generate_one",
                         lambda seed, index, *_: made[index % GEN_SPAN])
@@ -1093,17 +1093,17 @@ def _eval_on(data: Path, ckpt: Path, out: Path,
 
 @pytest.fixture(scope="module")
 def eval40(work, tmp_path_factory):
-    """40 records: a full 32-record eval chunk and 8 more."""
+    """40 records: four full 8-record eval chunks and one more."""
     return _cycled(work, tmp_path_factory.mktemp("eval40") / "d.jsonl", 40)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_eval_bad_line_in_a_later_chunk_exits_3_and_writes_nothing(
         work, eval40, tmp_path, monkeypatch, jobs):
-    # eval streams the dataset in chunks of 32, so the first chunk is scored
-    # (or, with --jobs 2, already handed to a worker) before line 40 is
-    # read; the report, the curves and the manifest are written only once
-    # every chunk is
+    # eval streams the dataset in chunks of 8, so the first four chunks are
+    # scored (or, with --jobs 2, already handed to a worker, whose window
+    # holds four) before line 40 is read; the report, the curves and the
+    # manifest are written only once every chunk is
     lines = eval40.read_text().splitlines(keepends=True)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(lines[:39]) + lines[39][:len(lines[39]) // 2] + "\n")
@@ -1119,7 +1119,7 @@ def test_eval_bad_line_in_a_later_chunk_exits_3_and_writes_nothing(
     assert code == 3
     assert len(err) == 1 and err[0].startswith("crashcast: error:"), err
     assert f"{bad}:40: bad record" in err[0], err
-    assert scored == [32]
+    assert scored == [8, 8, 8, 8]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
 
@@ -1136,7 +1136,7 @@ def test_eval_memory_is_flat_in_count(work, tmp_path):
     # eval streams its dataset a chunk at a time and keeps of each video
     # only its id, label, accident frame and curve, so 96 more videos raise
     # its traced peak by their report and curves alone. Both counts fill
-    # whole 32-video chunks. Measured: 12.3 KiB more per video when every
+    # whole 8-video chunks. Measured: 12.3 KiB more per video when every
     # record and curve line was held to the end, 1.0 KiB streamed.
     def peak(n):
         data = _cycled(work, tmp_path / f"{n}.jsonl", n)

@@ -1,4 +1,5 @@
-"""Golden digests: a generated dataset and its feature arrays, pinned.
+"""Golden digests: a generated dataset, its feature arrays and a trained
+checkpoint, pinned.
 
 The other byte-reproducibility tests compare two runs of the same code; these
 compare against digests recorded once, so a refactor that changes a single
@@ -7,6 +8,8 @@ platform-pinned (numpy's generators and libm on x86-64 Linux).
 """
 
 import hashlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ import pytest
 from crashcast.cli import main
 from crashcast.features import build_features
 from crashcast.scenario import read_dataset
+from test_cli import _child_env
 
 # (count, seed, jobs, gen-data sha256, features sha256), all at
 # --positive-ratio 0.5. Seed 3 x 40 also reaches a negative's safety-radius
@@ -60,3 +64,27 @@ def test_gen_data_and_features_match_recorded_digests(tmp_path, count, seed, job
     assert hashlib.sha256(out.read_bytes()).hexdigest() == gen_sha256
     batch = build_features(read_dataset(str(out)), 32, _MAX_OBJECTS)
     assert _features_digest(batch) == features_sha256
+
+
+# (count, seed, batch size, checkpoint sha256) of one epoch at --feature-dim 8
+# --max-objects 4 on a --positive-ratio 0.5 dataset. The whole set is one
+# batch wider than 8 videos, so every stage of the forward runs over 24.
+GOLDEN_CHECKPOINT = (24, 5, 24,
+                     "d56d35e024f87394348a6fa3a72c1fba3f386fc1ba26fd92d848568abfdba281")
+
+
+def test_train_checkpoint_matches_recorded_digest(tmp_path):
+    # in a child interpreter, as the command line runs it: this process
+    # loaded numpy before crashcast, so its BLAS is not pinned to one thread
+    count, seed, batch_size, ckpt_sha256 = GOLDEN_CHECKPOINT
+    for argv in (["gen-data", "--count", str(count), "--positive-ratio", "0.5",
+                  "--seed", str(seed), "--jobs", "1", "--out", "d.jsonl"],
+                 ["train", "--data", "d.jsonl", "--epochs", "1",
+                  "--seed", str(seed), "--batch-size", str(batch_size),
+                  "--feature-dim", "8", "--max-objects", "4", "--out", "m.ckpt"]):
+        proc = subprocess.run([sys.executable, "-m", "crashcast", *argv],
+                              cwd=tmp_path, env=_child_env(), capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
+    assert digest == ckpt_sha256

@@ -7,7 +7,6 @@ import pytest
 
 import crashcast
 from crashcast import autodiff as ad
-from crashcast import riskmodel
 from crashcast.autodiff import grad_check
 from crashcast.features import FeatureBatch
 from crashcast.riskmodel import (
@@ -358,9 +357,8 @@ def test_forward_at_every_width_matches_numpy_oracle(used):
     assert np.abs(got - want).max() <= 1e-9
 
 
-def test_forward_in_graph_slices_matches_numpy_oracle():
-    # 19 videos run the graph stage in slices of 8, 8 and 3
-    assert riskmodel.GRAPH_SLICE == 8
+def test_forward_over_a_wide_batch_matches_numpy_oracle():
+    # 19 videos run through every stage as one batch
     cfg = _tiny_cfg(max_objects=5)
     rng = np.random.default_rng(46)
     params = _off_default_mix(ModelParams.init(cfg, rng))
@@ -368,27 +366,6 @@ def test_forward_in_graph_slices_matches_numpy_oracle():
     got = forward(batch, params, cfg).risk.value
     want = numpy_forward(batch, params, cfg)
     assert np.abs(got - want).max() <= 1e-9
-
-
-@pytest.mark.parametrize("case", ["holes-width-3", "dense-default-shape"])
-def test_graph_slices_change_no_bit(monkeypatch, case):
-    # every product of the graph stage is per (video, frame), so its slices
-    # give exactly the values that one slice over the whole batch gives
-    rng = np.random.default_rng(47)
-    if case == "dense-default-shape":
-        cfg = ModelConfig()
-        batch = random_batch(19, 6, cfg.max_objects, cfg.feature_dim, rng,
-                             holes=False)
-    else:
-        cfg = ModelConfig(feature_dim=8, max_objects=6)
-        batch = random_batch(19, 6, 6, 8, rng, used=3)
-    params = _off_default_mix(ModelParams.init(cfg, rng))
-    sliced = forward(batch, params, cfg)
-    monkeypatch.setattr(riskmodel, "GRAPH_SLICE", batch.batch_size)
-    whole = forward(batch, params, cfg)
-    for name in ("risk", "pooled", "z", "h"):
-        assert np.array_equal(getattr(sliced, name).value,
-                              getattr(whole, name).value), name
 
 
 def test_used_slots():
