@@ -582,11 +582,12 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
 # ---------------------------------------------------------------------------
 # checkpoint serialization
 
-def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
+def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> str:
     """Single binary file: magic, version, count, then per-tensor records.
 
     Each record is name length (u32), utf-8 name, rank (u32), dims (u64 each)
-    and the raw little-endian float64 payload.
+    and the raw little-endian float64 payload. Returns the file's hex
+    sha256.
     """
     blob = bytearray()
     blob += _MAGIC
@@ -601,7 +602,7 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
         blob += arr.tobytes()
     from .util import atomic_write_bytes
 
-    atomic_write_bytes(path, bytes(blob))
+    return atomic_write_bytes(path, bytes(blob))
 
 
 def load_checkpoint(path: str, exempt: Sequence[str] = ()) -> dict[str, np.ndarray]:

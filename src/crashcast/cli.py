@@ -239,14 +239,16 @@ def _manifest_path(out: str) -> str:
 
 
 def _write_manifest(out: str, command: str, cfg: dict, inputs: dict,
-                    outputs, started: str) -> None:
+                    outputs: dict, started: str) -> None:
+    """inputs and outputs map each path to its hex sha256: inputs read back
+    through sha256_file, outputs as their writers hashed them."""
     manifest = {
         "tool": f"crashcast {__version__}",
         "command": command,
         "config": cfg,
         "inputs": inputs,
         "blas_threads": BLAS_THREADS,
-        "outputs": {p: sha256_file(p) for p in outputs},
+        "outputs": outputs,
         "started_at": started,
         "finished_at": _utcnow(),
     }
@@ -356,7 +358,7 @@ def _run_gen_data(cfg: dict) -> int:
                                              processes=True):
             fh.write(lines)
             n_pos += positives
-    _write_manifest(out, "gen-data", cfg, inputs, [out], started)
+    _write_manifest(out, "gen-data", cfg, inputs, {out: fh.hexdigest()}, started)
     print(f"wrote {count} scenarios ({n_pos} positive) to {out}")
     return 0
 
@@ -566,16 +568,16 @@ def _run_train(cfg: dict) -> int:
     state = dict(result.params.state_dict())
     state.update(result.opt_state)
     state["meta.epochs_done"] = np.array(float(train_cfg.epochs))
-    ad.save_checkpoint(out, state)
+    outputs = {out: ad.save_checkpoint(out, state)}
 
-    atomic_write_text(sidecar_path,
-                      json.dumps(_sidecar(model_cfg, train_cfg, frames, fps),
+    outputs[sidecar_path] = atomic_write_text(
+        sidecar_path, json.dumps(_sidecar(model_cfg, train_cfg, frames, fps),
                                  indent=2, sort_keys=True) + "\n")
 
     log_lines += _log_lines(result.log)
-    atomic_write_text(log_path, "\n".join([_LOG_HEADER] + log_lines) + "\n")
-    _write_manifest(out, "train", cfg, inputs,
-                    [out, sidecar_path, log_path], started)
+    outputs[log_path] = atomic_write_text(
+        log_path, "\n".join([_LOG_HEADER] + log_lines) + "\n")
+    _write_manifest(out, "train", cfg, inputs, outputs, started)
 
     ran = train_cfg.epochs - start_epoch
     if ran:
@@ -641,14 +643,15 @@ def _run_eval(cfg: dict) -> int:
         # the flags were checked above, so what is left is the dataset's
         raise ValueError(f"dataset {data}: {exc}") from exc
 
-    atomic_write_text(out, json.dumps(report.to_dict(), indent=2,
-                                      sort_keys=True) + "\n")
+    outputs = {out: atomic_write_text(out, json.dumps(report.to_dict(), indent=2,
+                                                      sort_keys=True) + "\n")}
     with atomic_writer(curves_path) as fh:
         fh.write(b"video_id,frame,u\n")
         for video, curve in zip(report.videos, curves):
             fh.write("".join(f"{video.id},{t},{_fmt(u)}\n" for t, u
                              in enumerate(curve.tolist(), 1)).encode("utf-8"))
-    _write_manifest(out, "eval", cfg, inputs, [out, curves_path], started)
+    outputs[curves_path] = fh.hexdigest()
+    _write_manifest(out, "eval", cfg, inputs, outputs, started)
     print(f"AP {report.ap:.4f}, mTTA {report.mtta:.4f} s over "
           f"{len(report.videos)} videos (threshold {threshold})")
     return 0

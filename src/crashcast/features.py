@@ -89,13 +89,6 @@ def assign_slots(record: ScenarioRecord, max_objects: int) -> tuple[str, ...]:
     return tuple(record.ids[k] for k in order[:max_objects])
 
 
-def _slot_of_rows(record: ScenarioRecord, slot_ids: tuple[str, ...]) -> np.ndarray:
-    """(n,) the 0-based slot of each object row, -1 for ids not in slot_ids."""
-    index = {oid: k for k, oid in enumerate(slot_ids)}
-    return np.array([index.get(oid, -1) for oid in record.ids],
-                    dtype=np.int64)[record.id_of]
-
-
 @functools.lru_cache(maxsize=8)
 def _visual_projections(feature_dim: int) -> dict[str, np.ndarray]:
     """The object and frame projections every video shares; cached per
@@ -111,54 +104,6 @@ def _visual_projections(feature_dim: int) -> dict[str, np.ndarray]:
     return out
 
 
-def synth_visual_features(record: ScenarioRecord, feature_dim: int,
-                          rng: np.random.Generator, *,
-                          projections: dict[str, np.ndarray],
-                          slot_ids: tuple[str, ...],
-                          noise_sigma: float = _NOISE_SIGMA) -> np.ndarray:
-    """(T, 1+len(slot_ids), F) embeddings: slot 0 projects scene aggregates,
-    object slots (in slot_ids order) project (x, y, speed, heading, size,
-    depth). Deterministic given the generator; the projections are shared
-    by the whole dataset."""
-    t_count = record.frames
-    n_slots = len(slot_ids) + 1
-    out = np.zeros((t_count, n_slots, feature_dim))
-    filled = np.zeros((t_count, n_slots), dtype=bool)
-    env_code = (stable_u64("env", record.environment.weather,
-                           record.environment.lighting,
-                           record.environment.road_type) % 1000) / 1000.0
-    if len(record.states):
-        sizes = np.array([object_size(oid) for oid in record.ids])[record.id_of]
-        # (n, 6) raw (x, y, speed, heading, size, depth)
-        state = np.column_stack([record.states[:, :4], sizes, record.states[:, 6]])
-        frame_of = record.frame_of
-        slot_of = _slot_of_rows(record, slot_ids) + 1  # 0: not in a slot
-        count = np.bincount(frame_of, minlength=t_count)
-        seen = count > 0
-
-        def frame_mean(col: int) -> np.ndarray:
-            return np.bincount(frame_of, weights=state[:, col],
-                               minlength=t_count)[seen] / count[seen]
-
-        agg = np.stack([
-            count[seen] / 19.0,
-            frame_mean(2) / 15.0,
-            frame_mean(5) / 100.0,
-            frame_mean(0) / 100.0,
-            frame_mean(1) / 100.0,
-            np.full(int(seen.sum()), env_code),
-        ], axis=1)
-        out[seen, 0] = agg @ projections["frame"]
-        filled[seen, 0] = True
-        slotted = slot_of > 0
-        t_idx, k_idx = frame_of[slotted], slot_of[slotted]
-        out[t_idx, k_idx] = (state[slotted] / _STATE_SCALES) @ projections["object"]
-        filled[t_idx, k_idx] = True
-    if noise_sigma > 0:
-        out = out + noise_sigma * rng.normal(size=out.shape)
-    return out * filled[:, :, None]
-
-
 @functools.lru_cache(maxsize=256)
 def _label_embedding(table_seed: int, label: str, feature_dim: int) -> np.ndarray:
     """One row of the label table; cached across calls, so read-only."""
@@ -168,22 +113,41 @@ def _label_embedding(table_seed: int, label: str, feature_dim: int) -> np.ndarra
     return v
 
 
-def synth_text_features(labels, feature_dim: int, rng: np.random.Generator, *,
-                        table_seed: int,
-                        noise_sigma: float = _NOISE_SIGMA) -> np.ndarray:
-    """(len(labels), F) rows from a fixed unit-norm per-label table plus
-    small noise, re-normalized."""
-    rows = np.empty((len(labels), feature_dim))
-    for i, label in enumerate(labels):
-        rows[i] = _label_embedding(table_seed, label, feature_dim)
-    if noise_sigma > 0:
-        rows = rows + noise_sigma * rng.normal(size=rows.shape)
-    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+@functools.lru_cache(maxsize=8)
+def _behavior_table(feature_dim: int) -> np.ndarray:
+    """(len(BEHAVIOR_LABELS), F) label-table rows, indexed by the behavior
+    codes of the records; cached per feature dim, so read-only."""
+    table = np.stack([_label_embedding(_FEATURE_SEED, label, feature_dim)
+                      for label in BEHAVIOR_LABELS])
+    table.flags.writeable = False
+    return table
+
+
+def _env_code(env) -> float:
+    """The environment's code in [0, 1), the last frame aggregate."""
+    return (stable_u64("env", env.weather, env.lighting, env.road_type) % 1000) / 1000.0
 
 
 def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
     """Stack records into one batch with S = max(1, the most object slots
     any of its videos fills) <= max_objects object slots.
+
+    Visual slot 0 of a frame projects the frame's aggregates (object count,
+    mean speed, depth, x and y, an environment code); an object slot
+    projects the object's (x, y, speed, heading, size, depth). Text rows are
+    unit-norm label-table rows (the frame's scene label, the object's
+    behavior). Both get small Gaussian noise, text rows are then
+    re-normalized, and visual entries of unfilled slots are zeroed.
+
+    One pass over the concatenated object rows of all the records makes
+    the frame aggregates (one bincount per column), the slot of every row
+    and the gathered table rows. Per video remain its two noise draws, each
+    from its own stream, and its two projections, agg @ P_frame and
+    obj @ P_object, each over that video's rows alone: a product over more
+    rows need not give the same bits for the same row. The visual draw is
+    (T, 1 + the video's own slots, F). The text draw is (T + kept rows, F)
+    and equals the two draws, frames then kept object rows, that it
+    replaces, since a stream's normals follow on from call to call.
 
     A video's values depend only on (video, feature_dim, max_objects), never
     on which other videos share the batch; only the width S of the +0.0 tail
@@ -197,41 +161,97 @@ def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
     if any(r.frames != t_count for r in records):
         raise ValueError("all records in a batch must share the frame count")
     slot_ids = [assign_slots(rec, max_objects) for rec in records]
-    width = max(1, max(map(len, slot_ids)))
+    widths = list(map(len, slot_ids))
+    width = max(1, max(widths))
     b = len(records)
+    frames = b * t_count
+
+    # the object rows of all videos in order; frame i*T + t is video i's t
+    states = np.concatenate([rec.states for rec in records])
+    row_counts = [len(rec.states) for rec in records]
+    per_frame = np.concatenate([np.diff(rec.frame_starts) for rec in records])
+    frame_of = np.repeat(np.arange(frames), per_frame)
+    id_base = np.cumsum([0] + [len(rec.ids) for rec in records[:-1]])
+    id_of = (np.concatenate([rec.id_of for rec in records])
+             + np.repeat(id_base, row_counts))
+    slot_of_id, size_of_id = [], []
+    for rec, slots in zip(records, slot_ids):
+        index = dict(zip(slots, range(len(slots))))
+        slot_of_id += [index.get(oid, -1) for oid in rec.ids]
+        size_of_id += map(object_size, rec.ids)
+    slot_of = np.array(slot_of_id, dtype=np.int64)[id_of]
+    kept = slot_of >= 0
+    vid_k, t_k = np.divmod(frame_of[kept], t_count)
+    slot_k = slot_of[kept]
+    state_k = states[kept]
+
+    seen = per_frame > 0
+    count = per_frame[seen]
+    env = np.array([_env_code(rec.environment) for rec in records])
+
+    def frame_mean(col: int) -> np.ndarray:
+        return np.bincount(frame_of, weights=states[:, col],
+                           minlength=frames)[seen] / count
+
+    agg = np.stack([
+        count / 19.0,
+        frame_mean(2) / 15.0,
+        frame_mean(6) / 100.0,
+        frame_mean(0) / 100.0,
+        frame_mean(1) / 100.0,
+        np.repeat(env, t_count)[seen],
+    ], axis=1)
+    # (x, y, speed, heading, size, depth) of the kept rows
+    obj = np.column_stack([state_k[:, :4], np.array(size_of_id)[id_of[kept]],
+                           state_k[:, 6]]) / _STATE_SCALES
+
+    # text rows: every frame's scene label, then every kept row's behavior
+    scene = [label for rec in records for label in rec.scene_labels]
+    scene_code = {label: k for k, label in enumerate(dict.fromkeys(scene))}
+    # (0, F) when the videos have no frames
+    scene_table = np.reshape([_label_embedding(_FEATURE_SEED, label, feature_dim)
+                              for label in scene_code], (-1, feature_dim))
+    behavior = np.concatenate([rec.behavior for rec in records])[kept]
+    rows = np.concatenate([scene_table[list(map(scene_code.__getitem__, scene))],
+                           _behavior_table(feature_dim)[behavior]])
+    noise = np.empty_like(rows)
 
     projections = _visual_projections(feature_dim)
+    seen_end = np.cumsum(seen.reshape(b, t_count).sum(axis=1)).tolist()
+    kept_end = np.cumsum(np.bincount(vid_k, minlength=b)).tolist()
+    t_s = np.flatnonzero(seen) % t_count
     visual = np.zeros((b, t_count, width + 1, feature_dim))
-    text = np.zeros((b, t_count, width + 1, feature_dim))
+    for i, rec, s_lo, s_hi, k_lo, k_hi in zip(range(b), records, [0] + seen_end,
+                                              seen_end, [0] + kept_end, kept_end):
+        own = visual[i, :, :widths[i] + 1]
+        if s_hi > s_lo:  # else the video has no object rows
+            own[t_s[s_lo:s_hi], 0] = agg[s_lo:s_hi] @ projections["frame"]
+            own[t_k[k_lo:k_hi], slot_k[k_lo:k_hi] + 1] = (
+                obj[k_lo:k_hi] @ projections["object"])
+        own += _NOISE_SIGMA * stream_rng(_FEATURE_SEED, "visual", rec.id).normal(
+            size=own.shape)
+        text_noise = stream_rng(_FEATURE_SEED, "text", rec.id).normal(
+            size=(t_count + k_hi - k_lo, feature_dim))
+        noise[i * t_count:(i + 1) * t_count] = text_noise[:t_count]
+        noise[frames + k_lo:frames + k_hi] = text_noise[t_count:]
     mask = np.zeros((b, t_count, width), dtype=bool)
+    mask[vid_k, t_k, slot_k] = True
+    visual[:, :, 0] *= seen.reshape(b, t_count, 1)
+    visual[:, :, 1:] *= mask[..., None]
+
+    noise *= _NOISE_SIGMA
+    rows += noise
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    text = np.zeros((b, t_count, width + 1, feature_dim))
+    text[:, :, 0] = rows[:frames].reshape(b, t_count, feature_dim)
+    text[vid_k, t_k, slot_k + 1] = rows[frames:]
+
     centers = np.zeros((b, t_count, width, 2))
+    centers[vid_k, t_k, slot_k] = state_k[:, 4:6]
     depths = np.zeros((b, t_count, width))
-    labels = np.zeros(b, dtype=np.int64)
-    lam = np.zeros(b, dtype=np.int64)
-
-    for i, (rec, slots) in enumerate(zip(records, slot_ids)):
-        vis = synth_visual_features(
-            rec, feature_dim, stream_rng(_FEATURE_SEED, "visual", rec.id),
-            projections=projections, slot_ids=slots)
-        visual[i, :, :vis.shape[1]] = vis
-
-        text_rng = stream_rng(_FEATURE_SEED, "text", rec.id)
-        frame_rows = synth_text_features(
-            rec.scene_labels, feature_dim, text_rng, table_seed=_FEATURE_SEED)
-        text[i, :, 0] = frame_rows
-        slot = _slot_of_rows(rec, slots)
-        kept = slot >= 0
-        t, k = rec.frame_of[kept], slot[kept]
-        mask[i, t, k] = True
-        centers[i, t, k] = rec.states[kept, 4:6]
-        depths[i, t, k] = rec.states[kept, 6]
-        if kept.any():
-            text[i, t, k + 1] = synth_text_features(
-                [BEHAVIOR_LABELS[c] for c in rec.behavior[kept].tolist()],
-                feature_dim, text_rng, table_seed=_FEATURE_SEED)
-        labels[i] = int(rec.positive)
-        lam[i] = rec.accident_frame or 0
-
+    depths[vid_k, t_k, slot_k] = state_k[:, 6]
+    labels = np.array([int(rec.positive) for rec in records], dtype=np.int64)
+    lam = np.array([rec.accident_frame or 0 for rec in records], dtype=np.int64)
     return FeatureBatch(visual, text, mask, centers, depths,
                         tuple(r.id for r in records), labels, lam)
 

@@ -48,21 +48,42 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+class HashingWriter:
+    """The binary file atomic_writer yields: each write goes to the file and
+    into a running sha256, so the digest of what was written needs no
+    second read of the file."""
+
+    __slots__ = ("_fh", "_sha")
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._sha = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self._sha.update(data)
+        return self._fh.write(data)
+
+    def hexdigest(self) -> str:
+        """Hex sha256 of every byte written so far."""
+        return self._sha.hexdigest()
+
+
 @contextlib.contextmanager
 def atomic_writer(path: str):
-    """Yield a binary file that replaces path when the block ends.
+    """Yield a HashingWriter whose file replaces path when the block ends.
 
     The data goes to a temp file beside path (``.tmp-*.part``), which is
     flushed, synced, given the mode a plain open() would create (0o666 less
     the umask) and renamed over path, so readers never see a torn file and a
     crash never leaves a renamed but partial one. An exception in the block
     removes the temp file and leaves path as it was; a killed process can
-    leave the temp file, never a partial path."""
+    leave the temp file, never a partial path. After the block the writer's
+    hexdigest() is the sha256 of path's new bytes."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            yield fh
+            yield HashingWriter(fh)
             fh.flush()
             umask = os.umask(0)  # read by setting it; put back at once
             os.umask(umask)
@@ -75,15 +96,17 @@ def atomic_writer(path: str):
         raise
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write data to path through atomic_writer."""
+def atomic_write_bytes(path: str, data: bytes) -> str:
+    """Write data to path through atomic_writer; returns its hex sha256."""
     with atomic_writer(path) as fh:
         fh.write(data)
+    return fh.hexdigest()
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """UTF-8 text through atomic_write_bytes; newlines are written as given."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+def atomic_write_text(path: str, text: str) -> str:
+    """UTF-8 text through atomic_write_bytes; newlines are written as given.
+    Returns the hex sha256 of the bytes written."""
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def map_in_order(fn, items, workers: int, processes: bool = False):

@@ -240,6 +240,77 @@ def test_gru_sequence_matches_gru_cell_loop(shape):
         assert np.abs(want - got).max() <= 1e-12 * np.abs(want).max()
 
 
+def gru_reference(x, w_ih, w_hh, b_ih, b_hh, g):
+    """gru_sequence's forward step loop and backward pass through time, op
+    for op as first written, on plain arrays: the bit-exact oracle. Returns
+    the (B, T, H) output and, for the output gradient g, the gradients of
+    x, w_ih, w_hh, b_ih and b_hh."""
+    def sigmoid(v):
+        e = np.exp(-np.abs(v))
+        y = np.where(v >= 0.0, 1.0, e)
+        e += 1.0
+        y /= e
+        return y
+
+    batch, steps, _ = x.shape
+    hidden = w_hh.shape[-1]
+    two = 2 * hidden
+    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2))
+    gi = x_tm @ w_ih.T.copy() + b_ih
+    w_hh_t = w_hh.T.copy()
+    hs = np.zeros((steps + 1, batch, hidden))
+    rz = np.empty((steps, batch, two))
+    r, z = rz[..., :hidden], rz[..., hidden:]
+    n = np.empty((steps, batch, hidden))
+    h_n = np.empty((steps, batch, hidden))
+    for t in range(steps):
+        gh = hs[t] @ w_hh_t + b_hh
+        rz[t] = sigmoid(gi[t, :, :two] + gh[:, :two])
+        h_n[t] = gh[:, two:]
+        n[t] = np.tanh(gi[t, :, two:] + r[t] * h_n[t])
+        hs[t + 1] = (1.0 - z[t]) * n[t] + z[t] * hs[t]
+
+    g_t = g.transpose(1, 0, 2)
+    d_gi = np.empty_like(gi)
+    d_gh = np.empty_like(gi)
+    dh = np.zeros((batch, hidden))
+    for t in reversed(range(steps)):
+        dh = dh + g_t[t]
+        dn = dh * (1.0 - z[t]) * (1.0 - n[t] * n[t])
+        d_gi[t, :, two:] = dn
+        d_gh[t, :, two:] = dn * r[t]
+        d_gi[t, :, :hidden] = dn * h_n[t] * r[t] * (1.0 - r[t])
+        d_gi[t, :, hidden:two] = dh * (hs[t] - n[t]) * z[t] * (1.0 - z[t])
+        d_gh[t, :, :two] = d_gi[t, :, :two]
+        dh = dh * z[t] + d_gh[t] @ w_hh
+
+    def flat(a):
+        return a.reshape(-1, a.shape[-1])
+
+    out = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
+    return out, [(d_gi @ w_ih).transpose(1, 0, 2), flat(d_gi).T @ flat(x_tm),
+                 flat(d_gh).T @ flat(hs[:-1]), d_gi.sum(axis=(0, 1)),
+                 d_gh.sum(axis=(0, 1))]
+
+
+@pytest.mark.parametrize("shape", [(1, 50, 64, 64), (2, 50, 64, 64), (3, 50, 64, 64),
+                                   (8, 50, 64, 64), (3, 7, 5, 3), (8, 1, 2, 3)])
+def test_gru_sequence_is_bit_equal_to_the_reference_loop(shape):
+    rng = np.random.default_rng(43)
+    params = gru_params(rng, *shape)
+    probe = rand(rng, *shape[:2], shape[3])
+    with Tape() as tape:
+        out = gru_sequence(*params)
+        tape.backward(ad.tsum(ad.mul(out, probe)))
+    want_out, want_grads = gru_reference(*(p.value for p in params), probe)
+    assert out.value.tobytes() == want_out.tobytes()
+    for p, grad in zip(params, want_grads):
+        want = np.zeros_like(p.value)
+        want += grad  # the accumulation backward does into a fresh grad
+        assert np.array_equal(p.grad, want)
+        assert p.grad.tobytes() == want.tobytes()
+
+
 def test_causal_conv_is_causal_and_differentiable():
     rng = np.random.default_rng(29)
     t_len, c = 8, 3

@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -505,6 +506,43 @@ def test_train_writes_checkpoint_sidecar_log_manifest(work):
     assert manifest["blas_threads"] == crashcast.BLAS_THREADS
     assert set(manifest["outputs"]) == {str(ckpt), str(root / "ckpt.bin.json"),
                                         str(root / "ckpt.bin.log.csv")}
+
+
+def test_manifest_output_hashes_come_from_the_writers(tmp_path, monkeypatch):
+    # each output is hashed as it is written; only inputs are read to hash
+    import builtins
+
+    real_open, real_hash = builtins.open, cli.sha256_file
+    read = []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            read.append(os.path.abspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    def recording_hash(path):
+        read.append(os.path.abspath(path))
+        return real_hash(path)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(cli, "sha256_file", recording_hash)
+    data, ckpt, report = tmp_path / "d.jsonl", tmp_path / "m.bin", tmp_path / "r.json"
+    commands = [
+        (["gen-data", "--count", "4", "--out", str(data)], data, [data]),
+        (["train", "--data", str(data), "--epochs", "1", "--feature-dim", "8",
+          "--max-objects", "4", "--out", str(ckpt)], ckpt,
+         [ckpt, tmp_path / "m.bin.json", tmp_path / "m.bin.log.csv"]),
+        (["eval", "--data", str(data), "--checkpoint", str(ckpt),
+          "--out", str(report)], report, [report, tmp_path / "r.json.curves.csv"]),
+    ]
+    for argv, out, outputs in commands:
+        read.clear()
+        assert main(argv) == 0
+        assert not set(read) & {os.path.abspath(p) for p in outputs}, argv[0]
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["outputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}
+    assert os.path.abspath(data) in read  # eval still hashes its input
 
 
 def test_train_epochs_zero_initial_checkpoint_empty_log(work, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crashcast import autodiff as ad
+from crashcast import features
 from crashcast.autodiff import Parameter, grad_check
 from crashcast.features import (
     FusionGate,
@@ -19,9 +20,8 @@ from crashcast.features import (
     object_size,
     pairwise_distance,
     stack,
-    synth_text_features,
-    synth_visual_features,
     text_weights,
+    _behavior_table,
     _label_embedding,
     _visual_projections,
 )
@@ -308,29 +308,24 @@ def test_gate_gradients_match_fd():
 
 # --- synthetic embeddings ---------------------------------------------------
 
-PROJ8 = _visual_projections(8)
-
-
 def test_synth_visual_deterministic_given_seed():
     rec = _record([[_state("a"), _state("b", x=4.0)] for _ in range(3)])
-    kw = dict(projections=PROJ8, slot_ids=("a", "b"))
-    one = synth_visual_features(rec, 8, np.random.default_rng(42), **kw)
-    two = synth_visual_features(rec, 8, np.random.default_rng(42), **kw)
+    one = build_features([rec], 8, 4).visual
+    two = build_features([rec], 8, 4).visual
     assert np.array_equal(one, two)
-    other = synth_visual_features(rec, 8, np.random.default_rng(43), **kw)
+    # the noise stream is the video's own, keyed by its id
+    other = build_features([dataclasses.replace(rec, id="vid-1")], 8, 4).visual
     assert not np.array_equal(one, other)
 
 
-def test_synth_visual_zero_noise_reflects_state():
+def test_synth_visual_zero_noise_reflects_state(monkeypatch):
+    monkeypatch.setattr(features, "_NOISE_SIGMA", 0.0)
     frames = [
         [_state("a", x=1.0, depth=9.0)],
         [_state("a", x=1.0, depth=9.0)],
         [_state("a", x=1.0, depth=22.0)],
     ]
-    rec = _record(frames)
-    emb = synth_visual_features(rec, 8, np.random.default_rng(0),
-                                projections=PROJ8, slot_ids=("a",),
-                                noise_sigma=0.0)
+    emb = build_features([_record(frames)], 8, 4).visual[0]
     assert np.array_equal(emb[0, 1], emb[1, 1])
     assert not np.array_equal(emb[0, 1], emb[2, 1])
     # frame slot is always populated, absent object slots stay zero
@@ -339,19 +334,19 @@ def test_synth_visual_zero_noise_reflects_state():
 
 def test_synth_visual_absent_slots_are_zero():
     frames = [[_state("a")], [_state("a"), _state("b", x=6.0)]]
-    rec = _record(frames)
-    emb = synth_visual_features(rec, 8, np.random.default_rng(1),
-                                projections=PROJ8, slot_ids=("a", "b"))
+    emb = build_features([_record(frames)], 8, 4).visual[0]
     assert np.all(emb[0, 2] == 0.0)
     assert np.any(emb[1, 2] != 0.0)
     assert np.all(np.isfinite(emb))
 
 
-def test_synth_visual_matches_per_object_loop():
-    from crashcast.features import _STATE_SCALES
-    from crashcast.util import stable_u64
+def test_synth_visual_matches_per_object_loop(monkeypatch):
+    from crashcast.features import _FEATURE_SEED, _STATE_SCALES
+    from crashcast.util import stable_u64, stream_rng
 
-    def loop_reference(record, feature_dim, rng, projections, slot_ids, noise_sigma):
+    projections = _visual_projections(8)
+
+    def loop_reference(record, feature_dim, rng, slot_ids, noise_sigma):
         index = {oid: k + 1 for k, oid in enumerate(slot_ids)}
         out = np.zeros((record.frames, len(slot_ids) + 1, feature_dim))
         filled = np.zeros(out.shape[:2], dtype=bool)
@@ -388,26 +383,25 @@ def test_synth_visual_matches_per_object_loop():
     hand = _record([
         [],  # a frame with no objects
         [_state("a", x=3.0, speed=2.0), _state("z", y=-4.0, depth=30.0)],
-        [_state("z")],  # only an object outside the slots
+        [_state("b")],  # only an object outside the slots
         [_state("b", heading=1.2), _state("a", x=-7.5), _state("z")],
         [],
     ])
-    cases = [(hand, ("a", "b", "c"))]
+    cases = [(hand, 2)]  # slots a and z; b falls outside
     for i in range(6):
-        rec = generate_one(31, i, 6, 0.5)[0]
-        cases.append((rec, assign_slots(rec, 3)))  # most objects fall outside
-    for rec, slots in cases:
-        for sigma in [0.0, 0.01]:
-            got = synth_visual_features(rec, 8, np.random.default_rng(5),
-                                        projections=PROJ8, slot_ids=slots,
-                                        noise_sigma=sigma)
-            want = loop_reference(rec, 8, np.random.default_rng(5), PROJ8,
+        cases.append((generate_one(31, i, 6, 0.5)[0], 3))  # most objects fall outside
+    for sigma in [0.0, 0.01]:
+        monkeypatch.setattr(features, "_NOISE_SIGMA", sigma)
+        for rec, max_objects in cases:
+            slots = assign_slots(rec, max_objects)
+            got = build_features([rec], 8, max_objects).visual[0]
+            want = loop_reference(rec, 8, stream_rng(_FEATURE_SEED, "visual", rec.id),
                                   slots, sigma)
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
             assert np.array_equal(got == 0.0, want == 0.0)
-    got = synth_visual_features(hand, 8, np.random.default_rng(5),
-                                projections=PROJ8, slot_ids=("a", "b", "c"))
+    assert assign_slots(hand, 2) == ("a", "z")
+    got = build_features([hand], 8, 2).visual[0]
     assert np.all(got[0] == 0.0) and np.all(got[4] == 0.0)
     assert np.all(got[2, 1:] == 0.0) and np.any(got[2, 0] != 0.0)
 
@@ -419,26 +413,34 @@ def test_object_size_is_stable_and_bounded():
     assert len(set(sizes)) > 50
 
 
-def test_synth_text_table_is_fixed_per_label():
-    rows = synth_text_features(["straight", "braking", "straight"], 8,
-                               np.random.default_rng(0), table_seed=7,
-                               noise_sigma=0.0)
-    assert np.array_equal(rows[0], rows[2])
-    cos = float(rows[0] @ rows[1])
+def test_synth_text_table_is_fixed_per_label(monkeypatch):
+    monkeypatch.setattr(features, "_NOISE_SIGMA", 0.0)
+    rec = _record([[_state("a", behavior="straight"), _state("b", behavior="braking")],
+                   [_state("a", behavior="straight")]])
+    text = build_features([rec], 8, 4).text[0]
+    assert np.array_equal(text[0, 1], text[1, 1])
+    cos = float(text[0, 1] @ text[0, 2])
     assert cos < 1.0 - 1e-6
-    again = synth_text_features(["straight", "braking", "straight"], 8,
-                                np.random.default_rng(99), table_seed=7,
-                                noise_sigma=0.0)
-    assert np.array_equal(rows, again)
+    # both frames are "sparse": one scene label, one row
+    assert rec.scene_labels[0] == rec.scene_labels[1]
+    assert np.array_equal(text[0, 0], text[1, 0])
+    # without noise the video's own stream leaves no trace
+    again = build_features([dataclasses.replace(rec, id="vid-1")], 8, 4).text[0]
+    assert np.array_equal(text, again)
     # the table rows are cached across calls, so no caller can write to one
     with pytest.raises(ValueError):
         _label_embedding(7, "straight", 8)[0] = 1.0
+    with pytest.raises(ValueError):
+        _behavior_table(8)[0, 0] = 1.0
 
 
 def test_synth_text_rows_unit_norm_with_noise():
-    rng = np.random.default_rng(4)
-    rows = synth_text_features(["stopped", "left-turn"], 16, rng, table_seed=7)
-    assert np.allclose(np.linalg.norm(rows, axis=-1), 1.0, atol=1e-12)
+    batch = build_features(_small_dataset(count=3), 16, 4)
+    present = np.concatenate([np.ones(batch.mask.shape[:2] + (1,), dtype=bool),
+                              batch.mask], axis=-1)
+    norms = np.linalg.norm(batch.text, axis=-1)
+    assert np.allclose(norms[present], 1.0, atol=1e-12)
+    assert np.all(norms[~present] == 0.0)
 
 
 # --- slot assignment and batch assembly -------------------------------------
@@ -539,6 +541,149 @@ def test_stack_of_video_batches_equals_the_batch_of_their_records():
                 assert a.tobytes() == b.tobytes(), (idx, field.name)
             else:
                 assert a == b, (idx, field.name)
+
+
+def build_features_reference(records, feature_dim, max_objects):
+    """build_features as first written, one video at a time with its two
+    per-video embedding functions, op for op: the bit-exact oracle. Returns
+    the FeatureBatch's arrays by field name."""
+    from crashcast.features import _FEATURE_SEED, _NOISE_SIGMA, _STATE_SCALES
+    from crashcast.scenario.records import BEHAVIOR_LABELS
+    from crashcast.util import stable_u64, stream_rng
+
+    def projections():
+        rng = stream_rng(_FEATURE_SEED, "projections")
+        shape = (len(_STATE_SCALES), feature_dim)
+        return (rng.normal(size=shape) / math.sqrt(shape[0]),
+                rng.normal(size=shape) / math.sqrt(shape[0]))
+
+    p_object, p_frame = projections()
+
+    def slot_of_rows(record, slot_ids):
+        index = {oid: k for k, oid in enumerate(slot_ids)}
+        return np.array([index.get(oid, -1) for oid in record.ids],
+                        dtype=np.int64)[record.id_of]
+
+    def visual_features(record, rng, slot_ids):
+        t_count = record.frames
+        n_slots = len(slot_ids) + 1
+        out = np.zeros((t_count, n_slots, feature_dim))
+        filled = np.zeros((t_count, n_slots), dtype=bool)
+        env_code = (stable_u64("env", record.environment.weather,
+                               record.environment.lighting,
+                               record.environment.road_type) % 1000) / 1000.0
+        if len(record.states):
+            sizes = np.array([object_size(oid) for oid in record.ids])[record.id_of]
+            state = np.column_stack([record.states[:, :4], sizes,
+                                     record.states[:, 6]])
+            frame_of = record.frame_of
+            slot_of = slot_of_rows(record, slot_ids) + 1
+            count = np.bincount(frame_of, minlength=t_count)
+            seen = count > 0
+
+            def frame_mean(col):
+                return np.bincount(frame_of, weights=state[:, col],
+                                   minlength=t_count)[seen] / count[seen]
+
+            agg = np.stack([
+                count[seen] / 19.0,
+                frame_mean(2) / 15.0,
+                frame_mean(5) / 100.0,
+                frame_mean(0) / 100.0,
+                frame_mean(1) / 100.0,
+                np.full(int(seen.sum()), env_code),
+            ], axis=1)
+            out[seen, 0] = agg @ p_frame
+            filled[seen, 0] = True
+            slotted = slot_of > 0
+            t_idx, k_idx = frame_of[slotted], slot_of[slotted]
+            out[t_idx, k_idx] = (state[slotted] / _STATE_SCALES) @ p_object
+            filled[t_idx, k_idx] = True
+        out = out + _NOISE_SIGMA * rng.normal(size=out.shape)
+        return out * filled[:, :, None]
+
+    def label_row(label):
+        v = stream_rng(_FEATURE_SEED, "text-table", label).normal(size=feature_dim)
+        return v / np.linalg.norm(v)
+
+    def text_features(labels, rng):
+        rows = np.empty((len(labels), feature_dim))
+        for i, label in enumerate(labels):
+            rows[i] = label_row(label)
+        rows = rows + _NOISE_SIGMA * rng.normal(size=rows.shape)
+        return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+    t_count = records[0].frames
+    slot_ids = [assign_slots(rec, max_objects) for rec in records]
+    width = max(1, max(map(len, slot_ids)))
+    b = len(records)
+    visual = np.zeros((b, t_count, width + 1, feature_dim))
+    text = np.zeros((b, t_count, width + 1, feature_dim))
+    mask = np.zeros((b, t_count, width), dtype=bool)
+    centers = np.zeros((b, t_count, width, 2))
+    depths = np.zeros((b, t_count, width))
+    labels = np.zeros(b, dtype=np.int64)
+    lam = np.zeros(b, dtype=np.int64)
+    for i, (rec, slots) in enumerate(zip(records, slot_ids)):
+        vis = visual_features(rec, stream_rng(_FEATURE_SEED, "visual", rec.id), slots)
+        visual[i, :, :vis.shape[1]] = vis
+        text_rng = stream_rng(_FEATURE_SEED, "text", rec.id)
+        text[i, :, 0] = text_features(rec.scene_labels, text_rng)
+        slot = slot_of_rows(rec, slots)
+        kept = slot >= 0
+        t, k = rec.frame_of[kept], slot[kept]
+        mask[i, t, k] = True
+        centers[i, t, k] = rec.states[kept, 4:6]
+        depths[i, t, k] = rec.states[kept, 6]
+        if kept.any():
+            text[i, t, k + 1] = text_features(
+                [BEHAVIOR_LABELS[c] for c in rec.behavior[kept].tolist()], text_rng)
+        labels[i] = int(rec.positive)
+        lam[i] = rec.accident_frame or 0
+    return {"visual": visual, "text": text, "mask": mask, "centers": centers,
+            "depths": depths, "labels": labels, "accident_frames": lam}
+
+
+def _edge_case_records(frames):
+    """A video with no objects, one whose only object row is slotted, and
+    one with 21 ids, more than any max_objects it is built at."""
+    from crashcast.scenario.records import BEHAVIOR_LABELS
+
+    empty = _record([[] for _ in range(frames)], rec_id="empty")
+    single = _record([[] for _ in range(frames - 1)]
+                     + [[_state("solo", x=2.5, depth=14.0, behavior="braking")]],
+                     rec_id="single", positive=True, accident_frame=frames)
+    crowd = _record([
+        [_state(f"c{k}", x=k - 10.0, y=0.5 * t, speed=k % 7, heading=0.1 * k,
+                cx=60.0 * k, cy=300.0 + t, depth=4.0 + k + 0.1 * t,
+                behavior=BEHAVIOR_LABELS[(k + t) % len(BEHAVIOR_LABELS)])
+         for k in range(21) if (k + t) % 4]
+        for t in range(frames)], rec_id="crowd")
+    return [empty, single, crowd]
+
+
+@pytest.mark.parametrize("feature_dim, max_objects", [(32, 19), (8, 4)])
+def test_build_features_is_bit_equal_to_the_per_video_reference(feature_dim,
+                                                                max_objects):
+    records = _small_dataset(count=8)
+    records += _edge_case_records(records[0].frames)
+    assert any(len(r.ids) > max_objects for r in records)
+    batches = [records, records[:8], records[8:], records[::-1]]
+    batches += [[rec] for rec in records]
+    batches.append([_record([], rec_id="no-frames")])  # a negative may have 0 frames
+    seen_negative_zero = False
+    for batch in batches:
+        got = build_features(batch, feature_dim, max_objects)
+        want = build_features_reference(batch, feature_dim, max_objects)
+        for name, arr in want.items():
+            have = getattr(got, name)
+            assert (have.dtype, have.shape) == (arr.dtype, arr.shape), name
+            assert np.array_equal(have, arr), name
+            # bytes, so the -0.0 of unfilled visual slots is compared too
+            assert have.tobytes() == arr.tobytes(), name
+        assert got.video_ids == tuple(r.id for r in batch)
+        seen_negative_zero |= bool(np.signbit(want["visual"][want["visual"] == 0.0]).any())
+    assert seen_negative_zero
 
 
 def test_build_features_rejects_bad_input():

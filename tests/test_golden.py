@@ -1,5 +1,5 @@
-"""Golden digests: a generated dataset, its feature arrays and a trained
-checkpoint, pinned.
+"""Golden digests: a generated dataset, its feature arrays, a trained
+checkpoint and what eval writes for it, pinned.
 
 The other byte-reproducibility tests compare two runs of the same code; these
 compare against digests recorded once, so a refactor that changes a single
@@ -73,18 +73,53 @@ GOLDEN_CHECKPOINT = (24, 5, 24,
                      "d56d35e024f87394348a6fa3a72c1fba3f386fc1ba26fd92d848568abfdba281")
 
 
-def test_train_checkpoint_matches_recorded_digest(tmp_path):
-    # in a child interpreter, as the command line runs it: this process
-    # loaded numpy before crashcast, so its BLAS is not pinned to one thread
+def _run_child(cwd, argv) -> None:
+    """Run one command in a child interpreter, as the command line runs it,
+    so nothing this process loaded or configured can reach the digests."""
+    proc = subprocess.run([sys.executable, "-m", "crashcast", *argv], cwd=cwd,
+                          env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The golden dataset and its one-epoch checkpoint, made once."""
+    count, seed, batch_size, _ = GOLDEN_CHECKPOINT
+    cwd = tmp_path_factory.mktemp("golden")
+    _run_child(cwd, ["gen-data", "--count", str(count), "--positive-ratio", "0.5",
+                     "--seed", str(seed), "--jobs", "1", "--out", "d.jsonl"])
+    _run_child(cwd, ["train", "--data", "d.jsonl", "--epochs", "1",
+                     "--seed", str(seed), "--batch-size", str(batch_size),
+                     "--feature-dim", "8", "--max-objects", "4", "--out", "m.ckpt"])
+    return cwd
+
+
+def test_train_checkpoint_matches_recorded_digest(golden_run):
+    digest = hashlib.sha256((golden_run / "m.ckpt").read_bytes()).hexdigest()
+    assert digest == GOLDEN_CHECKPOINT[3]
+
+
+def test_in_process_train_writes_the_golden_checkpoint(golden_run, tmp_path):
+    # tests/conftest.py pins BLAS to one thread in this process, so a
+    # command run here writes the bytes the command line does
     count, seed, batch_size, ckpt_sha256 = GOLDEN_CHECKPOINT
-    for argv in (["gen-data", "--count", str(count), "--positive-ratio", "0.5",
-                  "--seed", str(seed), "--jobs", "1", "--out", "d.jsonl"],
-                 ["train", "--data", "d.jsonl", "--epochs", "1",
-                  "--seed", str(seed), "--batch-size", str(batch_size),
-                  "--feature-dim", "8", "--max-objects", "4", "--out", "m.ckpt"]):
-        proc = subprocess.run([sys.executable, "-m", "crashcast", *argv],
-                              cwd=tmp_path, env=_child_env(), capture_output=True,
-                              text=True)
-        assert proc.returncode == 0, proc.stderr
-    digest = hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
-    assert digest == ckpt_sha256
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--data", str(golden_run / "d.jsonl"), "--epochs", "1",
+                 "--seed", str(seed), "--batch-size", str(batch_size),
+                 "--feature-dim", "8", "--max-objects", "4", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ckpt_sha256
+
+
+# sha256 of report.json and of the curves CSV that eval --jobs 1 writes for
+# the golden checkpoint on its own training set: the forward's bytes, which
+# the reference AP/mTTA checks see only to 1e-6
+GOLDEN_EVAL = ("93bfd21c76a0d64f3b13294014bb3d1b147a1beb0c4a304216474213be2e8d65",
+               "1ff06ca8218e0a4aa18b039bc06cef14084596eee755498853791fd6e99c98ef")
+
+
+def test_eval_outputs_match_recorded_digests(golden_run):
+    _run_child(golden_run, ["eval", "--data", "d.jsonl", "--checkpoint", "m.ckpt",
+                            "--out", "r.json", "--curves", "r.csv", "--jobs", "1"])
+    got = tuple(hashlib.sha256((golden_run / name).read_bytes()).hexdigest()
+                for name in ("r.json", "r.csv"))
+    assert got == GOLDEN_EVAL

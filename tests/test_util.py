@@ -90,3 +90,11 @@ def test_sha256_file_hashes_in_a_fixed_buffer(tmp_path):
         tracemalloc.stop()
     assert digest == hashlib.sha256(data).hexdigest()
     assert held < 256 << 10, held
+
+
+def test_blas_is_pinned_in_the_test_process():
+    # tests/conftest.py imports crashcast before numpy loads, so in-process
+    # commands run at the command line's one BLAS thread
+    import crashcast
+
+    assert crashcast.BLAS_THREADS == 1
