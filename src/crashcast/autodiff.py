@@ -29,6 +29,7 @@ import numpy as np
 
 _MAGIC = b"CCKPT\x00"
 _CKPT_VERSION = 1
+_MAX_RANK = 64  # the most dimensions a numpy array can have
 
 # Stack of active tapes. Ops record onto the innermost one; with no tape
 # active the library runs forward-only (cheap inference).
@@ -638,7 +639,11 @@ def load_checkpoint(path: str, exempt: Sequence[str] = ()) -> dict[str, np.ndarr
             name = data[start:off].decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"{path}: tensor name at byte {start} is not UTF-8") from None
-        (rank,) = struct.unpack_from("<I", data, take(4, f"rank of {name!r}"))
+        start = take(4, f"rank of {name!r}")
+        (rank,) = struct.unpack_from("<I", data, start)
+        if rank > _MAX_RANK:
+            raise ValueError(f"{path}: tensor {name!r} has rank {rank} at byte "
+                             f"{start}, above numpy's {_MAX_RANK}")
         dims = struct.unpack_from(f"<{rank}Q", data,
                                   take(8 * rank, f"shape of {name!r}"))
         n = math.prod(dims)

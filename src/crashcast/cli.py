@@ -645,11 +645,14 @@ def _run_eval(cfg: dict) -> int:
 
     outputs = {out: atomic_write_text(out, json.dumps(report.to_dict(), indent=2,
                                                       sort_keys=True) + "\n")}
+    # one %-template of a video's rows, the id written in where \0 stands;
+    # "%.10g" % u is the text of _fmt(u)
+    rows = "".join(f"\0,{t},%.10g\n" for t in range(1, curves.shape[1] + 1))
     with atomic_writer(curves_path) as fh:
         fh.write(b"video_id,frame,u\n")
         for video, curve in zip(report.videos, curves):
-            fh.write("".join(f"{video.id},{t},{_fmt(u)}\n" for t, u
-                             in enumerate(curve.tolist(), 1)).encode("utf-8"))
+            fh.write((rows.replace("\0", video.id.replace("%", "%%"))
+                      % tuple(curve.tolist())).encode("utf-8"))
     outputs[curves_path] = fh.hexdigest()
     _write_manifest(out, "eval", cfg, inputs, outputs, started)
     print(f"AP {report.ap:.4f}, mTTA {report.mtta:.4f} s over "

@@ -152,8 +152,10 @@ def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
     A video's values depend only on (video, feature_dim, max_objects), never
     on which other videos share the batch; only the width S of the +0.0 tail
     past its own slots does. So stack() of one-record batches equals the
-    batch of all their records; train keeps its videos that way, each at
-    its own width, and eval builds each chunk here."""
+    batch of all their records, and a video cut out of a batch at its own
+    width equals its one-record batch: train builds its videos in chunks
+    here and keeps each one cut out that way, and eval builds each chunk
+    here."""
     records = list(records)
     if not records:
         raise ValueError("cannot build features from zero records")
@@ -214,7 +216,6 @@ def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
     behavior = np.concatenate([rec.behavior for rec in records])[kept]
     rows = np.concatenate([scene_table[list(map(scene_code.__getitem__, scene))],
                            _behavior_table(feature_dim)[behavior]])
-    noise = np.empty_like(rows)
 
     projections = _visual_projections(feature_dim)
     seen_end = np.cumsum(seen.reshape(b, t_count).sum(axis=1)).tolist()
@@ -232,15 +233,14 @@ def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
             size=own.shape)
         text_noise = stream_rng(_FEATURE_SEED, "text", rec.id).normal(
             size=(t_count + k_hi - k_lo, feature_dim))
-        noise[i * t_count:(i + 1) * t_count] = text_noise[:t_count]
-        noise[frames + k_lo:frames + k_hi] = text_noise[t_count:]
+        text_noise *= _NOISE_SIGMA
+        rows[i * t_count:(i + 1) * t_count] += text_noise[:t_count]
+        rows[frames + k_lo:frames + k_hi] += text_noise[t_count:]
     mask = np.zeros((b, t_count, width), dtype=bool)
     mask[vid_k, t_k, slot_k] = True
     visual[:, :, 0] *= seen.reshape(b, t_count, 1)
     visual[:, :, 1:] *= mask[..., None]
 
-    noise *= _NOISE_SIGMA
-    rows += noise
     rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
     text = np.zeros((b, t_count, width + 1, feature_dim))
     text[:, :, 0] = rows[:frames].reshape(b, t_count, feature_dim)

@@ -62,8 +62,19 @@ def object_columns(frames) -> dict:
     behavior) from nested rows: one list per frame, one
     (id, x, y, speed, heading, cx, cy, depth, behavior) row per object.
     A behavior outside BEHAVIOR_LABELS raises ValueError."""
-    rows = list(chain.from_iterable(frames))
-    ids, *numbers, labels = zip(*rows) if rows else ((),) * 9
+    ids, *numbers, labels = _transpose(list(chain.from_iterable(frames)))
+    return _columns(ids, numbers, labels, map(len, frames))
+
+
+def _transpose(rows) -> list[tuple]:
+    """The 9 columns of (id, x, y, speed, heading, cx, cy, depth, behavior)
+    rows."""
+    return list(zip(*rows)) if rows else [()] * 9
+
+
+def _columns(ids, numbers, labels, counts) -> dict:
+    """object_columns from the id, number and behavior columns of the rows
+    and the number of rows of each frame."""
     index: dict[str, int] = {}
     id_of = [index.setdefault(i, len(index)) for i in ids]
     codes = list(map(_BEHAVIOR_CODES.get, labels))
@@ -72,7 +83,7 @@ def object_columns(frames) -> dict:
         raise ValueError(f"unknown behavior {min(unknown)!r}")
     return {
         "states": np.array(numbers, dtype=np.float64).T,
-        "frame_starts": np.cumsum([0, *map(len, frames)], dtype=np.int64),
+        "frame_starts": np.cumsum([0, *counts], dtype=np.int64),
         "ids": tuple(index),
         "id_of": np.array(id_of, dtype=np.int64),
         "behavior": np.array(codes, dtype=np.int64),
@@ -253,8 +264,6 @@ def record_to_json(record: ScenarioRecord) -> str:
 
 _OBJECT_KEYS = ("id", *STATE_COLUMNS, "behavior")
 _object_row = operator.itemgetter(*_OBJECT_KEYS)
-_object_numbers = operator.itemgetter(*STATE_COLUMNS)
-_object_id = operator.itemgetter("id")
 # the exact JSON type of each record field, so a bool is no int
 _FIELD_TYPES = {"id": str, "positive": bool, "fps": int, "frames": int,
                 "scene_labels": list}
@@ -296,21 +305,23 @@ def record_from_json(line: str) -> ScenarioRecord:
             raise ValueError(f"{key} must be {kind.__name__}, "
                              f"got {type(raw[key]).__name__}")
     env = EnvironmentProfile(**raw["environment"])
-    frames = [list(map(_object_row, frame)) for frame in raw["objects"]]
-    flat = list(chain.from_iterable(raw["objects"]))
+    objects = raw["objects"]
+    # one pass picks every object's values; its columns serve the checks
+    flat = list(chain.from_iterable(objects))
+    ids, *numbers, labels = _transpose(list(map(_object_row, flat)))
     if set(map(len, flat)) - {len(_OBJECT_KEYS)}:
         raise ValueError(f"object keys must be exactly {', '.join(_OBJECT_KEYS)}")
-    texts = chain(vars(env).values(), raw["scene_labels"], map(_object_id, flat))
+    texts = chain(vars(env).values(), raw["scene_labels"], ids)
     if set(map(type, texts)) - {str}:
         raise ValueError("environment values, scene labels and object ids "
                          "must be strings")
-    types = set(map(type, chain.from_iterable(map(_object_numbers, flat))))
+    types = set(map(type, chain.from_iterable(numbers)))
     if not types <= {int, float}:
         raise ValueError(f"object {', '.join(STATE_COLUMNS)} must be int or float, "
                          f"got {min(t.__name__ for t in types - {int, float})}")
     rec = ScenarioRecord(raw["id"], raw["positive"], raw["fps"], raw["frames"],
                          raw["accident_frame"], env, raw["scene_labels"],
-                         **object_columns(frames))
+                         **_columns(ids, numbers, labels, map(len, objects)))
     _check_record(rec)
     return rec
 

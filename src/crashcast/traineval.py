@@ -13,7 +13,7 @@ import numpy as np
 from .autodiff import Tape
 from .features import FeatureBatch, build_features, stack
 from .losses import LabeledBatch, align_loss, frame_loss, total_loss, video_loss
-from .riskmodel import ModelConfig, ModelParams, align_project, forward
+from .riskmodel import ModelConfig, ModelParams, align_project, forward, used_slots
 from .util import map_in_order, stable_u64, stream_rng
 
 
@@ -26,6 +26,8 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 CLIP_NORM = 5.0
+# records per build_features call when train builds its videos
+FEATURE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -131,16 +133,16 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
     at an epoch boundary replays the uninterrupted schedule). The training
     records' frame count and rate set the loss for validation too.
 
-    The features of every training and validation video are built once, as
-    one batch per video at that video's own slot width, and each step
-    stacks its videos into one batch (see features.stack)."""
+    The features of every training and validation video are built once
+    (see _video_batches), as one batch per video at that video's own slot
+    width, and each step stacks its videos into one batch (see
+    features.stack)."""
     records = list(records)
     if not records:
         raise ValueError("training set is empty")
     frames, fps = records[0].frames, records[0].fps
-    shape = (model_cfg.feature_dim, model_cfg.max_objects)
-    videos = [build_features([rec], *shape) for rec in records]
-    val_videos = [build_features([rec], *shape) for rec in val_records or ()]
+    videos = _video_batches(records, model_cfg)
+    val_videos = _video_batches(val_records or (), model_cfg)
     opt = Adam(params.parameters(), train_cfg.learning_rate)
     # a whole checkpoint will do: Adam reads only its own opt.* keys
     if opt_state is not None:
@@ -186,6 +188,26 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
                          "L1": l1, "L2": l2, "L3": l3,
                          "L": total_loss(l1, l2, l3, float(frames)).item()})
     return TrainResult(params, rows, opt.state_dict(), last)
+
+
+def _video_batches(records, model_cfg: ModelConfig) -> list[FeatureBatch]:
+    """One batch per record at its own slot width, byte for byte
+    build_features([rec]), from one build_features call per FEATURE_CHUNK
+    records: a video's values do not depend on the batch, and its slots past
+    used_slots of its mask are the chunk's +0.0 padding, which the cut
+    drops. Each cut is a copy, so no chunk-wide array outlives its chunk."""
+    videos = []
+    for chunk in _chunks(records, FEATURE_CHUNK):
+        fb = build_features(chunk, model_cfg.feature_dim, model_cfg.max_objects)
+        for i in range(len(chunk)):
+            one = slice(i, i + 1)
+            k = used_slots(fb.mask[one])
+            videos.append(FeatureBatch(
+                *(arr[one, :, :k + 1].copy() for arr in (fb.visual, fb.text)),
+                *(arr[one, :, :k].copy() for arr in (fb.mask, fb.centers, fb.depths)),
+                fb.video_ids[one], fb.labels[one].copy(),
+                fb.accident_frames[one].copy()))
+    return videos
 
 
 def _validation_losses(videos: list[FeatureBatch], params: ModelParams,
@@ -346,9 +368,10 @@ def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
     contents move a video's values only in the last bits: a batch of
     another size can take another BLAS path, and the forward runs at the
     chunk's width k (the object slots its videos use), which changes
-    summation order. Measured on 128 videos, chunks of 3 or more gave the
-    same bits and chunks of 1 or 2 did not; the trailing chunk is that
-    short whenever B mod 8 is 1 or 2 (ROADMAP item 7).
+    summation order. Measured on 128 videos against chunks of 8, chunks of
+    1, 2 and 3 moved bits (a 1-, 2- or 3-row product need not equal the
+    same rows of a taller one) and chunks of 4 or more did not; the
+    trailing chunk is that short whenever B mod 8 is 1, 2 or 3.
 
     ``jobs`` > 1 scores chunks on that many threads. Results are merged in
     chunk order, so the output bytes never depend on the worker count.

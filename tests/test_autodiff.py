@@ -1,5 +1,6 @@
 import os
 import re
+import struct
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -521,3 +522,30 @@ def test_checkpoint_rejects_garbage(tmp_path):
         fh.write(b"\xff")
     with pytest.raises(ValueError, match=re.escape(f"{path}: tensor name at byte 16")):
         load_checkpoint(path)
+
+
+def _one_tensor_checkpoint(rank: int, dims) -> bytes:
+    """A checkpoint of one empty tensor 'w' whose record declares the given
+    rank and dims; its rank field starts at byte 17."""
+    return (b"CCKPT\x00" + struct.pack("<HI", 1, 1) + struct.pack("<I", 1) + b"w"
+            + struct.pack(f"<I{len(dims)}Q", rank, *dims))
+
+
+@pytest.mark.parametrize("rank, dims", [
+    (65, (0,) * 65),  # the payload of a 0 dim fits; numpy takes 64 dims at most
+    (2**32 - 1, ()),
+], ids=["rank-65-zero-dim", "rank-2^32-1"])
+def test_checkpoint_rejects_a_rank_above_64(tmp_path, rank, dims):
+    path = os.path.join(tmp_path, "deep.bin")
+    with open(path, "wb") as fh:
+        fh.write(_one_tensor_checkpoint(rank, dims))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: tensor 'w' has rank {rank} at byte 17, above numpy's 64")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_loads_rank_64(tmp_path):
+    path = os.path.join(tmp_path, "deep.bin")
+    with open(path, "wb") as fh:
+        fh.write(_one_tensor_checkpoint(64, (0,) + (1,) * 63))
+    assert load_checkpoint(path)["w"].shape == (0,) + (1,) * 63

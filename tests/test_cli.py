@@ -23,6 +23,7 @@ import crashcast
 from crashcast import autodiff as ad
 from crashcast import cli, traineval
 from crashcast.cli import _DEFAULTS, GEN_SPAN, main
+from crashcast.riskmodel import ModelConfig, ModelParams
 from crashcast.scenario import GenerationError, generate_one, read_dataset
 from crashcast.scenario.presets import multilane_map_xml
 
@@ -975,6 +976,30 @@ def test_eval_report_and_curves(work, tmp_path):
     assert 0.0 <= float(u) <= 1.0
 
 
+def test_eval_curves_rows_are_id_frame_and_fmt_of_the_risk(work, tmp_path):
+    # an id with % signs and a NUL, which the row template must copy as is
+    _, data, ckpt = work
+    lines = data.read_text().splitlines()
+    first = json.loads(lines[0])
+    first["id"] = "100%s\x00 %d%"
+    odd = tmp_path / "odd.jsonl"
+    odd.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+    out = tmp_path / "r.json"
+    assert main(["eval", "--data", str(odd), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 0
+    model_cfg = ModelConfig(**json.loads(Path(f"{ckpt}.json").read_text())["model"])
+    params = ModelParams.init(model_cfg, np.random.default_rng(0))
+    params.load_state_dict(ad.load_checkpoint(str(ckpt)))
+    records = read_dataset(odd)
+    curves = traineval.risk_curves(records, params, model_cfg)
+    want = ["video_id,frame,u"] + [
+        f"{rec.id},{t},{cli._fmt(u)}"
+        for rec, curve in zip(records, curves) for t, u in enumerate(curve, 1)]
+    got = (tmp_path / "r.json.curves.csv").read_text(encoding="utf-8")
+    assert got.split("\n") == [*want, ""]
+    assert got.startswith("video_id,frame,u\n100%s\x00 %d%,1,")
+
+
 def test_eval_byte_reproducible(work, tmp_path):
     _, data, ckpt = work
     a = tmp_path / "a.json"
@@ -1388,6 +1413,27 @@ def test_eval_truncated_checkpoint_exits_3(work, tmp_path, capsys, cut):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("crashcast: error:")
     assert str(short) in err[0] and "byte" in err[0]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_checkpoint_rank_above_64_exits_3(work, tmp_path, capsys):
+    # the first tensor's rank set to 65 and its first dim to 0, so the dims
+    # it reads multiply to a payload that fits
+    _, data, ckpt = work
+    blob = bytearray(ckpt.read_bytes())
+    (name_len,) = struct.unpack_from("<I", blob, 12)
+    at = 16 + name_len
+    struct.pack_into("<IQ", blob, at, 65, 0)
+    deep = tmp_path / "deep.bin"
+    deep.write_bytes(bytes(blob))
+    (tmp_path / "deep.bin.json").write_bytes(
+        (ckpt.parent / "ckpt.bin.json").read_bytes())
+    capsys.readouterr()
+    code = main(["eval", "--data", str(data), "--checkpoint", str(deep),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    err = _one_error_line(capsys)
+    assert f"{deep}: tensor " in err and f"has rank 65 at byte {at}," in err, err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -9,7 +9,8 @@ from crashcast import traineval
 from crashcast.autodiff import Parameter, Tape
 from crashcast.features import build_features, stack
 from crashcast.riskmodel import ModelConfig, ModelParams
-from crashcast.scenario import generate_one
+from crashcast.scenario import ScenarioRecord, generate_one, scene_label
+from crashcast.scenario.records import object_columns
 from crashcast.traineval import (
     Adam,
     TrainConfig,
@@ -417,6 +418,61 @@ def test_validation_rows_are_chunk_weighted_means(monkeypatch):
     got = [row["L1"], row["L2"], row["L3"], row["L"]]
     full = want[0] + frames * want[1] + want[2]
     assert np.allclose(got, [*want, full], rtol=0.0, atol=1e-12)
+
+
+def _hand_record(rec_id, like, frames):
+    """A record with like's frame count, rate and environment and the given
+    object rows per frame, as object_columns takes them."""
+    env = like.environment
+    return ScenarioRecord(rec_id, False, like.fps, like.frames, None, env,
+                          [scene_label(env, len(rows)) for rows in frames],
+                          **object_columns(frames))
+
+
+def _wide_record(like, objects=25):
+    """Every frame holds objects distinct objects, more than max_objects."""
+    return _hand_record("wide", like, [
+        [(f"obj-{k}", 3.0 * k, t - k, 1.0 + k, 0.1 * k, 40.0 * k, 300.0 + t,
+          5.0 + k, "straight") for k in range(objects)]
+        for t in range(like.frames)])
+
+
+@pytest.mark.parametrize("feature_dim, max_objects", [(8, 4), (32, 19)])
+def test_train_videos_equal_one_record_batches(feature_dim, max_objects):
+    # 36 videos: a full chunk of 32 and a short one, a video wider than
+    # max_objects next to narrow ones, and one with no objects at all
+    records = _records(count=34, seed=29)
+    records.insert(3, _wide_record(records[0]))
+    records.append(_hand_record("empty", records[0], [[]] * records[0].frames))
+    model_cfg = ModelConfig(feature_dim=feature_dim, max_objects=max_objects)
+    videos = traineval._video_batches(records, model_cfg)
+    assert len(videos) == len(records)
+    for rec, got in zip(records, videos):
+        want = build_features([rec], feature_dim, max_objects)
+        for name in ("visual", "text", "mask", "centers", "depths", "labels",
+                     "accident_frames"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (rec.id, name)
+            assert a.tobytes() == b.tobytes(), (rec.id, name)
+            assert a.flags.c_contiguous and a.base is None, (rec.id, name)
+        assert got.video_ids == want.video_ids == (rec.id,)
+    assert videos[3].objects == max_objects and videos[-1].objects == 1
+
+
+def test_train_builds_features_once_per_chunk(monkeypatch):
+    calls = []
+
+    def counting(records, *shape):
+        calls.append(len(records))
+        return build_features(records, *shape)
+
+    monkeypatch.setattr(traineval, "build_features", counting)
+    records = _records() * 9  # 72 videos; each of the 8 ids repeats
+    model_cfg, train_cfg = _cfgs(epochs=1, batch_size=16)
+    params = ModelParams.init(model_cfg, np.random.default_rng(16))
+    train(records[:33], params, model_cfg, train_cfg, val_records=records[33:])
+    # ceil(33 / 32) training chunks, then ceil(39 / 32) validation chunks
+    assert calls == [32, 1, 32, 7]
 
 
 def test_one_step_tape_stays_within_its_memory_bound():
