@@ -36,6 +36,15 @@ class ConfigError(Exception):
     """Bad flags, config file contents, or input preconditions (exit 2)."""
 
 
+class OptionError(ConfigError):
+    """A config key's value the command does not take. main names where the
+    value came from: the config file and the key, or the flag."""
+
+    def __init__(self, key: str, text: str):
+        super().__init__(f"{key} {text}")
+        self.key, self.text = key, text
+
+
 _GEN_DEFAULTS = {
     "network": None,
     "count": 100,
@@ -184,8 +193,9 @@ def _check_keys(where: str, values: dict, schema: dict, complete: bool,
             _check_keys(where, value, schema[key], complete, f"{prefix}{key}.")
 
 
-def _resolve(command: str, args: argparse.Namespace) -> dict:
-    """Merge defaults, CRASHCAST_SEED, the config file, and explicit flags."""
+def _resolve(command: str, args: argparse.Namespace) -> tuple[dict, set]:
+    """Merge defaults, CRASHCAST_SEED, the config file, and explicit flags;
+    also return the keys whose value the config file gave."""
     cfg = dict(_DEFAULTS[command])
     env_seed = os.environ.get("CRASHCAST_SEED")
     if env_seed is not None and "seed" in cfg:
@@ -194,16 +204,16 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         except ValueError:
             raise ConfigError(
                 f"CRASHCAST_SEED must be an integer, got {env_seed!r}")
+    loaded = {}
     if args.config is not None:
         loaded = _read_json_object(args.config, "config file")
         _check_keys(f"config file {args.config}", loaded, _DEFAULTS[command],
                     complete=False)
         cfg.update(loaded)
-    for key in _DEFAULTS[command]:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+    flags = {key for key in _DEFAULTS[command] if getattr(args, key, None) is not None}
+    for key in flags:
+        cfg[key] = getattr(args, key)
+    return cfg, set(loaded) - flags
 
 
 def _require(cfg: dict, key: str, command: str):
@@ -317,11 +327,11 @@ def _run_gen_data(cfg: dict) -> int:
     count, seed, jobs = cfg["count"], cfg["seed"], cfg["jobs"]
     ratio = float(cfg["positive_ratio"])
     if count < 1:
-        raise ConfigError("--count must be >= 1")
+        raise OptionError("count", "must be >= 1")
     if not 0.0 <= ratio <= 1.0:
-        raise ConfigError("--positive-ratio must lie in [0, 1]")
+        raise OptionError("positive_ratio", "must lie in [0, 1]")
     if jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
+        raise OptionError("jobs", "must be >= 1")
     _refuse_same_file([("--out", out), ("the manifest", _manifest_path(out))],
                       [("--network", cfg["network"])])
     _refuse_overwrite([out], cfg["force"])
@@ -493,16 +503,13 @@ def _run_train(cfg: dict) -> int:
         inputs[cfg["val_data"]] = sha256_file(cfg["val_data"])
 
     try:
-        learning_rate = float(cfg["learning_rate"])
-        if not 0.0 <= learning_rate < np.inf:
-            raise ValueError("--learning-rate must be a finite number >= 0, "
-                             f"got {learning_rate}")
-        options = dict(cfg, learning_rate=learning_rate)
+        options = dict(cfg, learning_rate=float(cfg["learning_rate"]))
         model_cfg, train_cfg = (
             c(**{f.name: options[f.name] for f in dataclasses.fields(c)})
             for c in (ModelConfig, TrainConfig))
     except ValueError as exc:
-        raise ConfigError(f"bad train option: {exc}")
+        # ModelConfig and TrainConfig start each message with the field name
+        raise OptionError(*str(exc).split(" ", 1))
 
     params = ModelParams.init(model_cfg, stream_rng(train_cfg.seed, "init"))
     resume_state = None
@@ -543,6 +550,10 @@ def _run_train(cfg: dict) -> int:
                 raise ConfigError(
                     f"resume checkpoint {resume}: {key} has shape "
                     f"{resume_state[key].shape}, expected {written.shape}")
+            # a second moment is a running mean of squares; Adam takes its root
+            if key.startswith("opt.v.") and (resume_state[key] < 0).any():
+                raise ConfigError(
+                    f"resume checkpoint {resume}: {key} holds a negative value")
         done = float(resume_state["meta.epochs_done"])
         if done != start_epoch:
             raise ConfigError(
@@ -600,9 +611,9 @@ def _run_eval(cfg: dict) -> int:
     threshold = float(cfg["threshold"])
     jobs = cfg["jobs"]
     if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"--threshold must lie in [0, 1], got {threshold}")
+        raise OptionError("threshold", f"must lie in [0, 1], got {threshold}")
     if jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
+        raise OptionError("jobs", "must be >= 1")
     sidecar_path = ckpt + ".json"
     _refuse_same_file(
         [("--out", out), ("the manifest", _manifest_path(out)),
@@ -672,8 +683,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = _resolve(args.command, args)
+        cfg, from_file = _resolve(args.command, args)
         return _RUNNERS[args.command](cfg)
+    except OptionError as exc:
+        where = (f"config file {args.config}: {exc.key}" if exc.key in from_file
+                 else f"--{exc.key.replace('_', '-')}")
+        print(f"crashcast: error: {where} {exc.text}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"crashcast: error: {exc}", file=sys.stderr)
         return 2

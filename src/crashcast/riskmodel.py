@@ -160,13 +160,7 @@ class RiskOutput:
     logits: Tensor  # (B, T, 2)
     probabilities: Tensor  # (B, T, 2)
     risk: Tensor  # (B, T) positive-class probability
-    pooled: Tensor  # (B, T, F)
-    z: Tensor  # (B, T, 2F)
     h: Tensor  # (B, T, 2F)
-
-    @property
-    def risk_curves(self) -> np.ndarray:
-        return self.risk.value
 
 
 def adjacency(u, v) -> Tensor:
@@ -289,7 +283,7 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
     logits = ad.add(ad.matmul(inner, params.head_w2), params.head_b2)
     probs = ad.softmax_lastdim(logits)
     risk = ad.narrow(probs, (slice(None), slice(None), 1))
-    return RiskOutput(logits, probs, risk, pooled, z, h_all)
+    return RiskOutput(logits, probs, risk, h_all)
 
 
 def align_project(params: ModelParams, x) -> Tensor:

@@ -285,7 +285,7 @@ def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
             raise GenerationError(f"accident frame {lam} outside (0, T)")
     return ScenarioRecord(
         rec_id, positive, FPS, STORED_FRAMES, lam, env,
-        [scene_label(env, n) for n in np.diff(frame_starts).tolist()],
+        [scene_label(env, n) for n in (frame_starts[1:] - frame_starts[:-1]).tolist()],
         states=np.column_stack([xy[k, g, 0], xy[k, g, 1], speed[k, g],
                                 heading[k, g], cx[k, j], cy[k, j], depth[k, j]]),
         frame_starts=frame_starts, ids=tuple(tracks[i].id for i in seen.tolist()),

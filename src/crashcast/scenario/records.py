@@ -171,7 +171,7 @@ def behavior_codes(speed, heading, present, dt: float, rows) -> np.ndarray:
     last = BEHAVIOR_WINDOW - 1 - held[..., ::-1].argmax(-1)
 
     def at(a, n):  # a[i, n[i]]
-        return np.take_along_axis(a, n[..., None], -1)[..., 0]
+        return a[np.arange(len(a)), n]
 
     turn = h - at(h, first)[..., None]
     turn = np.arctan2(np.sin(turn), np.cos(turn))  # wrapped to (-pi, pi]
@@ -181,14 +181,17 @@ def behavior_codes(speed, heading, present, dt: float, rows) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         accel = (at(v, last) - at(v, first)) / span
     code = _BEHAVIOR_CODES
-    return np.select(
-        [held.sum(-1) < 2, v.max(-1) <= _STOP_SPEED,
-         net >= _TURN_THRESHOLD, net <= -_TURN_THRESHOLD,
-         np.where(held, np.abs(turn), 0.0).max(-1) >= _TURN_THRESHOLD,
-         accel >= _ACCEL_THRESHOLD, accel <= -_ACCEL_THRESHOLD],
-        [code[c] for c in ("straight", "stopped", "left-turn", "right-turn",
-                           "lane-change", "accelerating", "braking")],
-        code["straight"])
+    rules = [(held.sum(-1) < 2, "straight"), (v.max(-1) <= _STOP_SPEED, "stopped"),
+             (net >= _TURN_THRESHOLD, "left-turn"),
+             (net <= -_TURN_THRESHOLD, "right-turn"),
+             (np.where(held, np.abs(turn), 0.0).max(-1) >= _TURN_THRESHOLD,
+              "lane-change"),
+             (accel >= _ACCEL_THRESHOLD, "accelerating"),
+             (accel <= -_ACCEL_THRESHOLD, "braking")]
+    out = code["straight"]
+    for cond, label in reversed(rules):  # the first rule that holds wins
+        out = np.where(cond, code[label], out)
+    return out
 
 
 def scene_label(env: EnvironmentProfile, visible_count: int) -> str:

@@ -159,22 +159,24 @@ class RoutePath:
 
     def point_at(self, s):
         s = np.asarray(s, dtype=float)
-        return np.stack([np.interp(s, self._arcs, self._x),
-                         np.interp(s, self._arcs, self._y)], axis=-1)
+        out = np.empty(s.shape + (2,))
+        out[..., 0] = np.interp(s, self._arcs, self._x)
+        out[..., 1] = np.interp(s, self._arcs, self._y)
+        return out
 
     def heading_at(self, s) -> np.ndarray:
         """Tangent angle (radians, CCW from +x) of the segment containing s."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        idx = np.clip(np.searchsorted(self._arcs, s, side="right") - 1, 0,
-                      len(self._arcs) - 2)
+        idx = np.minimum(np.maximum(self._arcs.searchsorted(s, "right") - 1, 0),
+                         len(self._arcs) - 2)
         dx = self._x[idx + 1] - self._x[idx]
         dy = self._y[idx + 1] - self._y[idx]
         return np.arctan2(dy, dx)
 
     def speed_at(self, s) -> np.ndarray:
         """Free-flow speed of the edge containing s."""
-        idx = np.clip(np.searchsorted(self.ends, s, side="right") - 1, 0,
-                      len(self.ends) - 2)
+        idx = np.minimum(np.maximum(self.ends.searchsorted(s, "right") - 1, 0),
+                         len(self.ends) - 2)
         return self._speeds[idx]
 
 
@@ -205,15 +207,16 @@ def sample_trajectory(path: RoutePath, depart: float, dt: float,
 def _positions_on_grid(traj: Trajectory, delay: float, grid: np.ndarray) -> np.ndarray:
     """Interpolate a (possibly delayed) trajectory onto shared grid times.
 
-    Returns (G, 2) with NaN rows where the vehicle is not on the road.
+    Returns (G, 2) with NaN rows where the vehicle is not on the road. The
+    grid is sorted, so the times from t[0] to t[-1] are one run of it.
     """
     t = traj.t + delay
     out = np.full((len(grid), 2), np.nan)
     if len(t) == 0:
         return out
-    inside = (grid >= t[0]) & (grid <= t[-1])
-    out[inside, 0] = np.interp(grid[inside], t, traj.xy[:, 0])
-    out[inside, 1] = np.interp(grid[inside], t, traj.xy[:, 1])
+    on = slice(grid.searchsorted(t[0], "left"), grid.searchsorted(t[-1], "right"))
+    out[on, 0] = np.interp(grid[on], t, traj.xy[:, 0])
+    out[on, 1] = np.interp(grid[on], t, traj.xy[:, 1])
     return out
 
 
@@ -253,4 +256,4 @@ def same_time_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inf where a pair is never present together."""
     d = a[:, None] - b[None]
     dist = np.sqrt((d * d).sum(axis=-1))
-    return np.where(np.isnan(dist), math.inf, dist).min(axis=-1, initial=math.inf)
+    return np.fmin.reduce(dist, axis=-1, initial=math.inf)  # fmin skips NaN

@@ -41,8 +41,10 @@ class TrainConfig:
         if not 0.0 <= self.learning_rate < np.inf:
             raise ValueError("learning_rate must be a finite number >= 0, "
                              f"got {self.learning_rate!r}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs >= 0, batch_size >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 class Adam:

@@ -460,6 +460,99 @@ def test_config_value_of_a_wrong_type_exits_2(work, case):
         assert os.listdir(root) == ["cfg.json"]
 
 
+# a value of each ranged key that its command does not take, with the check's text
+_OUT_OF_RANGE = [
+    ("gen-data", "count", 0, "must be >= 1"),
+    ("gen-data", "positive_ratio", 1.5, "must lie in [0, 1]"),
+    ("gen-data", "jobs", 0, "must be >= 1"),
+    ("train", "learning_rate", -1.0, "must be a finite number >= 0, got -1.0"),
+    ("train", "epochs", -1, "must be >= 0"),
+    ("train", "batch_size", 0, "must be >= 1"),
+    ("train", "feature_dim", 7, "must be even and >= 2"),
+    ("train", "max_objects", 0, "must be >= 1"),
+    ("eval", "threshold", 1.1, "must lie in [0, 1], got 1.1"),
+    ("eval", "jobs", 0, "must be >= 1"),
+]
+
+
+def _ranged_run(work, root, command, key, value, via):
+    """Exit code and stderr lines of a run that would succeed but for key's
+    value, given as a flag or (via="file") in a config file in root."""
+    _, data, ckpt = work
+    flags = {"gen-data": {"count": 2},
+             "train": {"data": data, "epochs": 1, "feature_dim": 8,
+                       "max_objects": 4},
+             "eval": {"data": data, "checkpoint": ckpt}}[command]
+    flags = {k: v for k, v in flags.items() if k != key}
+    argv = [command, "--out", str(root / "out")]
+    if via == "flag":
+        flags[key] = value
+    else:
+        (root / "cfg.json").write_text(json.dumps({key: value}))
+        argv += ["--config", str(root / "cfg.json")]
+    for flag, v in flags.items():
+        argv += [f"--{flag.replace('_', '-')}", str(v)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("via", ["flag", "file"])
+@pytest.mark.parametrize("command,key,value,text", _OUT_OF_RANGE)
+def test_value_out_of_range_exits_2_naming_its_flag_or_config_file(
+        work, tmp_path, command, key, value, text, via):
+    code, lines = _ranged_run(work, tmp_path, command, key, value, via)
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("crashcast: error:"), lines
+    where = (f"--{key.replace('_', '-')}" if via == "flag"
+             else f"config file {tmp_path / 'cfg.json'}: {key}")
+    assert lines[0] == f"crashcast: error: {where} {text}"
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if via == "file" else [])
+
+
+# a config file each command runs with, given its inputs and --out as flags
+_CONFIGS = {
+    "gen-data": {"count": 2, "positive_ratio": 0.5, "seed": 3},
+    "train": {"epochs": 1, "seed": 1, "feature_dim": 8, "max_objects": 4,
+              "batch_size": 8, "learning_rate": 0.001},
+    "eval": {"threshold": 0.5},
+}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(command=st.sampled_from(sorted(_CONFIGS)), data=st.data())
+def test_damaged_config_file_exits_0_2_or_3(work, command, data):
+    # a flip can leave a config the command takes, e.g. another seed; such a
+    # run succeeds
+    _, dataset, ckpt = work
+    text = bytearray(json.dumps(_CONFIGS[command]).encode())
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(text) - 1),
+                                         st.integers(0, 7)), max_size=3))
+    for at, bit in flips:
+        text[at] ^= 1 << bit
+    text = bytes(text[:data.draw(st.none() | st.integers(0, len(text) - 1))])
+    inputs = {"gen-data": [], "train": ["--data", str(dataset)],
+              "eval": ["--data", str(dataset), "--checkpoint", str(ckpt)]}[command]
+    with tempfile.TemporaryDirectory() as root:
+        cfg_path = os.path.join(root, "cfg.json")
+        with open(cfg_path, "wb") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", cfg_path,
+                         "--out", os.path.join(root, "out"), *inputs])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            assert os.path.exists(os.path.join(root, "out"))
+        else:
+            assert code in (2, 3), (text, lines)
+            assert len(lines) == 1 and lines[0].startswith("crashcast: error:"), lines
+            assert cfg_path in lines[0], (text, lines)
+            assert os.listdir(root) == ["cfg.json"]
+
+
 def test_env_seed_overrides_default_seed_only(tmp_path, monkeypatch):
     base = tmp_path / "base.jsonl"
     assert main(["gen-data", "--count", "4", "--seed", "99",
@@ -709,6 +802,9 @@ def test_train_resume_fewer_epochs_exits_2(work, tmp_path, capsys):
     *(("opt.step", np.array(step),
        f"opt.step is {step!r}, expected a whole number >= 0")
       for step in (np.inf, np.nan, 2.5, -1.0)),
+    # a sign flip in a second moment, which Adam takes the root of
+    ("opt.v.adj.v", np.diag([0.0, -0.0, 1e-9, -1.0]),
+     "opt.v.adj.v holds a negative value"),
 ])
 def test_train_resume_checkpoint_lacking_what_train_writes_exits_2(
         work, tmp_path, capsys, key, edit, expected):
@@ -751,12 +847,13 @@ def _fixture_sidecar(work) -> dict:
     return json.loads((work[2].parent / "ckpt.bin.json").read_text())
 
 
-def _run_on_sidecar(work, root: Path, command: str, text: bytes):
+def _run_on_sidecar(work, root: Path, command: str, text: bytes,
+                    damaged: str = "prev.bin.json"):
     """Exit code and stderr lines of eval or train --resume, with --out in
-    root, on a copy in root of the fixture checkpoint and its log beside a
-    sidecar holding text."""
+    root, on a copy in root of the fixture checkpoint, its log and its
+    sidecar, the file named damaged (the sidecar by default) holding text."""
     prev = _resumable(work, root, "prev.bin")
-    (root / "prev.bin.json").write_bytes(text)
+    (root / damaged).write_bytes(text)
     out = root / "out"
     argv = (["eval", "--data", str(work[1]), "--checkpoint", str(prev),
              "--out", str(out)] if command == "eval"
@@ -825,11 +922,15 @@ def test_sidecar_value_of_a_wrong_type_exits_2(work, case):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(command=st.sampled_from(["eval", "resume"]), data=st.data())
-def test_damaged_sidecar_exits_0_2_or_3(work, command, data):
-    # a flip can leave a sidecar that still fits the run, e.g. another seed
-    # for eval; such a run succeeds
-    text = bytearray((work[2].parent / "ckpt.bin.json").read_bytes())
+@given(command=st.sampled_from(["eval", "resume"]),
+       damaged=st.sampled_from(["prev.bin.json", "prev.bin", "prev.bin.log.csv"]),
+       data=st.data())
+def test_damaged_sidecar_exits_0_2_or_3(work, command, damaged, data):
+    # The sidecar, the checkpoint or the resume log, flipped and cut. A flip
+    # can leave a file that still fits the run, e.g. another seed in the
+    # sidecar for eval, a finite weight in the checkpoint, or any log for
+    # eval, which does not read it; such a run succeeds.
+    text = bytearray((work[2].parent / damaged.replace("prev", "ckpt")).read_bytes())
     flips = data.draw(st.lists(st.tuples(st.integers(0, len(text) - 1),
                                          st.integers(0, 7)), max_size=3))
     for at, bit in flips:
@@ -837,7 +938,7 @@ def test_damaged_sidecar_exits_0_2_or_3(work, command, data):
     text = bytes(text[:data.draw(st.none() | st.integers(0, len(text) - 1))])
     with tempfile.TemporaryDirectory() as root:
         root = Path(root)
-        code, lines = _run_on_sidecar(work, root, command, text)
+        code, lines = _run_on_sidecar(work, root, command, text, damaged)
         if code == 0:
             assert lines == []
             written = {"eval": [".curves.csv"],
@@ -846,6 +947,7 @@ def test_damaged_sidecar_exits_0_2_or_3(work, command, data):
         else:
             assert code in (2, 3), (text, lines)
             _assert_one_error_and_no_output(root, lines)
+            assert str(root / damaged) in lines[0], lines
 
 
 def test_train_missing_data_exits_2(tmp_path):

@@ -147,8 +147,6 @@ def test_forward_shapes_and_probability_rows():
     out = forward(batch, params, cfg)
     assert out.logits.shape == (3, 6, 2)
     assert out.risk.shape == (3, 6)
-    assert out.pooled.shape == (3, 6, 4)
-    assert out.z.shape == (3, 6, 8)
     assert out.h.shape == (3, 6, 8)
     assert np.abs(out.probabilities.value.sum(axis=-1) - 1.0).max() < 1e-9
     assert np.all(out.risk.value >= 0.0) and np.all(out.risk.value <= 1.0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crashcast import trafficgen
 from crashcast.roadnet import classify_terminals
 from crashcast.scenario import (
     BEHAVIOR_LABELS,
@@ -45,7 +46,17 @@ from crashcast.scenario.generate import (
     _sample_ego_route,
 )
 from crashcast.scenario.records import BEHAVIOR_WINDOW, behavior_codes
+from crashcast.trafficgen import RoutePath
 from crashcast.util import stream_rng
+
+from test_trafficgen import (
+    assert_same_bytes,
+    earlier_heading_at,
+    earlier_point_at,
+    earlier_positions_on_grid,
+    earlier_same_time_gaps,
+    earlier_speed_at,
+)
 
 CAM = EgoCamera()
 
@@ -252,6 +263,102 @@ def test_behavior_codes_match_oracle_on_generated_tracks(monkeypatch):
     assert all((row == _codes(tr.speed, tr.heading, tr.present, DT)).all()
                for row, tr in zip(stacked, some))
     assert {"straight", "stopped", "left-turn", "right-turn"} <= checked
+
+
+def earlier_behavior_codes(speed, heading, present, dt, rows):
+    """Straight-line copy of behavior_codes as written with take_along_axis
+    and np.select."""
+    *lead, g = (np.asarray(i)[:, None] for i in rows)
+    frame = g + np.arange(1 - BEHAVIOR_WINDOW, 1)
+    at_window = (*lead, np.maximum(frame, 0))
+    held = present[at_window] & (frame >= 0)
+    v, h = (np.where(held, a[at_window], 0.0) for a in (speed, heading))
+    first = held.argmax(-1)
+    last = BEHAVIOR_WINDOW - 1 - held[..., ::-1].argmax(-1)
+
+    def at(a, n):
+        return np.take_along_axis(a, n[..., None], -1)[..., 0]
+
+    turn = h - at(h, first)[..., None]
+    turn = np.arctan2(np.sin(turn), np.cos(turn))
+    net = at(turn, last)
+    start = frame[:, 0]
+    span = (start + last) * dt - (start + first) * dt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        accel = (at(v, last) - at(v, first)) / span
+    code = {label: k for k, label in enumerate(BEHAVIOR_LABELS)}
+    return np.select(
+        [held.sum(-1) < 2, v.max(-1) <= _STOP,
+         net >= _TURN, net <= -_TURN,
+         np.where(held, np.abs(turn), 0.0).max(-1) >= _TURN,
+         accel >= _ACCEL, accel <= -_ACCEL],
+        [code[c] for c in ("straight", "stopped", "left-turn", "right-turn",
+                           "lane-change", "accelerating", "braking")],
+        code["straight"])
+
+
+def test_behavior_codes_equal_the_earlier_helper_bit_for_bit():
+    rng = np.random.default_rng(47)
+    for k, g, p_present in [(1, 1, 1.0), (3, 4, 0.2), (6, 30, 0.3),
+                            (6, 30, 0.8), (4, 61, 1.0), (2, 8, 0.0)]:
+        speed = rng.uniform(0.0, 10.0, (k, g))
+        speed[rng.random((k, g)) < 0.3] = -0.0
+        speed[-1] = rng.uniform(0.0, 0.06, g)  # stopped and nearly stopped
+        heading = rng.uniform(-math.pi, math.pi, (k, g))
+        heading[rng.random((k, g)) < 0.2] = -0.0
+        present = rng.random((k, g)) < p_present
+        speed[~present] = np.nan  # absent samples must not be read
+        heading[~present] = np.nan
+        speed[0] = heading[0] = np.nan  # an all-NaN, never present track
+        present[0] = False
+        rows = tuple(np.indices((k, g)).reshape(2, -1))
+        for dt in (0.1, 0.25):
+            for sel in (slice(None), slice(0, 0), slice(-3, None)):
+                r = tuple(i[sel] for i in rows)
+                assert_same_bytes(behavior_codes(speed, heading, present, dt, r),
+                                  earlier_behavior_codes(speed, heading, present, dt, r))
+    # 1-D tracks and windows with fewer than 2 present samples
+    heading = np.array([0.0, 1.0, -0.0, 0.5, 0.5, 0.5])
+    for present in ([True] + [False] * 5, [False, True, False, False, False, True]):
+        present = np.array(present)
+        r = (np.arange(6),)
+        assert_same_bytes(behavior_codes(np.zeros(6), heading, present, 0.1, r),
+                          earlier_behavior_codes(np.zeros(6), heading, present, 0.1, r))
+
+
+def test_generation_helpers_equal_the_earlier_ones_bit_for_bit(monkeypatch):
+    """Every call gen-data makes of the rewritten trajectory and behaviour
+    helpers, over positives and negatives on each preset map and on a
+    graph passed in as `--network` passes it, gives the bytes of the
+    earlier helpers."""
+    called = set()
+
+    def checked(name, new, old):
+        def check(*args):
+            got = new(*args)
+            assert_same_bytes(got, old(*args))
+            called.add(name)
+            return got
+        return check
+
+    for name, old in [("point_at", earlier_point_at), ("heading_at", earlier_heading_at),
+                      ("speed_at", earlier_speed_at)]:
+        monkeypatch.setattr(RoutePath, name,
+                            checked(name, getattr(RoutePath, name), old))
+    monkeypatch.setattr(trafficgen, "_positions_on_grid", checked(
+        "positions", trafficgen._positions_on_grid, earlier_positions_on_grid))
+    gaps = checked("gaps", trafficgen.same_time_gaps, earlier_same_time_gaps)
+    monkeypatch.setattr(trafficgen, "same_time_gaps", gaps)
+    monkeypatch.setattr(generate, "same_time_gaps", gaps)
+    monkeypatch.setattr(generate, "behavior_codes", checked(
+        "behavior", generate.behavior_codes, earlier_behavior_codes))
+    for i in range(48):
+        generate_one(53, i, 48, 0.5)
+    net = preset_graph("multilane")
+    for i in range(12):
+        generate_one(54, i, 12, 0.0, net)
+    assert called == {"point_at", "heading_at", "speed_at", "positions",
+                          "gaps", "behavior"}
 
 
 def test_scene_label_density_buckets():

@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from crashcast.roadnet import RoadEdge, RoadNode, Route
+from crashcast.roadnet import (
+    NoRouteError,
+    RoadEdge,
+    RoadNode,
+    Route,
+    classify_terminals,
+    shortest_path,
+)
+from crashcast.scenario.presets import preset_graph
 from crashcast.trafficgen import (
     ArrivalConfig,
     DeconflictError,
     ODSamplingError,
     RoutePath,
+    Trajectory,
     TripSpec,
+    _positions_on_grid,
     build_trips,
     deconflict,
     route_path,
@@ -266,3 +276,162 @@ def test_same_time_gaps_edge_operands():
     got = same_time_gaps(a, spot)
     assert got[:, 0].tolist() == [min_same_time_distance(tr, spot[0]) for tr in a]
     assert got[:, 0].tolist() == [math.sqrt(20.0), 3.0]
+
+
+# --- bit-exact copies of the earlier trajectory helpers -----------------------
+# Straight-line copies of how point_at, heading_at, speed_at,
+# _positions_on_grid and same_time_gaps were written with np.stack, np.clip,
+# a boolean-mask gather and np.where + min. The module's versions must give
+# the same bytes, NaN rows and signed zeros included.
+
+def earlier_point_at(path, s):
+    s = np.asarray(s, dtype=float)
+    return np.stack([np.interp(s, path._arcs, path._x),
+                     np.interp(s, path._arcs, path._y)], axis=-1)
+
+
+def earlier_heading_at(path, s):
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    idx = np.clip(np.searchsorted(path._arcs, s, side="right") - 1, 0,
+                  len(path._arcs) - 2)
+    return np.arctan2(path._y[idx + 1] - path._y[idx],
+                      path._x[idx + 1] - path._x[idx])
+
+
+def earlier_speed_at(path, s):
+    idx = np.clip(np.searchsorted(path.ends, s, side="right") - 1, 0,
+                  len(path.ends) - 2)
+    return path._speeds[idx]
+
+
+def earlier_positions_on_grid(traj, delay, grid):
+    t = traj.t + delay
+    out = np.full((len(grid), 2), np.nan)
+    if len(t) == 0:
+        return out
+    inside = (grid >= t[0]) & (grid <= t[-1])
+    out[inside, 0] = np.interp(grid[inside], t, traj.xy[:, 0])
+    out[inside, 1] = np.interp(grid[inside], t, traj.xy[:, 1])
+    return out
+
+
+def earlier_same_time_gaps(a, b):
+    d = a[:, None] - b[None]
+    dist = np.sqrt((d * d).sum(axis=-1))
+    return np.where(np.isnan(dist), math.inf, dist).min(axis=-1, initial=math.inf)
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+def curved_graph():
+    """A straight edge along y = -0.0, a 7-vertex arc with a repeated vertex
+    (a zero-length segment), and a fast straight edge."""
+    g = build_graph([("a", -0.0, -0.0), ("b", 100.0, -0.0)],
+                    [("e1", "a", "b", 100.0, 10.0)])
+    g.add_node(RoadNode("c", 150.0, 50.0))
+    g.add_node(RoadNode("d", 150.0, 150.0))
+    theta = np.linspace(-math.pi / 2, 0.0, 6)
+    arc = [(100.0 + 50.0 * math.cos(a), 50.0 + 50.0 * math.sin(a)) for a in theta]
+    arc.insert(3, arc[3])
+    g.add_edge(RoadEdge("e2", "b", "c", 25.0 * math.pi, 7.5, tuple(arc)))
+    g.add_edge(RoadEdge("e3", "c", "d", 100.0, 25.0, ((150.0, 50.0), (150.0, 150.0))))
+    return g
+
+
+def lookup_paths():
+    paths = [RoutePath(curved_graph(), edges)
+             for edges in (["e1"], ["e2"], ["e1", "e2", "e3"])]
+    for name in ("straight", "intersection", "t_junction", "multilane"):
+        g = preset_graph(name)
+        terms = classify_terminals(g)
+        for src in terms.sources:
+            for dst in terms.destinations:
+                try:
+                    paths.append(RoutePath(g, shortest_path(g, src, dst).edges))
+                except NoRouteError:
+                    pass
+    return paths
+
+
+def test_route_path_lookups_equal_the_earlier_helpers_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for path in lookup_paths():
+        length = path.length
+        s = np.concatenate([
+            [-0.0, 0.0, -1.0, length, np.nextafter(length, math.inf),
+             np.nextafter(length, -math.inf), length + 1.0, 2.0 * length, np.nan],
+            path.ends, np.nextafter(path.ends, -math.inf),
+            np.nextafter(path.ends, math.inf), path._arcs,
+            rng.uniform(-5.0, length + 5.0, 40)])
+        for x in (s, s.reshape(-1, 1)[:12].reshape(3, 4), s[:0]):
+            assert_same_bytes(path.point_at(x), earlier_point_at(path, x))
+            assert_same_bytes(path.heading_at(x), earlier_heading_at(path, x))
+            assert_same_bytes(path.speed_at(x), earlier_speed_at(path, x))
+        for v in s[:9].tolist() + path.ends.tolist():
+            for x in (v, np.float64(v)):
+                assert_same_bytes(path.point_at(x), earlier_point_at(path, x))
+                assert_same_bytes(path.heading_at(x), earlier_heading_at(path, x))
+                assert_same_bytes(path.speed_at(x), earlier_speed_at(path, x))
+
+
+def grid_trajectories(grid):
+    """Edge-case trajectories against a grid of step 0.1 from 0."""
+    dt = 0.1
+    xy = lambda n: np.arange(2.0 * n).reshape(n, 2) - 3.0  # noqa: E731
+    cases = [Trajectory(np.empty((0, 2)), np.empty(0))]
+    for t in ([grid[7]], [grid[7] + 0.03], [-0.0], [0.0], [grid[-1]], [-2.0],
+              [grid[-1] + 1.0]):
+        cases.append(Trajectory(xy(1), np.asarray(t)))
+    for t in (grid[3:20].copy(),  # starts and ends on grid times
+              grid[3] + 0.04 + dt * np.arange(10),  # starts and ends between
+              grid[5] + dt * np.arange(1, 12) - 0.05,
+              -3.0 + dt * np.arange(10),  # wholly before the grid
+              grid[-1] + dt + dt * np.arange(10),  # wholly after it
+              -1.0 + dt * np.arange(40),  # runs into the grid
+              grid[-10] + dt * np.arange(30),  # runs out of it
+              -1.0 + dt * np.arange(100)):  # covers it
+        cases.append(Trajectory(xy(len(t)), np.asarray(t)))
+    nan = Trajectory(np.full((12, 2), np.nan), grid[4:16].copy())  # all-NaN
+    signed = Trajectory(np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]),
+                        grid[2:5].copy())
+    return cases + [nan, signed]
+
+
+def test_positions_on_grid_equal_the_earlier_helper_bit_for_bit():
+    grid = np.arange(0.0, 6.0 + 0.05, 0.1)
+    trajs = grid_trajectories(grid)
+    for path in lookup_paths()[:12]:
+        for depart in (-4.0, -0.05, 0.0, 0.3, 5.5):
+            trajs.append(sample_trajectory(path, depart, 0.1, 6.0))
+    for traj in trajs:
+        for step in (0, 1, 3, 17, 60, 600):
+            delay = step * 0.1
+            assert_same_bytes(_positions_on_grid(traj, delay, grid),
+                              earlier_positions_on_grid(traj, delay, grid))
+    for empty in (grid[:0], grid[:1]):
+        for traj in trajs[:4]:
+            assert_same_bytes(_positions_on_grid(traj, 0.0, empty),
+                              earlier_positions_on_grid(traj, 0.0, empty))
+
+
+def test_same_time_gaps_equal_the_earlier_helper_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        g = int(rng.integers(0, 30))
+        a = random_tracks(rng, int(rng.integers(0, 5)), g)
+        b = random_tracks(rng, int(rng.integers(0, 5)), g)
+        if len(b):
+            b[-1] = np.nan  # an all-NaN track
+        if len(a) and g:
+            a[0, rng.random(g) < 0.5] = -0.0  # signed zeros
+            a[0, :, 1] *= -1.0
+        assert_same_bytes(same_time_gaps(a, b), earlier_same_time_gaps(a, b))
+        assert_same_bytes(same_time_gaps(a, a), earlier_same_time_gaps(a, a))
+    spot = np.broadcast_to(np.array([-0.0, 0.0]), (1, 5, 2))
+    zeros = np.zeros((2, 5, 2))
+    zeros[1] = -0.0
+    assert_same_bytes(same_time_gaps(zeros, spot), earlier_same_time_gaps(zeros, spot))
