@@ -572,9 +572,16 @@ def _run_train(cfg: dict) -> int:
         log_lines = _previous_log(prev_log, start_epoch, step)
         inputs[prev_log] = sha256_file(prev_log)
 
-    result = train(records, params, model_cfg, train_cfg,
-                   val_records=val_records, start_epoch=start_epoch,
-                   opt_state=resume_state)
+    try:
+        result = train(records, params, model_cfg, train_cfg,
+                       val_records=val_records, start_epoch=start_epoch,
+                       opt_state=resume_state)
+    except TrainingDivergedError as exc:
+        if cfg["resume"]:
+            # a finite but huge weight or moment passes every load check
+            raise TrainingDivergedError(
+                f"resume checkpoint {cfg['resume']}: {exc}") from exc
+        raise
 
     state = dict(result.params.state_dict())
     state.update(result.opt_state)
@@ -654,20 +661,20 @@ def _run_eval(cfg: dict) -> int:
         # the flags were checked above, so what is left is the dataset's
         raise ValueError(f"dataset {data}: {exc}") from exc
 
-    outputs = {out: atomic_write_text(out, json.dumps(report.to_dict(), indent=2,
+    outputs = {out: atomic_write_text(out, json.dumps(report, indent=2,
                                                       sort_keys=True) + "\n")}
     # one %-template of a video's rows, the id written in where \0 stands;
     # "%.10g" % u is the text of _fmt(u)
     rows = "".join(f"\0,{t},%.10g\n" for t in range(1, curves.shape[1] + 1))
     with atomic_writer(curves_path) as fh:
         fh.write(b"video_id,frame,u\n")
-        for video, curve in zip(report.videos, curves):
-            fh.write((rows.replace("\0", video.id.replace("%", "%%"))
+        for video, curve in zip(report["videos"], curves):
+            fh.write((rows.replace("\0", video["id"].replace("%", "%%"))
                       % tuple(curve.tolist())).encode("utf-8"))
     outputs[curves_path] = fh.hexdigest()
     _write_manifest(out, "eval", cfg, inputs, outputs, started)
-    print(f"AP {report.ap:.4f}, mTTA {report.mtta:.4f} s over "
-          f"{len(report.videos)} videos (threshold {threshold})")
+    print(f"AP {report['ap']:.4f}, mTTA {report['mtta']:.4f} s over "
+          f"{len(report['videos'])} videos (threshold {threshold})")
     return 0
 
 

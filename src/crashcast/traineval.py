@@ -1,12 +1,13 @@
 """Training loop (adaptive-moment SGD with gradient clipping) and the
-evaluation stack: risk curves, threshold triggers, time-to-accident, average
-precision, and the threshold-averaged mean TTA.
+evaluation stack: risk curves, and from them one report (report_from_curves)
+of threshold triggers, time-to-accident, average precision, and the
+threshold-averaged mean TTA.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,10 +88,12 @@ class Adam:
 
 def clip_gradients(params, max_norm: float) -> float:
     """Scale all gradients together so their global L2 norm is at most
-    max_norm; returns the pre-clip norm."""
+    max_norm; returns the pre-clip norm, inf when it overflows (which
+    train refuses)."""
     total = 0.0
-    for p in params:
-        total += float((p.grad * p.grad).sum())
+    with np.errstate(over="ignore"):
+        for p in params:
+            total += float((p.grad * p.grad).sum())
     total = float(np.sqrt(total))
     if total > max_norm:
         scale = max_norm / total
@@ -253,20 +256,6 @@ def first_crossings(curves, deltas) -> np.ndarray:
     return out
 
 
-def trigger_frame(curve, delta: float) -> int | None:
-    """Smallest 1-based m with u_m >= delta and m < T; None when the curve
-    never crosses before the final frame."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {delta}")
-    m = int(first_crossings([curve], [delta])[0, 0])
-    return m or None
-
-
-def tta(trigger: int, accident_frame: int, fps: int) -> float:
-    """Seconds of anticipation, clipped at zero for late triggers."""
-    return max(0.0, (accident_frame - trigger) / fps)
-
-
 def video_score(curve, label: int, accident_frame: int) -> float:
     """Max risk over frames strictly before the accident for positives
     (post-accident evidence must not count), over all frames otherwise."""
@@ -299,57 +288,45 @@ def average_precision(scores, labels) -> float:
 _MTTA_GRID = np.arange(1, 100) / 100.0
 
 
-def _grid_ttas(m, labels, accident_frames, fps) -> list[np.ndarray]:
-    """Per threshold of the mTTA grid, the TTA seconds of the positives
-    that trigger there, in video order, from a trigger table m whose first
-    columns are first_crossings at _MTTA_GRID."""
-    pos = np.asarray(labels, dtype=int) == 1
-    lams = np.asarray(accident_frames)[pos].astype(np.int64)
-    m = m[pos, :len(_MTTA_GRID)]
-    secs = np.maximum(0.0, (lams[:, None] - m) / fps)  # tta() per entry
-    return [secs[m[:, k] > 0, k] for k in range(len(_MTTA_GRID))]
-
-
-def _mean_of_grid(grid_ttas) -> float:
+def report_from_curves(curves, ids, labels, accident_frames, fps: int,
+                       threshold: float) -> dict:
+    """The report.json object of (B, T) risk curves, each video given by its
+    id, label (1 positive) and accident frame. A video triggers at delta on
+    the smallest 1-based frame m < T with curve[m-1] >= delta (see
+    first_crossings); a positive that triggers has a TTA of
+    max(0, (accident frame - m) / fps) seconds, and negatives have none.
+    ``ap`` is the average precision of the video scores (see video_score);
+    ``videos`` holds each video's score, trigger and TTA at ``threshold``;
+    ``sweep`` holds, per threshold of the grid {0.01..0.99}, the count of
+    positives that trigger and their mean TTA (0 when none does); and
+    ``mtta`` is the mean of the sweep's mean TTAs over the grid points where
+    some positive triggers, 0 when none ever does."""
+    labels = np.asarray(labels, dtype=int)
+    lams = np.asarray(accident_frames).astype(np.int64)
+    scores = [video_score(curve, y, lam)
+              for curve, y, lam in zip(curves, labels, lams)]
+    # one trigger table: the grid's columns, then the report threshold's
+    m = first_crossings(curves, np.append(_MTTA_GRID, threshold))
+    # in float64, exact for frame counts, so no integer table is held beside it
+    secs = np.subtract(lams[:, None], m, dtype=float)
+    secs /= fps
+    np.maximum(secs, 0.0, out=secs)
+    hit = (m > 0) & (labels == 1)[:, None]
+    grid_ttas = [secs[hit[:, k], k] for k in range(len(_MTTA_GRID))]
     grid_means = [float(np.mean(t)) for t in grid_ttas if t.size]
-    return float(np.mean(grid_means)) if grid_means else 0.0
-
-
-def mtta(curves, labels, accident_frames, fps: int) -> float:
-    """Mean over the threshold grid {0.01..0.99} of the mean TTA across
-    positives that trigger at that threshold; grid points with no trigger
-    are skipped, and the result is 0 when nothing ever triggers."""
-    return _mean_of_grid(_grid_ttas(first_crossings(curves, _MTTA_GRID),
-                                    labels, accident_frames, fps))
-
-
-@dataclass
-class VideoEval:
-    id: str
-    label: int
-    score: float
-    trigger: int | None
-    tta_seconds: float | None
-
-
-@dataclass
-class EvalReport:
-    ap: float
-    mtta: float
-    threshold: float
-    videos: list[VideoEval]
-    sweep: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "ap": self.ap,
-            "mtta": self.mtta,
-            "threshold": self.threshold,
-            "sweep": self.sweep,
-            "videos": [{"id": v.id, "label": v.label, "score": v.score,
-                        "trigger": v.trigger, "tta_seconds": v.tta_seconds}
-                       for v in self.videos],
-        }
+    return {
+        "ap": average_precision(scores, labels),
+        "mtta": float(np.mean(grid_means)) if grid_means else 0.0,
+        "threshold": threshold,
+        "sweep": [{"delta": round(float(delta), 2),
+                   "triggered": int(t.size),
+                   "mean_tta": float(np.mean(t)) if t.size else 0.0}
+                  for delta, t in zip(_MTTA_GRID, grid_ttas)],
+        "videos": [{"id": video_id, "label": int(labels[i]), "score": scores[i],
+                    "trigger": int(m[i, -1]) or None,
+                    "tta_seconds": float(secs[i, -1]) if hit[i, -1] else None}
+                   for i, video_id in enumerate(ids)],
+    }
 
 
 def _chunks(records, size: int):
@@ -387,10 +364,9 @@ def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
 
 
 def evaluate(records, params: ModelParams, model_cfg: ModelConfig, *,
-             threshold: float = 0.5, jobs: int = 1) -> tuple[EvalReport, np.ndarray]:
-    """Full evaluation: AP over video scores, grid mTTA, per-video triggers
-    at the report threshold, and the threshold sweep table. Returns the
-    report plus the raw risk curves for export.
+             threshold: float = 0.5, jobs: int = 1) -> tuple[dict, np.ndarray]:
+    """The report of the records' risk curves (see report_from_curves) and
+    the curves themselves, for export (see risk_curves).
 
     The records may be any iterable; it is drawn once, in the chunks that
     risk_curves scores, and of each video only its id, label, accident
@@ -401,7 +377,6 @@ def evaluate(records, params: ModelParams, model_cfg: ModelConfig, *,
     first = next(records, None)
     if first is None:
         raise ValueError("evaluation set is empty")
-    fps = first.fps
     ids, labels, lams = [], [], []
 
     def noted(records):
@@ -413,26 +388,4 @@ def evaluate(records, params: ModelParams, model_cfg: ModelConfig, *,
 
     curves = risk_curves(noted(itertools.chain([first], records)), params,
                          model_cfg, jobs=jobs)
-    labels = np.array(labels)
-    lams = np.array(lams)
-
-    scores = np.array([video_score(curves[i], labels[i], lams[i])
-                       for i in range(len(ids))])
-    ap = average_precision(scores, labels)
-    # one trigger table: the mTTA grid's columns, then the report threshold's
-    m = first_crossings(curves, np.append(_MTTA_GRID, threshold))
-    grid_ttas = _grid_ttas(m, labels, lams, fps)
-
-    triggers = m[:, -1].tolist()
-    videos = [VideoEval(video_id, int(labels[i]), float(scores[i]),
-                        triggers[i] or None,
-                        tta(triggers[i], int(lams[i]), fps)
-                        if labels[i] == 1 and triggers[i] else None)
-              for i, video_id in enumerate(ids)]
-
-    sweep = [{"delta": round(float(delta), 2),
-              "triggered": int(t.size),
-              "mean_tta": float(np.mean(t)) if t.size else 0.0}
-             for delta, t in zip(_MTTA_GRID, grid_ttas)]
-    report = EvalReport(ap, _mean_of_grid(grid_ttas), threshold, videos, sweep)
-    return report, curves
+    return report_from_curves(curves, ids, labels, lams, first.fps, threshold), curves

@@ -37,7 +37,7 @@ from crashcast.traineval import (
     TrainConfig,
     average_precision,
     evaluate,
-    mtta,
+    report_from_curves,
     split_dataset,
     train,
 )
@@ -326,9 +326,9 @@ def test_criterion_08_closed_loop_learning_on_synthetic_data():
     mean_tta = float(np.mean(ttas))
     elapsed = time.perf_counter() - t0
 
-    ok = report.ap >= 0.85 and mean_tta > 0.5 and elapsed < 900.0
+    ok = report["ap"] >= 0.85 and mean_tta > 0.5 and elapsed < 900.0
     _report(8, "closed-loop training separates synthetic classes", ok,
-            f"held-out AP {report.ap:.4f} (>=0.85), mean TTA {mean_tta:.2f}s "
+            f"held-out AP {report['ap']:.4f} (>=0.85), mean TTA {mean_tta:.2f}s "
             f"(>0.5s) over {len(ttas)} positives, {elapsed:.0f}s (<900s)")
 
 
@@ -390,7 +390,12 @@ def test_criterion_09_metrics_match_brute_force():
         if labels.sum() == 0:
             labels[0] = 1
         lams = np.where(labels == 1, rng.integers(2, t + 1, b), 0)
-        got = mtta(curves, labels, lams, 10)
+        # one more negative, all-zero curve, so that AP has both classes;
+        # negatives never enter mTTA, and the oracle sees the same set
+        curves = np.vstack([curves, np.zeros(t)])
+        labels, lams = np.append(labels, 0), np.append(lams, 0)
+        got = report_from_curves(curves, [str(i) for i in range(b + 1)],
+                                 labels, lams, 10, 0.5)["mtta"]
         worst_mtta = max(worst_mtta,
                          abs(got - float(_exact_mtta(curves, labels, lams, 10))))
 

@@ -824,6 +824,24 @@ def test_train_resume_checkpoint_lacking_what_train_writes_exits_2(
         "prev.bin", "prev.bin.json", "prev.bin.log.csv"]
 
 
+@pytest.mark.parametrize("key", ["head.w1", "head.w2"])
+@pytest.mark.parametrize("value", [1e300, -1e300])
+def test_train_resume_huge_value_exits_3_naming_the_checkpoint(
+        work, tmp_path, capsys, key, value):
+    # finite, so every load check passes; the gradient norm then overflows
+    prev = _resumable(work, tmp_path, "prev.bin")
+    state = ad.load_checkpoint(str(prev))
+    state[key].flat[0] = value
+    ad.save_checkpoint(str(prev), state)
+    capsys.readouterr()
+    code = main(_resume_args(work[1], prev, tmp_path / "x.bin"))
+    assert code == 3
+    err = _one_error_line(capsys)
+    assert f"resume checkpoint {prev}: non-finite gradient norm" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "prev.bin", "prev.bin.json", "prev.bin.log.csv"]
+
+
 # sidecar edits that leave it other than train writes it, each with what the
 # error names; all but the last held values that versions before 06938e1
 # wrote

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashcast import autodiff as ad
 from crashcast import traineval
@@ -19,12 +21,10 @@ from crashcast.traineval import (
     clip_gradients,
     evaluate,
     first_crossings,
-    mtta,
+    report_from_curves,
     risk_curves,
     split_dataset,
     train,
-    trigger_frame,
-    tta,
     video_score,
 )
 
@@ -43,28 +43,34 @@ def _records(count=8, ratio=0.5, seed=23):
 
 # --- trigger and tta ---------------------------------------------------------
 
-def test_trigger_frame_hand_cases():
-    assert trigger_frame([0.1, 0.4, 0.6, 0.8], 0.5) == 3
-    assert trigger_frame([0.1, 0.2, 0.3, 0.4], 0.5) is None
-    assert trigger_frame([0.1, 0.4, 0.6, 0.8], 0.0) == 1
+def _report(curves, labels, lams, fps=10, threshold=0.5):
+    """report_from_curves with ids v0, v1, ... in curve order."""
+    return report_from_curves(np.asarray(curves, dtype=float),
+                              [f"v{i}" for i in range(len(curves))],
+                              labels, lams, fps, threshold)
+
+
+def test_first_crossings_hand_cases():
+    assert first_crossings([[0.1, 0.4, 0.6, 0.8]], [0.5]).tolist() == [[3]]
+    assert first_crossings([[0.1, 0.2, 0.3, 0.4]], [0.5]).tolist() == [[0]]
+    assert first_crossings([[0.1, 0.4, 0.6, 0.8]], [0.0]).tolist() == [[1]]
     # the crossing must land strictly before the final frame
-    assert trigger_frame([0.0, 0.0, 0.9], 0.5) is None
-    assert trigger_frame([0.9], 0.5) is None
-    with pytest.raises(ValueError):
-        trigger_frame([0.1, 0.2], 1.1)
+    assert first_crossings([[0.0, 0.0, 0.9]], [0.5]).tolist() == [[0]]
+    assert first_crossings([[0.9]], [0.5]).tolist() == [[0]]
+    # the report reads a 0 entry as no trigger
+    videos = _report([[0.1, 0.4, 0.6, 0.8], [0.0, 0.0, 0.0, 0.9]],
+                     [1, 0], [4, 0])["videos"]
+    assert [v["trigger"] for v in videos] == [3, None]
 
 
-def test_trigger_frame_monotone_in_threshold():
+def test_first_crossings_monotone_in_threshold():
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        curve = rng.uniform(0, 1, 20)
-        prev = 1
-        for delta in [0.1, 0.3, 0.5, 0.7, 0.9]:
-            m = trigger_frame(curve, delta)
-            if m is None:
-                break
-            assert m >= prev
-            prev = m
+    deltas = [0.1, 0.3, 0.5, 0.7, 0.9]
+    for row in first_crossings(rng.uniform(0, 1, (100, 20)), deltas):
+        hits = row[row > 0]
+        # a curve that never reaches delta never reaches a higher one
+        assert np.array_equal(row[:len(hits)], hits)
+        assert np.all(np.diff(hits) >= 0)
 
 
 def _scalar_first_crossing(curve, delta):
@@ -108,9 +114,16 @@ def test_first_crossings_memory_is_a_small_multiple_of_its_result():
 
 
 def test_tta_hand_cases():
-    assert tta(50, 50, 10) == 0.0
-    assert tta(30, 50, 10) == 2.0
-    assert tta(55, 50, 10) == 0.0  # late trigger clips at zero
+    # triggers at frames 50, 30, 55 and never, then a negative at frame 1
+    curves = np.zeros((5, 60))
+    for row, m in enumerate([50, 30, 55]):
+        curves[row, m - 1] = 1.0
+    curves[4, 0] = 1.0
+    report = _report(curves, [1, 1, 1, 1, 0], [50, 50, 50, 50, 0])
+    assert [v["trigger"] for v in report["videos"]] == [50, 30, 55, None, 1]
+    # a late trigger clips at zero; no trigger and negatives have no TTA
+    assert [v["tta_seconds"] for v in report["videos"]] == [
+        0.0, 2.0, 0.0, None, None]
 
 
 def test_video_score_ignores_post_accident_frames():
@@ -198,34 +211,75 @@ def brute_mtta(curves, labels, lams, fps):
     return sum(grid) / len(grid) if grid else 0.0
 
 
+def _with_negative(curves, labels, lams):
+    """The set plus one negative with an all-zero curve, so that AP (which
+    needs both classes) can be computed; negatives never enter mTTA."""
+    curves = np.asarray(curves, dtype=float)
+    return (np.vstack([curves, np.zeros(curves.shape[1])]),
+            [*labels, 0], [*lams, 0])
+
+
 def test_mtta_immediate_trigger():
-    curves = [np.ones(50), np.ones(50)]
-    lams = [30, 40]
-    got = mtta(curves, [1, 1], lams, 10)
+    curves, labels, lams = _with_negative([np.ones(50), np.ones(50)],
+                                          [1, 1], [30, 40])
+    got = _report(curves, labels, lams)["mtta"]
     assert got == pytest.approx(((30 - 1) / 10 + (40 - 1) / 10) / 2, abs=1e-12)
 
 
 def test_mtta_no_trigger_is_zero():
-    assert mtta([np.zeros(50)], [1], [30], 10) == 0.0
+    assert _report(*_with_negative([np.zeros(50)], [1], [30]))["mtta"] == 0.0
 
 
 def test_mtta_matches_brute_force_on_step_curves():
     c1 = np.concatenate([np.zeros(10), np.full(40, 0.6)])
     c2 = np.concatenate([np.zeros(25), np.full(25, 0.35)])
-    curves = [c1, c2, np.full(50, 0.99)]
-    labels = [1, 1, 0]
-    lams = [30, 35, 0]
-    assert mtta(curves, labels, lams, 10) == pytest.approx(
+    curves, labels, lams = _with_negative([c1, c2, np.full(50, 0.99)],
+                                          [1, 1, 0], [30, 35, 0])
+    assert _report(curves, labels, lams)["mtta"] == pytest.approx(
         brute_mtta(curves, labels, lams, 10), abs=1e-12)
 
 
 def test_mtta_matches_brute_force_random():
     rng = np.random.default_rng(3)
-    curves = [rng.uniform(0, 1, 50) for _ in range(6)]
-    labels = [1, 1, 1, 0, 0, 1]
-    lams = [26, 33, 45, 0, 0, 28]
-    assert mtta(curves, labels, lams, 10) == pytest.approx(
+    curves, labels, lams = _with_negative(
+        [rng.uniform(0, 1, 50) for _ in range(6)],
+        [1, 1, 1, 0, 0, 1], [26, 33, 45, 0, 0, 28])
+    assert _report(curves, labels, lams)["mtta"] == pytest.approx(
         brute_mtta(curves, labels, lams, 10), abs=1e-12)
+
+
+@st.composite
+def _eval_sets(draw):
+    frames = draw(st.integers(1, 12))
+    # risk on the hundredths too, so crossings tie with the grid exactly
+    risk = st.one_of(st.floats(0.0, 1.0), st.integers(0, 100).map(lambda k: k / 100))
+    labels = [1, 0] + draw(st.lists(st.integers(0, 1), max_size=6))
+    curves = [draw(st.lists(risk, min_size=frames, max_size=frames))
+              for _ in labels]
+    lams = [draw(st.integers(0, frames + 2)) if y else 0 for y in labels]
+    threshold = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return curves, labels, lams, draw(st.integers(1, 30)), threshold
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_eval_sets())
+def test_report_triggers_and_ttas_match_a_scalar_loop(case):
+    curves, labels, lams, fps, threshold = case
+    report = _report(curves, labels, lams, fps, threshold)
+    for video, curve, y, lam in zip(report["videos"], curves, labels, lams):
+        m = _scalar_first_crossing(curve, threshold)
+        assert video["trigger"] == (m or None)
+        assert video["tta_seconds"] == (
+            max(0.0, (lam - m) / fps) if y == 1 and m else None)
+    for k, row in enumerate(report["sweep"], start=1):
+        ttas = []
+        for curve, y, lam in zip(curves, labels, lams):
+            m = _scalar_first_crossing(curve, k / 100)
+            if y == 1 and m:
+                ttas.append(max(0.0, (lam - m) / fps))
+        assert row["delta"] == k / 100
+        assert row["triggered"] == len(ttas)
+        assert row["mean_tta"] == (float(np.mean(ttas)) if ttas else 0.0)
 
 
 # --- split ---------------------------------------------------------------------
@@ -289,6 +343,13 @@ def test_clip_gradients():
     b.grad = np.full(4, 0.1)
     clip_gradients([a, b], 5.0)
     assert np.allclose(a.grad, 0.1)
+
+
+def test_clip_gradients_overflow_reads_inf_without_a_warning():
+    # pytest turns the overflow warning into an error; train refuses the inf
+    a = Parameter(np.zeros(2), name="a")
+    a.grad = np.array([1e200, -3.0])
+    assert clip_gradients([a], 5.0) == np.inf
 
 
 # --- training loop ---------------------------------------------------------------
@@ -513,15 +574,14 @@ def test_evaluate_report_structure():
     params = ModelParams.init(model_cfg, np.random.default_rng(15))
     report, curves = evaluate(records, params, model_cfg)
     assert curves.shape == (len(records), records[0].frames)
-    assert 0.0 <= report.ap <= 1.0
-    assert report.mtta >= 0.0
-    assert len(report.videos) == len(records)
-    assert len(report.sweep) == 99
-    for v in report.videos:
-        if v.label == 0:
-            assert v.tta_seconds is None
-    d = report.to_dict()
-    assert set(d) == {"ap", "mtta", "threshold", "sweep", "videos"}
+    assert set(report) == {"ap", "mtta", "threshold", "sweep", "videos"}
+    assert 0.0 <= report["ap"] <= 1.0
+    assert report["mtta"] >= 0.0
+    assert [v["id"] for v in report["videos"]] == [r.id for r in records]
+    assert len(report["sweep"]) == 99
+    for v in report["videos"]:
+        if v["label"] == 0:
+            assert v["tta_seconds"] is None
     # chunked inference agrees with one-shot inference up to the last bits
     # (a one-row batch can take another BLAS path)
     whole = risk_curves(records, params, model_cfg, chunk=len(records))
