@@ -133,7 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "(default: <out>.curves.csv)")
     e.add_argument("--threshold", type=float,
                    help="trigger threshold in [0, 1]")
-    e.add_argument("--jobs", type=int)
+    e.add_argument("--jobs", type=int, help="worker processes; output is "
+                                            "identical for any value")
     e.add_argument("--config", help="JSON config file")
     e.add_argument("--force", action="store_true", default=None)
     return parser
@@ -363,9 +364,7 @@ def _run_gen_data(cfg: dict) -> int:
              for lo in range(0, count, span)]
     n_pos = 0
     with atomic_writer(out) as fh:
-        for lines, positives in map_in_order(_gen_span, tasks,
-                                             min(jobs, len(tasks)),
-                                             processes=True):
+        for lines, positives in map_in_order(_gen_span, tasks, jobs):
             fh.write(lines)
             n_pos += positives
     _write_manifest(out, "gen-data", cfg, inputs, {out: fh.hexdigest()}, started)

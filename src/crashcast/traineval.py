@@ -6,6 +6,7 @@ threshold-averaged mean TTA.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -156,42 +157,51 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
     rows: list[dict] = []
     step = opt.t
     last = float("nan")
-    for epoch in range(start_epoch, train_cfg.epochs):
-        order = stream_rng(train_cfg.seed, "epoch", epoch).permutation(n)
-        for lo in range(0, n, train_cfg.batch_size):
-            batch = stack(videos[i] for i in order[lo:lo + train_cfg.batch_size])
-            for p in params.parameters():
-                p.zero_grad()
-            with Tape() as tape:
-                l1, l2, l3, loss = _batch_losses(batch, params, model_cfg,
-                                                 frames, fps)
-                values = (l1.item(), l2.item(), l3.item(), loss.item())
-                if not all(np.isfinite(values)):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at step {step + 1} (epoch {epoch}): "
-                        f"L1={values[0]} L2={values[1]} L3={values[2]} L={values[3]}")
-                tape.backward(loss)
-            norm = clip_gradients(params.parameters(), CLIP_NORM)
-            if not np.isfinite(norm):
-                # Adam would write it into every parameter; stop before that
-                raise TrainingDivergedError(
-                    f"non-finite gradient norm at step {step + 1} "
-                    f"(epoch {epoch}): {norm}")
-            opt.step()
-            # the geometry balance stays nonnegative so alpha stays in [0, 1)
-            np.maximum(params.geometry.a.value, 0.0,
-                       out=params.geometry.a.value)
-            step += 1
-            last = values[3]
-            rows.append({"step": step, "epoch": epoch, "split": "train",
-                         "L1": values[0], "L2": values[1], "L3": values[2],
-                         "L": values[3]})
-        if val_videos:
-            l1, l2, l3 = _validation_losses(val_videos, params, model_cfg,
-                                            train_cfg.batch_size, frames, fps)
-            rows.append({"step": step, "epoch": epoch, "split": "val",
-                         "L1": l1, "L2": l2, "L3": l3,
-                         "L": total_loss(l1, l2, l3, float(frames)).item()})
+    try:
+        with np.errstate(over="raise"):
+            for epoch in range(start_epoch, train_cfg.epochs):
+                order = stream_rng(train_cfg.seed, "epoch", epoch).permutation(n)
+                for lo in range(0, n, train_cfg.batch_size):
+                    step += 1
+                    batch = stack(videos[i]
+                                  for i in order[lo:lo + train_cfg.batch_size])
+                    for p in params.parameters():
+                        p.zero_grad()
+                    with Tape() as tape:
+                        l1, l2, l3, loss = _batch_losses(batch, params, model_cfg,
+                                                         frames, fps)
+                        values = (l1.item(), l2.item(), l3.item(), loss.item())
+                        if not all(np.isfinite(values)):
+                            raise TrainingDivergedError(
+                                f"non-finite loss at step {step} (epoch {epoch}): "
+                                f"L1={values[0]} L2={values[1]} L3={values[2]} "
+                                f"L={values[3]}")
+                        tape.backward(loss)
+                    norm = clip_gradients(params.parameters(), CLIP_NORM)
+                    if not np.isfinite(norm):
+                        # Adam would write it into every parameter; stop before that
+                        raise TrainingDivergedError(
+                            f"non-finite gradient norm at step {step} "
+                            f"(epoch {epoch}): {norm}")
+                    opt.step()
+                    # the geometry balance stays nonnegative so alpha stays in [0, 1)
+                    np.maximum(params.geometry.a.value, 0.0,
+                               out=params.geometry.a.value)
+                    last = values[3]
+                    rows.append({"step": step, "epoch": epoch, "split": "train",
+                                 "L1": values[0], "L2": values[1],
+                                 "L3": values[2], "L": values[3]})
+                if val_videos:
+                    l1, l2, l3 = _validation_losses(val_videos, params, model_cfg,
+                                                    train_cfg.batch_size, frames,
+                                                    fps)
+                    rows.append({"step": step, "epoch": epoch, "split": "val",
+                                 "L1": l1, "L2": l2, "L3": l3,
+                                 "L": total_loss(l1, l2, l3, float(frames)).item()})
+    except FloatingPointError as exc:
+        # a huge but finite weight or Adam moment (a resumed checkpoint can
+        # hold one) can overflow in a pass yet leave the loss and norm finite
+        raise TrainingDivergedError(f"{exc} at step {step} (epoch {epoch})") from exc
     return TrainResult(params, rows, opt.state_dict(), last)
 
 
@@ -337,6 +347,12 @@ def _chunks(records, size: int):
         yield chunk
 
 
+def _chunk_risk(params: ModelParams, model_cfg: ModelConfig, videos) -> np.ndarray:
+    """(b, T) risk curves of one chunk, at module level so that it pickles."""
+    fb = build_features(videos, model_cfg.feature_dim, model_cfg.max_objects)
+    return forward(fb, params, model_cfg).risk.value
+
+
 def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
                 chunk: int = 8, jobs: int = 1) -> np.ndarray:
     """(B, T) risk curves, computed in chunks of at most ``chunk`` records
@@ -352,15 +368,13 @@ def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
     same rows of a taller one) and chunks of 4 or more did not; the
     trailing chunk is that short whenever B mod 8 is 1, 2 or 3.
 
-    ``jobs`` > 1 scores chunks on that many threads. Results are merged in
-    chunk order, so the output bytes never depend on the worker count.
+    ``jobs`` > 1 scores chunks on at most that many worker processes, each
+    sent the model with its chunk; the records are still decoded here.
+    Results are merged in chunk order, so the output bytes never depend on
+    the worker count.
     """
-    def score(videos):
-        fb = build_features(videos, model_cfg.feature_dim, model_cfg.max_objects)
-        return forward(fb, params, model_cfg).risk.value
-
-    return np.concatenate(list(map_in_order(score, _chunks(records, chunk), jobs)),
-                          axis=0)
+    score = functools.partial(_chunk_risk, params, model_cfg)
+    return np.concatenate(list(map_in_order(score, _chunks(records, chunk), jobs)))
 
 
 def evaluate(records, params: ModelParams, model_cfg: ModelConfig, *,
@@ -368,9 +382,10 @@ def evaluate(records, params: ModelParams, model_cfg: ModelConfig, *,
     """The report of the records' risk curves (see report_from_curves) and
     the curves themselves, for export (see risk_curves).
 
-    The records may be any iterable; it is drawn once, in the chunks that
-    risk_curves scores, and of each video only its id, label, accident
-    frame and curve are kept. The frame rate is the first record's."""
+    The records may be any iterable; it is drawn once, here, in the chunks
+    that risk_curves scores (on worker processes with jobs > 1), and of
+    each video only its id, label, accident frame and curve are kept. The
+    frame rate is the first record's."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     records = iter(records)

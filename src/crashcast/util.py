@@ -6,6 +6,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import hashlib
+import itertools
 import os
 import tempfile
 
@@ -109,64 +110,47 @@ def atomic_write_text(path: str, text: str) -> str:
     return atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def map_in_order(fn, items, workers: int, processes: bool = False):
+def map_in_order(fn, items, workers: int):
     """Yield fn(item) for each item in order, each as soon as it and those
     before it are done.
 
-    With workers <= 1 the items run here, one after another; otherwise on a
-    pool of that many threads or, with processes, worker processes (fn and
-    the items must then pickle). Items are drawn only as results are
-    yielded, so that at most 2 * workers are drawn and not yet yielded and
+    With workers <= 1 the items run here, one after another. Otherwise the
+    first 2 * workers items are drawn and run on a pool of as many worker
+    processes as workers or as those items, whichever is fewer (fn and the
+    items must then pickle); a lone item runs here, as a pool of one would
+    only copy it to another process. One more item is drawn as each result
+    is yielded, so at most 2 * workers are drawn and not yet yielded and
     what is held does not grow with their number; an exception the
-    iterable raises comes out of this map where it is drawn. When the
-    process pool cannot start or breaks, threads run every item not yet
-    yielded, so each result is yielded exactly once and in order whatever
-    becomes of the pool."""
+    iterable raises comes out of this map where it is drawn. When the pool
+    cannot start or breaks, every item not yet yielded runs here, in order,
+    so each result is yielded exactly once whatever becomes of the pool."""
     items = iter(items)
     if workers <= 1:
         yield from map(fn, items)
         return
-    # imported only here: the pools load multiprocessing, which no --jobs 1
-    # command needs
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    end = object()
-    window = collections.deque()  # [item, future] drawn, not yet yielded
-    with contextlib.ExitStack() as pools:
-        pool = None
-        broken = ()  # what the pool raises when it fails, on a process pool
-
-        def to_threads():
-            nonlocal pool, broken
-            pool = pools.enter_context(ThreadPoolExecutor(max_workers=workers))
-            broken = ()
-            for entry in window:
-                entry[1] = pool.submit(fn, entry[0])
-
-        if processes:
-            broken = (OSError, BrokenProcessPool)
+    window = collections.deque(itertools.islice(items, 2 * workers))
+    if min(workers, len(window)) > 1:
+        # imported only here: the pool loads multiprocessing, which no
+        # --jobs 1 command needs
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        with contextlib.ExitStack() as pools:
             try:
-                pool = pools.enter_context(ProcessPoolExecutor(max_workers=workers))
+                pool = pools.enter_context(
+                    ProcessPoolExecutor(max_workers=min(workers, len(window))))
             except OSError:
-                to_threads()
-        else:
-            to_threads()
-        while True:
-            while len(window) < 2 * workers:
-                item = next(items, end)
-                if item is end:
-                    break
-                window.append([item, None])
+                pool = None
+            futures = collections.deque()  # of the window's first items
+            while pool and window:
                 try:
-                    window[-1][1] = pool.submit(fn, item)
-                except broken:
-                    to_threads()
-            if not window:
-                return
-            try:
-                result = window[0][1].result()
-            except broken:
-                to_threads()
-                continue
-            window.popleft()
-            yield result
+                    for item in itertools.islice(window, len(futures), None):
+                        futures.append(pool.submit(fn, item))
+                    result = futures.popleft().result()
+                except (OSError, BrokenProcessPool):
+                    break
+                window.popleft()
+                yield result
+                # drawn outside the try: an OSError the items raise is theirs
+                window.extend(itertools.islice(items, 1))
+    # what the pool did not yield, if it could not start or broke
+    yield from map(fn, itertools.chain(window, items))

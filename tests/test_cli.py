@@ -74,10 +74,12 @@ def test_gen_data_jobs_do_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gen_data_pool_has_one_worker_per_span(tmp_path, monkeypatch):
+def test_pools_start_no_more_workers_than_tasks(work, eval40, tmp_path,
+                                               monkeypatch):
     # the pool starts all its workers at once, so one sized at --jobs
-    # would start more processes than there are spans to run
-    # (cli imports the pool where it builds one, so the patch goes on the
+    # would start more processes than there are spans or chunks to run, and
+    # one for a single task would only copy it to another process
+    # (util imports the pool where it builds one, so the patch goes on the
     # name it imports)
     sizes = []
     pool = concurrent.futures.ProcessPoolExecutor
@@ -93,6 +95,15 @@ def test_gen_data_pool_has_one_worker_per_span(tmp_path, monkeypatch):
     assert main(["gen-data", "--count", "2", "--jobs", "8", "--out", str(b)]) == 0
     assert sizes == [2]
     assert a.read_bytes() == b.read_bytes()
+    # eval streams its chunks of 8, so the pool's width comes from the
+    # first window of 2 * --jobs chunks: one chunk starts none
+    eight = _cycled(work, tmp_path / "eight.jsonl", 8)
+    assert main(["eval", "--data", str(eight), "--checkpoint", str(work[2]),
+                 "--out", str(tmp_path / "r8.json"), "--jobs", "3"]) == 0
+    assert sizes == [2]
+    assert main(["eval", "--data", str(eval40), "--checkpoint", str(work[2]),
+                 "--out", str(tmp_path / "r40.json"), "--jobs", "2"]) == 0
+    assert sizes == [2, 2]
 
 
 def test_gen_data_missing_network_exits_2(tmp_path):
@@ -264,7 +275,7 @@ class _PoolThatCannotStart:
         raise OSError("cannot start a worker process")
 
 
-class _PoolThatBreaksAfterOneSpan:
+class _PoolThatBreaksAfterOneTask:
     """Runs the first task in this process, then fails as a pool does when a
     worker dies: every later task's future raises BrokenProcessPool."""
 
@@ -288,26 +299,41 @@ class _PoolThatBreaksAfterOneSpan:
 
 
 @pytest.mark.parametrize("pool", [_PoolThatCannotStart,
-                                  _PoolThatBreaksAfterOneSpan])
-def test_gen_data_pool_failure_falls_back_to_threads(tmp_path, monkeypatch,
-                                                     pool):
+                                  _PoolThatBreaksAfterOneTask])
+@pytest.mark.parametrize("command", ["gen-data", "eval"])
+def test_pool_failure_runs_the_rest_in_this_process(work, eval40, tmp_path,
+                                                    monkeypatch, command, pool):
+    # every span (gen-data) or chunk (eval) not yet written runs here, once
     made = []
-    real = cli._gen_span
+    if command == "gen-data":
+        module, name = cli, "_gen_span"
+        args = ["--count", "30"]
+        note = lambda task: made.append(task[4])  # the span's first index
+        # spans of ceil(30 / 3) = 10
+        expected = [0, 10, 20]
+    else:
+        module, name = traineval, "forward"
+        args = ["--data", str(eval40), "--checkpoint", str(work[2])]
+        note = lambda fb, *_: made.append(fb.batch_size)
+        expected = [8] * 5
+    real = getattr(module, name)
 
-    def recording(task):
-        made.append(task[4])  # the span's first index
-        return real(task)
+    def recording(*task):
+        note(*task)
+        return real(*task)
 
-    monkeypatch.setattr(cli, "_gen_span", recording)
-    a = tmp_path / "a.jsonl"
-    b = tmp_path / "b.jsonl"
-    assert main(["gen-data", "--count", "30", "--jobs", "1", "--out", str(a)]) == 0
+    monkeypatch.setattr(module, name, recording)
+    a = tmp_path / "a.out"
+    b = tmp_path / "b.out"
+    assert main([command, *args, "--jobs", "1", "--out", str(a)]) == 0
     made.clear()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    assert main(["gen-data", "--count", "30", "--jobs", "3", "--out", str(b)]) == 0
-    # spans of ceil(30 / 3) = 10; the threads resume after those written
-    assert sorted(made) == [0, 10, 20]
+    assert main([command, *args, "--jobs", "3", "--out", str(b)]) == 0
+    assert sorted(made) == expected
     assert a.read_bytes() == b.read_bytes()
+    if command == "eval":
+        assert (tmp_path / "a.out.curves.csv").read_bytes() == \
+            (tmp_path / "b.out.curves.csv").read_bytes()
 
 
 def test_gen_data_memory_is_flat_in_count(tmp_path, monkeypatch):
@@ -824,11 +850,19 @@ def test_train_resume_checkpoint_lacking_what_train_writes_exits_2(
         "prev.bin", "prev.bin.json", "prev.bin.log.csv"]
 
 
-@pytest.mark.parametrize("key", ["head.w1", "head.w2"])
+@pytest.mark.parametrize("key,expected", [
+    pytest.param(key, expected, id=key) for key, expected in (
+        ("head.w1", "non-finite gradient norm"),
+        ("head.w2", "non-finite gradient norm"),
+        # the forward (align.w1) or the backward pass (geom.a) overflows
+        # while the loss and the gradient norm stay finite
+        ("align.w1", "overflow encountered in multiply"),
+        ("geom.a", "overflow encountered in multiply"))])
 @pytest.mark.parametrize("value", [1e300, -1e300])
 def test_train_resume_huge_value_exits_3_naming_the_checkpoint(
-        work, tmp_path, capsys, key, value):
-    # finite, so every load check passes; the gradient norm then overflows
+        work, tmp_path, capsys, key, expected, value):
+    # finite, so every load check passes; training then overflows in the
+    # first step it takes
     prev = _resumable(work, tmp_path, "prev.bin")
     state = ad.load_checkpoint(str(prev))
     state[key].flat[0] = value
@@ -837,7 +871,7 @@ def test_train_resume_huge_value_exits_3_naming_the_checkpoint(
     code = main(_resume_args(work[1], prev, tmp_path / "x.bin"))
     assert code == 3
     err = _one_error_line(capsys)
-    assert f"resume checkpoint {prev}: non-finite gradient norm" in err, err
+    assert f"resume checkpoint {prev}: {expected} at step 5 (epoch 2)" in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "prev.bin", "prev.bin.json", "prev.bin.log.csv"]
 
@@ -1132,15 +1166,18 @@ def test_eval_byte_reproducible(work, tmp_path):
         (tmp_path / "b.json.curves.csv").read_bytes()
 
 
-def test_eval_jobs_do_not_change_bytes(work, tmp_path):
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_eval_jobs_do_not_change_bytes(work, tmp_path, jobs):
     _, data, ckpt = work
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
                  "--out", str(a)]) == 0
     assert main(["eval", "--data", str(data), "--checkpoint", str(ckpt),
-                 "--out", str(b), "--jobs", "2"]) == 0
+                 "--out", str(b), "--jobs", jobs]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "a.json.curves.csv").read_bytes() == \
+        (tmp_path / "b.json.curves.csv").read_bytes()
 
 
 def test_eval_threshold_out_of_range_exits_2(work, tmp_path):
@@ -1284,20 +1321,30 @@ def eval40(work, tmp_path_factory):
 def test_eval_bad_line_in_a_later_chunk_exits_3_and_writes_nothing(
         work, eval40, tmp_path, monkeypatch, jobs):
     # eval streams the dataset in chunks of 8, so the first four chunks are
-    # scored (or, with --jobs 2, already handed to a worker, whose window
-    # holds four) before line 40 is read; the report, the curves and the
-    # manifest are written only once every chunk is
+    # scored (or, with --jobs 2, already submitted to the worker processes,
+    # whose window holds four) before line 40 is read; the report, the
+    # curves and the manifest are written only once every chunk is
     lines = eval40.read_text().splitlines(keepends=True)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(lines[:39]) + lines[39][:len(lines[39]) // 2] + "\n")
     scored = []
-    real = traineval.forward
+    if jobs == "1":
+        real = traineval.forward
 
-    def counting(fb, *args):
-        scored.append(fb.batch_size)
-        return real(fb, *args)
+        def counting(fb, *args):
+            scored.append(fb.batch_size)
+            return real(fb, *args)
 
-    monkeypatch.setattr(traineval, "forward", counting)
+        monkeypatch.setattr(traineval, "forward", counting)
+    else:
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            # a worker process runs forward, so count what this one submits
+            def submit(self, fn, videos):
+                scored.append(len(videos))
+                return super().submit(fn, videos)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
     code, err = _eval_on(bad, work[2], tmp_path / "r.json", "--jobs", jobs)
     assert code == 3
     assert len(err) == 1 and err[0].startswith("crashcast: error:"), err
@@ -1630,10 +1677,12 @@ print(sorted(set(scenario.__all__) - set(names)))
 
 
 def test_train_and_eval_leave_the_synthesis_path_unloaded(work, tmp_path):
-    # only gen-data runs scenario synthesis; train and eval would otherwise
-    # compile its modules on every start without running them
+    # only gen-data runs scenario synthesis, and only --jobs > 1 a worker
+    # pool; train and eval at --jobs 1 would otherwise compile their
+    # modules on every start without running them
+    modules = _SYNTHESIS_MODULES + ("multiprocessing", "concurrent.futures.process")
     proc = subprocess.run(
-        [sys.executable, "-c", _TRAIN_AND_EVAL.format(_SYNTHESIS_MODULES),
+        [sys.executable, "-c", _TRAIN_AND_EVAL.format(modules),
          str(work[1]), str(tmp_path)],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr

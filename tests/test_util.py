@@ -1,6 +1,6 @@
 """Atomic writes: a whole new file or the old one, with the mode open()
-would give. The in-order map: a bounded window of items ahead. File hashes
-in a fixed buffer."""
+would give. The in-order map: a bounded window of items ahead, on worker
+processes. File hashes in a fixed buffer."""
 
 import hashlib
 import itertools
@@ -65,14 +65,17 @@ def test_map_in_order_draws_only_a_window_ahead(workers):
 
 
 def test_map_in_order_raises_what_the_items_raise_on_a_process_pool():
-    # an OSError from the items is theirs, not a pool that failed to start,
-    # so it is raised rather than the items being handed to threads
+    # an OSError from the items is theirs, not a pool that broke, so it is
+    # raised rather than the rest running in this process (where the
+    # finished iterable would end the map quietly). Four items fill the
+    # first window of two workers, so the pool is running when the fifth
+    # draw raises.
     def items():
-        yield -1
+        yield from range(-1, -5, -1)
         raise OSError("cannot read the next item")
 
     with pytest.raises(OSError, match="cannot read the next item"):
-        list(map_in_order(abs, items(), 2, processes=True))
+        list(map_in_order(abs, items(), 2))
 
 
 def test_sha256_file_hashes_in_a_fixed_buffer(tmp_path):
