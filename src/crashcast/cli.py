@@ -309,11 +309,9 @@ def _gen_span(task) -> tuple[bytes, int]:
     """The dataset lines of one contiguous index span, each serialized and
     ended by a newline, as UTF-8 bytes, and the span's count of positive
     scenarios. Worker processes run it, so it stays a module-level function
-    of one picklable task: (seed, count, ratio, network_text, lo, hi)."""
-    seed, count, ratio, network_text, lo, hi = task
-    roadnet, _ = _synthesis()
-    graph = (roadnet.parse_network(network_text)
-             if network_text is not None else None)
+    of one picklable task: (seed, count, ratio, graph, lo, hi), graph the
+    parsed --network or None for the preset maps."""
+    seed, count, ratio, graph, lo, hi = task
     lines, positives = [], 0
     for i in range(lo, hi):
         record = generate_one(seed, i, count, ratio, graph)[0]
@@ -339,7 +337,7 @@ def _run_gen_data(cfg: dict) -> int:
 
     roadnet, _ = _synthesis()
     inputs = {}
-    network_text = None
+    graph = None
     network = cfg["network"]
     if network:
         if not os.path.isfile(network):
@@ -348,19 +346,19 @@ def _run_gen_data(cfg: dict) -> int:
         with open(network, "rb") as fh:
             raw = fh.read()
         try:
-            network_text = raw.decode("utf-8")
+            text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"network file {network} is not UTF-8: "
                               f"{exc.reason} at byte {exc.start}")
         try:
-            roadnet.parse_network(network_text)
+            graph = roadnet.parse_network(text)
         except roadnet.NetworkError as exc:
             raise ConfigError(f"cannot parse network file {network}: {exc}")
 
     # spans of at most GEN_SPAN, and no more than ceil(count / jobs), so
     # every worker gets one
     span = min(GEN_SPAN, -(-count // jobs))
-    tasks = [(seed, count, ratio, network_text, lo, min(lo + span, count))
+    tasks = [(seed, count, ratio, graph, lo, min(lo + span, count))
              for lo in range(0, count, span)]
     n_pos = 0
     with atomic_writer(out) as fh:
@@ -582,7 +580,7 @@ def _run_train(cfg: dict) -> int:
                 f"resume checkpoint {cfg['resume']}: {exc}") from exc
         raise
 
-    state = dict(result.params.state_dict())
+    state = params.state_dict()
     state.update(result.opt_state)
     state["meta.epochs_done"] = np.array(float(train_cfg.epochs))
     outputs = {out: ad.save_checkpoint(out, state)}

@@ -32,7 +32,8 @@ _TAU_TEXT = 0.5
 
 @dataclass
 class FeatureBatch:
-    """Stacked per-video tensors; slot 0 is the frame-level feature.
+    """Stacked per-video tensors in record order, and the labels and accident
+    frames that train's losses read; slot 0 is the frame-level feature.
 
     The object axis is S wide, S <= the model's max_objects: build_features
     stores only as many object slots as the batch's fullest video fills, and
@@ -43,7 +44,6 @@ class FeatureBatch:
     mask: np.ndarray  # (B, T, S) bool, object slots only
     centers: np.ndarray  # (B, T, S, 2) pixel centers, zero where absent
     depths: np.ndarray  # (B, T, S) meters, zero where absent
-    video_ids: tuple[str, ...]
     labels: np.ndarray  # (B,) int, 1 for accident videos
     accident_frames: np.ndarray  # (B,) 1-based frame index, 0 for negatives
 
@@ -56,12 +56,8 @@ class FeatureBatch:
         return self.visual.shape[1]
 
     @property
-    def slots(self) -> int:
-        return self.visual.shape[2]
-
-    @property
     def objects(self) -> int:
-        return self.slots - 1
+        return self.visual.shape[2] - 1
 
     @property
     def feature_dim(self) -> int:
@@ -252,8 +248,7 @@ def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
     depths[vid_k, t_k, slot_k] = state_k[:, 6]
     labels = np.array([int(rec.positive) for rec in records], dtype=np.int64)
     lam = np.array([rec.accident_frame or 0 for rec in records], dtype=np.int64)
-    return FeatureBatch(visual, text, mask, centers, depths,
-                        tuple(r.id for r in records), labels, lam)
+    return FeatureBatch(visual, text, mask, centers, depths, labels, lam)
 
 
 def stack(batches) -> FeatureBatch:
@@ -276,7 +271,6 @@ def stack(batches) -> FeatureBatch:
 
     return FeatureBatch(
         *(padded(name) for name in ("visual", "text", "mask", "centers", "depths")),
-        tuple(vid for fb in batches for vid in fb.video_ids),
         np.concatenate([fb.labels for fb in batches]),
         np.concatenate([fb.accident_frames for fb in batches]))
 
@@ -398,19 +392,12 @@ def gated_fuse(x_vis, x_text, gate: FusionGate) -> Tensor:
     return ad.add(ad.mul(g, x_vis), ad.mul(ad.sub(1.0, g), x_text))
 
 
-@dataclass
-class EdgeWeightStack:
-    w_geo: Tensor
-    w_text: Tensor
-    w: Tensor
-
-
 def edge_weight_stack(centers, depths, mask, text_normalized, *,
-                      alpha, beta, slots=None) -> EdgeWeightStack:
-    """Full geometry/text/fused weight pipeline over (..., T, k, ...) data.
-    ``slots`` is the width O of the text row softmax (see text_weights)."""
+                      alpha, beta, slots=None) -> Tensor:
+    """The fused (..., T, k, k) edge weights of (..., T, k, ...) data:
+    fuse_weights of geo_weights and text_weights over its normalized
+    distance and velocity stacks and its pair mask. ``slots`` is the width O
+    of the text row softmax (see text_weights)."""
     _, _, dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask, _SCALE)
-    w_geo = geo_weights(dbar, vbar, alpha)
-    w_text = text_weights(text_normalized, _TAU_TEXT, pair, slots)
-    w = fuse_weights(w_geo, w_text, beta)
-    return EdgeWeightStack(w_geo, w_text, w)
+    return fuse_weights(geo_weights(dbar, vbar, alpha),
+                        text_weights(text_normalized, _TAU_TEXT, pair, slots), beta)

@@ -8,8 +8,6 @@ the records; the two alignment constants below are fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -17,13 +15,6 @@ from .autodiff import Tensor
 
 TAU_C = 0.1  # InfoNCE temperature
 NEIGHBOR_MASK_RADIUS = 2  # same-video frames this close leave the denominator
-
-
-@dataclass
-class LabeledBatch:
-    logits: Tensor  # (B, T, 2)
-    labels: np.ndarray  # (B,) in {0, 1}
-    accident_frames: np.ndarray  # (B,) 1-based onset; 0 for negatives
 
 
 def earliness_weights(labels, accident_frames, frames: int,
@@ -42,42 +33,46 @@ def earliness_weights(labels, accident_frames, frames: int,
     return w
 
 
-def frame_loss(batch: LabeledBatch, fps: int) -> Tensor:
-    """Mean over all B*T frames of cross entropy, with positive videos
-    reweighted by distance to the accident."""
-    b, t = batch.logits.shape[0], batch.logits.shape[1]
-    w = earliness_weights(batch.labels, batch.accident_frames, t, fps)
-    flat = ad.reshape(batch.logits, (b * t, 2))
-    targets = np.repeat(np.asarray(batch.labels, dtype=np.int64), t)
+def frame_loss(logits, labels, accident_frames, fps: int) -> Tensor:
+    """Mean over all B*T frames of the cross entropy of the (B, T, 2)
+    logits against each video's label (1 positive), with positive videos
+    reweighted by distance to their 1-based accident frame (see
+    earliness_weights)."""
+    b, t = logits.shape[0], logits.shape[1]
+    w = earliness_weights(labels, accident_frames, t, fps)
+    flat = ad.reshape(logits, (b * t, 2))
+    targets = np.repeat(np.asarray(labels, dtype=np.int64), t)
     ce = ad.cross_entropy_logits(flat, targets)
     return ad.tmean(ad.mul(ce, w.reshape(-1)))
 
 
-def _pool_lengths(batch: LabeledBatch, frames: int) -> np.ndarray:
+def _pool_lengths(labels, accident_frames, frames: int) -> np.ndarray:
     """Frames each item pools over: up to the accident frame for positives,
     the whole video for negatives."""
-    pools = np.full(len(batch.labels), frames, dtype=int)
-    for i, y in enumerate(np.asarray(batch.labels)):
+    pools = np.full(len(labels), frames, dtype=int)
+    for i, y in enumerate(np.asarray(labels)):
         if y == 1:
-            tau = int(batch.accident_frames[i])
+            tau = int(accident_frames[i])
             if tau < 1 or tau > frames:
                 raise ValueError("positive items need a 1-based accident frame")
             pools[i] = tau
     return pools
 
 
-def video_loss(batch: LabeledBatch) -> Tensor:
-    """Cross entropy at the most accident-confident frame within the pool
-    window (the onset for positives, the whole video for negatives); ties
-    resolve to the earliest frame."""
-    b, t = batch.logits.shape[0], batch.logits.shape[1]
-    pools = _pool_lengths(batch, t)
-    pos_logit = batch.logits.value[..., 1]
+def video_loss(logits, labels, accident_frames) -> Tensor:
+    """Mean over the B videos of the cross entropy of the (B, T, 2) logits
+    against the video's label (1 positive) at its most accident-confident
+    frame within the pool window: up to the 1-based accident frame for
+    positives, the whole video for negatives. Ties resolve to the earliest
+    frame."""
+    b, t = logits.shape[0], logits.shape[1]
+    pools = _pool_lengths(labels, accident_frames, t)
+    pos_logit = logits.value[..., 1]
     select = np.zeros((b, t, 1))
     for i in range(b):
         select[i, int(np.argmax(pos_logit[i, :pools[i]])), 0] = 1.0
-    chosen = ad.tsum(ad.mul(batch.logits, select), axis=1)
-    targets = np.asarray(batch.labels, dtype=np.int64)
+    chosen = ad.tsum(ad.mul(logits, select), axis=1)
+    targets = np.asarray(labels, dtype=np.int64)
     return ad.tmean(ad.cross_entropy_logits(chosen, targets))
 
 

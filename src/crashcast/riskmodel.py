@@ -158,9 +158,7 @@ class ModelParams:
 @dataclass
 class RiskOutput:
     logits: Tensor  # (B, T, 2)
-    probabilities: Tensor  # (B, T, 2)
     risk: Tensor  # (B, T) positive-class probability
-    h: Tensor  # (B, T, 2F)
 
 
 def adjacency(u, v) -> Tensor:
@@ -217,7 +215,9 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
     """Run the full network over a feature batch whose absent object slots
     carry zero features, centers and depths. The batch may hold any number
     S <= O of object slots; slots past S are absent, as if padded with +0.0
-    to O, so the result is the same either way.
+    to O, so the result is the same either way. Returns the logits, which
+    train's losses read, and the risk curve (their softmax's class 1), which
+    eval reads.
 
     The graph layers run on the k = used_slots(mask) leading object slots
     and pool what the same equations give at the full width O, up to
@@ -248,7 +248,7 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
     text_norm = np.divide(text_obj, norm, out=np.zeros_like(text_obj),
                           where=norm > 0)
     alpha, beta = params.geometry.alpha, params.gate_obj.beta
-    stack = edge_weight_stack(
+    w = edge_weight_stack(
         batch.centers[:, :, :k], batch.depths[:, :, :k], mask, text_norm,
         alpha=alpha, beta=beta, slots=o)
     # edge weights at (present, absent) pairs and on absent rows
@@ -261,10 +261,10 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
     psi_in, psi_out = params.psi
     h_nodes = gcn_layer(
         h_nodes, ad.narrow(a_tilde, (slice(None), slice(0, k))),
-        _pad(stack.w, w_absent_row, lead + (o - k, k), -2), psi_in)
+        _pad(w, w_absent_row, lead + (o - k, k), -2), psi_in)
     h_nodes = gcn_layer(
         h_nodes, ad.narrow(a_tilde, (slice(0, k), slice(None))),
-        _pad(stack.w, w_to_absent, lead + (k, o - k), -1), psi_out)
+        _pad(w, w_to_absent, lead + (k, o - k), -1), psi_out)
     pooled = pool_nodes(h_nodes, mask)
 
     f_fuse = gated_fuse(batch.visual[:, :, 0], batch.text[:, :, 0],
@@ -281,9 +281,8 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
 
     inner = ad.relu(ad.add(ad.matmul(h_all, params.head_w1), params.head_b1))
     logits = ad.add(ad.matmul(inner, params.head_w2), params.head_b2)
-    probs = ad.softmax_lastdim(logits)
-    risk = ad.narrow(probs, (slice(None), slice(None), 1))
-    return RiskOutput(logits, probs, risk, h_all)
+    risk = ad.narrow(ad.softmax_lastdim(logits), (slice(None), slice(None), 1))
+    return RiskOutput(logits, risk)
 
 
 def align_project(params: ModelParams, x) -> Tensor:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .features import FeatureBatch, build_features, stack
-from .losses import LabeledBatch, align_loss, frame_loss, total_loss, video_loss
+from .losses import align_loss, frame_loss, total_loss, video_loss
 from .riskmodel import ModelConfig, ModelParams, align_project, forward, used_slots
 from .util import map_in_order, stable_u64, stream_rng
 
@@ -114,10 +114,9 @@ def split_dataset(records):
 
 def _batch_losses(fb: FeatureBatch, params: ModelParams, model_cfg: ModelConfig,
                   frames: int, fps: int):
-    out = forward(fb, params, model_cfg)
-    labeled = LabeledBatch(out.logits, fb.labels, fb.accident_frames)
-    l1 = frame_loss(labeled, fps)
-    l2 = video_loss(labeled)
+    logits = forward(fb, params, model_cfg).logits
+    l1 = frame_loss(logits, fb.labels, fb.accident_frames, fps)
+    l2 = video_loss(logits, fb.labels, fb.accident_frames)
     l3 = align_loss(align_project(params, fb.visual[:, :, 0]),
                     align_project(params, fb.text[:, :, 0]))
     return l1, l2, l3, total_loss(l1, l2, l3, float(frames))
@@ -125,7 +124,6 @@ def _batch_losses(fb: FeatureBatch, params: ModelParams, model_cfg: ModelConfig,
 
 @dataclass
 class TrainResult:
-    params: ModelParams
     log: list[dict]  # rows: step, epoch, split, L1, L2, L3, L
     opt_state: dict[str, np.ndarray]
     final_loss: float
@@ -134,10 +132,11 @@ class TrainResult:
 def train(records, params: ModelParams, model_cfg: ModelConfig,
           train_cfg: TrainConfig, *, val_records=None, start_epoch: int = 0,
           opt_state: dict | None = None) -> TrainResult:
-    """Minimize the total loss over the records; deterministic given the
-    seed (the per-epoch shuffle is derived from (seed, epoch), so resuming
-    at an epoch boundary replays the uninterrupted schedule). The training
-    records' frame count and rate set the loss for validation too.
+    """Minimize the total loss over the records, updating params in place;
+    deterministic given the seed (the per-epoch shuffle is derived from
+    (seed, epoch), so resuming at an epoch boundary replays the
+    uninterrupted schedule). The training records' frame count and rate set
+    the loss for validation too.
 
     The features of every training and validation video are built once
     (see _video_batches), as one batch per video at that video's own slot
@@ -202,7 +201,7 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
         # a huge but finite weight or Adam moment (a resumed checkpoint can
         # hold one) can overflow in a pass yet leave the loss and norm finite
         raise TrainingDivergedError(f"{exc} at step {step} (epoch {epoch})") from exc
-    return TrainResult(params, rows, opt.state_dict(), last)
+    return TrainResult(rows, opt.state_dict(), last)
 
 
 def _video_batches(records, model_cfg: ModelConfig) -> list[FeatureBatch]:
@@ -220,8 +219,7 @@ def _video_batches(records, model_cfg: ModelConfig) -> list[FeatureBatch]:
             videos.append(FeatureBatch(
                 *(arr[one, :, :k + 1].copy() for arr in (fb.visual, fb.text)),
                 *(arr[one, :, :k].copy() for arr in (fb.mask, fb.centers, fb.depths)),
-                fb.video_ids[one], fb.labels[one].copy(),
-                fb.accident_frames[one].copy()))
+                fb.labels[one].copy(), fb.accident_frames[one].copy()))
     return videos
 
 

@@ -16,7 +16,6 @@ from crashcast.autodiff import grad_check
 from crashcast.cli import main as cli_main
 from crashcast.features import geo_weights
 from crashcast.losses import (
-    LabeledBatch,
     align_loss,
     earliness_weights,
     frame_loss,
@@ -241,10 +240,9 @@ def test_criterion_05_end_to_end_gradient_matches_finite_differences():
     params = ModelParams.init(model_cfg, rng)
 
     def total():
-        out = forward(batch, params, model_cfg)
-        labeled = LabeledBatch(out.logits, batch.labels, batch.accident_frames)
-        l1 = frame_loss(labeled, fps=10)
-        l2 = video_loss(labeled)
+        logits = forward(batch, params, model_cfg).logits
+        l1 = frame_loss(logits, batch.labels, batch.accident_frames, fps=10)
+        l2 = video_loss(logits, batch.labels, batch.accident_frames)
         l3 = align_loss(align_project(params, batch.visual[:, :, 0]),
                         align_project(params, batch.text[:, :, 0]))
         return total_loss(l1, l2, l3, 10.0)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import crashcast
 from crashcast import autodiff as ad
-from crashcast import cli, traineval
+from crashcast import cli, roadnet, traineval
 from crashcast.cli import _DEFAULTS, GEN_SPAN, main
 from crashcast.riskmodel import ModelConfig, ModelParams
 from crashcast.scenario import GenerationError, generate_one, read_dataset
@@ -122,6 +122,26 @@ def test_gen_data_network_file_used_for_negatives(tmp_path):
     manifest = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
     assert str(net) in manifest["inputs"]
     assert len(read_dataset(out)) == 4
+
+
+def test_gen_data_parses_the_network_once(tmp_path, monkeypatch):
+    # the spans share the parsed graph (and its route cache) instead of
+    # each parsing the file's text again
+    net = tmp_path / "net.txt"
+    net.write_text(multilane_map_xml())
+    calls = []
+    parse = roadnet.parse_network
+
+    def counting(text):
+        calls.append(len(text))
+        return parse(text)
+
+    monkeypatch.setattr(roadnet, "parse_network", counting)
+    count = 2 * GEN_SPAN + 1  # three spans
+    assert main(["gen-data", "--network", str(net), "--count", str(count),
+                 "--positive-ratio", "0.0", "--jobs", "1",
+                 "--out", str(tmp_path / "d.jsonl")]) == 0
+    assert calls == [len(multilane_map_xml())]
 
 
 _MAP = multilane_map_xml().encode()

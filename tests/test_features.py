@@ -468,7 +468,7 @@ def test_build_features_shapes_and_mask():
     assert 1 <= width <= 5
     assert batch.visual.shape == (6, records[0].frames, 1 + width, 16)
     assert batch.text.shape == batch.visual.shape
-    assert batch.objects == batch.slots - 1 == width
+    assert batch.objects == width
     assert batch.mask.shape == batch.depths.shape == batch.centers.shape[:-1]
     assert batch.mask.shape == (6, records[0].frames, width)
     # the widest video fills the last stored slot
@@ -681,7 +681,6 @@ def test_build_features_is_bit_equal_to_the_per_video_reference(feature_dim,
             assert np.array_equal(have, arr), name
             # bytes, so the -0.0 of unfilled visual slots is compared too
             assert have.tobytes() == arr.tobytes(), name
-        assert got.video_ids == tuple(r.id for r in batch)
         seen_negative_zero |= bool(np.signbit(want["visual"][want["visual"] == 0.0]).any())
     assert seen_negative_zero
 
@@ -710,18 +709,20 @@ def test_edge_weight_stack_end_to_end():
     norm = np.linalg.norm(text_obj, axis=-1, keepdims=True)
     text_norm = np.divide(text_obj, norm, out=np.zeros_like(text_obj),
                           where=norm > 0)
-    stack = edge_weight_stack(batch.centers, batch.depths, batch.mask,
-                              text_norm, alpha=0.5, beta=0.0)
-    w = stack.w.value
+    w = edge_weight_stack(batch.centers, batch.depths, batch.mask,
+                          text_norm, alpha=0.5, beta=0.0).value
     assert w.shape == (2, batch.frames, batch.objects, batch.objects)
     assert batch.objects <= 4
     assert np.all(np.isfinite(w))
-    mid = 0.5 * (stack.w_geo.value + stack.w_text.value)
-    assert np.allclose(w, mid, atol=1e-12)
+    _, _, dbar, vbar, pair = distance_velocity_stacks(
+        batch.centers, batch.depths, batch.mask, 1.0 / 1280.0)
+    w_geo = geo_weights(dbar, vbar, 0.5).value
+    w_text = text_weights(text_norm, 0.5, pair).value
+    assert np.allclose(w, 0.5 * (w_geo + w_text), atol=1e-12)
 
     # alpha 0 and a saturated beta leave the velocity term, as printed
     velocity = edge_weight_stack(batch.centers, batch.depths, batch.mask,
                                  text_norm, alpha=0.0, beta=-50.0)
     vbar = distance_velocity_stacks(batch.centers, batch.depths, batch.mask,
                                     1.0 / 1280.0)[3]
-    assert np.allclose(velocity.w.value, vbar, atol=1e-9)
+    assert np.allclose(velocity.value, vbar, atol=1e-9)

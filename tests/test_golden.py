@@ -38,10 +38,11 @@ _OBJECT_AXIS = ("visual", "text", "mask", "centers", "depths")
 _MAX_OBJECTS = 19
 
 
-def _features_digest(batch) -> str:
+def _features_digest(batch, ids) -> str:
     """The digest of the arrays padded on the object axis with +0.0 (False
-    for the mask) to max_objects slots, the width they were recorded at;
-    build_features stores only the slots the batch uses."""
+    for the mask) to max_objects slots, the width they were recorded at
+    (build_features stores only the slots the batch uses), then of the
+    videos' ids."""
     h = hashlib.sha256()
     for name in _ARRAYS:
         arr = getattr(batch, name)
@@ -50,7 +51,7 @@ def _features_digest(batch) -> str:
             arr = np.pad(arr, [(0, 0), (0, 0), (0, pad)] + [(0, 0)] * (arr.ndim - 3))
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
         h.update(arr.tobytes())
-    h.update(",".join(batch.video_ids).encode())
+    h.update(",".join(ids).encode())
     return h.hexdigest()
 
 
@@ -62,8 +63,9 @@ def test_gen_data_and_features_match_recorded_digests(tmp_path, count, seed, job
     assert main(["gen-data", "--count", str(count), "--positive-ratio", "0.5",
                  "--seed", str(seed), "--jobs", str(jobs), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == gen_sha256
-    batch = build_features(read_dataset(str(out)), 32, _MAX_OBJECTS)
-    assert _features_digest(batch) == features_sha256
+    records = read_dataset(str(out))
+    batch = build_features(records, 32, _MAX_OBJECTS)
+    assert _features_digest(batch, [r.id for r in records]) == features_sha256
 
 
 # (count, seed, batch size, checkpoint sha256) of one epoch at --feature-dim 8
@@ -123,3 +125,25 @@ def test_eval_outputs_match_recorded_digests(golden_run):
     got = tuple(hashlib.sha256((golden_run / name).read_bytes()).hexdigest()
                 for name in ("r.json", "r.csv"))
     assert got == GOLDEN_EVAL
+
+
+# sha256 of the checkpoint and of the log that a --resume to 2 epochs writes,
+# continuing the golden dataset's 1-epoch run; both runs score the dataset as
+# --val-data too, so the log holds validation rows from each run
+GOLDEN_RESUME = ("4cca2cb139f0508769b13cb6c6a5296a629163b0bd8eba8f86df758467080ddf",
+                 "5de0e095fb2abc930cc0d7413bad28b0949aaf8bb005a7673a178f533599a98d")
+
+
+def test_validation_and_resume_match_recorded_digests(golden_run, tmp_path):
+    _, seed, batch_size, _ = GOLDEN_CHECKPOINT
+    data = str(golden_run / "d.jsonl")
+    common = ["--data", data, "--val-data", data, "--seed", str(seed),
+              "--batch-size", str(batch_size), "--feature-dim", "8",
+              "--max-objects", "4"]
+    first, last = tmp_path / "one.ckpt", tmp_path / "two.ckpt"
+    assert main(["train", *common, "--epochs", "1", "--out", str(first)]) == 0
+    assert main(["train", *common, "--epochs", "2", "--resume", str(first),
+                 "--out", str(last)]) == 0
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in (last, tmp_path / "two.ckpt.log.csv"))
+    assert got == GOLDEN_RESUME

@@ -8,7 +8,6 @@ from crashcast.autodiff import Parameter, Tape, grad_check
 from crashcast.losses import (
     NEIGHBOR_MASK_RADIUS,
     TAU_C,
-    LabeledBatch,
     align_loss,
     earliness_weights,
     frame_loss,
@@ -18,8 +17,9 @@ from crashcast.losses import (
 
 
 def _batch(logits, labels, taus):
-    return LabeledBatch(ad.as_tensor(np.asarray(logits, dtype=float)),
-                        np.asarray(labels), np.asarray(taus))
+    """The (logits, labels, accident frames) arguments of the two losses."""
+    return (ad.as_tensor(np.asarray(logits, dtype=float)), np.asarray(labels),
+            np.asarray(taus))
 
 
 # --- earliness weights -------------------------------------------------------
@@ -50,7 +50,7 @@ def test_frame_loss_negative_video_is_plain_mean_ce():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(2, 5, 2))
     batch = _batch(logits, [0, 0], [0, 0])
-    got = frame_loss(batch, fps=10).item()
+    got = frame_loss(*batch, fps=10).item()
     flat = logits.reshape(-1, 2)
     lse = np.log(np.exp(flat).sum(axis=-1))
     want = float(np.mean(lse - flat[:, 0]))
@@ -59,14 +59,14 @@ def test_frame_loss_negative_video_is_plain_mean_ce():
 
 def test_frame_loss_positive_weighting_hand_case():
     batch = _batch(np.zeros((1, 3, 2)), [1], [3])
-    got = frame_loss(batch, fps=10).item()
+    got = frame_loss(*batch, fps=10).item()
     want = math.log(2.0) * (math.exp(-0.1) + 1.0 + 1.0) / 3.0
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_frame_loss_requires_tau_for_positives():
     with pytest.raises(ValueError):
-        frame_loss(_batch(np.zeros((1, 4, 2)), [1], [0]), fps=10)
+        frame_loss(*_batch(np.zeros((1, 4, 2)), [1], [0]), fps=10)
 
 
 # --- video loss --------------------------------------------------------------
@@ -74,7 +74,7 @@ def test_frame_loss_requires_tau_for_positives():
 def test_video_loss_pool_of_one_is_first_frame_ce():
     # a positive whose accident is on frame 1 pools over that frame alone
     batch = _batch([[[2.0, 0.0], [0.0, 5.0]]], [1], [1])
-    got = video_loss(batch).item()
+    got = video_loss(*batch).item()
     assert got == pytest.approx(math.log(1.0 + math.exp(2.0)), abs=1e-12)
 
 
@@ -82,12 +82,12 @@ def test_video_loss_saturated_frame_is_near_zero():
     logits = np.zeros((1, 4, 2))
     logits[0, 2, 1] = 50.0
     batch = _batch(logits, [1], [4])
-    assert video_loss(batch).item() <= 1e-9
+    assert video_loss(*batch).item() <= 1e-9
 
 
 def test_video_loss_tie_picks_earliest_frame():
     batch = _batch([[[0.0, 0.0], [1.0, 0.0]]], [1], [2])
-    got = video_loss(batch).item()
+    got = video_loss(*batch).item()
     assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -95,10 +95,10 @@ def test_video_loss_pool_window_per_item():
     logits = np.zeros((1, 4, 2))
     logits[0, 3, 1] = 50.0  # confident frame after the onset
     pos = _batch(logits, [1], [2])
-    assert video_loss(pos).item() == pytest.approx(math.log(2.0), abs=1e-12)
+    assert video_loss(*pos).item() == pytest.approx(math.log(2.0), abs=1e-12)
     neg = _batch(logits, [0], [0])
     # the negative pools over the whole video and pays for the spike
-    assert video_loss(neg).item() > 10.0
+    assert video_loss(*neg).item() > 10.0
 
 
 # --- alignment loss ----------------------------------------------------------
@@ -219,8 +219,8 @@ def test_loss_terms_are_nonnegative():
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(4, 6, 2)) * 3
     batch = _batch(logits, [1, 0, 1, 0], [4, 0, 6, 0])
-    l1 = frame_loss(batch, fps=10)
-    l2 = video_loss(batch)
+    l1 = frame_loss(*batch, fps=10)
+    l2 = video_loss(*batch)
     v = rng.normal(size=(4, 6, 4))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     x = rng.normal(size=(4, 6, 4))
@@ -239,10 +239,10 @@ def test_frame_and_video_loss_gradients_match_fd():
     taus = np.array([3, 0])
 
     def f1():
-        return frame_loss(LabeledBatch(logits, labels, taus), fps=10)
+        return frame_loss(logits, labels, taus, fps=10)
 
     def f2():
-        return video_loss(LabeledBatch(logits, labels, taus))
+        return video_loss(logits, labels, taus)
 
     assert grad_check(f1, [logits], rng=rng) < 1e-6
     assert grad_check(f2, [logits], rng=rng) < 1e-6

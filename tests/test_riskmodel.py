@@ -46,8 +46,7 @@ def random_batch(b, t, o, f, rng, holes=True, used=None):
     depths[absent] = 0.0
     labels = np.asarray(rng.integers(0, 2, b))
     lam = np.where(labels == 1, rng.integers(2, t + 1, b), 0)
-    return FeatureBatch(visual, text, mask, centers, depths,
-                        tuple(f"v{i}" for i in range(b)), labels, lam)
+    return FeatureBatch(visual, text, mask, centers, depths, labels, lam)
 
 
 # --- adjacency ---------------------------------------------------------------
@@ -136,7 +135,7 @@ def test_forward_zero_params_is_uniform():
     batch = random_batch(2, 5, 2, 4, rng)
     out = forward(batch, params, cfg)
     assert np.allclose(out.risk.value, 0.5, atol=1e-12)
-    assert np.allclose(out.probabilities.value.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.all(out.logits.value == 0.0)
 
 
 def test_forward_shapes_and_probability_rows():
@@ -147,8 +146,9 @@ def test_forward_shapes_and_probability_rows():
     out = forward(batch, params, cfg)
     assert out.logits.shape == (3, 6, 2)
     assert out.risk.shape == (3, 6)
-    assert out.h.shape == (3, 6, 8)
-    assert np.abs(out.probabilities.value.sum(axis=-1) - 1.0).max() < 1e-9
+    logits = out.logits.value
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    assert np.abs(out.risk.value - e[..., 1] / e.sum(axis=-1)).max() <= 1e-12
     assert np.all(out.risk.value >= 0.0) and np.all(out.risk.value <= 1.0)
 
 
@@ -190,8 +190,7 @@ def test_forward_permutation_consistency():
         np.concatenate([batch.visual[:, :, :1], batch.visual[:, :, 1:][:, :, perm]], axis=2),
         np.concatenate([batch.text[:, :, :1], batch.text[:, :, 1:][:, :, perm]], axis=2),
         batch.mask[:, :, perm], batch.centers[:, :, perm],
-        batch.depths[:, :, perm], batch.video_ids, batch.labels,
-        batch.accident_frames)
+        batch.depths[:, :, perm], batch.labels, batch.accident_frames)
     params2 = ModelParams.init(cfg, np.random.default_rng(6))
     params2.u.value[...] = params.u.value[perm][:, perm]
     params2.v.value[...] = params.v.value[perm][:, perm]
@@ -383,7 +382,7 @@ def test_video_risk_does_not_depend_on_its_batch_width():
     wide = random_batch(1, 6, 6, 4, rng, used=6)
     pair = FeatureBatch(*(np.concatenate([x, y]) for x, y in zip(
         dataclasses.astuple(narrow)[:5], dataclasses.astuple(wide)[:5])),
-        ("narrow", "wide"), np.array([0, 1]), np.array([0, 4]))
+        np.array([0, 1]), np.array([0, 4]))
     alone = forward(narrow, params, cfg).risk.value[0]
     beside = forward(pair, params, cfg).risk.value[0]
     assert np.abs(alone - beside).max() <= 1e-12
@@ -397,7 +396,7 @@ def test_forward_on_a_narrow_batch_equals_the_zero_padded_batch():
     padded = FeatureBatch(
         *(np.pad(x, [(0, 0), (0, 0), (0, 3)] + [(0, 0)] * (x.ndim - 3))
           for x in dataclasses.astuple(narrow)[:5]),
-        narrow.video_ids, narrow.labels, narrow.accident_frames)
+        narrow.labels, narrow.accident_frames)
     assert padded.objects == cfg.max_objects
     a, b = forward(narrow, params, cfg), forward(padded, params, cfg)
     assert np.array_equal(a.logits.value, b.logits.value)
