@@ -45,41 +45,56 @@ class OptionError(ConfigError):
         self.key, self.text = key, text
 
 
-_GEN_DEFAULTS = {
-    "network": None,
-    "count": 100,
-    "positive_ratio": 0.5,
-    "seed": 0,
-    "out": None,
-    "jobs": 1,
-    "force": False,
+# Each command's help line and options, in --help order. An option is its
+# config key, its default and its help text; its flag is the key with dashes
+# for underscores. A False default makes a switch, a None default (a path) a
+# string flag, and any other default a flag of its type. --config comes just
+# before --force.
+_COMMANDS = {
+    "gen-data": ("synthesize a scenario dataset", (
+        ("network", None, "road network file; overrides the preset map for "
+                          "negative scenarios"),
+        ("count", 100, "number of scenarios"),
+        ("positive_ratio", 0.5, "fraction of accident scenarios, in [0, 1]"),
+        ("seed", 0, None),
+        ("out", None, "output dataset path (JSON lines)"),
+        ("jobs", 1, "parallel workers; output is identical for any value"),
+        ("force", False, "overwrite existing outputs"),
+    )),
+    "train": ("train the risk model on a dataset", (
+        ("data", None, "training dataset (JSON lines)"),
+        ("val_data", None, "optional validation dataset"),
+        ("epochs", TrainConfig.epochs, None),
+        ("seed", TrainConfig.seed, None),
+        ("out", None, "checkpoint path; a config sidecar <out>.json and log "
+                      "<out>.log.csv are written next to it"),
+        ("resume", None, "checkpoint to continue from; its <resume>.json "
+                         "sidecar must match every setting but --epochs, and "
+                         "its <resume>.log.csv log is continued"),
+        ("learning_rate", TrainConfig.learning_rate, None),
+        ("batch_size", TrainConfig.batch_size, None),
+        ("feature_dim", ModelConfig.feature_dim, None),
+        ("max_objects", ModelConfig.max_objects, None),
+        ("force", False, None),
+    )),
+    "eval": ("evaluate a checkpoint on a dataset", (
+        ("data", None, "evaluation dataset (JSON lines)"),
+        ("checkpoint", None, "model checkpoint (expects the <checkpoint>.json "
+                             "sidecar)"),
+        ("out", None, "report JSON path"),
+        ("curves", None, "risk-curve CSV path (default: <out>.curves.csv)"),
+        ("threshold", 0.5, "trigger threshold in [0, 1]"),
+        ("jobs", 1, "worker processes; output is identical for any value"),
+        ("force", False, None),
+    )),
 }
 
-_TRAIN_DEFAULTS = {
-    "data": None,
-    "val_data": None,
-    "out": None,
-    "resume": None,
-    **dataclasses.asdict(TrainConfig()),
-    **dataclasses.asdict(ModelConfig()),
-    "force": False,
-}
+_DEFAULTS = {command: {key: default for key, default, _ in options}
+             for command, (_, options) in _COMMANDS.items()}
 
-_EVAL_DEFAULTS = {
-    "data": None,
-    "checkpoint": None,
-    "out": None,
-    "curves": None,
-    "threshold": 0.5,
-    "jobs": 1,
-    "force": False,
-}
 
-_DEFAULTS = {
-    "gen-data": _GEN_DEFAULTS,
-    "train": _TRAIN_DEFAULTS,
-    "eval": _EVAL_DEFAULTS,
-}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,53 +105,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"crashcast {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen-data", help="synthesize a scenario dataset")
-    g.add_argument("--network", help="road network file; overrides the "
-                                     "preset map for negative scenarios")
-    g.add_argument("--count", type=int, help="number of scenarios")
-    g.add_argument("--positive-ratio", type=float,
-                   help="fraction of accident scenarios, in [0, 1]")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out", help="output dataset path (JSON lines)")
-    g.add_argument("--jobs", type=int, help="parallel workers; output is "
-                                            "identical for any value")
-    g.add_argument("--config", help="JSON config file")
-    g.add_argument("--force", action="store_true", default=None,
-                   help="overwrite existing outputs")
-
-    t = sub.add_parser("train", help="train the risk model on a dataset")
-    t.add_argument("--data", help="training dataset (JSON lines)")
-    t.add_argument("--val-data", help="optional validation dataset")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--out", help="checkpoint path; a config sidecar "
-                                 "<out>.json and log <out>.log.csv are "
-                                 "written next to it")
-    t.add_argument("--resume", help="checkpoint to continue from; its "
-                                    "<resume>.json sidecar must match every "
-                                    "setting but --epochs, and its "
-                                    "<resume>.log.csv log is continued")
-    t.add_argument("--learning-rate", type=float)
-    t.add_argument("--batch-size", type=int)
-    t.add_argument("--feature-dim", type=int)
-    t.add_argument("--max-objects", type=int)
-    t.add_argument("--config", help="JSON config file")
-    t.add_argument("--force", action="store_true", default=None)
-
-    e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    e.add_argument("--data", help="evaluation dataset (JSON lines)")
-    e.add_argument("--checkpoint", help="model checkpoint (expects the "
-                                        "<checkpoint>.json sidecar)")
-    e.add_argument("--out", help="report JSON path")
-    e.add_argument("--curves", help="risk-curve CSV path "
-                                    "(default: <out>.curves.csv)")
-    e.add_argument("--threshold", type=float,
-                   help="trigger threshold in [0, 1]")
-    e.add_argument("--jobs", type=int, help="worker processes; output is "
-                                            "identical for any value")
-    e.add_argument("--config", help="JSON config file")
-    e.add_argument("--force", action="store_true", default=None)
+    for command, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key, default, text in options:
+            if key == "force":
+                p.add_argument("--config", help="JSON config file")
+            if default is False:
+                p.add_argument(_flag(key), action="store_true", default=None,
+                               help=text)
+            elif default is None:
+                p.add_argument(_flag(key), help=text)
+            else:
+                p.add_argument(_flag(key), type=type(default), help=text)
     return parser
 
 
@@ -219,7 +199,7 @@ def _resolve(command: str, args: argparse.Namespace) -> tuple[dict, set]:
 
 def _require(cfg: dict, key: str, command: str):
     if cfg[key] in (None, ""):
-        raise ConfigError(f"{command} requires --{key.replace('_', '-')}")
+        raise ConfigError(f"{command} requires {_flag(key)}")
     return cfg[key]
 
 
@@ -356,10 +336,11 @@ def _run_gen_data(cfg: dict) -> int:
             raise ConfigError(f"cannot parse network file {network}: {exc}")
 
     # spans of at most GEN_SPAN, and no more than ceil(count / jobs), so
-    # every worker gets one
+    # every worker gets one; drawn as map_in_order needs them, so what is
+    # held does not grow with --count
     span = min(GEN_SPAN, -(-count // jobs))
-    tasks = [(seed, count, ratio, graph, lo, min(lo + span, count))
-             for lo in range(0, count, span)]
+    tasks = ((seed, count, ratio, graph, lo, min(lo + span, count))
+             for lo in range(0, count, span))
     n_pos = 0
     with atomic_writer(out) as fh:
         for lines, positives in map_in_order(_gen_span, tasks, jobs):
@@ -491,13 +472,14 @@ def _run_train(cfg: dict) -> int:
 
     val_records = None
     if cfg["val_data"]:
+        if os.path.isfile(cfg["val_data"]):
+            inputs[cfg["val_data"]] = sha256_file(cfg["val_data"])
         val_records = _read_records(cfg["val_data"], "validation dataset")
         val_frames, val_fps = val_records[0].frames, val_records[0].fps
         if (val_frames, val_fps) != (frames, fps):
             raise ValueError(
                 f"validation dataset {cfg['val_data']}: frames {val_frames} and "
                 f"fps {val_fps} differ from the training data's {frames} and {fps}")
-        inputs[cfg["val_data"]] = sha256_file(cfg["val_data"])
 
     try:
         options = dict(cfg, learning_rate=float(cfg["learning_rate"]))
@@ -566,8 +548,9 @@ def _run_train(cfg: dict) -> int:
                 f"resume checkpoint {resume}: opt.step is {step!r}, "
                 f"expected a whole number >= 0")
         step = int(step)
+        if os.path.isfile(prev_log):
+            inputs[prev_log] = sha256_file(prev_log)
         log_lines = _previous_log(prev_log, start_epoch, step)
-        inputs[prev_log] = sha256_file(prev_log)
 
     try:
         result = train(records, params, model_cfg, train_cfg,
@@ -691,7 +674,7 @@ def main(argv=None) -> int:
         return _RUNNERS[args.command](cfg)
     except OptionError as exc:
         where = (f"config file {args.config}: {exc.key}" if exc.key in from_file
-                 else f"--{exc.key.replace('_', '-')}")
+                 else _flag(exc.key))
         print(f"crashcast: error: {where} {exc.text}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -184,7 +184,8 @@ def gcn_layer(h, a_tilde, w_t, psi) -> Tensor:
     softmax is uniform over the O slots, and (1 - lambda) alpha at a
     (present, absent) pair. Absent slots carry zero embeddings into the
     first layer, but leave it nonzero and feed the second layer's present
-    rows (ROADMAP item 1 removes this)."""
+    rows. The change that keeps absent slots out of the graph (w masked to
+    present pairs, both layers on the present block) removes this."""
     return ad.relu(ad.matmul(ad.bmm(ad.mul(w_t, a_tilde), h), psi))
 
 
