@@ -40,7 +40,8 @@ _next_uid = itertools.count().__next__
 
 class Tensor:
     """Immutable-by-convention wrapper around a float64 ndarray, with a
-    serial uid that the tape keys it by."""
+    serial uid that the tape keys it by. A Tensor built directly is a
+    constant: no tape records it, so it never receives gradient."""
 
     __slots__ = ("value", "uid")
 
@@ -178,11 +179,6 @@ def _record(out: Tensor, inputs: Sequence[Tensor], grad_fns) -> Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def constant(x) -> Tensor:
-    """Tensor that never receives gradient (stop-gradient wrapper)."""
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -433,7 +429,7 @@ def l2_normalize_lastdim(a) -> Tensor:
     """
     a = as_tensor(a)
     sq = tsum(mul(a, a), axis=-1, keepdims=True)
-    return div(a, sqrt(add(sq, constant(1e-24))))
+    return div(a, sqrt(add(sq, Tensor(1e-24))))
 
 
 def gru_sequence(x, w_ih, w_hh, b_ih, b_hh) -> Tensor:
@@ -525,7 +521,7 @@ def causal_dilated_conv1d(x, weight, bias, dilation: int) -> Tensor:
     k = weight.shape[0]
     t_len = x.shape[-2]
     pad_shape = x.shape[:-2] + ((k - 1) * dilation, x.shape[-1])
-    padded = concat([constant(np.zeros(pad_shape)), x], axis=-2)
+    padded = concat([Tensor(np.zeros(pad_shape)), x], axis=-2)
     ndim = padded.ndim
     total = None
     for tap in range(k):

@@ -256,9 +256,9 @@ def _fmt(x: float) -> str:
 
 def _synthesis():
     """The synthesis path's modules, roadnet and scenario.generate (which
-    loads presets and trafficgen), imported on first call. Only gen-data
-    calls it, in the parent before any worker starts, so train and eval
-    never compile them and forked workers inherit them."""
+    loads presets and trafficgen), imported on first call: their one lazy
+    import. Only gen-data calls it, in the parent before any worker starts,
+    so train and eval never compile them and forked workers inherit them."""
     from . import roadnet
     from .scenario import generate
     return roadnet, generate

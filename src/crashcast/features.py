@@ -342,7 +342,7 @@ def text_weights(embeddings, tau_text: float, pair_mask=None, slots=None) -> Ten
     slots = k if slots is None else slots
     pad = np.full(logits.shape[:-1] + (slots - k,), -1e30)
     w = ad.softmax_lastdim(np.concatenate([logits, pad], axis=-1))
-    return ad.constant(w.value[..., :k])
+    return ad.Tensor(w.value[..., :k])
 
 
 def fuse_weights(w_geo, w_text, beta) -> Tensor:

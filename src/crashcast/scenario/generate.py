@@ -143,11 +143,9 @@ class GenMeta:
 
     ego_xy: np.ndarray
     ego_heading: np.ndarray
-    stored_offset: int
     collision_xy: tuple[float, float] | None = None
     template: AccidentTemplate | None = None
     role_routes: tuple[tuple[str, ...], ...] | None = None
-    participant_ids: tuple[str, ...] = ()
 
 
 def _stack_xy(tracks: list[Track], n_grid: int) -> np.ndarray:
@@ -375,10 +373,8 @@ def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
 
     record = _assemble(rec_id, True, env, tracks, ego, g_c)
     meta = GenMeta(ego_xy=ego.xy, ego_heading=ego.heading,
-                   stored_offset=TRIM_FRAMES, collision_xy=collision_xy,
-                   template=template,
-                   role_routes=tuple(rt.edges for rt in role_routes),
-                   participant_ids=tuple(t.id for t in participants))
+                   collision_xy=collision_xy, template=template,
+                   role_routes=tuple(rt.edges for rt in role_routes))
     return record, meta
 
 
@@ -407,8 +403,7 @@ def _build_negative(graph: RoadGraph, terminals: TerminalSets,
                               "safety radius on the frame grid")
 
     record = _assemble(rec_id, False, env, tracks, ego, None)
-    meta = GenMeta(ego_xy=ego.xy, ego_heading=ego.heading,
-                   stored_offset=TRIM_FRAMES)
+    meta = GenMeta(ego_xy=ego.xy, ego_heading=ego.heading)
     return record, meta
 
 
@@ -490,7 +485,7 @@ def validate_scenario(record: ScenarioRecord,
     add("projection_rigid", worst <= 1e-5, f"max gap {worst:.2e} m")
 
     if meta is not None:
-        g = record.frame_of + meta.stored_offset
+        g = record.frame_of + TRIM_FRAMES
         wx, wy = cam.unproject(meta.ego_xy[g].T, meta.ego_heading[g], cx, depth)
         worst = float(np.hypot(wx - x, wy - y).max(initial=0.0))
         add("projection_roundtrip", worst <= 1e-6, f"max gap {worst:.2e} m")
@@ -513,7 +508,7 @@ def validate_scenario(record: ScenarioRecord,
                 hit <= COLLISION_THRESHOLD + 1e-6,
                 f"closest pair {pair_d:.3f} m, closest to camera {cam_d:.3f} m")
             if meta is not None and meta.collision_xy is not None:
-                g = lam - 1 + meta.stored_offset
+                g = lam - 1 + TRIM_FRAMES
                 cx_c, _, depth_c, seen = cam.project(
                     meta.ego_xy[g], meta.ego_heading[g], meta.collision_xy)
                 bearing = abs(cam.bearing(cx_c, depth_c)) if seen else math.inf
@@ -540,7 +535,7 @@ _PRESET_CYCLE = ("straight", "intersection", "t_junction", "multilane")
 def _sample_ego_route(graph: RoadGraph, terminals: TerminalSets,
                       rng: np.random.Generator) -> Route:
     for _ in range(EGO_ROUTE_TRIES):
-        _, _, route = sample_od(graph, terminals, rng)
+        route = sample_od(graph, terminals, rng)
         if route.cost >= HORIZON:
             return route
     raise GenerationError(

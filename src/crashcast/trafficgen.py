@@ -72,15 +72,16 @@ def sample_departures(cfg: ArrivalConfig, rng: np.random.Generator) -> list[floa
 
 
 def sample_od(graph: RoadGraph, terminals: TerminalSets, rng: np.random.Generator,
-              max_retries: int = 100) -> tuple[str, str, Route]:
-    """Uniform draw over source x destination edges, rejecting unroutable pairs."""
+              max_retries: int = 100) -> Route:
+    """Uniform draw over source x destination edges, rejecting unroutable
+    pairs; the route runs from ``edges[0]`` to ``edges[-1]``."""
     n_src = len(terminals.sources)
     n_dst = len(terminals.destinations)
     for _ in range(max_retries):
         src = terminals.sources[int(rng.integers(0, n_src))]
         dst = terminals.destinations[int(rng.integers(0, n_dst))]
         try:
-            return src, dst, shortest_path(graph, src, dst)
+            return shortest_path(graph, src, dst)
         except NoRouteError:
             continue
     raise ODSamplingError(f"no routable OD pair in {max_retries} draws")
@@ -91,8 +92,7 @@ def build_trips(graph: RoadGraph, terminals: TerminalSets, departures: list[floa
     """One trip per departure time, numbered in departure order."""
     trips = []
     for k, depart in enumerate(sorted(departures)):
-        _, _, route = sample_od(graph, terminals, rng)
-        trips.append(TripSpec(k, depart, route))
+        trips.append(TripSpec(k, depart, sample_od(graph, terminals, rng)))
     return trips
 
 

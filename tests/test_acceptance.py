@@ -24,8 +24,14 @@ from crashcast.losses import (
 )
 from crashcast.riskmodel import ModelConfig, ModelParams, adjacency, align_project, forward
 from crashcast.roadnet import NoRouteError, shortest_path
-from crashcast.scenario import generate_dataset, generate_one, validate_scenario
-from crashcast.scenario.generate import CAMERA, SAFETY_RADIUS
+from crashcast.scenario.generate import (
+    CAMERA,
+    SAFETY_RADIUS,
+    TRIM_FRAMES,
+    generate_dataset,
+    generate_one,
+    validate_scenario,
+)
 from crashcast.trafficgen import (
     ArrivalConfig,
     RoutePath,
@@ -196,7 +202,7 @@ def test_criterion_04_scenario_constraints_hold():
                 "c3_collision_in_fov", "c4_accident_annotated"} <= names
         # the +-30 degree check, recomputed from raw poses rather than
         # through the camera model
-        g = record.accident_frame - 1 + meta.stored_offset
+        g = record.accident_frame - 1 + TRIM_FRAMES
         ex, ey = meta.ego_xy[g]
         cx, cy = meta.collision_xy
         if math.hypot(cx - ex, cy - ey) > 1e-9:

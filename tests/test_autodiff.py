@@ -53,14 +53,14 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
     r = ad.sigmoid(ad.add(i_r, h_r))
     z = ad.sigmoid(ad.add(i_z, h_z))
     n = ad.tanh(ad.add(i_n, ad.mul(r, h_n)))
-    return ad.add(ad.mul(ad.sub(ad.constant(1.0), z), n), ad.mul(z, h))
+    return ad.add(ad.mul(ad.sub(ad.Tensor(1.0), z), n), ad.mul(z, h))
 
 
 def gru_loop(x, w_ih, w_hh, b_ih, b_hh) -> Tensor:
     """gru_cell once per step from a zero state, stacked to (B, T, H)."""
     batch, steps, _ = x.shape
     hidden = w_hh.shape[-1]
-    h = ad.constant(np.zeros((batch, hidden)))
+    h = ad.Tensor(np.zeros((batch, hidden)))
     outs = []
     for t in range(steps):
         h = gru_cell(narrow(x, (slice(None), t)), h, w_ih, w_hh, b_ih, b_hh)
@@ -414,7 +414,7 @@ def test_forward_frees_arrays_no_callback_reads():
     # (add, relu) link only the relu output outlives the forward
     n, links = 100_000, 8
     p = Parameter(np.zeros(n))
-    c = ad.constant(np.full(n, 0.5))
+    c = ad.Tensor(np.full(n, 0.5))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -25,13 +25,13 @@ from crashcast.features import (
     _label_embedding,
     _visual_projections,
 )
-from crashcast.scenario import (
+from crashcast.scenario.generate import generate_one
+from crashcast.scenario.records import (
     EnvironmentProfile,
     ScenarioRecord,
-    generate_one,
+    object_columns,
     scene_label,
 )
-from crashcast.scenario.records import object_columns
 
 
 def _state(oid, x=0.0, y=0.0, speed=5.0, heading=0.0, cx=640.0, cy=360.0,

@@ -11,26 +11,7 @@ from hypothesis import strategies as st
 
 from crashcast import trafficgen
 from crashcast.roadnet import classify_terminals
-from crashcast.scenario import (
-    BEHAVIOR_LABELS,
-    TEMPLATES,
-    AccidentTemplate,
-    ConstraintUnsatisfiableError,
-    EgoCamera,
-    EnvironmentProfile,
-    RoleSpec,
-    ScenarioRecord,
-    generate_one,
-    preset_graph,
-    read_dataset,
-    record_from_json,
-    record_to_json,
-    sample_environment,
-    scene_label,
-    validate_scenario,
-)
 from crashcast.scenario import generate
-from crashcast.scenario.records import STATE_COLUMNS, object_columns, round7
 from crashcast.scenario.generate import (
     COLLISION_THRESHOLD,
     DT,
@@ -39,13 +20,32 @@ from crashcast.scenario.generate import (
     SAFETY_RADIUS,
     STORED_FRAMES,
     TRIM_FRAMES,
+    ConstraintUnsatisfiableError,
     Track,
     _assemble,
     _build_negative,
     _build_positive,
     _sample_ego_route,
+    generate_one,
+    sample_environment,
+    validate_scenario,
 )
-from crashcast.scenario.records import BEHAVIOR_WINDOW, behavior_codes
+from crashcast.scenario.presets import TEMPLATES, AccidentTemplate, RoleSpec, preset_graph
+from crashcast.scenario.records import (
+    BEHAVIOR_LABELS,
+    BEHAVIOR_WINDOW,
+    STATE_COLUMNS,
+    EgoCamera,
+    EnvironmentProfile,
+    ScenarioRecord,
+    behavior_codes,
+    object_columns,
+    read_dataset,
+    record_from_json,
+    record_to_json,
+    round7,
+    scene_label,
+)
 from crashcast.trafficgen import RoutePath
 from crashcast.util import stream_rng
 
@@ -424,7 +424,7 @@ def test_positive_participants_freeze_after_accident():
     after = {}
     for r in range(rec.frame_starts[lam - 1], len(rec.states)):
         oid = rec.ids[rec.id_of[r]]
-        if oid in meta.participant_ids:
+        if oid.startswith("agent"):  # participants are agent0 and agent1
             x, y, speed = rec.states[r, :3]
             assert speed == 0.0
             after.setdefault(oid, set()).add((x, y))
@@ -436,7 +436,7 @@ def test_rear_end_ego_involved_variant():
     for k in range(40):
         rec, meta = _build_positive(TEMPLATES["rear_end"],
                                     stream_rng(99, "ego", k), "p")
-        if len(meta.participant_ids) == 1:
+        if len({"agent0", "agent1"} & set(rec.ids)) == 1:
             break
     else:
         pytest.fail("ego-involved variant never sampled in 40 draws")
@@ -691,7 +691,7 @@ def test_validator_flags_zero_accident_frame():
 
 def test_validator_flags_collision_outside_fov():
     rec, meta = _build_positive(TEMPLATES["rear_end"], stream_rng(73), "p")
-    g = rec.accident_frame - 1 + meta.stored_offset
+    g = rec.accident_frame - 1 + TRIM_FRAMES
     pose = meta.ego_xy[g]
     heading = float(meta.ego_heading[g])
     off = heading + math.radians(31.0)

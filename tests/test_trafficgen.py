@@ -89,7 +89,8 @@ def test_od_rejection_is_uniform_over_routable_pairs():
     rng = stream_rng(7, "od")
     counts: dict = {}
     for _ in range(10_000):
-        src, dst, _ = sample_od(g, terms, rng)
+        edges = sample_od(g, terms, rng).edges
+        src, dst = edges[0], edges[-1]
         counts[(src, dst)] = counts.get((src, dst), 0) + 1
     # (src_b, src_a) has no route and must never appear
     assert ("src_b", "src_a") not in counts

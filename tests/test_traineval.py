@@ -11,8 +11,8 @@ from crashcast import traineval
 from crashcast.autodiff import Parameter, Tape
 from crashcast.features import build_features, stack
 from crashcast.riskmodel import ModelConfig, ModelParams
-from crashcast.scenario import ScenarioRecord, generate_one, scene_label
-from crashcast.scenario.records import object_columns
+from crashcast.scenario.generate import generate_one
+from crashcast.scenario.records import ScenarioRecord, object_columns, scene_label
 from crashcast.traineval import (
     Adam,
     TrainConfig,
