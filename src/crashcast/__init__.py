@@ -6,13 +6,34 @@ import sys
 
 __version__ = "0.1.0"
 
+
+def _pin_loaded_blas():
+    """Set the OpenBLAS bundled with an already-loaded numpy to one thread
+    through the library's own setter. Returns 1 when its getter then reads
+    1, None when no such library is loaded or it has no setter."""
+    import glob  # only a caller that loaded numpy first gets here
+
+    site = os.path.dirname(os.path.dirname(sys.modules["numpy"].__file__))
+    pattern = os.path.join(site, "numpy.libs", "libscipy_openblas*.so")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            lib.scipy_openblas_set_num_threads64_(1)
+            if lib.scipy_openblas_get_num_threads64_() == 1:
+                return 1
+        except (OSError, AttributeError):  # not loaded, or no such setter
+            continue
+    return None
+
+
 # BLAS threads reorder floating-point sums, so a multi-threaded BLAS would
 # make artifacts depend on the machine's core count; --jobs is the
 # parallelism. BLAS reads these variables once, when numpy loads, so a value
-# the user set is overridden and the pin holds only when crashcast is
-# imported before numpy (as the command line always is). BLAS_THREADS is the
-# pinned count, or None when numpy was loaded first and runs at its own.
-BLAS_THREADS = None if "numpy" in sys.modules else 1
+# the user set is overridden. When numpy is already loaded (a library caller
+# that imported it first), its bundled OpenBLAS is pinned through its setter
+# instead. BLAS_THREADS is the pinned count, or None when numpy was loaded
+# first with a BLAS that has no such setter and runs at its own count.
+BLAS_THREADS = _pin_loaded_blas() if "numpy" in sys.modules else 1
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 del _var

@@ -334,6 +334,10 @@ def _run_gen_data(cfg: dict) -> int:
             graph = roadnet.parse_network(text)
         except roadnet.NetworkError as exc:
             raise ConfigError(f"cannot parse network file {network}: {exc}")
+        try:
+            roadnet.classify_terminals(graph)
+        except roadnet.EmptyTerminalsError as exc:
+            raise ConfigError(f"network file {network} has no trip endpoints: {exc}")
 
     # spans of at most GEN_SPAN, and no more than ceil(count / jobs), so
     # every worker gets one; drawn as map_in_order needs them, so what is

@@ -62,12 +62,6 @@ class Route:
     cost: float  # total travel time, seconds
 
 
-@dataclass(frozen=True)
-class TerminalSets:
-    sources: tuple[str, ...]
-    destinations: tuple[str, ...]
-
-
 @dataclass
 class RoadGraph:
     nodes: dict[str, RoadNode] = field(default_factory=dict)
@@ -225,13 +219,13 @@ def parse_network(text: str) -> RoadGraph:
     return graph
 
 
-def classify_terminals(graph: RoadGraph) -> TerminalSets:
-    """Routable trip endpoints: every non-internal edge (single-edge routes
-    are legal, so any such edge can begin or end a trip)."""
+def classify_terminals(graph: RoadGraph) -> tuple[str, ...]:
+    """Routable trip endpoints, sorted: every non-internal edge (single-edge
+    routes are legal, so any such edge can begin or end a trip)."""
     routable = tuple(sorted(e.id for e in graph.edges.values() if not e.internal))
     if not routable:
         raise EmptyTerminalsError("network has no non-internal edges")
-    return TerminalSets(sources=routable, destinations=routable)
+    return routable
 
 
 def shortest_path(graph: RoadGraph, source_edge: str, target_edge: str) -> Route:

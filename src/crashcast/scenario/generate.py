@@ -24,12 +24,10 @@ from ..roadnet import (
     NoRouteError,
     RoadGraph,
     Route,
-    TerminalSets,
     classify_terminals,
     shortest_path,
 )
 from ..trafficgen import (
-    ArrivalConfig,
     DeconflictError,
     ODSamplingError,
     RoutePath,
@@ -290,7 +288,7 @@ def _assemble(rec_id: str, positive: bool, env: EnvironmentProfile,
         id_of=slot[k], behavior=behavior_codes(speed, heading, present, DT, (k, g)))
 
 
-def _background_tracks(graph: RoadGraph, terminals: TerminalSets,
+def _background_tracks(graph: RoadGraph, terminals: tuple[str, ...],
                        rng: np.random.Generator, grid: np.ndarray,
                        extra_trips: list[TripSpec] | None = None) -> list[Track]:
     """Poisson traffic, deconflicted. Each trip's `RoutePath`, shared with
@@ -298,8 +296,7 @@ def _background_tracks(graph: RoadGraph, terminals: TerminalSets,
     the spacing pass works on and the track sampled on the grid. The spacing
     pass runs with a padded radius; the exact per-frame spacing is
     re-checked by callers on the sampled tracks."""
-    arrivals = ArrivalConfig(ARRIVAL_VEHICLES, ARRIVAL_PERIOD, HORIZON)
-    departures = sample_departures(arrivals, rng)
+    departures = sample_departures(ARRIVAL_VEHICLES / ARRIVAL_PERIOD, HORIZON, rng)
     trips = build_trips(graph, terminals, departures, rng)
     if extra_trips:
         trips = extra_trips + trips
@@ -378,7 +375,7 @@ def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
     return record, meta
 
 
-def _build_negative(graph: RoadGraph, terminals: TerminalSets,
+def _build_negative(graph: RoadGraph, terminals: tuple[str, ...],
                     ego_route: Route, rng: np.random.Generator, rec_id: str
                     ) -> tuple[ScenarioRecord, GenMeta]:
     env = sample_environment(DEFAULT_ENV_DISTS, rng)
@@ -444,14 +441,11 @@ def _pair_distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(-1))
 
 
-def validate_scenario(record: ScenarioRecord,
-                      meta: GenMeta | None = None) -> ValidationReport:
+def validate_scenario(record: ScenarioRecord, meta: GenMeta) -> ValidationReport:
     """Check every record invariant, and the four accident constraints for
-    positives. With generation meta the camera checks run against the true
-    ego poses; without it they fall back to what the record alone supports
-    (rigid-transform consistency of the stored projections), and the
-    meta-only accident checks c1 (OD pairs) and c3 (collision in view) are
-    skipped."""
+    positives. The camera checks run against the true ego poses in the
+    generation meta, and c1 (OD pairs) and c3 (collision in view) against
+    its template, routes and collision point."""
     cam = CAMERA
     checks: list[CheckResult] = []
 
@@ -484,13 +478,12 @@ def validate_scenario(record: ScenarioRecord,
     worst = float(np.abs(seen - world)[pairs].max(initial=0.0))
     add("projection_rigid", worst <= 1e-5, f"max gap {worst:.2e} m")
 
-    if meta is not None:
-        g = record.frame_of + TRIM_FRAMES
-        wx, wy = cam.unproject(meta.ego_xy[g].T, meta.ego_heading[g], cx, depth)
-        worst = float(np.hypot(wx - x, wy - y).max(initial=0.0))
-        add("projection_roundtrip", worst <= 1e-6, f"max gap {worst:.2e} m")
-        add("projection_fov",
-            bool((np.abs(cam.bearing(cx, depth)) <= cam.half_fov + 1e-9).all()))
+    g = record.frame_of + TRIM_FRAMES
+    wx, wy = cam.unproject(meta.ego_xy[g].T, meta.ego_heading[g], cx, depth)
+    worst = float(np.hypot(wx - x, wy - y).max(initial=0.0))
+    add("projection_roundtrip", worst <= 1e-6, f"max gap {worst:.2e} m")
+    add("projection_fov",
+        bool((np.abs(cam.bearing(cx, depth)) <= cam.half_fov + 1e-9).all()))
 
     if record.positive:
         lam = record.accident_frame
@@ -507,18 +500,16 @@ def validate_scenario(record: ScenarioRecord,
             add("c2_trajectories_intersect",
                 hit <= COLLISION_THRESHOLD + 1e-6,
                 f"closest pair {pair_d:.3f} m, closest to camera {cam_d:.3f} m")
-            if meta is not None and meta.collision_xy is not None:
-                g = lam - 1 + TRIM_FRAMES
-                cx_c, _, depth_c, seen = cam.project(
-                    meta.ego_xy[g], meta.ego_heading[g], meta.collision_xy)
-                bearing = abs(cam.bearing(cx_c, depth_c)) if seen else math.inf
-                add("c3_collision_in_fov", bearing <= cam.half_fov + 1e-9,
-                    f"bearing {math.degrees(bearing):.1f} deg"
-                    if math.isfinite(bearing) else "collision point not visible")
-        if meta is not None and meta.template is not None:
-            ok = all(rt[0] == role.od[0] and rt[-1] == role.od[1]
-                     for rt, role in zip(meta.role_routes, meta.template.roles))
-            add("c1_od_pairs", ok)
+            g = lam - 1 + TRIM_FRAMES
+            cx_c, _, depth_c, seen = cam.project(
+                meta.ego_xy[g], meta.ego_heading[g], meta.collision_xy)
+            bearing = abs(cam.bearing(cx_c, depth_c)) if seen else math.inf
+            add("c3_collision_in_fov", bearing <= cam.half_fov + 1e-9,
+                f"bearing {math.degrees(bearing):.1f} deg"
+                if math.isfinite(bearing) else "collision point not visible")
+        ok = all(rt[0] == role.od[0] and rt[-1] == role.od[1]
+                 for rt, role in zip(meta.role_routes, meta.template.roles))
+        add("c1_od_pairs", ok)
     else:
         add("no_accident_frame", record.accident_frame is None)
         worst_gap = float(world[pairs].min(initial=math.inf))
@@ -532,7 +523,7 @@ _TEMPLATE_CYCLE = tuple(TEMPLATES)
 _PRESET_CYCLE = ("straight", "intersection", "t_junction", "multilane")
 
 
-def _sample_ego_route(graph: RoadGraph, terminals: TerminalSets,
+def _sample_ego_route(graph: RoadGraph, terminals: tuple[str, ...],
                       rng: np.random.Generator) -> Route:
     for _ in range(EGO_ROUTE_TRIES):
         route = sample_od(graph, terminals, rng)
@@ -586,7 +577,7 @@ def generate_one(seed: int, index: int, count: int, positive_ratio: float,
         last = GenerationError("validation failed: "
                                + "; ".join(c.name for c in report.failures()))
     raise GenerationError(
-        f"scenario {index} failed after {MAX_ATTEMPTS} attempts") from last
+        f"scenario {index} failed after {MAX_ATTEMPTS} attempts: {last}") from last
 
 
 def generate_dataset(count: int, positive_ratio: float, seed: int,

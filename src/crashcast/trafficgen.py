@@ -16,7 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .roadnet import NoRouteError, RoadGraph, Route, TerminalSets, shortest_path
+from .roadnet import NoRouteError, RoadGraph, Route, shortest_path
+
+OD_DRAWS = 100  # OD pairs sample_od draws before giving up
+MAX_DELAY_STEPS = 600  # dt steps deconflict may delay one trip
 
 
 class ODSamplingError(Exception):
@@ -25,19 +28,6 @@ class ODSamplingError(Exception):
 
 class DeconflictError(Exception):
     """Delay budget exhausted before the required spacing was reached."""
-
-
-@dataclass(frozen=True)
-class ArrivalConfig:
-    """Poisson arrival process: rate = vehicles / period (per second)."""
-
-    vehicles: float
-    period: float
-    horizon: float
-
-    @property
-    def rate(self) -> float:
-        return self.vehicles / self.period
 
 
 @dataclass(frozen=True)
@@ -55,39 +45,38 @@ class Trajectory:
     t: np.ndarray  # (N,)
 
 
-def sample_departures(cfg: ArrivalConfig, rng: np.random.Generator) -> list[float]:
+def sample_departures(rate: float, horizon: float,
+                      rng: np.random.Generator) -> list[float]:
     """Departure times on [0, horizon): exponential gaps via inverse CDF."""
-    if cfg.vehicles < 0 or cfg.period <= 0:
-        raise ValueError("arrival config needs vehicles >= 0 and period > 0")
-    rate = cfg.rate
+    if not rate >= 0:  # a negative or NaN rate would never pass the horizon
+        raise ValueError(f"arrival rate {rate} must be >= 0")
     if rate == 0.0:
         return []
     times: list[float] = []
     t = 0.0
     while True:
         t += -math.log1p(-rng.random()) / rate
-        if t >= cfg.horizon:
+        if t >= horizon:
             return times
         times.append(t)
 
 
-def sample_od(graph: RoadGraph, terminals: TerminalSets, rng: np.random.Generator,
-              max_retries: int = 100) -> Route:
-    """Uniform draw over source x destination edges, rejecting unroutable
+def sample_od(graph: RoadGraph, terminals: tuple[str, ...],
+              rng: np.random.Generator) -> Route:
+    """Uniform draw over terminal x terminal edge pairs, rejecting unroutable
     pairs; the route runs from ``edges[0]`` to ``edges[-1]``."""
-    n_src = len(terminals.sources)
-    n_dst = len(terminals.destinations)
-    for _ in range(max_retries):
-        src = terminals.sources[int(rng.integers(0, n_src))]
-        dst = terminals.destinations[int(rng.integers(0, n_dst))]
+    n = len(terminals)
+    for _ in range(OD_DRAWS):
+        src = terminals[int(rng.integers(0, n))]
+        dst = terminals[int(rng.integers(0, n))]
         try:
             return shortest_path(graph, src, dst)
         except NoRouteError:
             continue
-    raise ODSamplingError(f"no routable OD pair in {max_retries} draws")
+    raise ODSamplingError(f"no routable OD pair in {OD_DRAWS} draws")
 
 
-def build_trips(graph: RoadGraph, terminals: TerminalSets, departures: list[float],
+def build_trips(graph: RoadGraph, terminals: tuple[str, ...], departures: list[float],
                 rng: np.random.Generator) -> list[TripSpec]:
     """One trip per departure time, numbered in departure order."""
     trips = []
@@ -221,8 +210,7 @@ def _positions_on_grid(traj: Trajectory, delay: float, grid: np.ndarray) -> np.n
 
 
 def deconflict(trips: list[TripSpec], trajectories: list[Trajectory],
-               safety_radius: float, dt: float, horizon: float,
-               max_delay_steps: int = 600) -> list[TripSpec]:
+               safety_radius: float, dt: float, horizon: float) -> list[TripSpec]:
     """Greedily delay later departures until all same-time spacings hold.
 
     Trips are processed in departure order; each is delayed by whole
@@ -236,7 +224,7 @@ def deconflict(trips: list[TripSpec], trajectories: list[Trajectory],
     placed = np.empty((len(trips), len(grid), 2))
     delays = [0.0] * len(trips)
     for rank, i in enumerate(order):
-        for step in range(max_delay_steps + 1):
+        for step in range(MAX_DELAY_STEPS + 1):
             pos = _positions_on_grid(trajectories[i], step * dt, grid)
             if (same_time_gaps(pos[None], placed[:rank]) >= safety_radius).all():
                 delays[i] = step * dt
@@ -245,7 +233,7 @@ def deconflict(trips: list[TripSpec], trajectories: list[Trajectory],
         else:
             raise DeconflictError(
                 f"vehicle {trips[i].vehicle} cannot be spaced >= {safety_radius} m "
-                f"within {max_delay_steps} delay steps")
+                f"within {MAX_DELAY_STEPS} delay steps")
     out = [replace(t, depart=t.depart + delays[i]) for i, t in enumerate(trips)]
     return sorted(out, key=lambda t: (t.depart, t.vehicle))
 

@@ -32,12 +32,7 @@ from crashcast.scenario.generate import (
     generate_one,
     validate_scenario,
 )
-from crashcast.trafficgen import (
-    ArrivalConfig,
-    RoutePath,
-    sample_departures,
-    sample_trajectory,
-)
+from crashcast.trafficgen import RoutePath, sample_departures, sample_trajectory
 from crashcast.traineval import (
     TrainConfig,
     average_precision,
@@ -125,13 +120,13 @@ def test_criterion_01_routing_matches_exhaustive_enumeration():
 # 2. Poisson arrivals
 
 def test_criterion_02_poisson_mean_and_interarrival_law():
-    cfg = ArrivalConfig(0.5, 1.0, 6.0)
+    rate, horizon = 0.5, 6.0
     counts = []
     times_norm = []
     for run in range(1000):
-        times = sample_departures(cfg, stream_rng(4242, "poisson", run))
+        times = sample_departures(rate, horizon, stream_rng(4242, "poisson", run))
         counts.append(len(times))
-        times_norm.extend(t / cfg.horizon for t in times)
+        times_norm.extend(t / horizon for t in times)
     mean = float(np.mean(counts))
     band = 3.0 * math.sqrt(3.0 / 1000.0)
     mean_ok = abs(mean - 3.0) <= band
@@ -140,9 +135,8 @@ def test_criterion_02_poisson_mean_and_interarrival_law():
     # preferentially censored), so the gap law is tested on long-horizon
     # runs of the same sampler, where censoring is negligible.
     gaps = []
-    long_cfg = ArrivalConfig(0.5, 1.0, 600.0)
     for run in range(10):
-        times = sample_departures(long_cfg, stream_rng(4242, "poisson-long", run))
+        times = sample_departures(rate, 600.0, stream_rng(4242, "poisson-long", run))
         gaps.extend(np.diff([0.0] + times))
     ks_gaps = stats.kstest(gaps, "expon", args=(0, 2.0))
 
@@ -212,8 +206,8 @@ def test_criterion_04_scenario_constraints_hold():
                 f"positive {i}: collision bearing {math.degrees(bearing):.1f} deg"
 
     for i in range(500):
-        record, _ = generate_one(203, i, 500, 0.0)
-        report = validate_scenario(record)
+        record, meta = generate_one(203, i, 500, 0.0)
+        report = validate_scenario(record, meta)
         assert report.ok, f"negative {i}: {report.failures()}"
         # min-distance sweep recomputed from stored world coordinates
         for t in range(record.frames):

@@ -1,5 +1,6 @@
-"""README.md's Python examples import only names that exist. The blocks are
-parsed, never run: the library example trains for six epochs."""
+"""README.md's Python examples import only names that exist, and every
+function, class and method in src has a reader outside the tests. The blocks
+are parsed, never run: the library example trains for six epochs."""
 
 import ast
 import importlib
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SRC = ROOT / "src"
 _BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
@@ -68,3 +71,63 @@ def test_unresolved_imports_names_a_moved_or_missing_name():
     assert unresolved_imports(source) == [
         "crashcast.scenario.generate_dataset", "crashcast.nowhere.thing",
         "crashcast.missing"]
+
+
+# src definitions that only tests reach, each kept as what the named test
+# checks against
+TEST_ONLY = {
+    "crashcast.autodiff.transpose2d":
+        "test_autodiff.py::test_gru_sequence_matches_gru_cell_loop",
+    "crashcast.trafficgen.RoutePath.time_at":
+        "test_acceptance.py::test_criterion_03_time_mapping_inversion_and_sample_count",
+}
+
+
+def definitions(path: Path):
+    """(qualified name, name) of each module-level function and class in a
+    src file, and of each method that is not a dunder."""
+    module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    module = module.removesuffix(".__init__")
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not re.fullmatch(r"__\w+__", sub.name)):
+                    yield f"{module}.{node.name}.{sub.name}", sub.name
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name and attribute the source reads."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def readme_code_names(text: str) -> set[str]:
+    """The identifiers in README's fenced blocks and backtick spans."""
+    code = (re.findall(r"^```[^\n]*\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+            + re.findall(r"`([^`\n]+)`", text))
+    return {name for span in code for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_every_src_definition_is_reached_from_outside_the_tests():
+    files = sorted(SRC.rglob("*.py"))
+    used = readme_code_names(README.read_text())
+    for path in files + sorted((ROOT / "perfbench").glob("*.py")):
+        used |= referenced_names(path.read_text())
+    unreached = {qualified for path in files
+                 for qualified, name in definitions(path) if name not in used}
+    assert unreached == set(TEST_ONLY), sorted(unreached ^ set(TEST_ONLY))
+
+
+def test_test_only_definitions_name_a_test_that_exists():
+    for qualified, oracle in TEST_ONLY.items():
+        module, test = oracle.split("::")
+        assert f"def {test}(" in (ROOT / "tests" / module).read_text(), qualified

@@ -8,6 +8,7 @@ platform-pinned (numpy's generators and libm on x86-64 Linux).
 """
 
 import hashlib
+import json
 import subprocess
 import sys
 
@@ -110,6 +111,30 @@ def test_in_process_train_writes_the_golden_checkpoint(golden_run, tmp_path):
                  "--seed", str(seed), "--batch-size", str(batch_size),
                  "--feature-dim", "8", "--max-objects", "4", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ckpt_sha256
+
+
+def test_train_after_numpy_was_imported_writes_the_golden_checkpoint(golden_run,
+                                                                      tmp_path):
+    # a library caller that loads numpy first, under an environment that
+    # asks its BLAS for two threads: importing crashcast then pins the
+    # loaded OpenBLAS through its setter
+    count, seed, batch_size, ckpt_sha256 = GOLDEN_CHECKPOINT
+    out = tmp_path / "m.ckpt"
+    argv = ["train", "--data", str(golden_run / "d.jsonl"), "--epochs", "1",
+            "--seed", str(seed), "--batch-size", str(batch_size),
+            "--feature-dim", "8", "--max-objects", "4", "--out", str(out)]
+    code = ("import sys, numpy, crashcast\n"
+            "assert crashcast.BLAS_THREADS == 1, crashcast.BLAS_THREADS\n"
+            "from crashcast.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                             "MKL_NUM_THREADS"), "2")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**_child_env(), **threads})
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ckpt_sha256
+    manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+    assert manifest["blas_threads"] == 1
 
 
 # sha256 of report.json and of the curves CSV that eval --jobs 1 writes for

@@ -462,7 +462,7 @@ def test_negative_min_spacing_sweep():
     terminals = classify_terminals(graph)
     rng = stream_rng(41, "neg")
     route = _sample_ego_route(graph, terminals, rng)
-    rec, _ = _build_negative(graph, terminals, route, rng, "negative")
+    rec, meta = _build_negative(graph, terminals, route, rng, "negative")
     assert not rec.positive and rec.accident_frame is None
     worst = math.inf
     for t in range(rec.frames):
@@ -471,7 +471,7 @@ def test_negative_min_spacing_sweep():
             for b in frame[i + 1:]:
                 worst = min(worst, math.hypot(a[0] - b[0], a[1] - b[1]))
     assert worst >= SAFETY_RADIUS - 1e-5
-    assert validate_scenario(rec).ok
+    assert validate_scenario(rec, meta).ok
 
 
 def test_negative_empty_traffic_keeps_parked_floor(monkeypatch):
@@ -682,9 +682,9 @@ def test_positive_schedule_is_even():
 
 
 def test_validator_flags_zero_accident_frame():
-    rec, _ = _build_positive(TEMPLATES["rear_end"], stream_rng(71), "p")
+    rec, meta = _build_positive(TEMPLATES["rear_end"], stream_rng(71), "p")
     rec.accident_frame = 0
-    report = validate_scenario(rec)
+    report = validate_scenario(rec, meta)
     assert not report.ok
     assert "c4_accident_annotated" in {c.name for c in report.failures()}
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from crashcast import trafficgen
 from crashcast.roadnet import (
     NoRouteError,
     RoadEdge,
@@ -14,7 +15,6 @@ from crashcast.roadnet import (
 )
 from crashcast.scenario.presets import preset_graph
 from crashcast.trafficgen import (
-    ArrivalConfig,
     DeconflictError,
     ODSamplingError,
     RoutePath,
@@ -48,28 +48,31 @@ def route_for(graph, edge_ids):
 
 
 def test_departures_respect_horizon_and_are_deterministic():
-    cfg = ArrivalConfig(vehicles=3, period=6, horizon=6.0)
-    assert cfg.rate == pytest.approx(0.5)
-    a = sample_departures(cfg, stream_rng(99, "arrivals"))
-    b = sample_departures(cfg, stream_rng(99, "arrivals"))
+    a = sample_departures(0.5, 6.0, stream_rng(99, "arrivals"))
+    b = sample_departures(0.5, 6.0, stream_rng(99, "arrivals"))
     assert a == b
     assert all(0.0 < t < 6.0 for t in a)
     assert a == sorted(a)
 
-    assert sample_departures(ArrivalConfig(0, 6, 6.0), stream_rng(1)) == []
+    assert sample_departures(0.0, 6.0, stream_rng(1)) == []
+
+
+@pytest.mark.parametrize("rate", [-0.5, math.nan])
+def test_departures_refuse_a_rate_that_never_ends(rate):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        sample_departures(rate, 6.0, stream_rng(1))
 
 
 def test_departure_counts_match_poisson_mean():
-    cfg = ArrivalConfig(vehicles=3, period=6, horizon=6.0)
-    counts = [len(sample_departures(cfg, stream_rng(5, "mean", i))) for i in range(1000)]
+    counts = [len(sample_departures(0.5, 6.0, stream_rng(5, "mean", i)))
+              for i in range(1000)]
     mean = np.mean(counts)
     # mean of 1000 Poisson(3) draws: sigma = sqrt(3/1000)
     assert abs(mean - 3.0) <= 3.0 * math.sqrt(3.0 / 1000)
 
 
 def test_interarrival_gaps_are_exponential():
-    cfg = ArrivalConfig(vehicles=1, period=2, horizon=50_000.0)
-    times = np.asarray(sample_departures(cfg, stream_rng(17, "ks")))
+    times = np.asarray(sample_departures(0.5, 50_000.0, stream_rng(17, "ks")))
     gaps = np.diff(times, prepend=0.0)[:10_000]
     assert len(gaps) == 10_000
     res = stats.kstest(gaps, "expon", args=(0.0, 2.0))
@@ -100,16 +103,10 @@ def test_od_rejection_is_uniform_over_routable_pairs():
 
 
 def test_od_exhaustion_raises():
-    g = build_graph(
-        [("a", 0, 0), ("b", 1, 0), ("c", 2, 0), ("d", 3, 0)],
-        [("e1", "a", "b", 1.0, 1.0), ("e2", "c", "d", 1.0, 1.0)],
-    )
-    from crashcast.roadnet import TerminalSets
-
-    # restrict to a single unroutable pair
-    terms = TerminalSets(sources=("e1",), destinations=("e2",))
-    with pytest.raises(ODSamplingError):
-        sample_od(g, terms, stream_rng(2), max_retries=20)
+    g = two_edge_graph()
+    # a terminal missing from the graph routes nowhere
+    with pytest.raises(ODSamplingError, match="no routable OD pair in 100 draws"):
+        sample_od(g, ("zz",), stream_rng(2))
 
 
 def test_build_trips_orders_by_departure():
@@ -221,13 +218,14 @@ def test_deconflict_leaves_disjoint_roads_unchanged():
     assert [t.depart for t in out] == [0.0, 0.3]
 
 
-def test_deconflict_budget_exhaustion_raises():
+def test_deconflict_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(trafficgen, "MAX_DELAY_STEPS", 2)
     g = build_graph([("a", 0, 0), ("b", 200, 0)], [("e1", "a", "b", 200.0, 10.0)])
     t0, traj0 = make_trip_and_traj(g, ["e1"], 0, 0.0)
     t1, traj1 = make_trip_and_traj(g, ["e1"], 1, 0.0)
-    with pytest.raises(DeconflictError):
+    with pytest.raises(DeconflictError, match="within 2 delay steps"):
         deconflict([t0, t1], [traj0, traj1], safety_radius=5.0, dt=0.1,
-                   horizon=20.0, max_delay_steps=2)
+                   horizon=20.0)
 
 
 def min_same_time_distance(a, b):
@@ -349,8 +347,8 @@ def lookup_paths():
     for name in ("straight", "intersection", "t_junction", "multilane"):
         g = preset_graph(name)
         terms = classify_terminals(g)
-        for src in terms.sources:
-            for dst in terms.destinations:
+        for src in terms:
+            for dst in terms:
                 try:
                     paths.append(RoutePath(g, shortest_path(g, src, dst).edges))
                 except NoRouteError:
