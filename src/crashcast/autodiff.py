@@ -378,15 +378,13 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (a,), (grad,))
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """The mean of all the entries."""
     a = as_tensor(a)
-    sa = a.value.shape
-    out = Tensor(a.value.mean(axis=axis, keepdims=keepdims))
-    count = a.value.size if axis is None else sa[axis]
+    sa, count = a.value.shape, a.value.size
+    out = Tensor(a.value.mean())
 
     def grad(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         return np.broadcast_to(g, sa) / count
 
     return _record(out, (a,), (grad,))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .scenario.records import BEHAVIOR_LABELS, ScenarioRecord
+from .scenario.records import BEHAVIOR_LABELS, MAX_VISIBLE, ScenarioRecord
 from .util import stable_u64, stream_rng
 
 # fixed scales that bring each state coordinate to roughly unit range
@@ -192,7 +192,7 @@ def build_features(records, feature_dim: int, max_objects: int) -> FeatureBatch:
                            minlength=frames)[seen] / count
 
     agg = np.stack([
-        count / 19.0,
+        count / MAX_VISIBLE,
         frame_mean(2) / 15.0,
         frame_mean(6) / 100.0,
         frame_mean(0) / 100.0,
@@ -278,15 +278,16 @@ def stack(batches) -> FeatureBatch:
 # ---------------------------------------------------------------------------
 # edge weights
 
-def pairwise_distance(centers, depths, s: float) -> np.ndarray:
-    """d_ij = s^2 * ||c_i - c_j||^2 + |z_i - z_j|^2, elementwise over any
-    leading axes; symmetric with an exact zero diagonal."""
+def pairwise_distance(centers, depths) -> np.ndarray:
+    """d_ij = s^2 * ||c_i - c_j||^2 + |z_i - z_j|^2 with s = _SCALE, the
+    pixel-to-depth balance, elementwise over any leading axes; symmetric
+    with an exact zero diagonal."""
     c = np.asarray(centers, dtype=float)
     z = np.asarray(depths, dtype=float)
     diff = c[..., :, None, :] - c[..., None, :, :]
     pix = (diff * diff).sum(axis=-1)
     dz = z[..., :, None] - z[..., None, :]
-    return s * s * pix + dz * dz
+    return _SCALE * _SCALE * pix + dz * dz
 
 
 def _maxabs_normalize(stack: np.ndarray) -> np.ndarray:
@@ -294,14 +295,16 @@ def _maxabs_normalize(stack: np.ndarray) -> np.ndarray:
     return np.divide(stack, peak, out=np.zeros_like(stack), where=peak > 0)
 
 
-def distance_velocity_stacks(centers, depths, mask, s: float):
-    """Raw and per-frame max-abs normalized distance/velocity stacks.
+def distance_velocity_stacks(centers, depths, mask):
+    """Per-frame max-abs normalized distance and velocity stacks of
+    pairwise_distance, and the pair mask.
 
-    Entries touching an absent object are zeroed; velocities additionally
-    require the pair in both frames. Returns (d, v, dbar, vbar, pair_mask).
+    Entries touching an absent object are zeroed; velocities, the change of
+    the distance from the frame before, additionally require the pair in
+    both frames. Returns (dbar, vbar, pair_mask).
     """
     mask = np.asarray(mask, dtype=bool)
-    d = pairwise_distance(centers, depths, s)
+    d = pairwise_distance(centers, depths)
     pair = mask[..., :, None] & mask[..., None, :]
     d = np.where(pair, d, 0.0)
     v = np.zeros_like(d)
@@ -310,7 +313,7 @@ def distance_velocity_stacks(centers, depths, mask, s: float):
     both[..., 1:, :, :] &= pair[..., :-1, :, :]
     both[..., 0, :, :] = False
     v = np.where(both, v, 0.0)
-    return d, v, _maxabs_normalize(d), _maxabs_normalize(v), pair
+    return _maxabs_normalize(d), _maxabs_normalize(v), pair
 
 
 def geo_weights(dbar, vbar, alpha) -> Tensor:
@@ -320,26 +323,22 @@ def geo_weights(dbar, vbar, alpha) -> Tensor:
                   ad.mul(ad.sub(1.0, alpha), np.asarray(vbar, dtype=float)))
 
 
-def text_weights(embeddings, tau_text: float, pair_mask=None, slots=None) -> Tensor:
-    """Row softmax over cosine similarity / tau; masked pairs contribute
-    exactly zero. Expects unit-normalized embeddings (..., k, F) and returns
-    (..., k, k) weights.
+def text_weights(embeddings, pair_mask, slots: int) -> Tensor:
+    """Row softmax over cosine similarity / _TAU_TEXT; masked pairs
+    contribute exactly zero. Expects unit-normalized embeddings (..., k, F)
+    and a (..., k, k) pair mask, and returns (..., k, k) weights.
 
-    ``slots`` (default k) is the width O of the row softmax: the columns
-    k..O-1 past the embeddings are masked pairs of absent slots, as at full
-    width. So a row whose pairs are all masked (an absent object) is uniform
-    1/O over all O slots, and its first k entries are returned.
+    ``slots`` >= k is the width O of the row softmax: the columns k..O-1
+    past the embeddings are masked pairs of absent slots, as at full width.
+    So a row whose pairs are all masked (an absent object) is uniform 1/O
+    over all O slots, and its first k entries are returned.
 
     The embeddings are data: the similarity is one product e @ e^T of their
     values, and no gradient flows back to them."""
-    if tau_text <= 0:
-        raise ValueError("tau_text must be positive")
     e = ad.as_tensor(embeddings).value
-    logits = (e @ np.swapaxes(e, -1, -2)) / tau_text
-    if pair_mask is not None:
-        logits = logits + np.where(np.asarray(pair_mask, dtype=bool), 0.0, -1e30)
+    logits = (e @ np.swapaxes(e, -1, -2)) / _TAU_TEXT
+    logits = logits + np.where(np.asarray(pair_mask, dtype=bool), 0.0, -1e30)
     k = logits.shape[-1]
-    slots = k if slots is None else slots
     pad = np.full(logits.shape[:-1] + (slots - k,), -1e30)
     w = ad.softmax_lastdim(np.concatenate([logits, pad], axis=-1))
     return ad.Tensor(w.value[..., :k])
@@ -360,8 +359,8 @@ class GeometryParams:
         return ad.div(self.a, ad.add(self.a, 1.0))
 
     @classmethod
-    def init(cls, a0: float = 1.0) -> "GeometryParams":
-        return cls(Parameter(a0, name="geom.a"))
+    def init(cls) -> "GeometryParams":
+        return cls(Parameter(1.0, name="geom.a"))
 
 
 @dataclass
@@ -393,11 +392,11 @@ def gated_fuse(x_vis, x_text, gate: FusionGate) -> Tensor:
 
 
 def edge_weight_stack(centers, depths, mask, text_normalized, *,
-                      alpha, beta, slots=None) -> Tensor:
+                      alpha, beta, slots: int) -> Tensor:
     """The fused (..., T, k, k) edge weights of (..., T, k, ...) data:
-    fuse_weights of geo_weights and text_weights over its normalized
-    distance and velocity stacks and its pair mask. ``slots`` is the width O
-    of the text row softmax (see text_weights)."""
-    _, _, dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask, _SCALE)
+    fuse_weights of geo_weights over distance_velocity_stacks' normalized
+    distance and velocity and of text_weights over its pair mask. ``slots``
+    is the width O of the text row softmax (see text_weights)."""
+    dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask)
     return fuse_weights(geo_weights(dbar, vbar, alpha),
-                        text_weights(text_normalized, _TAU_TEXT, pair, slots), beta)
+                        text_weights(text_normalized, pair, slots), beta)

@@ -232,7 +232,7 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
 
     Every stage runs once over the whole batch, so its per-frame graph
     temporaries are (B, T, O, O) arrays; eval bounds them by scoring
-    chunks of 8 videos (see traineval.risk_curves)."""
+    chunks of EVAL_CHUNK = 8 videos (see traineval.risk_curves)."""
     if batch.objects > cfg.max_objects:
         raise ValueError(f"batch has {batch.objects} object slots, more than "
                          f"the model's max_objects {cfg.max_objects}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from ..trafficgen import (
 from ..util import stream_rng
 from .presets import TEMPLATES, AccidentTemplate, preset_graph
 from .records import (
+    MAX_VISIBLE,
     EgoCamera,
     EnvironmentProfile,
     ScenarioRecord,
@@ -70,9 +70,10 @@ HORIZON = 6.0  # seconds on the generation grid
 TRIM = 0.5  # seconds cut from each end before storing
 SAFETY_RADIUS = 5.0  # minimum spacing of negatives' movers, meters
 COLLISION_THRESHOLD = 2.0  # participants this close count as colliding, meters
-MAX_VISIBLE = 19  # objects stored per frame, nearest first
 ARRIVAL_VEHICLES = 3.0  # mean background vehicles per arrival period
 ARRIVAL_PERIOD = 6.0
+# generation-frame window for a positive's collision (half-open)
+ONSET_FRAMES = (30, 50)
 MAX_ATTEMPTS = 20  # seeded retries per scenario
 EGO_ROUTE_TRIES = 50  # OD draws for a negative's ego route
 CAMERA = EgoCamera()
@@ -91,23 +92,11 @@ class ConstraintUnsatisfiableError(GenerationError):
     """No template parameterization can satisfy the accident constraints."""
 
 
-def sample_environment(dist_config: Mapping[str, Mapping[str, float]],
-                       rng: np.random.Generator) -> EnvironmentProfile:
-    """Independent categorical draws for weather, lighting, road type."""
+def sample_environment(rng: np.random.Generator) -> EnvironmentProfile:
+    """Independent categorical draws for weather, lighting and road type,
+    one rng.random() each, from DEFAULT_ENV_DISTS."""
     values = {}
-    for cat in ("weather", "lighting", "road_type"):
-        if cat not in dist_config:
-            raise ValueError(f"missing distribution for {cat!r}")
-        dist = dist_config[cat]
-        if not dist:
-            raise ValueError(f"empty distribution for {cat!r}")
-        total = 0.0
-        for name, w in dist.items():
-            if w < 0:
-                raise ValueError(f"negative weight {w!r} for {cat}={name!r}")
-            total += w
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"{cat} weights sum to {total!r}, expected 1.0")
+    for cat, dist in DEFAULT_ENV_DISTS.items():
         r = rng.random()
         acc = 0.0
         for name, w in dist.items():
@@ -311,12 +300,12 @@ def _background_tracks(graph: RoadGraph, terminals: tuple[str, ...],
 def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
                     rec_id: str) -> tuple[ScenarioRecord, GenMeta]:
     graph = preset_graph(template.preset_map)
-    env = sample_environment(DEFAULT_ENV_DISTS, rng)
+    env = sample_environment(rng)
 
     role_routes = [shortest_path(graph, *role.od) for role in template.roles]
     node = _collision_node(graph, role_routes[0], role_routes[1])
 
-    g_c = int(rng.integers(*template.onset_frames))
+    g_c = int(rng.integers(*ONSET_FRAMES))
     t_c = g_c * DT
     speeds = [float(rng.uniform(*role.speed_range)) for role in template.roles]
     d_view = float(rng.uniform(12.0, 30.0))
@@ -378,7 +367,7 @@ def _build_positive(template: AccidentTemplate, rng: np.random.Generator,
 def _build_negative(graph: RoadGraph, terminals: tuple[str, ...],
                     ego_route: Route, rng: np.random.Generator, rec_id: str
                     ) -> tuple[ScenarioRecord, GenMeta]:
-    env = sample_environment(DEFAULT_ENV_DISTS, rng)
+    env = sample_environment(rng)
     if ego_route.cost < HORIZON:
         raise GenerationError(
             f"ego route lasts {ego_route.cost:.2f} s, shorter than the "
@@ -574,8 +563,9 @@ def generate_one(seed: int, index: int, count: int, positive_ratio: float,
         report = validate_scenario(record, meta)
         if report.ok:
             return record, meta
-        last = GenerationError("validation failed: "
-                               + "; ".join(c.name for c in report.failures()))
+        last = GenerationError("validation failed: " + "; ".join(
+            f"{c.name} ({c.detail})" if c.detail else c.name
+            for c in report.failures()))
     raise GenerationError(
         f"scenario {index} failed after {MAX_ATTEMPTS} attempts: {last}") from last
 

@@ -110,18 +110,14 @@ class RoleSpec:
 
 @dataclass(frozen=True)
 class AccidentTemplate:
-    kind: str
     preset_map: str
     roles: tuple[RoleSpec, RoleSpec]
     observer_ods: tuple[tuple[str, str], ...]  # candidate ego routes
     ego_role: int | None = None  # role index the ego may play (rear-end striker)
-    # generation-frame window for the collision (half-open, at fps 10)
-    onset_frames: tuple[int, int] = (30, 50)
 
 
 TEMPLATES: dict[str, AccidentTemplate] = {
     "rear_end": AccidentTemplate(
-        kind="rear_end",
         preset_map="straight",
         roles=(RoleSpec(("wm", "me"), (2.0, 4.0)),     # slow leader
                RoleSpec(("wm", "me"), (9.0, 14.0))),   # striker
@@ -129,21 +125,18 @@ TEMPLATES: dict[str, AccidentTemplate] = {
         ego_role=1,
     ),
     "crossing_path": AccidentTemplate(
-        kind="crossing_path",
         preset_map="intersection",
         roles=(RoleSpec(("nc", "cs"), (8.0, 14.0)),
                RoleSpec(("wc", "ce"), (8.0, 14.0))),
         observer_ods=(("sc", "cn"), ("ec", "cw")),
     ),
     "turning_conflict": AccidentTemplate(
-        kind="turning_conflict",
         preset_map="t_junction",
         roles=(RoleSpec(("wc", "cn"), (6.0, 10.0)),    # left turner
                RoleSpec(("ec", "cw"), (8.0, 13.0))),   # oncoming straight
         observer_ods=(("wc", "cn"), ("ec", "cw")),
     ),
     "lane_change": AccidentTemplate(
-        kind="lane_change",
         preset_map="multilane",
         roles=(RoleSpec(("l1a", "l2b"), (8.0, 12.0)),  # lane changer
                RoleSpec(("l2a", "l2b"), (9.0, 14.0))),

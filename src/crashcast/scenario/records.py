@@ -14,6 +14,7 @@ BEHAVIOR_LABELS = ("straight", "left-turn", "right-turn", "accelerating", "braki
                    "stopped", "lane-change")
 
 BEHAVIOR_WINDOW = 5  # frames in the trailing labeling window
+MAX_VISIBLE = 19  # objects stored per frame, nearest first
 _TURN_THRESHOLD = math.radians(10.0)
 _ACCEL_THRESHOLD = 1.0  # m/s^2
 _STOP_SPEED = 0.05  # m/s
@@ -90,7 +91,6 @@ def _columns(ids, numbers, labels, counts) -> dict:
     }
 
 
-@dataclass(frozen=True)
 class EgoCamera:
     """Planar pinhole camera at the ego pose, looking along the heading.
 
@@ -99,14 +99,11 @@ class EgoCamera:
     camera and its bearing magnitude does not exceed half_fov.
     """
 
-    width: float = 1280.0
-    height: float = 720.0
-    half_fov: float = math.pi / 6
-    mount_height: float = 1.5
-
-    @property
-    def focal(self) -> float:
-        return (self.width / 2.0) / math.tan(self.half_fov)
+    width = 1280.0
+    height = 720.0
+    half_fov = math.pi / 6
+    mount_height = 1.5
+    focal = (width / 2.0) / math.tan(half_fov)
 
     def project(self, ego_xy, ego_heading, point_xy):
         """(cx, cy, depth, visible) of world points; elementwise over arrays
@@ -279,6 +276,8 @@ def _check_record(rec: ScenarioRecord) -> None:
         raise ValueError(
             f"frames is {rec.frames} but there are {len(rec.frame_starts) - 1} "
             f"object lists and {len(rec.scene_labels)} scene labels")
+    if rec.frames < 1:
+        raise ValueError(f"frames must be >= 1, got {rec.frames}")
     if rec.fps < 1:
         raise ValueError(f"fps must be >= 1, got {rec.fps}")
     lam = rec.accident_frame

@@ -28,8 +28,10 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 CLIP_NORM = 5.0
-# records per build_features call when train builds its videos
+# records per build_features call when train builds its videos, and per
+# forward batch when eval scores them
 FEATURE_CHUNK = 32
+EVAL_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -87,17 +89,17 @@ class Adam:
             self.v[name][...] = state[f"opt.v.{name}"]
 
 
-def clip_gradients(params, max_norm: float) -> float:
+def clip_gradients(params) -> float:
     """Scale all gradients together so their global L2 norm is at most
-    max_norm; returns the pre-clip norm, inf when it overflows (which
+    CLIP_NORM; returns the pre-clip norm, inf when it overflows (which
     train refuses)."""
     total = 0.0
     with np.errstate(over="ignore"):
         for p in params:
             total += float((p.grad * p.grad).sum())
     total = float(np.sqrt(total))
-    if total > max_norm:
-        scale = max_norm / total
+    if total > CLIP_NORM:
+        scale = CLIP_NORM / total
         for p in params:
             p.grad *= scale
     return total
@@ -176,7 +178,7 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
                                 f"L1={values[0]} L2={values[1]} L3={values[2]} "
                                 f"L={values[3]}")
                         tape.backward(loss)
-                    norm = clip_gradients(params.parameters(), CLIP_NORM)
+                    norm = clip_gradients(params.parameters())
                     if not np.isfinite(norm):
                         # Adam would write it into every parameter; stop before that
                         raise TrainingDivergedError(
@@ -352,8 +354,8 @@ def _chunk_risk(params: ModelParams, model_cfg: ModelConfig, videos) -> np.ndarr
 
 
 def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
-                chunk: int = 8, jobs: int = 1) -> np.ndarray:
-    """(B, T) risk curves, computed in chunks of at most ``chunk`` records
+                jobs: int = 1) -> np.ndarray:
+    """(B, T) risk curves, computed in chunks of at most EVAL_CHUNK records
     drawn from the iterable as they are scored, so only the chunks in
     flight are held (one with jobs 1; see util.map_in_order). A chunk is
     one forward batch, so the chunk size bounds the forward's (b, T, O, O)
@@ -364,7 +366,7 @@ def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
     summation order. Measured on 128 videos against chunks of 8, chunks of
     1, 2 and 3 moved bits (a 1-, 2- or 3-row product need not equal the
     same rows of a taller one) and chunks of 4 or more did not; the
-    trailing chunk is that short whenever B mod 8 is 1, 2 or 3.
+    trailing chunk is that short whenever B mod EVAL_CHUNK is 1, 2 or 3.
 
     ``jobs`` > 1 scores chunks on at most that many worker processes, each
     sent the model with its chunk; the records are still decoded here.
@@ -372,7 +374,8 @@ def risk_curves(records, params: ModelParams, model_cfg: ModelConfig,
     the worker count.
     """
     score = functools.partial(_chunk_risk, params, model_cfg)
-    return np.concatenate(list(map_in_order(score, _chunks(records, chunk), jobs)))
+    chunks = _chunks(records, EVAL_CHUNK)
+    return np.concatenate(list(map_in_order(score, chunks, jobs)))
 
 
 def evaluate(records, params: ModelParams, model_cfg: ModelConfig, *,

@@ -1173,6 +1173,19 @@ def test_train_val_data_of_another_shape_exits_3(work, tmp_path, capsys, key, va
     assert list(tmp_path.iterdir()) == [val]
 
 
+def test_train_zero_frame_records_exit_3_naming_the_line(work, tmp_path, capsys):
+    _, data, _ = work
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_zero_frame_negatives(data))
+    capsys.readouterr()
+    code = main(["train", "--data", str(bad), "--epochs", "1",
+                 "--out", str(tmp_path / "x.bin"), "--feature-dim", "8",
+                 "--max-objects", "4"])
+    assert code == 3
+    assert f"{bad}:1: bad record: frames must be >= 1, got 0" in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 # (input flag, input file name, --out): the output that --out implies
 # lands on the input
 _TRAIN_COLLISIONS = {
@@ -1600,8 +1613,17 @@ _RECORD_EDITS = {
 }
 
 
+def _zero_frame_negatives(data) -> str:
+    """The dataset's negatives, each cut to zero frames, as JSON lines."""
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    cut = [dict(r, frames=0, objects=[], scene_labels=[])
+           for r in records if not r["positive"]]
+    return "".join(json.dumps(r) + "\n" for r in cut)
+
+
 @pytest.mark.parametrize("corrupt", ["cut", "missing-keys", "not-utf8",
-                                     "deep-nesting", *_RECORD_EDITS])
+                                     "deep-nesting", "zero-frames",
+                                     *_RECORD_EDITS])
 def test_eval_corrupt_dataset_exits_3_naming_the_line(work, tmp_path, capsys, corrupt):
     _, data, ckpt = work
     lines = data.read_text().splitlines(keepends=True)
@@ -1618,6 +1640,9 @@ def test_eval_corrupt_dataset_exits_3_naming_the_line(work, tmp_path, capsys, co
     elif corrupt == "deep-nesting":
         bad.write_text(lines[0] + "[" * 200_000 + "\n")
         where = f"{bad}:2:"
+    elif corrupt == "zero-frames":
+        bad.write_text(_zero_frame_negatives(data))
+        where = f"{bad}:1: bad record: frames must be >= 1, got 0"
     else:
         kind, edit = _RECORD_EDITS[corrupt]
         records = [json.loads(line) for line in lines]

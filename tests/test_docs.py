@@ -1,9 +1,11 @@
-"""README.md's Python examples import only names that exist, and every
-function, class and method in src has a reader outside the tests. The blocks
-are parsed, never run: the library example trains for six epochs."""
+"""README.md's Python examples import only names that exist, every
+function, class and method in src has a reader outside the tests, and so
+does every dataclass field. The blocks are parsed, never run: the library
+example trains for six epochs."""
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -110,11 +112,16 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
-def readme_code_names(text: str) -> set[str]:
-    """The identifiers in README's fenced blocks and backtick spans."""
-    code = (re.findall(r"^```[^\n]*\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+def readme_code(text: str) -> list[str]:
+    """README's fenced blocks and backtick spans."""
+    return (re.findall(r"^```[^\n]*\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
             + re.findall(r"`([^`\n]+)`", text))
-    return {name for span in code for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def readme_code_names(text: str) -> set[str]:
+    """The identifiers in README's code."""
+    return {name for span in readme_code(text)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
 
 
 def test_every_src_definition_is_reached_from_outside_the_tests():
@@ -131,3 +138,58 @@ def test_test_only_definitions_name_a_test_that_exists():
     for qualified, oracle in TEST_ONLY.items():
         module, test = oracle.split("::")
         assert f"def {test}(" in (ROOT / "tests" / module).read_text(), qualified
+
+
+# src dataclass fields that no code reads as an attribute, each with the
+# function that reads it by name
+FIELD_READERS = {
+    "crashcast.scenario.generate.Track.present":
+        "crashcast.scenario.generate._assemble",
+}
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(func, "id", getattr(func, "attr", None)) == "dataclass"
+
+
+def dataclass_fields(path: Path):
+    """(qualified name, name) of each annotated field of each module-level
+    dataclass in a src file."""
+    module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass,
+                                                      node.decorator_list)):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield f"{module}.{node.name}.{sub.target.id}", sub.target.id
+
+
+def attributes_read(source: str) -> set[str]:
+    """Every attribute the source loads."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def readme_attributes(text: str) -> set[str]:
+    """The names that follow a dot in README's code."""
+    return {name for span in readme_code(text)
+            for name in re.findall(r"\.([A-Za-z_]\w*)", span)}
+
+
+def test_every_src_dataclass_field_is_read_outside_the_tests():
+    files = sorted(SRC.rglob("*.py"))
+    read = readme_attributes(README.read_text())
+    for path in files + sorted((ROOT / "perfbench").glob("*.py")):
+        read |= attributes_read(path.read_text())
+    unread = {qualified for path in files
+              for qualified, name in dataclass_fields(path) if name not in read}
+    assert unread == set(FIELD_READERS), sorted(unread ^ set(FIELD_READERS))
+
+
+def test_field_readers_read_the_field_by_name():
+    for qualified, reader in FIELD_READERS.items():
+        module, func = reader.rsplit(".", 1)
+        source = inspect.getsource(getattr(importlib.import_module(module), func))
+        assert "getattr" in source and f'"{qualified.rsplit(".", 1)[1]}"' in source, \
+            qualified

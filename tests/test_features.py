@@ -50,11 +50,12 @@ def _record(frames, rec_id="vid-0", positive=False, accident_frame=None):
 # --- pairwise distance and relative velocity -------------------------------
 
 def test_pairwise_distance_hand_values():
-    d = pairwise_distance([(0.0, 0.0), (3.0, 4.0)], [5.0, 5.0], 1.0)
-    assert d[0, 1] == 25.0 and d[1, 0] == 25.0
+    # at _SCALE = 1/1280, 1280 pixels weigh as much as a meter of depth
+    d = pairwise_distance([(0.0, 0.0), (3840.0, 5120.0)], [5.0, 5.0])
+    assert d[0, 1] == pytest.approx(25.0, abs=1e-12) and d[1, 0] == d[0, 1]
     assert d[0, 0] == 0.0 and d[1, 1] == 0.0
 
-    d = pairwise_distance([(0.0, 0.0), (1.0, 0.0)], [0.0, 3.0], 2.0)
+    d = pairwise_distance([(0.0, 0.0), (2560.0, 0.0)], [0.0, 3.0])
     assert d[0, 1] == pytest.approx(13.0, abs=1e-12)
 
 
@@ -63,21 +64,23 @@ def test_pairwise_distance_properties():
     for _ in range(50):
         n = int(rng.integers(1, 8))
         d = pairwise_distance(rng.normal(size=(n, 2)) * 400,
-                              rng.uniform(0, 80, n), 1 / 1280)
+                              rng.uniform(0, 80, n))
         assert np.all(d >= 0)
         assert np.allclose(d, d.T)
         assert np.all(np.diag(d) == 0.0)
 
 
 def test_distance_velocity_stacks_hand_case():
-    centers = np.array([[[0.0, 0.0], [3.0, 4.0]],
-                        [[0.0, 0.0], [0.0, 4.0]]])
+    centers = np.array([[[0.0, 0.0], [3840.0, 5120.0]],
+                        [[0.0, 0.0], [0.0, 5120.0]]])
     depths = np.full((2, 2), 5.0)
     mask = np.ones((2, 2), dtype=bool)
-    d, v, dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask, 1.0)
-    assert d[0, 0, 1] == 25.0 and d[1, 0, 1] == 16.0
-    assert np.all(v[0] == 0.0) and v[1, 0, 1] == -9.0
-    assert dbar[0, 0, 1] == 1.0 and vbar[1, 0, 1] == -1.0
+    dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask)
+    d = pairwise_distance(centers, depths)
+    assert d[0, 0, 1] == pytest.approx(25.0) and d[1, 0, 1] == pytest.approx(16.0)
+    # the one velocity entry, d[1] - d[0] = -9, is its frame's peak
+    assert np.all(vbar[0] == 0.0) and vbar[1, 0, 1] == -1.0
+    assert dbar[0, 0, 1] == 1.0 and dbar[1, 0, 1] == 1.0
     assert pair.all()
 
 
@@ -87,10 +90,10 @@ def test_distance_velocity_stacks_masks_absent_objects():
     depths = rng.uniform(1, 60, (3, 3))
     mask = np.ones((3, 3), dtype=bool)
     mask[1, 2] = False
-    d, v, dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask, 1 / 1280)
-    assert np.all(d[1, 2, :] == 0.0) and np.all(d[1, :, 2] == 0.0)
+    dbar, vbar, pair = distance_velocity_stacks(centers, depths, mask)
+    assert np.all(dbar[1, 2, :] == 0.0) and np.all(dbar[1, :, 2] == 0.0)
     # velocity needs the pair in both frames, so frame 2 column 2 is out too
-    assert np.all(v[2, 2, :] == 0.0)
+    assert np.all(vbar[2, 2, :] == 0.0)
     assert np.all(np.isfinite(dbar)) and np.all(np.isfinite(vbar))
     assert np.abs(dbar).max() <= 1.0 and np.abs(vbar).max() <= 1.0
 
@@ -99,7 +102,7 @@ def test_normalization_of_all_zero_stack_is_zero():
     centers = np.zeros((4, 1, 2))
     depths = np.zeros((4, 1))
     mask = np.ones((4, 1), dtype=bool)
-    _, _, dbar, vbar, _ = distance_velocity_stacks(centers, depths, mask, 1.0)
+    dbar, vbar, _ = distance_velocity_stacks(centers, depths, mask)
     assert np.all(dbar == 0.0) and np.all(vbar == 0.0)
 
 
@@ -132,24 +135,24 @@ def test_geometry_params_alpha_range():
 
 def test_text_weights_identical_pair_is_uniform():
     e = np.tile(np.array([[0.6, 0.8]]), (2, 1))
-    for tau in [0.5, 2.0]:
-        w = text_weights(e, tau).value
-        assert np.allclose(w, 0.5, atol=1e-12)
+    w = text_weights(e, np.ones((2, 2), dtype=bool), 2).value
+    assert np.allclose(w, 0.5, atol=1e-12)
 
 
 def test_text_weights_orthogonal_pair_hand_value():
+    # logits 1 / _TAU_TEXT = 2 on the diagonal, 0 off it: sigmoid(+-2)
     e = np.eye(2)
-    w = text_weights(e, 1.0).value
-    assert w[0, 0] == pytest.approx(0.7310585786300049, abs=1e-12)
-    assert w[0, 1] == pytest.approx(0.2689414213699951, abs=1e-12)
-    assert w[1, 1] == pytest.approx(0.7310585786300049, abs=1e-12)
+    w = text_weights(e, np.ones((2, 2), dtype=bool), 2).value
+    assert w[0, 0] == pytest.approx(0.8807970779778823, abs=1e-12)
+    assert w[0, 1] == pytest.approx(0.11920292202211755, abs=1e-12)
+    assert w[1, 1] == pytest.approx(0.8807970779778823, abs=1e-12)
 
 
 def test_text_weight_rows_are_distributions():
     rng = np.random.default_rng(7)
     e = rng.standard_normal((1000, 5, 8))
     e /= np.linalg.norm(e, axis=-1, keepdims=True)
-    w = text_weights(e, 0.5).value
+    w = text_weights(e, np.ones((1000, 5, 5), dtype=bool), 5).value
     assert np.all(np.isfinite(w)) and np.all(w >= 0)
     assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-9
 
@@ -160,7 +163,7 @@ def test_text_weights_masked_pairs_are_exact_zero():
     e /= np.linalg.norm(e, axis=-1, keepdims=True)
     pair = np.ones((3, 3), dtype=bool)
     pair[2, :] = pair[:, 2] = False
-    w = text_weights(e, 0.5, pair).value
+    w = text_weights(e, pair, 3).value
     assert w[0, 2] == 0.0 and w[1, 2] == 0.0
     assert w[0, :2].sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.isfinite(w))
@@ -177,23 +180,17 @@ def test_text_weights_over_leading_slots_equal_full_width():
     present[0, 1] = False
     e[~present] = 0.0
     pair = present[:, :, None] & present[:, None, :]
-    full = text_weights(e, 0.5, pair).value
+    full = text_weights(e, pair, 6).value
     for k in (3, 4, 6):
-        got = text_weights(e[:, :k], 0.5, pair[:, :k, :k], slots=6).value
+        got = text_weights(e[:, :k], pair[:, :k, :k], 6).value
         assert np.array_equal(got, full[:, :k, :k])
     assert np.all(got[0, 1] == 1.0 / 6.0)
 
 
-def test_text_weights_rejects_bad_tau():
-    with pytest.raises(ValueError):
-        text_weights(np.eye(2), 0.0)
-
-
 def test_text_weights_match_broadcast_cosine():
-    def broadcast_reference(e, tau, pair=None):
+    def broadcast_reference(e, tau, pair):
         logits = (e[..., :, None, :] * e[..., None, :, :]).sum(axis=-1) / tau
-        if pair is not None:
-            logits = logits + np.where(pair, 0.0, -1e30)
+        logits = logits + np.where(pair, 0.0, -1e30)
         x = np.exp(logits - logits.max(axis=-1, keepdims=True))
         return x / x.sum(axis=-1, keepdims=True)
 
@@ -202,14 +199,14 @@ def test_text_weights_match_broadcast_cosine():
     e /= np.linalg.norm(e, axis=-1, keepdims=True)
     present = rng.random((3, 5, 7)) < 0.6
     pair = present[..., :, None] & present[..., None, :]
-    for mask in [None, pair]:
-        got = text_weights(e, 0.5, mask).value
-        want = broadcast_reference(e, 0.5, mask)
+    for mask in [np.ones_like(pair), pair]:
+        got = text_weights(e, mask, 7).value
+        want = broadcast_reference(e, features._TAU_TEXT, mask)
         assert np.allclose(got, want, rtol=0.0, atol=1e-15)
     assert np.all(got[~pair & present[..., :, None]] == 0.0)
     # the embeddings are data: nothing is recorded for them
     with ad.Tape() as tape:
-        text_weights(ad.Tensor(e), 0.5, pair)
+        text_weights(ad.Tensor(e), pair, 7)
     assert len(tape) == 0
 
 
@@ -287,7 +284,8 @@ def test_weight_pipeline_gradients_match_fd():
     def f():
         alpha = ad.div(a, ad.add(a, 1.0))
         w = fuse_weights(geo_weights(dbar, vbar, alpha),
-                         text_weights(emb, 0.5), beta)
+                         text_weights(emb, np.ones((2, 4, 4), dtype=bool), 4),
+                         beta)
         return ad.tsum(ad.mul(w, probe))
 
     assert grad_check(f, [a, beta], rng=rng) < 1e-6
@@ -710,19 +708,19 @@ def test_edge_weight_stack_end_to_end():
     text_norm = np.divide(text_obj, norm, out=np.zeros_like(text_obj),
                           where=norm > 0)
     w = edge_weight_stack(batch.centers, batch.depths, batch.mask,
-                          text_norm, alpha=0.5, beta=0.0).value
+                          text_norm, alpha=0.5, beta=0.0, slots=batch.objects).value
     assert w.shape == (2, batch.frames, batch.objects, batch.objects)
     assert batch.objects <= 4
     assert np.all(np.isfinite(w))
-    _, _, dbar, vbar, pair = distance_velocity_stacks(
-        batch.centers, batch.depths, batch.mask, 1.0 / 1280.0)
+    dbar, vbar, pair = distance_velocity_stacks(batch.centers, batch.depths,
+                                                batch.mask)
     w_geo = geo_weights(dbar, vbar, 0.5).value
-    w_text = text_weights(text_norm, 0.5, pair).value
+    w_text = text_weights(text_norm, pair, batch.objects).value
     assert np.allclose(w, 0.5 * (w_geo + w_text), atol=1e-12)
 
     # alpha 0 and a saturated beta leave the velocity term, as printed
     velocity = edge_weight_stack(batch.centers, batch.depths, batch.mask,
-                                 text_norm, alpha=0.0, beta=-50.0)
-    vbar = distance_velocity_stacks(batch.centers, batch.depths, batch.mask,
-                                    1.0 / 1280.0)[3]
+                                 text_norm, alpha=0.0, beta=-50.0,
+                                 slots=batch.objects)
+    vbar = distance_velocity_stacks(batch.centers, batch.depths, batch.mask)[1]
     assert np.allclose(velocity.value, vbar, atol=1e-9)

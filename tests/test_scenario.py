@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from crashcast.scenario.generate import (
     COLLISION_THRESHOLD,
     DT,
     GEN_FRAMES,
-    MAX_VISIBLE,
     SAFETY_RADIUS,
     STORED_FRAMES,
     TRIM_FRAMES,
@@ -34,6 +34,7 @@ from crashcast.scenario.presets import TEMPLATES, AccidentTemplate, RoleSpec, pr
 from crashcast.scenario.records import (
     BEHAVIOR_LABELS,
     BEHAVIOR_WINDOW,
+    MAX_VISIBLE,
     STATE_COLUMNS,
     EgoCamera,
     EnvironmentProfile,
@@ -368,34 +369,32 @@ def test_scene_label_density_buckets():
     assert scene_label(env, 7) == "clear|day|urban|busy"
 
 
-def test_environment_degenerate_distribution():
+def test_environment_degenerate_distribution(monkeypatch):
     dists = {"weather": {"clear": 1.0}, "lighting": {"day": 1.0},
              "road_type": {"urban": 1.0}}
+    monkeypatch.setattr(generate, "DEFAULT_ENV_DISTS", dists)
     rng = stream_rng(1, "env")
     for _ in range(20):
-        env = sample_environment(dists, rng)
+        env = sample_environment(rng)
         assert env == EnvironmentProfile("clear", "day", "urban")
 
 
-def test_environment_5050_within_3_sigma():
+def test_environment_5050_within_3_sigma(monkeypatch):
     dists = {"weather": {"clear": 0.5, "rain": 0.5},
              "lighting": {"day": 1.0}, "road_type": {"urban": 1.0}}
+    monkeypatch.setattr(generate, "DEFAULT_ENV_DISTS", dists)
     rng = stream_rng(2, "env5050")
     n = 10_000
-    hits = sum(sample_environment(dists, rng).weather == "clear" for _ in range(n))
+    hits = sum(sample_environment(rng).weather == "clear" for _ in range(n))
     sigma = math.sqrt(n * 0.25)
     assert abs(hits - n / 2) <= 3 * sigma
 
 
-def test_environment_rejects_bad_weights():
-    rng = stream_rng(3)
-    base = {"lighting": {"day": 1.0}, "road_type": {"urban": 1.0}}
-    with pytest.raises(ValueError):
-        sample_environment({"weather": {"clear": 0.7, "rain": 0.31}, **base}, rng)
-    with pytest.raises(ValueError):
-        sample_environment({"weather": {"clear": 1.5, "rain": -0.5}, **base}, rng)
-    with pytest.raises(ValueError):
-        sample_environment({"lighting": {"day": 1.0}}, rng)
+def test_default_env_dists_rows_are_distributions():
+    assert list(generate.DEFAULT_ENV_DISTS) == ["weather", "lighting", "road_type"]
+    for cat, dist in generate.DEFAULT_ENV_DISTS.items():
+        assert dist and min(dist.values()) >= 0.0, cat
+        assert abs(sum(dist.values()) - 1.0) <= 1e-9, cat
 
 
 @pytest.mark.parametrize("kind", sorted(TEMPLATES))
@@ -447,7 +446,6 @@ def test_rear_end_ego_involved_variant():
 
 def test_parallel_routes_are_unsatisfiable():
     template = AccidentTemplate(
-        kind="parallel",
         preset_map="multilane",
         roles=(RoleSpec(("l1a", "l1b"), (8.0, 12.0)),
                RoleSpec(("l2a", "l2b"), (8.0, 12.0))),
@@ -595,6 +593,10 @@ def _record_of(frames, rec_id="r"):
 def test_record_to_json_matches_oracle(rec):
     line = record_to_json(rec)
     assert line == _record_to_json_oracle(rec)
+    if rec.frames == 0:  # no reader takes a record without frames
+        with pytest.raises(ValueError, match="frames must be >= 1, got 0"):
+            record_from_json(line)
+        return
     back = record_from_json(line)
     assert record_to_json(back) == line
 
@@ -687,6 +689,18 @@ def test_validator_flags_zero_accident_frame():
     report = validate_scenario(rec, meta)
     assert not report.ok
     assert "c4_accident_annotated" in {c.name for c in report.failures()}
+
+
+def test_scenario_failing_validation_every_attempt_names_the_check_detail(
+        monkeypatch):
+    # no pair can come closer than -1 m, so c2 fails on every attempt
+    monkeypatch.setattr(generate, "COLLISION_THRESHOLD", -1.0)
+    with pytest.raises(generate.GenerationError) as info:
+        generate_one(5, 0, 1, 1.0)
+    assert re.fullmatch(
+        r"scenario 0 failed after 20 attempts: validation failed: "
+        r"c2_trajectories_intersect \(closest pair \d+\.\d{3} m, "
+        r"closest to camera \d+\.\d{3} m\)", str(info.value)), str(info.value)
 
 
 def test_validator_flags_collision_outside_fov():

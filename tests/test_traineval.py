@@ -335,13 +335,13 @@ def test_clip_gradients():
     a.grad = np.full(3, 3.0)
     b.grad = np.full(4, 4.0)
     norm = float(np.sqrt(27.0 + 64.0))
-    got = clip_gradients([a, b], 5.0)
+    got = clip_gradients([a, b])
     assert got == pytest.approx(norm)
     clipped = float(np.sqrt((a.grad ** 2).sum() + (b.grad ** 2).sum()))
     assert clipped == pytest.approx(5.0, abs=1e-12)
     a.grad = np.full(3, 0.1)
     b.grad = np.full(4, 0.1)
-    clip_gradients([a, b], 5.0)
+    clip_gradients([a, b])
     assert np.allclose(a.grad, 0.1)
 
 
@@ -349,7 +349,7 @@ def test_clip_gradients_overflow_reads_inf_without_a_warning():
     # pytest turns the overflow warning into an error; train refuses the inf
     a = Parameter(np.zeros(2), name="a")
     a.grad = np.array([1e200, -3.0])
-    assert clip_gradients([a], 5.0) == np.inf
+    assert clip_gradients([a]) == np.inf
 
 
 # --- training loop ---------------------------------------------------------------
@@ -567,7 +567,7 @@ def test_train_config_validation():
 
 # --- evaluate ---------------------------------------------------------------------
 
-def test_evaluate_report_structure():
+def test_evaluate_report_structure(monkeypatch):
     records = _records()
     model_cfg, _ = _cfgs()
     params = ModelParams.init(model_cfg, np.random.default_rng(15))
@@ -583,10 +583,12 @@ def test_evaluate_report_structure():
             assert v["tta_seconds"] is None
     # chunked inference agrees with one-shot inference up to the last bits
     # (a one-row batch can take another BLAS path)
-    whole = risk_curves(records, params, model_cfg, chunk=len(records))
+    monkeypatch.setattr(traineval, "EVAL_CHUNK", len(records))
+    whole = risk_curves(records, params, model_cfg)
     assert np.allclose(curves, whole, rtol=0.0, atol=1e-12)
     for chunk in (1, 3):
-        part = risk_curves(records, params, model_cfg, chunk=chunk)
+        monkeypatch.setattr(traineval, "EVAL_CHUNK", chunk)
+        part = risk_curves(records, params, model_cfg)
         assert np.allclose(part, whole, rtol=0.0, atol=1e-12), chunk
 
 
