@@ -471,8 +471,8 @@ def gru_sequence(x, w_ih, w_hh, b_ih, b_hh) -> Tensor:
         if memo and memo[0] is g:
             return memo[1]
         g_t = g.transpose(1, 0, 2)
-        d_gi = np.empty_like(gi)
-        d_gh = np.empty_like(gi)
+        d_gi = np.empty((steps, batch, 3 * hidden))
+        d_gh = np.empty((steps, batch, 3 * hidden))
         dh = np.zeros((batch, hidden))
         for t in reversed(range(steps)):
             dh = dh + g_t[t]

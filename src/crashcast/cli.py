@@ -221,6 +221,15 @@ def _refuse_overwrite(paths, force) -> None:
             raise ConfigError(f"refusing to overwrite {path} (pass --force)")
 
 
+def _input(inputs: dict, path: str, what: str) -> str:
+    """path, its sha256 recorded in inputs: the one refusal of a missing
+    input (a config error naming it), hashed before any reader opens it."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} not found: {path}")
+    inputs[path] = sha256_file(path)
+    return path
+
+
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -262,15 +271,6 @@ def _synthesis():
     from . import roadnet
     from .scenario import generate
     return roadnet, generate
-
-
-def _synthesis_errors() -> tuple[type[Exception], ...]:
-    """GenerationError and NetworkError once gen-data has loaded the
-    synthesis path that raises them; nothing to catch before that."""
-    if f"{__package__}.scenario.generate" not in sys.modules:
-        return ()
-    roadnet, generate = _synthesis()
-    return generate.GenerationError, roadnet.NetworkError
 
 
 def generate_one(seed, index, count, positive_ratio, graph=None):
@@ -315,15 +315,12 @@ def _run_gen_data(cfg: dict) -> int:
                       [("--network", cfg["network"])])
     _refuse_overwrite([out], cfg["force"])
 
-    roadnet, _ = _synthesis()
+    roadnet, generate = _synthesis()
     inputs = {}
     graph = None
     network = cfg["network"]
     if network:
-        if not os.path.isfile(network):
-            raise ConfigError(f"network file not found: {network}")
-        inputs[network] = sha256_file(network)
-        with open(network, "rb") as fh:
+        with open(_input(inputs, network, "network file"), "rb") as fh:
             raw = fh.read()
         try:
             text = raw.decode("utf-8")
@@ -346,10 +343,13 @@ def _run_gen_data(cfg: dict) -> int:
     tasks = ((seed, count, ratio, graph, lo, min(lo + span, count))
              for lo in range(0, count, span))
     n_pos = 0
-    with atomic_writer(out) as fh:
-        for lines, positives in map_in_order(_gen_span, tasks, jobs):
-            fh.write(lines)
-            n_pos += positives
+    try:
+        with atomic_writer(out) as fh:
+            for lines, positives in map_in_order(_gen_span, tasks, jobs):
+                fh.write(lines)
+                n_pos += positives
+    except (generate.GenerationError, roadnet.NetworkError) as exc:
+        raise ValueError(str(exc)) from exc  # a runtime failure (exit 3)
     _write_manifest(out, "gen-data", cfg, inputs, {out: fh.hexdigest()}, started)
     print(f"wrote {count} scenarios ({n_pos} positive) to {out}")
     return 0
@@ -358,10 +358,8 @@ def _run_gen_data(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _read_records(path: str, what: str):
-    if not os.path.isfile(path):
-        raise ConfigError(f"{what} not found: {path}")
-    records = read_dataset(path)
+def _read_records(inputs: dict, path: str, what: str):
+    records = read_dataset(_input(inputs, path, what))
     if not records:
         raise ConfigError(f"{what} is empty: {path}")
     return records
@@ -405,6 +403,26 @@ def _read_sidecar(path: str) -> dict:
     return snap
 
 
+def _read_checkpoint(inputs: dict, path: str, what: str, exempt=()):
+    """The <path>.json sidecar of a checkpoint, the model its model config
+    builds with the checkpoint's parameters, and all the checkpoint's
+    tensors (non-finite ones only among exempt, see load_checkpoint); both
+    files are inputs. A parameter missing or of another shape is a config
+    error naming the checkpoint."""
+    sidecar = path + ".json"
+    _input(inputs, path, what)
+    snap = _read_sidecar(_input(inputs, sidecar, f"{what} config sidecar"))
+    params = ModelParams.init(ModelConfig(**snap["model"]),
+                              np.random.default_rng(0))
+    state = ad.load_checkpoint(path, exempt=exempt)
+    try:
+        params.load_state_dict(state)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{what} {path} does not fit its sidecar "
+                          f"{sidecar}: {exc.args[0]}")
+    return snap, params, state
+
+
 _LOG_HEADER = "step,epoch,split,L1,L2,L3,L"
 
 
@@ -413,8 +431,6 @@ def _previous_log(path: str, epochs_done: int, step: int) -> list[str]:
     its epochs: an epoch row for each of 0 .. epochs_done - 1 in order, the
     last at the checkpoint's optimizer step and followed only by that
     epoch's validation rows."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"resume log not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -469,16 +485,12 @@ def _run_train(cfg: dict) -> int:
     _refuse_overwrite([out, log_path, sidecar_path], cfg["force"])
 
     inputs = {}
-    if os.path.isfile(data):
-        inputs[data] = sha256_file(data)
-    records = _read_records(data, "dataset")
+    records = _read_records(inputs, data, "dataset")
     frames, fps = records[0].frames, records[0].fps
 
     val_records = None
     if cfg["val_data"]:
-        if os.path.isfile(cfg["val_data"]):
-            inputs[cfg["val_data"]] = sha256_file(cfg["val_data"])
-        val_records = _read_records(cfg["val_data"], "validation dataset")
+        val_records = _read_records(inputs, cfg["val_data"], "validation dataset")
         val_frames, val_fps = val_records[0].frames, val_records[0].fps
         if (val_frames, val_fps) != (frames, fps):
             raise ValueError(
@@ -494,72 +506,49 @@ def _run_train(cfg: dict) -> int:
         # ModelConfig and TrainConfig start each message with the field name
         raise OptionError(*str(exc).split(" ", 1))
 
-    params = ModelParams.init(model_cfg, stream_rng(train_cfg.seed, "init"))
-    resume_state = None
+    opt = None
     start_epoch = 0
     log_lines: list[str] = []
     if cfg["resume"]:
         resume = cfg["resume"]
-        prev_sidecar = resume + ".json"
-        prev_log = resume + ".log.csv"
-        for path, what in ((resume, "resume checkpoint"),
-                           (prev_sidecar, "resume checkpoint config sidecar")):
-            if not os.path.isfile(path):
-                raise ConfigError(f"{what} not found: {path}")
-            inputs[path] = sha256_file(path)
-        snap = _flat(_read_sidecar(prev_sidecar))
+        snap, params, state = _read_checkpoint(
+            inputs, resume, "resume checkpoint", exempt=("opt.step",))
+        snap = _flat(snap)
         start_epoch = snap["train.epochs"]
         for key, here in _flat(_sidecar(model_cfg, train_cfg, frames,
                                         fps)).items():
             if key != "train.epochs" and here != snap[key]:
                 raise ConfigError(
-                    f"resume sidecar {prev_sidecar}: {key} is {snap[key]!r}, "
+                    f"resume sidecar {resume}.json: {key} is {snap[key]!r}, "
                     f"this run has {here!r}; only --epochs may differ")
-        # opt.step has a stricter rule of its own, checked below
-        resume_state = ad.load_checkpoint(resume, exempt=("opt.step",))
+        opt = Adam(params.parameters(), train_cfg.learning_rate)
         try:
-            params.load_state_dict(resume_state)
+            opt.load_state_dict(state)
         except (KeyError, ValueError) as exc:
+            raise ConfigError(f"resume checkpoint {resume}: {exc.args[0]}")
+        done = state.get("meta.epochs_done")
+        if done is None or done.shape != ():
+            raise ConfigError(f"resume checkpoint {resume} lacks the "
+                              f"meta.epochs_done tensor of shape ()")
+        if float(done) != start_epoch:
             raise ConfigError(
-                f"resume checkpoint {resume} does not fit the model: {exc}")
-        # what train writes beside the parameters, each at its shape
-        layout = {"meta.epochs_done": np.zeros(()),
-                  **Adam(params.parameters()).state_dict()}
-        for key, written in layout.items():
-            if key not in resume_state:
-                raise ConfigError(f"resume checkpoint {resume} lacks the "
-                                  f"{key} tensor")
-            if resume_state[key].shape != written.shape:
-                raise ConfigError(
-                    f"resume checkpoint {resume}: {key} has shape "
-                    f"{resume_state[key].shape}, expected {written.shape}")
-            # a second moment is a running mean of squares; Adam takes its root
-            if key.startswith("opt.v.") and (resume_state[key] < 0).any():
-                raise ConfigError(
-                    f"resume checkpoint {resume}: {key} holds a negative value")
-        done = float(resume_state["meta.epochs_done"])
-        if done != start_epoch:
-            raise ConfigError(
-                f"resume checkpoint {resume}: meta.epochs_done is {done!r}, "
-                f"its sidecar {prev_sidecar} has train.epochs {start_epoch}")
+                f"resume checkpoint {resume}: meta.epochs_done is "
+                f"{float(done)!r}, its sidecar {resume}.json has train.epochs "
+                f"{start_epoch}")
         if train_cfg.epochs < start_epoch:
             raise ConfigError(
                 f"resume checkpoint {resume} already covers {start_epoch} "
                 f"epochs; --epochs must be >= {start_epoch}")
-        step = float(resume_state["opt.step"])
-        if not (step >= 0 and step.is_integer()):
-            raise ConfigError(
-                f"resume checkpoint {resume}: opt.step is {step!r}, "
-                f"expected a whole number >= 0")
-        step = int(step)
-        if os.path.isfile(prev_log):
-            inputs[prev_log] = sha256_file(prev_log)
-        log_lines = _previous_log(prev_log, start_epoch, step)
+        del state  # copied into params and opt
+        log_lines = _previous_log(
+            _input(inputs, resume + ".log.csv", "resume log"), start_epoch, opt.t)
+    else:
+        params = ModelParams.init(model_cfg, stream_rng(train_cfg.seed, "init"))
 
     try:
         result = train(records, params, model_cfg, train_cfg,
                        val_records=val_records, start_epoch=start_epoch,
-                       opt_state=resume_state)
+                       opt=opt)
     except TrainingDivergedError as exc:
         if cfg["resume"]:
             # a finite but huge weight or moment passes every load check
@@ -612,29 +601,16 @@ def _run_eval(cfg: dict) -> int:
         [("--data", data), ("--checkpoint", ckpt), ("its sidecar", sidecar_path)])
     _refuse_overwrite([out, curves_path], cfg["force"])
 
-    if not os.path.isfile(ckpt):
-        raise ConfigError(f"checkpoint not found: {ckpt}")
-    if not os.path.isfile(sidecar_path):
-        raise ConfigError(f"missing checkpoint config sidecar: {sidecar_path}")
-    inputs = {ckpt: sha256_file(ckpt), sidecar_path: sha256_file(sidecar_path)}
-    if not os.path.isfile(data):
-        raise ConfigError(f"dataset not found: {data}")
-    inputs[data] = sha256_file(data)
+    inputs = {}
+    # the checkpoint's tensors are copied into params and not kept
+    snap, params = _read_checkpoint(inputs, ckpt, "checkpoint")[:2]
+    model_cfg = ModelConfig(**snap["model"])
     # the dataset streams through evaluate a chunk at a time; a line that
     # is not a record raises there, and nothing is written before the end
-    records = iter_dataset(data)
+    records = iter_dataset(_input(inputs, data, "dataset"))
     first = next(records, None)
     if first is None:
         raise ConfigError(f"dataset is empty: {data}")
-
-    model_cfg = ModelConfig(**_read_sidecar(sidecar_path)["model"])
-    params = ModelParams.init(model_cfg, np.random.default_rng(0))
-    state = ad.load_checkpoint(ckpt)
-    try:
-        params.load_state_dict(state)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"checkpoint does not match its sidecar: {exc}")
-    del state  # copied into params
 
     try:
         report, curves = evaluate(itertools.chain([first], records), params,
@@ -684,8 +660,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"crashcast: error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDivergedError, OSError, ValueError, KeyError,
-            *_synthesis_errors()) as exc:
+    except (TrainingDivergedError, OSError, ValueError, KeyError) as exc:
         print(f"crashcast: error: {exc}", file=sys.stderr)
         return 3
 

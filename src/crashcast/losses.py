@@ -76,19 +76,19 @@ def video_loss(logits, labels, accident_frames) -> Tensor:
     return ad.tmean(ad.cross_entropy_logits(chosen, targets))
 
 
-def align_loss(f_vis, f_text, *, tau_c: float = TAU_C) -> Tensor:
+def align_loss(f_vis, f_text) -> Tensor:
     """Bidirectional InfoNCE over all (video, frame) pairs in the batch, as
     one tape node with a hand-written backward.
 
     Expects projected, unit-normalized embeddings of shape (B, T, D) or
     (N, D); the matching pair at the same (video, frame) is the positive
     and same-video temporal neighbors are masked out of the denominator.
-    With logits S = V Xᵀ / tau_c over the N = B·T anchors, -1e30 added at
+    With logits S = V Xᵀ / TAU_C over the N = B·T anchors, -1e30 added at
     each anchor's neighbors (0 < |dt| <= NEIGHBOR_MASK_RADIUS), the loss is
     0.5 (mean(lse_row(S) - diag S) + mean(lse_col(S) - diag S)): the mask
     is symmetric, so the text-to-visual direction reads the columns of the
     same matrix. Backward reuses the forward's two softmaxes:
-    dS = g (P_row + P_col - 2I) / 2N, dV = dS X / tau_c, dX = dSᵀ V / tau_c.
+    dS = g (P_row + P_col - 2I) / 2N, dV = dS X / TAU_C, dX = dSᵀ V / TAU_C.
     """
     v = ad.as_tensor(f_vis)
     x = ad.as_tensor(f_text)
@@ -101,7 +101,7 @@ def align_loss(f_vis, f_text, *, tau_c: float = TAU_C) -> Tensor:
     xv = x.value.reshape(-1, x.shape[-1])
     n = vv.shape[0]
     s = vv @ xv.T
-    s /= tau_c
+    s /= TAU_C
     flat = s.reshape(-1)
     frame = np.arange(n) % frames
     for dt in range(1, min(NEIGHBOR_MASK_RADIUS, frames - 1) + 1):
@@ -125,14 +125,14 @@ def align_loss(f_vis, f_text, *, tau_c: float = TAU_C) -> Tensor:
     done: list = []  # the one d_logits result
 
     def d_logits(g):
-        """dL/d(V Xᵀ) = g (P_row + P_col - 2I) / (2 N tau_c), built in the
+        """dL/d(V Xᵀ) = g (P_row + P_col - 2I) / (2 N TAU_C), built in the
         buffer of P_row on the first call; a tape runs backward once, so
         both callbacks get the same g."""
         if not done:
             d = np.divide(p_row, z_row, out=p_row)
             d += np.divide(p_col, z_col, out=p_col)
             d.flat[::n + 1] -= 2.0
-            d *= g / (2.0 * n * tau_c)
+            d *= g / (2.0 * n * TAU_C)
             done.append(d)
         return done[0]
 

@@ -234,7 +234,9 @@ def record_to_json(record: ScenarioRecord) -> str:
     separators; key order and float rounding are fixed so identical records
     serialize to identical bytes. Every object number is written as
     round(x, 7), in its shortest repr. A non-finite number raises ValueError
-    naming the record, the object and the column."""
+    naming the record, the object and the column, and so does a structure
+    that record_from_json refuses (see _check_record), naming the record, so
+    no written line fails its reader."""
     finite = np.isfinite(record.states)
     if not finite.all():
         row, col = np.argwhere(~finite)[0].tolist()
@@ -242,6 +244,10 @@ def record_to_json(record: ScenarioRecord) -> str:
             f"record {record.id!r}: object {record.ids[record.id_of[row]]!r} "
             f"has {STATE_COLUMNS[col]} {record.states[row, col]}, not a "
             f"finite number")
+    try:
+        _check_record(record)
+    except ValueError as exc:
+        raise ValueError(f"record {record.id!r}: {exc}") from None
     ids = list(map(json.dumps, record.ids))
     rows = list(map(_OBJECT_TEMPLATE.__mod__, zip(
         map(ids.__getitem__, record.id_of.tolist()),
@@ -270,8 +276,9 @@ _FIELD_TYPES = {"id": str, "positive": bool, "fps": int, "frames": int,
 
 
 def _check_record(rec: ScenarioRecord) -> None:
-    """Structural checks that every reader relies on; the full constraint
-    validation runs once, at generation time."""
+    """The frame, fps and accident-frame rules that every reader relies on
+    and the writer keeps; the full constraint validation runs once, at
+    generation time."""
     if not rec.frames == len(rec.frame_starts) - 1 == len(rec.scene_labels):
         raise ValueError(
             f"frames is {rec.frames} but there are {len(rec.frame_starts) - 1} "
@@ -286,12 +293,6 @@ def _check_record(rec: ScenarioRecord) -> None:
                          f"got {lam!r}")
     if not rec.positive and lam is not None:
         raise ValueError(f"a negative needs accident_frame null, got {lam!r}")
-    finite = np.isfinite(rec.states).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(
-            f"object {rec.ids[rec.id_of[bad]]!r}: {', '.join(STATE_COLUMNS)} "
-            f"must be finite numbers, got {tuple(rec.states[bad].tolist())}")
 
 
 def record_from_json(line: str) -> ScenarioRecord:
@@ -299,8 +300,9 @@ def record_from_json(line: str) -> ScenarioRecord:
     of another type than _FIELD_TYPES gives; an environment value, scene
     label or object id that is not a string; an object with a key other
     than id, x, y, speed, heading, cx, cy, depth and behavior; a number that
-    is not an int or float; or an unknown behavior raises ValueError, as
-    does a record whose structure does not hold (see _check_record)."""
+    is not an int or float; an unknown behavior; or a non-finite number
+    raises ValueError, as does a record whose structure does not hold (see
+    _check_record)."""
     raw = json.loads(line)
     for key, kind in _FIELD_TYPES.items():
         if type(raw[key]) is not kind:
@@ -325,6 +327,12 @@ def record_from_json(line: str) -> ScenarioRecord:
                          raw["accident_frame"], env, raw["scene_labels"],
                          **_columns(ids, numbers, labels, map(len, objects)))
     _check_record(rec)
+    finite = np.isfinite(rec.states).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(
+            f"object {rec.ids[rec.id_of[bad]]!r}: {', '.join(STATE_COLUMNS)} "
+            f"must be finite numbers, got {tuple(rec.states[bad].tolist())}")
     return rec
 
 

@@ -83,7 +83,25 @@ class Adam:
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        self.t = int(np.asarray(state["opt.step"]))
+        """Continue from the opt.* tensors of state (a whole checkpoint will
+        do), the one check of a valid optimizer state: each tensor present
+        at the shape state_dict writes, no negative second moment (step
+        takes its root) and opt.step a whole number >= 0. A missing tensor
+        raises KeyError, any other fault ValueError, each naming the tensor
+        and loading nothing."""
+        for key, own in self.state_dict().items():
+            if key not in state:
+                raise KeyError(f"optimizer state lacks the {key} tensor")
+            if state[key].shape != own.shape:
+                raise ValueError(f"optimizer state {key} has shape "
+                                 f"{state[key].shape}, expected {own.shape}")
+            if key.startswith("opt.v.") and (state[key] < 0).any():
+                raise ValueError(f"optimizer state {key} holds a negative value")
+        step = float(state["opt.step"])
+        if not (step >= 0 and step.is_integer()):
+            raise ValueError(f"optimizer state opt.step is {step!r}, "
+                             f"expected a whole number >= 0")
+        self.t = int(step)
         for name in self.m:
             self.m[name][...] = state[f"opt.m.{name}"]
             self.v[name][...] = state[f"opt.v.{name}"]
@@ -133,12 +151,13 @@ class TrainResult:
 
 def train(records, params: ModelParams, model_cfg: ModelConfig,
           train_cfg: TrainConfig, *, val_records=None, start_epoch: int = 0,
-          opt_state: dict | None = None) -> TrainResult:
+          opt: Adam | None = None) -> TrainResult:
     """Minimize the total loss over the records, updating params in place;
     deterministic given the seed (the per-epoch shuffle is derived from
     (seed, epoch), so resuming at an epoch boundary replays the
     uninterrupted schedule). The training records' frame count and rate set
-    the loss for validation too.
+    the loss for validation too. opt is the optimizer over params to
+    continue (a resumed run's); a fresh one at the learning rate by default.
 
     The features of every training and validation video are built once
     (see _video_batches), as one batch per video at that video's own slot
@@ -150,10 +169,8 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
     frames, fps = records[0].frames, records[0].fps
     videos = _video_batches(records, model_cfg)
     val_videos = _video_batches(val_records or (), model_cfg)
-    opt = Adam(params.parameters(), train_cfg.learning_rate)
-    # a whole checkpoint will do: Adam reads only its own opt.* keys
-    if opt_state is not None:
-        opt.load_state_dict(opt_state)
+    if opt is None:
+        opt = Adam(params.parameters(), train_cfg.learning_rate)
     n = len(records)
     rows: list[dict] = []
     step = opt.t

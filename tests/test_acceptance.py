@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
+from crashcast import losses
 from crashcast.autodiff import grad_check
 from crashcast.cli import main as cli_main
 from crashcast.features import geo_weights
@@ -277,7 +278,7 @@ def test_criterion_06_forward_matches_straight_line_transcription():
 # ---------------------------------------------------------------------------
 # 7. hand values
 
-def test_criterion_07_hand_values():
+def test_criterion_07_hand_values(monkeypatch):
     at = adjacency(np.zeros((2, 2)), np.zeros((2, 2))).value
     adj_ok = np.abs(at - np.array([[0.75, 0.25], [0.25, 0.75]])).max() <= 1e-12
 
@@ -287,7 +288,8 @@ def test_criterion_07_hand_values():
     w = earliness_weights(np.array([1]), np.array([50]), 50, fps=10)
     w_ok = abs(w[0, 29] - 0.14957) <= 1e-5
 
-    nce = align_loss(np.eye(2), np.eye(2), tau_c=1.0).item()
+    monkeypatch.setattr(losses, "TAU_C", 1.0)
+    nce = align_loss(np.eye(2), np.eye(2)).item()
     nce_ok = abs(nce - 0.31326) <= 1e-5
 
     _report(7, "adjacency / geometric weight / earliness / InfoNCE hand values",

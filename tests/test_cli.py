@@ -279,10 +279,9 @@ def test_gen_data_manifest_records_output_hash(tmp_path):
     assert manifest["started_at"] <= manifest["finished_at"]
 
 
-@pytest.mark.parametrize("existing", [False, True])
-def test_gen_data_failure_leaves_no_partial_output(tmp_path, monkeypatch,
-                                                   capsys, existing):
-    # the failing scenario lies in the third span, after two were written
+def _fail_in_the_third_span(monkeypatch) -> int:
+    """Make generate_one fail at one scenario of the third span, after two
+    spans were written; returns its index."""
     real = cli.generate_one
     failing_index = 2 * GEN_SPAN + 3
 
@@ -291,12 +290,19 @@ def test_gen_data_failure_leaves_no_partial_output(tmp_path, monkeypatch,
             raise GenerationError(f"scenario {index}: every attempt failed")
         return real(seed, index, *args)
 
+    monkeypatch.setattr(cli, "generate_one", failing)
+    return failing_index
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_gen_data_failure_leaves_no_partial_output(tmp_path, monkeypatch,
+                                                   capsys, existing):
+    failing_index = _fail_in_the_third_span(monkeypatch)
     out = tmp_path / "d.jsonl"
     extra = []
     if existing:
         out.write_bytes(b"old\n")
         extra = ["--force"]
-    monkeypatch.setattr(cli, "generate_one", failing)
     capsys.readouterr()
     assert main(["gen-data", "--count", str(3 * GEN_SPAN), "--seed", "3",
                  "--out", str(out), *extra]) == 3
@@ -305,6 +311,18 @@ def test_gen_data_failure_leaves_no_partial_output(tmp_path, monkeypatch,
     assert left == (["d.jsonl"] if existing else [])
     if existing:
         assert out.read_bytes() == b"old\n"
+
+
+def test_gen_data_failure_in_a_worker_exits_3(tmp_path, monkeypatch, capsys):
+    # the GenerationError a worker process raises comes back through the
+    # pool and ends the run as in one process
+    failing_index = _fail_in_the_third_span(monkeypatch)
+    capsys.readouterr()
+    assert main(["gen-data", "--count", str(3 * GEN_SPAN), "--seed", "3",
+                 "--jobs", "2", "--out", str(tmp_path / "d.jsonl")]) == 3
+    assert _one_error_line(capsys) == (
+        f"crashcast: error: scenario {failing_index}: every attempt failed")
+    assert list(tmp_path.iterdir()) == []
 
 
 class _PoolThatCannotStart:
@@ -894,6 +912,49 @@ def test_train_resume_without_sidecar_or_log_exits_2(work, tmp_path, capsys,
     assert code == 2
     assert str(tmp_path / f"prev.bin{missing}") in _one_error_line(capsys)
     assert not (tmp_path / "x.bin").exists()
+
+
+# every input of every command: its command line, in a directory that holds
+# the fixture's dataset as d.jsonl and v.jsonl and its checkpoint, sidecar
+# and log as c.bin*, a leading @ marking a file there; the input taken away;
+# and what the error calls it
+_TRAIN_INPUTS = ("train", "--data", "@d.jsonl", "--val-data", "@v.jsonl",
+                 "--resume", "@c.bin", "--epochs", "3", "--seed", "1",
+                 "--feature-dim", "8", "--max-objects", "4")
+_EVAL_INPUTS = ("eval", "--data", "@d.jsonl", "--checkpoint", "@c.bin")
+_MISSING_INPUTS = {
+    "gen-data-network": (("gen-data", "--network", "@net.xml", "--count", "3"),
+                         "net.xml", "network file"),
+    "train-data": (_TRAIN_INPUTS, "d.jsonl", "dataset"),
+    "train-val-data": (_TRAIN_INPUTS, "v.jsonl", "validation dataset"),
+    "train-resume": (_TRAIN_INPUTS, "c.bin", "resume checkpoint"),
+    "train-resume-sidecar": (_TRAIN_INPUTS, "c.bin.json",
+                             "resume checkpoint config sidecar"),
+    "train-resume-log": (_TRAIN_INPUTS, "c.bin.log.csv", "resume log"),
+    "eval-checkpoint": (_EVAL_INPUTS, "c.bin", "checkpoint"),
+    "eval-sidecar": (_EVAL_INPUTS, "c.bin.json", "checkpoint config sidecar"),
+    "eval-data": (_EVAL_INPUTS, "d.jsonl", "dataset"),
+}
+
+
+@pytest.mark.parametrize("case", _MISSING_INPUTS)
+def test_missing_input_exits_2_naming_it(work, tmp_path, capsys, case):
+    argv, gone, what = _MISSING_INPUTS[case]
+    _, data, ckpt = work
+    for name, source in (("d.jsonl", data), ("v.jsonl", data), ("c.bin", ckpt)):
+        (tmp_path / name).write_bytes(source.read_bytes())
+    for suffix in (".json", ".log.csv"):
+        (tmp_path / f"c.bin{suffix}").write_bytes(
+            ckpt.with_name(ckpt.name + suffix).read_bytes())
+    (tmp_path / gone).unlink(missing_ok=True)
+    there = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    code = main([arg.replace("@", f"{tmp_path}{os.sep}") for arg in argv]
+                + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert _one_error_line(capsys) == (
+        f"crashcast: error: {what} not found: {tmp_path / gone}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == there
 
 
 @pytest.mark.parametrize("cut", ["last-epoch", "step", "header", "extra-row"])

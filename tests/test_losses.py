@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from crashcast import autodiff as ad
+from crashcast import losses
 from crashcast.autodiff import Parameter, Tape, grad_check
 from crashcast.losses import (
     NEIGHBOR_MASK_RADIUS,
-    TAU_C,
     align_loss,
     earliness_weights,
     frame_loss,
@@ -108,9 +108,10 @@ def test_align_loss_single_matched_pair_is_zero():
     assert align_loss(v, v).item() == pytest.approx(0.0, abs=1e-12)
 
 
-def test_align_loss_orthogonal_pairs_hand_value():
+def test_align_loss_orthogonal_pairs_hand_value(monkeypatch):
+    monkeypatch.setattr(losses, "TAU_C", 1.0)
     e = np.eye(2)
-    got = align_loss(e, e, tau_c=1.0).item()
+    got = align_loss(e, e).item()
     assert got == pytest.approx(0.3132616875182228, abs=1e-9)
 
 
@@ -133,11 +134,12 @@ def test_align_loss_symmetric_in_modalities():
     assert align_loss(v, x).item() >= 0.0
 
 
-def _composite_align_loss(v, x, tau_c=TAU_C):
-    """The alignment loss as a chain of dense ops, in numpy: logits, an
-    N x N penalty of -1e30 at same-video temporal neighbors, and the mean
-    row cross entropy of S + penalty and of Sᵀ + penalty. Returns the loss
-    and its gradients with respect to v and x."""
+def _composite_align_loss(v, x):
+    """The alignment loss as a chain of dense ops, in numpy: logits at
+    losses.TAU_C, an N x N penalty of -1e30 at same-video temporal
+    neighbors, and the mean row cross entropy of S + penalty and of
+    Sᵀ + penalty. Returns the loss and its gradients with respect to v and
+    x."""
     frames = v.shape[1] if v.ndim == 3 else 1
     vv = v.reshape(-1, v.shape[-1])
     xv = x.reshape(-1, x.shape[-1])
@@ -147,6 +149,7 @@ def _composite_align_loss(v, x, tau_c=TAU_C):
     dt = np.abs(frm[:, None] - frm[None, :])
     neighbor = (vid[:, None] == vid[None, :]) & (dt > 0) & (dt <= NEIGHBOR_MASK_RADIUS)
     penal = np.where(neighbor, -1e30, 0.0)
+    tau_c = losses.TAU_C
     sim = vv @ xv.T / tau_c
 
     def cross_entropy(logits):

@@ -591,12 +591,13 @@ def _record_of(frames, rec_id="r"):
                       ("é✓", 1.5, 2.5, -0.0, 0.0, 640.0, 360.0, 1.0, "straight")]],
                     rec_id='q"é\\'))
 def test_record_to_json_matches_oracle(rec):
+    if rec.frames == 0:  # no reader takes a record without frames
+        with pytest.raises(ValueError, match=re.escape(
+                f"record {rec.id!r}: frames must be >= 1, got 0")):
+            record_to_json(rec)
+        return
     line = record_to_json(rec)
     assert line == _record_to_json_oracle(rec)
-    if rec.frames == 0:  # no reader takes a record without frames
-        with pytest.raises(ValueError, match="frames must be >= 1, got 0"):
-            record_from_json(line)
-        return
     back = record_from_json(line)
     assert record_to_json(back) == line
 
@@ -609,6 +610,42 @@ def test_record_to_json_refuses_a_non_finite_number(value):
     with pytest.raises(ValueError, match=(
             f"record '{rec.id}': object '{rec.ids[rec.id_of[row]]}' "
             f"has heading {value}, not a finite number")):
+        record_to_json(rec)
+
+
+def _cut_labels(rec):
+    rec.scene_labels = rec.scene_labels[:-1]
+
+
+# records the reader refuses, each with the rule it breaks
+_UNREADABLE = {
+    "zero-frames": (lambda r: _record_of([]), "frames must be >= 1, got 0"),
+    "fewer-labels": (_cut_labels, "frames is 50 but there are 50 object lists "
+                                  "and 49 scene labels"),
+    "more-frames": (lambda r: setattr(r, "frames", 51), "frames is 51"),
+    "fps-0": (lambda r: setattr(r, "fps", 0), "fps must be >= 1, got 0"),
+    "accident-0": (lambda r: setattr(r, "accident_frame", 0),
+                   "a positive needs 0 < accident_frame < 50, got 0"),
+    "accident-at-end": (lambda r: setattr(r, "accident_frame", 50),
+                        "a positive needs 0 < accident_frame < 50, got 50"),
+    "accident-float": (lambda r: setattr(r, "accident_frame", 10.0),
+                       "a positive needs 0 < accident_frame < 50, got 10.0"),
+    "negative-with-accident": (
+        lambda r: setattr(r, "positive", False),
+        "a negative needs accident_frame null"),
+}
+
+
+@pytest.mark.parametrize("fault", _UNREADABLE)
+def test_record_to_json_refuses_what_the_reader_refuses(fault):
+    # the writer raises naming the record instead of writing the line its
+    # reader rejects
+    edit, rule = _UNREADABLE[fault]
+    rec = generate_one(59, 0, 1, 1.0)[0]
+    rec = edit(rec) or rec
+    with pytest.raises(ValueError, match=rule):
+        record_from_json(_record_to_json_oracle(rec))
+    with pytest.raises(ValueError, match=re.escape(f"record {rec.id!r}: {rule}")):
         record_to_json(rec)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -318,6 +319,44 @@ def test_adam_minimizes_quadratic():
     assert abs(float(x.value[0]) - 3.0) < 1e-2
 
 
+def _adam_state():
+    return {"opt.step": np.array(3.0), "opt.m.x": np.array([0.1, -0.2]),
+            "opt.v.x": np.array([0.3, -0.0])}
+
+
+def test_adam_load_state_dict_takes_a_written_state():
+    opt = Adam([Parameter(np.array([1.0, 2.0]), name="x")])
+    opt.load_state_dict(_adam_state())
+    assert opt.t == 3
+    for key, arr in opt.state_dict().items():
+        assert np.array_equal(arr, _adam_state()[key]), key
+
+
+@pytest.mark.parametrize("key,value,error,text", [
+    ("opt.m.x", None, KeyError, "lacks the opt.m.x tensor"),
+    ("opt.step", None, KeyError, "lacks the opt.step tensor"),
+    ("opt.v.x", np.zeros(3), ValueError, "opt.v.x has shape (3,), expected (2,)"),
+    ("opt.step", np.zeros(1), ValueError, "opt.step has shape (1,), expected ()"),
+    ("opt.v.x", np.array([0.3, -1e-12]), ValueError,
+     "opt.v.x holds a negative value"),
+    *(("opt.step", np.array(step), ValueError,
+       f"opt.step is {step!r}, expected a whole number >= 0")
+      for step in (2.5, -1.0, np.nan, np.inf)),
+], ids=["no-m", "no-step", "v-shape", "step-shape", "negative-v",
+        "step-2.5", "step--1", "step-nan", "step-inf"])
+def test_adam_load_state_dict_refuses_naming_the_tensor(key, value, error, text):
+    opt = Adam([Parameter(np.array([1.0, 2.0]), name="x")])
+    state = _adam_state()
+    if value is None:
+        del state[key]
+    else:
+        state[key] = value
+    with pytest.raises(error, match=re.escape(text)):
+        opt.load_state_dict(state)
+    # nothing was loaded
+    assert opt.t == 0 and not opt.m["x"].any() and not opt.v["x"].any()
+
+
 def test_adam_zero_learning_rate_is_identity():
     x = Parameter(np.array([1.0, 2.0]), name="x")
     before = x.value.copy()
@@ -433,8 +472,10 @@ def test_train_resume_matches_uninterrupted():
 
     pieced = ModelParams.init(model_cfg, np.random.default_rng(13))
     first = train(records, pieced, model_cfg, half_cfg)
+    opt = Adam(pieced.parameters(), full_cfg.learning_rate)
+    opt.load_state_dict(first.opt_state)
     second = train(records, pieced, model_cfg, full_cfg,
-                   start_epoch=2, opt_state=first.opt_state)
+                   start_epoch=2, opt=opt)
     assert abs(second.final_loss - res_full.final_loss) <= 1e-9
     for name, arr in solid.state_dict().items():
         assert np.allclose(arr, pieced.state_dict()[name], atol=1e-12)
