@@ -5,7 +5,8 @@ Config resolution order is defaults < CRASHCAST_SEED (default seed only)
 Every run writes a manifest next to its primary output recording the command,
 the resolved config, input hashes (taken before processing), output hashes
 and the BLAS thread count, so a run can be reproduced bit for bit. No output
-may be the same file as an input, even with --force.
+may be the same file as an input, a directory or a path in no directory, even
+with --force; each is refused before any work.
 
 Exit codes: 0 success, 2 usage/config error, 3 runtime failure.
 """
@@ -23,11 +24,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import BLAS_THREADS, __version__
-from . import autodiff as ad
-from .riskmodel import ModelConfig, ModelParams
+from .config import ModelConfig, TrainConfig, TrainingDivergedError
 from .scenario.records import iter_dataset, read_dataset, record_to_json
-from .traineval import (Adam, TrainConfig, TrainingDivergedError, evaluate,
-                        train)
 from .util import (atomic_write_text, atomic_writer, map_in_order, sha256_file,
                    stream_rng)
 
@@ -124,8 +122,8 @@ def _expected_json_type(value, default) -> str | None:
     """The JSON type a config-file or sidecar value must have, judged by the
     type of its key's default, or None when it has it. Booleans take a
     boolean, integers an integer (not a boolean), floats a finite number,
-    sections an object, and paths, whose defaults are all null, a string or
-    null."""
+    sections an object, digests, whose defaults are strings, a string, and
+    paths, whose defaults are all null, a string or null."""
     if isinstance(default, bool):
         return None if type(value) is bool else "a JSON boolean"
     if isinstance(default, int):
@@ -136,6 +134,8 @@ def _expected_json_type(value, default) -> str | None:
         return None if finite else "a finite JSON number"
     if isinstance(default, dict):
         return None if type(value) is dict else "a JSON object"
+    if isinstance(default, str):
+        return None if type(value) is str else "a JSON string"
     return None if value is None or type(value) is str else "a JSON string or null"
 
 
@@ -203,11 +203,17 @@ def _require(cfg: dict, key: str, command: str):
     return cfg[key]
 
 
-def _refuse_same_file(outputs, inputs) -> None:
-    """Refuse, even with --force, an output (name, path) that resolves to
-    an input or to an earlier output."""
+def _check_outputs(outputs, inputs) -> None:
+    """Refuse, even with --force and before any work, an output (name,
+    path) that no file can be written to (a directory, or a path in no
+    directory) or that resolves to an input or to an earlier output."""
     seen = [(name, path) for name, path in inputs if path]
     for name, path in outputs:
+        if os.path.isdir(path):
+            raise ConfigError(f"{name} {path} is a directory")
+        folder = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(folder):
+            raise ConfigError(f"{name} {path}: no such directory {folder}")
         for other, other_path in seen:
             if os.path.realpath(path) == os.path.realpath(other_path):
                 raise ConfigError(f"{name} {path} is the same file as "
@@ -261,24 +267,50 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# gen-data
+# the two paths, each imported on first use
 
 def _synthesis():
     """The synthesis path's modules, roadnet and scenario.generate (which
-    loads presets and trafficgen), imported on first call: their one lazy
-    import. Only gen-data calls it, in the parent before any worker starts,
-    so train and eval never compile them and forked workers inherit them."""
+    loads presets and trafficgen). The command line imports each path only
+    through its loader, this one or _model, and the command that runs the
+    path calls it once its flags are checked: a start compiles (where no
+    bytecode is cached) and runs only the path its command uses, and a
+    forked worker inherits what its parent loaded. Only gen-data calls this
+    one, in the parent before any worker starts."""
     from . import roadnet
     from .scenario import generate
     return roadnet, generate
 
 
+def _model():
+    """The model path's modules, autodiff, riskmodel and traineval (which
+    load features and losses), loaded as _synthesis says; train and eval
+    call it, the latter through _read_checkpoint."""
+    from . import autodiff, riskmodel, traineval
+    return autodiff, riskmodel, traineval
+
+
 def generate_one(seed, index, count, positive_ratio, graph=None):
-    """scenario.generate_one, looked up on each call so that importing the
-    command line leaves the synthesis path unloaded."""
+    """scenario.generate.generate_one, looked up on each call (see
+    _synthesis)."""
     _, generate = _synthesis()
     return generate.generate_one(seed, index, count, positive_ratio, graph)
 
+
+def train(records, params, model_cfg, train_cfg, **options):
+    """traineval.train, looked up on each call (see _synthesis)."""
+    *_, traineval = _model()
+    return traineval.train(records, params, model_cfg, train_cfg, **options)
+
+
+def evaluate(records, params, model_cfg, **options):
+    """traineval.evaluate, looked up on each call (see _synthesis)."""
+    *_, traineval = _model()
+    return traineval.evaluate(records, params, model_cfg, **options)
+
+
+# ---------------------------------------------------------------------------
+# gen-data
 
 # scenarios in one generation span at most: the unit a worker makes and the
 # parent writes, so memory does not grow with --count
@@ -311,7 +343,7 @@ def _run_gen_data(cfg: dict) -> int:
         raise OptionError("positive_ratio", "must lie in [0, 1]")
     if jobs < 1:
         raise OptionError("jobs", "must be >= 1")
-    _refuse_same_file([("--out", out), ("the manifest", _manifest_path(out))],
+    _check_outputs([("--out", out), ("the manifest", _manifest_path(out))],
                       [("--network", cfg["network"])])
     _refuse_overwrite([out], cfg["force"])
 
@@ -366,12 +398,14 @@ def _read_records(inputs: dict, path: str, what: str):
 
 
 def _sidecar(model_cfg: ModelConfig, train_cfg: TrainConfig, frames: int,
-             fps: int) -> dict:
+             fps: int, checkpoint: str = "", log: str = "") -> dict:
     """What _run_train writes to a checkpoint's sidecar: the fields of the
-    two configs and the training data's frame count and frame rate."""
+    two configs, the training data's frame count and frame rate, and the
+    sha256 of the checkpoint and of the log written with it."""
     return {"model": dataclasses.asdict(model_cfg),
             "train": dataclasses.asdict(train_cfg),
-            "frames": frames, "fps": fps}
+            "frames": frames, "fps": fps,
+            "sha256": {"checkpoint": checkpoint, "log": log}}
 
 
 # the keys and value types a sidecar must hold
@@ -403,17 +437,30 @@ def _read_sidecar(path: str) -> dict:
     return snap
 
 
+def _vouched(inputs: dict, path: str, what: str, sidecar: str,
+             digest: str) -> None:
+    """Refuse an input whose sha256, as _input took it, is not the digest
+    its sidecar records for it: a config error naming both files."""
+    if inputs[path] != digest:
+        raise ConfigError(f"{what} {path} is not the file its sidecar "
+                          f"{sidecar} vouches for: its sha256 is "
+                          f"{inputs[path]}, the sidecar's {digest}")
+
+
 def _read_checkpoint(inputs: dict, path: str, what: str, exempt=()):
     """The <path>.json sidecar of a checkpoint, the model its model config
     builds with the checkpoint's parameters, and all the checkpoint's
     tensors (non-finite ones only among exempt, see load_checkpoint); both
-    files are inputs. A parameter missing or of another shape is a config
-    error naming the checkpoint."""
+    files are inputs. A checkpoint whose sha256 is not its sidecar's, or
+    with a parameter missing or of another shape, is a config error naming
+    both files."""
     sidecar = path + ".json"
     _input(inputs, path, what)
     snap = _read_sidecar(_input(inputs, sidecar, f"{what} config sidecar"))
-    params = ModelParams.init(ModelConfig(**snap["model"]),
-                              np.random.default_rng(0))
+    _vouched(inputs, path, what, sidecar, snap["sha256"]["checkpoint"])
+    ad, riskmodel, _ = _model()
+    params = riskmodel.ModelParams.init(ModelConfig(**snap["model"]),
+                                        np.random.default_rng(0))
     state = ad.load_checkpoint(path, exempt=exempt)
     try:
         params.load_state_dict(state)
@@ -478,12 +525,13 @@ def _run_train(cfg: dict) -> int:
     out = _require(cfg, "out", "train")
     log_path = out + ".log.csv"
     sidecar_path = out + ".json"
-    _refuse_same_file(
+    _check_outputs(
         [("--out", out), ("the log", log_path), ("the sidecar", sidecar_path),
          ("the manifest", _manifest_path(out))],
         [("--data", data), ("--val-data", cfg["val_data"])])
     _refuse_overwrite([out, log_path, sidecar_path], cfg["force"])
 
+    ad, riskmodel, traineval = _model()
     inputs = {}
     records = _read_records(inputs, data, "dataset")
     frames, fps = records[0].frames, records[0].fps
@@ -517,11 +565,12 @@ def _run_train(cfg: dict) -> int:
         start_epoch = snap["train.epochs"]
         for key, here in _flat(_sidecar(model_cfg, train_cfg, frames,
                                         fps)).items():
-            if key != "train.epochs" and here != snap[key]:
+            if (key != "train.epochs" and not key.startswith("sha256.")
+                    and here != snap[key]):
                 raise ConfigError(
                     f"resume sidecar {resume}.json: {key} is {snap[key]!r}, "
                     f"this run has {here!r}; only --epochs may differ")
-        opt = Adam(params.parameters(), train_cfg.learning_rate)
+        opt = traineval.Adam(params.parameters(), train_cfg.learning_rate)
         try:
             opt.load_state_dict(state)
         except (KeyError, ValueError) as exc:
@@ -540,10 +589,13 @@ def _run_train(cfg: dict) -> int:
                 f"resume checkpoint {resume} already covers {start_epoch} "
                 f"epochs; --epochs must be >= {start_epoch}")
         del state  # copied into params and opt
-        log_lines = _previous_log(
-            _input(inputs, resume + ".log.csv", "resume log"), start_epoch, opt.t)
+        old_log = _input(inputs, resume + ".log.csv", "resume log")
+        _vouched(inputs, old_log, "resume log", f"{resume}.json",
+                 snap["sha256.log"])
+        log_lines = _previous_log(old_log, start_epoch, opt.t)
     else:
-        params = ModelParams.init(model_cfg, stream_rng(train_cfg.seed, "init"))
+        params = riskmodel.ModelParams.init(model_cfg,
+                                            stream_rng(train_cfg.seed, "init"))
 
     try:
         result = train(records, params, model_cfg, train_cfg,
@@ -561,13 +613,14 @@ def _run_train(cfg: dict) -> int:
     state["meta.epochs_done"] = np.array(float(train_cfg.epochs))
     outputs = {out: ad.save_checkpoint(out, state)}
 
-    outputs[sidecar_path] = atomic_write_text(
-        sidecar_path, json.dumps(_sidecar(model_cfg, train_cfg, frames, fps),
-                                 indent=2, sort_keys=True) + "\n")
-
     log_lines += _log_lines(result.log)
     outputs[log_path] = atomic_write_text(
         log_path, "\n".join([_LOG_HEADER] + log_lines) + "\n")
+
+    # written last, so it vouches for the two files above by their digests
+    outputs[sidecar_path] = atomic_write_text(sidecar_path, json.dumps(
+        _sidecar(model_cfg, train_cfg, frames, fps, outputs[out],
+                 outputs[log_path]), indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "train", cfg, inputs, outputs, started)
 
     ran = train_cfg.epochs - start_epoch
@@ -595,7 +648,7 @@ def _run_eval(cfg: dict) -> int:
     if jobs < 1:
         raise OptionError("jobs", "must be >= 1")
     sidecar_path = ckpt + ".json"
-    _refuse_same_file(
+    _check_outputs(
         [("--out", out), ("the manifest", _manifest_path(out)),
          ("--curves", curves_path)],
         [("--data", data), ("--checkpoint", ckpt), ("its sidecar", sidecar_path)])

@@ -6,6 +6,8 @@ the per-frame fused edge weights, then mean-pooled over present objects and
 concatenated with the fused frame-level embedding. The resulting sequence
 runs through a causal dilated TCN, a GRU, and a two-layer head that emits
 per-frame accident logits; the risk curve is the positive-class probability.
+The model's shape, ModelConfig, lives in crashcast.config and is imported
+here under its old name.
 """
 
 from __future__ import annotations
@@ -17,35 +19,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
+from .config import ModelConfig
 from .features import (FeatureBatch, FusionGate, GeometryParams, edge_weight_stack,
                        fuse_weights, gated_fuse)
 
 _GCN_LAYERS = 2
 _TCN_KERNEL = 3
 _TCN_DILATIONS = (1, 2, 4)
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Shape of a trained model and of the features it reads."""
-
-    feature_dim: int = 32
-    max_objects: int = 19
-
-    def __post_init__(self):
-        if self.feature_dim < 2 or self.feature_dim % 2:
-            raise ValueError("feature_dim must be even and >= 2")
-        if self.max_objects < 1:
-            raise ValueError("max_objects must be >= 1")
-
-    @property
-    def hidden_dim(self) -> int:
-        return 2 * self.feature_dim
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """ModelConfig(**d); the benchmark harness reads sidecars with it."""
-        return cls(**d)
 
 
 @dataclass

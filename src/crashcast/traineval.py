@@ -1,7 +1,8 @@
 """Training loop (adaptive-moment SGD with gradient clipping) and the
 evaluation stack: risk curves, and from them one report (report_from_curves)
 of threshold triggers, time-to-accident, average precision, and the
-threshold-averaged mean TTA.
+threshold-averaged mean TTA. TrainConfig and TrainingDivergedError live in
+crashcast.config and are imported here under their old names.
 """
 
 from __future__ import annotations
@@ -13,14 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape
+from .config import TrainConfig, TrainingDivergedError
 from .features import FeatureBatch, build_features, stack
 from .losses import align_loss, frame_loss, total_loss, video_loss
 from .riskmodel import ModelConfig, ModelParams, align_project, forward, used_slots
 from .util import map_in_order, stable_u64, stream_rng
-
-
-class TrainingDivergedError(RuntimeError):
-    pass
 
 
 # Adam's moment decays and denominator guard, and the global gradient-norm cap
@@ -32,23 +30,6 @@ CLIP_NORM = 5.0
 # forward batch when eval scores them
 FEATURE_CHUNK = 32
 EVAL_CHUNK = 8
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-3
-    epochs: int = 10
-    batch_size: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be a finite number >= 0, "
-                             f"got {self.learning_rate!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 class Adam:

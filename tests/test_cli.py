@@ -700,11 +700,14 @@ def test_usage_error_exits_2(tmp_path, capsys):
 def test_train_writes_checkpoint_sidecar_log_manifest(work):
     root, data, ckpt = work
     sidecar = json.loads((root / "ckpt.bin.json").read_text())
-    assert set(sidecar) == {"model", "train", "frames", "fps"}
+    assert set(sidecar) == {"model", "train", "frames", "fps", "sha256"}
     assert sidecar["model"] == {"feature_dim": 8, "max_objects": 4}
     assert sidecar["train"] == {"learning_rate": 1e-3, "epochs": 2,
                                 "batch_size": 8, "seed": 1}
     assert sidecar["frames"] == 50 and sidecar["fps"] == 10
+    assert sidecar["sha256"] == {
+        "checkpoint": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
+        "log": hashlib.sha256((root / "ckpt.bin.log.csv").read_bytes()).hexdigest()}
     assert float(ad.load_checkpoint(str(ckpt))["meta.epochs_done"]) == 2.0
 
     log = (root / "ckpt.bin.log.csv").read_text().splitlines()
@@ -857,6 +860,17 @@ def _resumable(work, tmp_path, name, edit=lambda sidecar: None):
     return copy
 
 
+def _vouch_for(ckpt: Path, sidecar: Path, log: bool = False) -> None:
+    """Write <ckpt>.json as a copy of sidecar that records the sha256 of
+    ckpt as it now is (of its <ckpt>.log.csv, with log), so that a run on
+    an edited file meets the checks behind the sidecar's digest."""
+    snap = json.loads(sidecar.read_text())
+    path = Path(f"{ckpt}.log.csv") if log else ckpt
+    snap["sha256"]["log" if log else "checkpoint"] = \
+        hashlib.sha256(path.read_bytes()).hexdigest()
+    Path(f"{ckpt}.json").write_text(json.dumps(snap))
+
+
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("crashcast: error:"), err
@@ -972,10 +986,14 @@ def test_train_resume_log_not_matching_checkpoint_exits_2(work, tmp_path,
     else:
         lines.append(lines[-2])
     log.write_text("\n".join(lines) + "\n")
+    _vouch_for(prev, Path(f"{prev}.json"), log=True)
     capsys.readouterr()
     code = main(_resume_args(work[1], prev, tmp_path / "x.bin"))
     assert code == 2
-    assert str(log) in _one_error_line(capsys)
+    err = _one_error_line(capsys)
+    assert str(log) in err, err
+    assert ("lacks the step,epoch" if cut == "header"
+            else "does not cover exactly") in err, err
     assert not (tmp_path / "x.bin").exists()
 
 
@@ -1012,6 +1030,7 @@ def test_train_resume_checkpoint_lacking_what_train_writes_exits_2(
     else:
         state[key] = edit
     ad.save_checkpoint(str(prev), state)
+    _vouch_for(prev, Path(f"{prev}.json"))
     capsys.readouterr()
     code = main(_resume_args(work[1], prev, tmp_path / "x.bin"))
     assert code == 2
@@ -1038,6 +1057,7 @@ def test_train_resume_huge_value_exits_3_naming_the_checkpoint(
     state = ad.load_checkpoint(str(prev))
     state[key].flat[0] = value
     ad.save_checkpoint(str(prev), state)
+    _vouch_for(prev, Path(f"{prev}.json"))
     capsys.readouterr()
     code = main(_resume_args(work[1], prev, tmp_path / "x.bin"))
     assert code == 3
@@ -1048,8 +1068,8 @@ def test_train_resume_huge_value_exits_3_naming_the_checkpoint(
 
 
 # sidecar edits that leave it other than train writes it, each with what the
-# error names; all but the last held values that versions before 06938e1
-# wrote
+# error names; the first six held values that versions before 06938e1
+# wrote, and every sidecar written before the digests lacks sha256
 _SIDECAR_EDITS = {
     "no-model": (lambda s: s.pop("model"), "lacks the model key"),
     "model-gcn_layers": (lambda s: s["model"].update(gcn_layers=2),
@@ -1062,6 +1082,11 @@ _SIDECAR_EDITS = {
     "train-clip_norm": (lambda s: s["train"].update(clip_norm=5.0),
                         "unknown key train.clip_norm"),
     "epochs_done": (lambda s: s.update(epochs_done=2), "unknown key epochs_done"),
+    "no-sha256": (lambda s: s.pop("sha256"), "lacks the sha256 key"),
+    "no-log-sha256": (lambda s: s["sha256"].pop("log"),
+                      "lacks the sha256.log key"),
+    "null-sha256": (lambda s: s["sha256"].update(checkpoint=None),
+                    "sha256.checkpoint must be a JSON string, got null"),
     "nesting-bomb": (None, "is not valid JSON"),
 }
 
@@ -1149,11 +1174,15 @@ def test_sidecar_value_of_a_wrong_type_exits_2(work, case):
        damaged=st.sampled_from(["prev.bin.json", "prev.bin", "prev.bin.log.csv"]),
        data=st.data())
 def test_damaged_sidecar_exits_0_2_or_3(work, command, damaged, data):
-    # The sidecar, the checkpoint or the resume log, flipped and cut. A flip
-    # can leave a file that still fits the run, e.g. another seed in the
-    # sidecar for eval, a finite weight in the checkpoint, or any log for
-    # eval, which does not read it; such a run succeeds.
-    text = bytearray((work[2].parent / damaged.replace("prev", "ckpt")).read_bytes())
+    # The sidecar, the checkpoint or the resume log, flipped and cut. The
+    # sidecar records the sha256 of the checkpoint, and of the log that
+    # resume reads, so any other bytes of those fail. A flip can leave a
+    # sidecar that still fits the run, e.g. another seed for eval, and eval
+    # does not read the log; such a run succeeds.
+    original = (work[2].parent / damaged.replace("prev", "ckpt")).read_bytes()
+    checked = damaged == "prev.bin" or (damaged == "prev.bin.log.csv"
+                                        and command == "resume")
+    text = bytearray(original)
     flips = data.draw(st.lists(st.tuples(st.integers(0, len(text) - 1),
                                          st.integers(0, 7)), max_size=3))
     for at, bit in flips:
@@ -1162,6 +1191,8 @@ def test_damaged_sidecar_exits_0_2_or_3(work, command, damaged, data):
     with tempfile.TemporaryDirectory() as root:
         root = Path(root)
         code, lines = _run_on_sidecar(work, root, command, text, damaged)
+        if checked and text != original:
+            assert code in (2, 3), (text, lines)
         if code == 0:
             assert lines == []
             written = {"eval": [".curves.csv"],
@@ -1171,6 +1202,25 @@ def test_damaged_sidecar_exits_0_2_or_3(work, command, damaged, data):
             assert code in (2, 3), (text, lines)
             _assert_one_error_and_no_output(root, lines)
             assert str(root / damaged) in lines[0], lines
+
+
+@pytest.mark.parametrize("command,damaged", [
+    ("eval", "prev.bin"), ("resume", "prev.bin"), ("resume", "prev.bin.log.csv")])
+def test_file_its_sidecar_does_not_vouch_for_exits_2_naming_both(
+        work, tmp_path, command, damaged):
+    # the lowest bit of the first weight (boundary 7 starts the first
+    # tensor's payload), and a digit of the last logged loss: each file
+    # still parses and fits, and only its digest tells
+    text = bytearray((work[2].parent / damaged.replace("prev", "ckpt")).read_bytes())
+    if damaged == "prev.bin":
+        text[_header_boundaries(bytes(text))[7]] ^= 1
+    else:
+        text[-2] = ord("1") if text[-2] == ord("0") else ord("0")
+    code, lines = _run_on_sidecar(work, tmp_path, command, bytes(text), damaged)
+    assert code == 2, lines
+    _assert_one_error_and_no_output(tmp_path, lines)
+    assert (f"{tmp_path / damaged} is not the file its sidecar "
+            f"{tmp_path / 'prev.bin.json'} vouches for") in lines[0], lines
 
 
 def test_train_missing_data_exits_2(tmp_path):
@@ -1444,6 +1494,43 @@ def test_gen_data_output_on_the_network_exits_2(tmp_path, capsys):
     assert f"--out {net} is the same file as --network {net}" in err, err
     assert net.read_bytes() == before
     assert list(tmp_path.iterdir()) == [net]
+
+
+# an output no file can be written to, later in the command's list than
+# one that could be: its command, its name in the error, its path in the
+# run's directory and whether that path is a directory there
+_UNWRITABLE_OUTPUTS = {
+    "eval-curves-a-directory": ("eval", "--curves", "c", True),
+    "eval-curves-in-no-directory": ("eval", "--curves", "nodir/c.csv", False),
+    "eval-manifest-a-directory": ("eval", "the manifest", "out.manifest.json",
+                                  True),
+    "train-log-a-directory": ("train", "the log", "out.log.csv", True),
+    "gen-data-manifest-a-directory": ("gen-data", "the manifest",
+                                      "out.manifest.json", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNWRITABLE_OUTPUTS))
+def test_output_no_file_can_be_written_to_exits_2_writing_nothing(
+        work, tmp_path, capsys, case):
+    command, name, where, is_dir = _UNWRITABLE_OUTPUTS[case]
+    _, data, ckpt = work
+    path = tmp_path / where
+    if is_dir:
+        path.mkdir()
+    argv = {"gen-data": ["gen-data", "--count", "2"],
+            "train": ["train", "--data", str(data), "--epochs", "1",
+                      "--feature-dim", "8", "--max-objects", "4"],
+            "eval": ["eval", "--data", str(data), "--checkpoint", str(ckpt)],
+            }[command]
+    if name == "--curves":
+        argv += ["--curves", str(path)]
+    there = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out"), "--force"]) == 2
+    err = _one_error_line(capsys)
+    assert f"{name} {path}" in err, err
+    assert sorted(tmp_path.rglob("*")) == there
 
 
 def test_eval_checkpoint_config_mismatch_exits_2(work, tmp_path):
@@ -1767,8 +1854,7 @@ def test_eval_truncated_checkpoint_exits_3(work, tmp_path, capsys, cut):
     _, data, ckpt = work
     short = tmp_path / "short.bin"
     short.write_bytes(ckpt.read_bytes()[:cut])
-    (tmp_path / "short.bin.json").write_bytes(
-        (ckpt.parent / "ckpt.bin.json").read_bytes())
+    _vouch_for(short, ckpt.parent / "ckpt.bin.json")
     capsys.readouterr()
     code = main(["eval", "--data", str(data), "--checkpoint", str(short),
                  "--out", str(tmp_path / "r.json")])
@@ -1789,8 +1875,7 @@ def test_eval_checkpoint_rank_above_64_exits_3(work, tmp_path, capsys):
     struct.pack_into("<IQ", blob, at, 65, 0)
     deep = tmp_path / "deep.bin"
     deep.write_bytes(bytes(blob))
-    (tmp_path / "deep.bin.json").write_bytes(
-        (ckpt.parent / "ckpt.bin.json").read_bytes())
+    _vouch_for(deep, ckpt.parent / "ckpt.bin.json")
     capsys.readouterr()
     code = main(["eval", "--data", str(data), "--checkpoint", str(deep),
                  "--out", str(tmp_path / "r.json")])
@@ -1807,6 +1892,7 @@ def test_non_finite_checkpoint_exits_3(work, tmp_path, capsys, command, value):
     state = ad.load_checkpoint(str(prev))
     state["head.b2"].flat[0] = value
     ad.save_checkpoint(str(prev), state)
+    _vouch_for(prev, Path(f"{prev}.json"))
     before = sorted(p.name for p in tmp_path.iterdir())
     capsys.readouterr()
     if command == "eval":
@@ -1831,30 +1917,54 @@ def _child_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs about a third of a second to import; the CLI needs none of it
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, crashcast.cli; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=_child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_cli_import_leaves_worker_pools_unloaded():
-    # the pools load multiprocessing, which only a --jobs > 1 command uses
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, crashcast.cli; print(sorted("
-         "m for m in ('multiprocessing', 'concurrent.futures.process') "
-         "if m in sys.modules))"],
-        capture_output=True, text=True, env=_child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
 _SYNTHESIS_MODULES = ("crashcast.scenario.generate", "crashcast.scenario.presets",
                       "crashcast.trafficgen", "crashcast.roadnet",
                       "xml.parsers.expat")
+
+# the module families a command line start leaves unloaded, each with a
+# module's submodules: scipy costs about a third of a second to import and
+# the CLI needs none of it, the pools load multiprocessing, which only a
+# --jobs > 1 command uses, and each path loads only in the commands that
+# run it (gen-data the synthesis, train and eval the model)
+_UNLOADED_AT_START = {
+    "scipy": ("scipy",),
+    "worker-pools": ("multiprocessing", "concurrent.futures.process"),
+    "synthesis": _SYNTHESIS_MODULES,
+    "model": ("crashcast.autodiff", "crashcast.features", "crashcast.riskmodel",
+              "crashcast.losses", "crashcast.traineval"),
+}
+
+_START = """
+import json, sys
+import crashcast.cli as cli
+loaded = {"import": sorted(sys.modules)}
+assert cli.main(["gen-data", "--count", "2", "--jobs", "1",
+                 "--out", sys.argv[1]]) == 0
+loaded["gen-data"] = sorted(sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+@pytest.fixture(scope="module")
+def started(tmp_path_factory):
+    """sys.modules of a child interpreter after `import crashcast.cli`, and
+    after a gen-data run in it."""
+    out = tmp_path_factory.mktemp("start") / "d.jsonl"
+    proc = subprocess.run([sys.executable, "-c", _START, str(out)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("stage,family", [
+    *(("import", family) for family in _UNLOADED_AT_START),
+    *(("gen-data", family) for family in _UNLOADED_AT_START
+      if family != "synthesis")])
+def test_command_line_start_leaves_a_module_family_unloaded(started, stage,
+                                                             family):
+    names = _UNLOADED_AT_START[family]
+    assert [m for m in started[stage]
+            if any(m == n or m.startswith(n + ".") for n in names)] == []
 
 _TRAIN_AND_EVAL = """
 import sys
