@@ -448,26 +448,35 @@ def _vouched(inputs: dict, path: str, what: str, sidecar: str,
 
 
 def _read_checkpoint(inputs: dict, path: str, what: str, exempt=()):
-    """The <path>.json sidecar of a checkpoint, the model its model config
-    builds with the checkpoint's parameters, and all the checkpoint's
-    tensors (non-finite ones only among exempt, see load_checkpoint); both
-    files are inputs. A checkpoint whose sha256 is not its sidecar's, or
-    with a parameter missing or of another shape, is a config error naming
-    both files."""
+    """The <path>.json sidecar of a checkpoint, its model config, the model
+    that config builds with the checkpoint's parameters, and all the
+    checkpoint's tensors (non-finite ones only among exempt, see
+    load_checkpoint); both files are inputs. A checkpoint whose sha256 is
+    not its sidecar's, or with a parameter missing or of another shape, is a
+    config error naming both files. The tensors are read first and the two
+    that fix the model's size compared with the config, so a sidecar cannot
+    size a model past what the file holds."""
     sidecar = path + ".json"
     _input(inputs, path, what)
     snap = _read_sidecar(_input(inputs, sidecar, f"{what} config sidecar"))
     _vouched(inputs, path, what, sidecar, snap["sha256"]["checkpoint"])
     ad, riskmodel, _ = _model()
-    params = riskmodel.ModelParams.init(ModelConfig(**snap["model"]),
-                                        np.random.default_rng(0))
     state = ad.load_checkpoint(path, exempt=exempt)
+    model_cfg = ModelConfig(**snap["model"])
     try:
+        for name, n in (("adj.u", model_cfg.max_objects),
+                        ("gcn.psi0", model_cfg.feature_dim)):
+            if name not in state:
+                raise KeyError(f"checkpoint missing parameter {name!r}")
+            if state[name].shape != (n, n):
+                raise ValueError(f"{name}: checkpoint shape "
+                                 f"{state[name].shape} != {(n, n)}")
+        params = riskmodel.ModelParams.init(model_cfg, np.random.default_rng(0))
         params.load_state_dict(state)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{what} {path} does not fit its sidecar "
                           f"{sidecar}: {exc.args[0]}")
-    return snap, params, state
+    return snap, model_cfg, params, state
 
 
 _LOG_HEADER = "step,epoch,split,L1,L2,L3,L"
@@ -525,10 +534,13 @@ def _run_train(cfg: dict) -> int:
     out = _require(cfg, "out", "train")
     log_path = out + ".log.csv"
     sidecar_path = out + ".json"
+    resume = cfg["resume"]
+    resumed = ([("--resume", resume), ("its sidecar", resume + ".json"),
+                ("its log", resume + ".log.csv")] if resume else [])
     _check_outputs(
         [("--out", out), ("the log", log_path), ("the sidecar", sidecar_path),
          ("the manifest", _manifest_path(out))],
-        [("--data", data), ("--val-data", cfg["val_data"])])
+        [("--data", data), ("--val-data", cfg["val_data"])] + resumed)
     _refuse_overwrite([out, log_path, sidecar_path], cfg["force"])
 
     ad, riskmodel, traineval = _model()
@@ -557,9 +569,8 @@ def _run_train(cfg: dict) -> int:
     opt = None
     start_epoch = 0
     log_lines: list[str] = []
-    if cfg["resume"]:
-        resume = cfg["resume"]
-        snap, params, state = _read_checkpoint(
+    if resume:
+        snap, _, params, state = _read_checkpoint(
             inputs, resume, "resume checkpoint", exempt=("opt.step",))
         snap = _flat(snap)
         start_epoch = snap["train.epochs"]
@@ -602,10 +613,10 @@ def _run_train(cfg: dict) -> int:
                        val_records=val_records, start_epoch=start_epoch,
                        opt=opt)
     except TrainingDivergedError as exc:
-        if cfg["resume"]:
+        if resume:
             # a finite but huge weight or moment passes every load check
             raise TrainingDivergedError(
-                f"resume checkpoint {cfg['resume']}: {exc}") from exc
+                f"resume checkpoint {resume}: {exc}") from exc
         raise
 
     state = params.state_dict()
@@ -656,8 +667,7 @@ def _run_eval(cfg: dict) -> int:
 
     inputs = {}
     # the checkpoint's tensors are copied into params and not kept
-    snap, params = _read_checkpoint(inputs, ckpt, "checkpoint")[:2]
-    model_cfg = ModelConfig(**snap["model"])
+    _, model_cfg, params = _read_checkpoint(inputs, ckpt, "checkpoint")[:3]
     # the dataset streams through evaluate a chunk at a time; a line that
     # is not a record raises there, and nothing is written before the end
     records = iter_dataset(_input(inputs, data, "dataset"))
@@ -715,6 +725,11 @@ def main(argv=None) -> int:
         return 2
     except (TrainingDivergedError, OSError, ValueError, KeyError) as exc:
         print(f"crashcast: error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy's names the array it could not allocate; a bare one is empty
+        detail = f": {exc}" if str(exc) else ""
+        print(f"crashcast: error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

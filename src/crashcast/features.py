@@ -6,7 +6,9 @@ per-label table row, both lightly noised. Slot index 0 of every frame is
 the frame-level feature; objects occupy slots 1..S with a per-video stable
 assignment (S <= max_objects is the most slots any video of the batch
 fills), so frame-to-frame differences are differences of the same
-object, not of whichever object happened to sort first.
+object, not of whichever object happened to sort first. The edge-weight and
+fusion functions take the learned tensors (a, beta, W_g, b_g) as plain
+arguments; riskmodel.ModelParams holds them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 from .scenario.records import BEHAVIOR_LABELS, MAX_VISIBLE, ScenarioRecord
 from .util import stable_u64, stream_rng
 
@@ -350,44 +352,19 @@ def fuse_weights(w_geo, w_text, beta) -> Tensor:
     return ad.add(ad.mul(ad.sub(1.0, lam), w_geo), ad.mul(lam, w_text))
 
 
-@dataclass
-class GeometryParams:
-    a: Parameter  # balance, kept >= 0 by the optimizer projection
-
-    @property
-    def alpha(self) -> Tensor:
-        return ad.div(self.a, ad.add(self.a, 1.0))
-
-    @classmethod
-    def init(cls) -> "GeometryParams":
-        return cls(Parameter(1.0, name="geom.a"))
+def geometry_alpha(a) -> Tensor:
+    """alpha = a / (a + 1), the geometry balance of geo_weights, in [0, 1)
+    for the a >= 0 that training's projection keeps."""
+    return ad.div(a, ad.add(a, 1.0))
 
 
-@dataclass
-class FusionGate:
-    """Gate parameters: W_g, b_g drive the embedding gate, beta (where
-    present) drives the geometry/text weight mix."""
-
-    w_g: Parameter  # (2F, F)
-    b_g: Parameter  # (F,)
-    beta: Parameter | None = None
-
-    @classmethod
-    def init(cls, feature_dim: int, rng: np.random.Generator, prefix: str,
-             with_beta: bool = False) -> "FusionGate":
-        w = rng.normal(size=(2 * feature_dim, feature_dim)) / math.sqrt(2 * feature_dim)
-        beta = Parameter(0.0, name=f"{prefix}.beta") if with_beta else None
-        return cls(Parameter(w, name=f"{prefix}.w_g"),
-                   Parameter(np.zeros(feature_dim), name=f"{prefix}.b_g"),
-                   beta)
-
-
-def gated_fuse(x_vis, x_text, gate: FusionGate) -> Tensor:
-    """g = sigmoid([x_vis; x_text] W_g + b_g); g*x_vis + (1-g)*x_text."""
+def gated_fuse(x_vis, x_text, w_g, b_g) -> Tensor:
+    """g = sigmoid([x_vis; x_text] W_g + b_g); g*x_vis + (1-g)*x_text, with
+    W_g (2F, F) and b_g (F,)."""
     x_vis = ad.as_tensor(x_vis)
     x_text = ad.as_tensor(x_text)
     both = ad.concat([x_vis, x_text], axis=-1)
-    g = ad.sigmoid(ad.add(ad.matmul(both, gate.w_g), gate.b_g))
+    g = ad.sigmoid(ad.add(ad.matmul(both, w_g), b_g))
     return ad.add(ad.mul(g, x_vis), ad.mul(ad.sub(1.0, g), x_text))
 
 

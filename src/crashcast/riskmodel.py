@@ -6,22 +6,22 @@ the per-frame fused edge weights, then mean-pooled over present objects and
 concatenated with the fused frame-level embedding. The resulting sequence
 runs through a causal dilated TCN, a GRU, and a two-layer head that emits
 per-frame accident logits; the risk curve is the positive-class probability.
-The model's shape, ModelConfig, lives in crashcast.config and is imported
-here under its old name.
+ModelParams holds every learned tensor. The model's shape, ModelConfig, lives
+in crashcast.config and is imported here under its old name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .config import ModelConfig
-from .features import (FeatureBatch, FusionGate, GeometryParams, edge_weight_stack,
-                       fuse_weights, gated_fuse)
+from .features import (FeatureBatch, edge_weight_stack, fuse_weights, gated_fuse,
+                       geometry_alpha)
 
 _GCN_LAYERS = 2
 _TCN_KERNEL = 3
@@ -29,21 +29,20 @@ _TCN_DILATIONS = (1, 2, 4)
 
 
 @dataclass
-class TCNBlock:
-    weight: Parameter  # (K, C, C)
-    bias: Parameter  # (C,)
-    dilation: int
-
-
-@dataclass
 class ModelParams:
-    u: Parameter  # (O, O) adjacency factor
-    v: Parameter  # (O, O) adjacency factor
-    psi: tuple[Parameter, ...]  # GCN layer weights, each (F, F)
-    geometry: GeometryParams
-    gate_obj: FusionGate  # carries beta for the edge-weight mix
-    gate_frame: FusionGate
-    tcn: tuple[TCNBlock, ...]
+    """Every learned tensor, declared in checkpoint order: parameters() walks
+    the fields, so the checkpoint, Adam's state and the clip follow them."""
+
+    u: Parameter  # adj.u (O, O) adjacency factor
+    v: Parameter  # adj.v (O, O) adjacency factor
+    psi: tuple[Parameter, ...]  # gcn.psi<i>, one (F, F) weight per layer
+    geom_a: Parameter  # geometry balance a, kept >= 0 by train's projection
+    gate_obj_w_g: Parameter  # (2F, F) object-stream gate
+    gate_obj_b_g: Parameter  # (F,)
+    gate_obj_beta: Parameter  # () geometry/text edge-weight mix
+    gate_frame_w_g: Parameter  # (2F, F) frame-stream gate
+    gate_frame_b_g: Parameter  # (F,)
+    tcn: tuple[tuple[Parameter, Parameter], ...]  # (K, H, H), (H,) per dilation
     gru_w_ih: Parameter  # (3H, 2F)
     gru_w_hh: Parameter  # (3H, H)
     gru_b_ih: Parameter  # (3H,)
@@ -59,6 +58,8 @@ class ModelParams:
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator) -> "ModelParams":
+        """Draws psi, the TCN and gate weights, u, v, then the GRU, head and
+        alignment weights, in that order (the golden checkpoint pins it)."""
         f_dim = cfg.feature_dim
         n_obj = cfg.max_objects
         hidden = cfg.hidden_dim
@@ -72,24 +73,27 @@ class ModelParams:
 
         psi = tuple(normal((f_dim, f_dim), f_dim, f"gcn.psi{i}")
                     for i in range(_GCN_LAYERS))
-        tcn = tuple(
-            TCNBlock(normal((k, hidden, hidden), k * hidden, f"tcn.{i}.weight"),
-                     zeros(hidden, f"tcn.{i}.bias"), dilation)
-            for i, dilation in enumerate(_TCN_DILATIONS))
+        tcn = tuple((normal((k, hidden, hidden), k * hidden, f"tcn.{i}.weight"),
+                     zeros(hidden, f"tcn.{i}.bias"))
+                    for i in range(len(_TCN_DILATIONS)))
+        gate_obj_w_g, gate_frame_w_g = (
+            normal((2 * f_dim, f_dim), 2 * f_dim, f"{gate}.w_g")
+            for gate in ("gate_obj", "gate_frame"))
         bound = 1.0 / math.sqrt(hidden)
 
         def uniform(shape, name):
             return Parameter(rng.uniform(-bound, bound, size=shape), name=name)
 
-        gate_obj = FusionGate.init(f_dim, rng, "gate_obj", with_beta=True)
-        gate_frame = FusionGate.init(f_dim, rng, "gate_frame")
         return cls(
             u=Parameter(rng.normal(size=(n_obj, n_obj)) / n_obj, name="adj.u"),
             v=Parameter(rng.normal(size=(n_obj, n_obj)) / n_obj, name="adj.v"),
             psi=psi,
-            geometry=GeometryParams.init(),
-            gate_obj=gate_obj,
-            gate_frame=gate_frame,
+            geom_a=Parameter(1.0, name="geom.a"),
+            gate_obj_w_g=gate_obj_w_g,
+            gate_obj_b_g=zeros(f_dim, "gate_obj.b_g"),
+            gate_obj_beta=Parameter(0.0, name="gate_obj.beta"),
+            gate_frame_w_g=gate_frame_w_g,
+            gate_frame_b_g=zeros(f_dim, "gate_frame.b_g"),
             tcn=tcn,
             gru_w_ih=uniform((3 * hidden, hidden), "gru.w_ih"),
             gru_w_hh=uniform((3 * hidden, hidden), "gru.w_hh"),
@@ -106,15 +110,12 @@ class ModelParams:
         )
 
     def parameters(self) -> tuple[Parameter, ...]:
-        out = [self.u, self.v, *self.psi, self.geometry.a,
-               self.gate_obj.w_g, self.gate_obj.b_g, self.gate_obj.beta,
-               self.gate_frame.w_g, self.gate_frame.b_g]
-        for block in self.tcn:
-            out += [block.weight, block.bias]
-        out += [self.gru_w_ih, self.gru_w_hh, self.gru_b_ih, self.gru_b_hh,
-                self.head_w1, self.head_b1, self.head_w2, self.head_b2,
-                self.align_w1, self.align_b1, self.align_w2, self.align_b2]
-        return tuple(out)
+        """The tensors in field order, a tuple field's in its own order."""
+        def flat(value):
+            if isinstance(value, Parameter):
+                return (value,)
+            return tuple(p for item in value for p in flat(item))
+        return flat(getattr(self, field.name) for field in fields(self))
 
     def state_dict(self) -> dict[str, np.ndarray]:
         named = {}
@@ -228,7 +229,7 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
     norm = np.linalg.norm(text_obj, axis=-1, keepdims=True)
     text_norm = np.divide(text_obj, norm, out=np.zeros_like(text_obj),
                           where=norm > 0)
-    alpha, beta = params.geometry.alpha, params.gate_obj.beta
+    alpha, beta = geometry_alpha(params.geom_a), params.gate_obj_beta
     w = edge_weight_stack(
         batch.centers[:, :, :k], batch.depths[:, :, :k], mask, text_norm,
         alpha=alpha, beta=beta, slots=o)
@@ -236,7 +237,8 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
     w_to_absent = fuse_weights(alpha, 0.0, beta)
     w_absent_row = fuse_weights(alpha, 1.0 / o, beta)
 
-    h_nodes = gated_fuse(vis_obj, text_obj, params.gate_obj)
+    h_nodes = gated_fuse(vis_obj, text_obj, params.gate_obj_w_g,
+                         params.gate_obj_b_g)
     a_tilde = adjacency(params.u, params.v)
     lead = (batch.batch_size, batch.frames)
     psi_in, psi_out = params.psi
@@ -249,13 +251,12 @@ def forward(batch: FeatureBatch, params: ModelParams, cfg: ModelConfig) -> RiskO
     pooled = pool_nodes(h_nodes, mask)
 
     f_fuse = gated_fuse(batch.visual[:, :, 0], batch.text[:, :, 0],
-                        params.gate_frame)
+                        params.gate_frame_w_g, params.gate_frame_b_g)
     z = ad.concat([pooled, f_fuse], axis=-1)
 
     x = z
-    for block in params.tcn:
-        x = ad.relu(ad.add(x, ad.causal_dilated_conv1d(
-            x, block.weight, block.bias, block.dilation)))
+    for (weight, bias), dilation in zip(params.tcn, _TCN_DILATIONS):
+        x = ad.relu(ad.add(x, ad.causal_dilated_conv1d(x, weight, bias, dilation)))
 
     h_all = ad.gru_sequence(x, params.gru_w_ih, params.gru_w_hh,
                             params.gru_b_ih, params.gru_b_hh)

@@ -184,8 +184,7 @@ def train(records, params: ModelParams, model_cfg: ModelConfig,
                             f"(epoch {epoch}): {norm}")
                     opt.step()
                     # the geometry balance stays nonnegative so alpha stays in [0, 1)
-                    np.maximum(params.geometry.a.value, 0.0,
-                               out=params.geometry.a.value)
+                    np.maximum(params.geom_a.value, 0.0, out=params.geom_a.value)
                     last = values[3]
                     rows.append({"step": step, "epoch": epoch, "split": "train",
                                  "L1": values[0], "L2": values[1],

@@ -1223,10 +1223,65 @@ def test_file_its_sidecar_does_not_vouch_for_exits_2_naming_both(
             f"{tmp_path / 'prev.bin.json'} vouches for") in lines[0], lines
 
 
+@pytest.mark.parametrize("key,value", [("feature_dim", 2**40),
+                                       ("max_objects", 2**31)])
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_sidecar_model_the_checkpoint_does_not_hold_exits_2_naming_both(
+        work, tmp_path, command, key, value):
+    # the model section alone is edited, so the checkpoint is still the one
+    # its sidecar vouches for; a model of that size is never built (numpy
+    # refuses both sizes up front, so nothing is allocated either way)
+    sidecar = _fixture_sidecar(work)
+    sidecar["model"][key] = value
+    code, lines = _run_on_sidecar(work, tmp_path, command,
+                                  json.dumps(sidecar).encode())
+    assert code == 2, lines
+    _assert_one_error_and_no_output(tmp_path, lines)
+    assert (f"{tmp_path / 'prev.bin'} does not fit its sidecar "
+            f"{tmp_path / 'prev.bin.json'}") in lines[0], lines
+
+
 def test_train_missing_data_exits_2(tmp_path):
     code = main(["train", "--data", str(tmp_path / "nope.jsonl"),
                  "--epochs", "1", "--out", str(tmp_path / "x.bin")])
     assert code == 2
+
+
+def test_train_out_of_memory_exits_3_writing_nothing(work, tmp_path, capsys,
+                                                    monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(cli, "train", exhausted)
+    capsys.readouterr()
+    code = main(["train", "--data", str(work[1]), "--epochs", "1",
+                 "--out", str(tmp_path / "x.bin"), "--feature-dim", "8",
+                 "--max-objects", "4"])
+    assert code == 3
+    assert _one_error_line(capsys) == \
+        "crashcast: error: out of memory: Unable to allocate 298. GiB for an array"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_data_out_of_memory_mid_write_exits_3_leaving_nothing(
+        tmp_path, capsys, monkeypatch):
+    # the second span's records fail, once the first span is in the temp file
+    made = []
+
+    def record_to_json(record):
+        made.append(record)
+        if len(made) > GEN_SPAN:
+            assert [p.stat().st_size > 0 for p in tmp_path.glob(".tmp-*.part")] == [True]
+            raise MemoryError()
+        return real(record)
+
+    real = cli.record_to_json
+    monkeypatch.setattr(cli, "record_to_json", record_to_json)
+    capsys.readouterr()
+    assert main(["gen-data", "--count", str(2 * GEN_SPAN), "--seed", "3",
+                 "--out", str(tmp_path / "d.jsonl")]) == 3
+    assert _one_error_line(capsys) == "crashcast: error: out of memory"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
@@ -1328,6 +1383,22 @@ def test_train_output_on_an_input_exits_2(work, tmp_path, capsys, case):
     assert f"{victim} is the same file as {flag} {victim}" in err, err
     assert victim.read_bytes() == data.read_bytes()
     assert list(tmp_path.iterdir()) == [victim]
+
+
+@pytest.mark.parametrize("out,label", [("prev.bin", "--resume"),
+                                       ("prev.bin.json", "its sidecar"),
+                                       ("prev.bin.log.csv", "its log")])
+def test_train_resume_into_its_own_files_exits_2_writing_nothing(
+        work, tmp_path, capsys, out, label):
+    prev = _resumable(work, tmp_path, "prev.bin")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    victim = tmp_path / out
+    capsys.readouterr()
+    code = main(_resume_args(work[1], prev, victim, "--force"))
+    assert code == 2
+    err = _one_error_line(capsys)
+    assert f"--out {victim} is the same file as {label} {victim}" in err, err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_train_log_option_is_gone(work, tmp_path):

@@ -8,8 +8,6 @@ from crashcast import autodiff as ad
 from crashcast import features
 from crashcast.autodiff import Parameter, grad_check
 from crashcast.features import (
-    FusionGate,
-    GeometryParams,
     assign_slots,
     build_features,
     distance_velocity_stacks,
@@ -17,6 +15,7 @@ from crashcast.features import (
     fuse_weights,
     gated_fuse,
     geo_weights,
+    geometry_alpha,
     object_size,
     pairwise_distance,
     stack,
@@ -122,12 +121,11 @@ def test_geo_weights_alpha_one_is_pure_distance_kernel():
     assert np.allclose(geo_weights(dbar, vbar, 1.0).value, np.exp(-dbar), atol=1e-12)
 
 
-def test_geometry_params_alpha_range():
-    assert GeometryParams.init().alpha.item() == pytest.approx(0.5)
-    g = GeometryParams(Parameter(3.0, name="a"))
-    assert g.alpha.item() == pytest.approx(0.75)
+def test_geometry_alpha_range():
+    assert geometry_alpha(Parameter(1.0, name="a")).item() == pytest.approx(0.5)
+    assert geometry_alpha(Parameter(3.0, name="a")).item() == pytest.approx(0.75)
     for a0 in [0.0, 0.01, 1.0, 7.0, 1e6]:
-        alpha = GeometryParams(Parameter(a0, name="a")).alpha.item()
+        alpha = geometry_alpha(Parameter(a0, name="a")).item()
         assert 0.0 <= alpha < 1.0
 
 
@@ -234,15 +232,21 @@ def test_fuse_weights_convex_combination():
 # --- gated embedding fusion -------------------------------------------------
 
 def _zero_gate(f_dim):
-    return FusionGate(Parameter(np.zeros((2 * f_dim, f_dim)), name="w"),
-                      Parameter(np.zeros(f_dim), name="b"))
+    return (Parameter(np.zeros((2 * f_dim, f_dim)), name="w"),
+            Parameter(np.zeros(f_dim), name="b"))
+
+
+def _random_gate(f_dim, rng):
+    """(W_g, b_g) drawn as ModelParams.init draws a gate."""
+    w = rng.normal(size=(2 * f_dim, f_dim)) / math.sqrt(2 * f_dim)
+    return Parameter(w, name="w"), Parameter(np.zeros(f_dim), name="b")
 
 
 def test_gated_fuse_zero_gate_is_mean():
     rng = np.random.default_rng(10)
     xv = rng.normal(size=(3, 4))
     xt = rng.normal(size=(3, 4))
-    out = gated_fuse(xv, xt, _zero_gate(4)).value
+    out = gated_fuse(xv, xt, *_zero_gate(4)).value
     assert np.allclose(out, 0.5 * (xv + xt), atol=1e-12)
 
 
@@ -250,21 +254,21 @@ def test_gated_fuse_saturated_bias_selects_one_stream():
     rng = np.random.default_rng(11)
     xv = rng.normal(size=(2, 3))
     xt = rng.normal(size=(2, 3))
-    gate = FusionGate(Parameter(np.zeros((6, 3)), name="w"),
-                      Parameter(np.full(3, 50.0), name="b"))
-    assert np.abs(gated_fuse(xv, xt, gate).value - xv).max() <= 1e-9
-    gate.b_g.value[:] = -50.0
-    assert np.abs(gated_fuse(xv, xt, gate).value - xt).max() <= 1e-9
+    w_g = Parameter(np.zeros((6, 3)), name="w")
+    b_g = Parameter(np.full(3, 50.0), name="b")
+    assert np.abs(gated_fuse(xv, xt, w_g, b_g).value - xv).max() <= 1e-9
+    b_g.value[:] = -50.0
+    assert np.abs(gated_fuse(xv, xt, w_g, b_g).value - xt).max() <= 1e-9
 
 
 def test_gated_fuse_fixed_point_and_interval():
     rng = np.random.default_rng(12)
-    gate = FusionGate.init(5, rng, "g")
+    gate = _random_gate(5, rng)
     x = rng.normal(size=(4, 5))
-    assert np.allclose(gated_fuse(x, x, gate).value, x, atol=1e-12)
+    assert np.allclose(gated_fuse(x, x, *gate).value, x, atol=1e-12)
     xv = rng.normal(size=(4, 5))
     xt = rng.normal(size=(4, 5))
-    out = gated_fuse(xv, xt, gate).value
+    out = gated_fuse(xv, xt, *gate).value
     assert np.all(out >= np.minimum(xv, xt) - 1e-12)
     assert np.all(out <= np.maximum(xv, xt) + 1e-12)
 
@@ -282,8 +286,7 @@ def test_weight_pipeline_gradients_match_fd():
     beta = Parameter(0.3, name="beta")
 
     def f():
-        alpha = ad.div(a, ad.add(a, 1.0))
-        w = fuse_weights(geo_weights(dbar, vbar, alpha),
+        w = fuse_weights(geo_weights(dbar, vbar, geometry_alpha(a)),
                          text_weights(emb, np.ones((2, 4, 4), dtype=bool), 4),
                          beta)
         return ad.tsum(ad.mul(w, probe))
@@ -293,15 +296,15 @@ def test_weight_pipeline_gradients_match_fd():
 
 def test_gate_gradients_match_fd():
     rng = np.random.default_rng(5)
-    gate = FusionGate.init(6, rng, "g")
+    gate = _random_gate(6, rng)
     xv = rng.standard_normal((3, 2, 6))
     xt = rng.standard_normal((3, 2, 6))
     probe = rng.standard_normal((3, 2, 6))
 
     def f():
-        return ad.tsum(ad.mul(gated_fuse(xv, xt, gate), probe))
+        return ad.tsum(ad.mul(gated_fuse(xv, xt, *gate), probe))
 
-    assert grad_check(f, [gate.w_g, gate.b_g], rng=rng) < 1e-6
+    assert grad_check(f, list(gate), rng=rng) < 1e-6
 
 
 # --- synthetic embeddings ---------------------------------------------------

@@ -216,9 +216,9 @@ def numpy_forward(batch, params, cfg):
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
 
-    a_val = float(params.geometry.a.value)
+    a_val = float(params.geom_a.value)
     alpha = a_val / (a_val + 1.0)
-    lam = sig(float(params.gate_obj.beta.value))
+    lam = sig(float(params.gate_obj_beta.value))
 
     d = np.zeros((b_n, t_n, o_n, o_n))
     for b in range(b_n):
@@ -263,7 +263,7 @@ def numpy_forward(batch, params, cfg):
 
     vis_obj = batch.visual[:, :, 1:]
     gate_in = np.concatenate([vis_obj, text_obj], axis=-1)
-    g = sig(gate_in @ params.gate_obj.w_g.value + params.gate_obj.b_g.value)
+    g = sig(gate_in @ params.gate_obj_w_g.value + params.gate_obj_b_g.value)
     h_nodes = g * vis_obj + (1.0 - g) * text_obj
 
     a_soft = smax(params.u.value @ params.v.value)
@@ -287,19 +287,19 @@ def numpy_forward(batch, params, cfg):
                 pooled[b, t] = h_nodes[b, t][present].mean(axis=0)
 
     gate_in = np.concatenate([batch.visual[:, :, 0], batch.text[:, :, 0]], axis=-1)
-    g = sig(gate_in @ params.gate_frame.w_g.value + params.gate_frame.b_g.value)
+    g = sig(gate_in @ params.gate_frame_w_g.value + params.gate_frame_b_g.value)
     f_fuse = g * batch.visual[:, :, 0] + (1.0 - g) * batch.text[:, :, 0]
     x = np.concatenate([pooled, f_fuse], axis=-1)
 
-    for block in params.tcn:
-        wgt = block.weight.value
+    for (weight, bias), dilation in zip(params.tcn, (1, 2, 4), strict=True):
+        wgt = weight.value
         k = wgt.shape[0]
         y = np.zeros_like(x)
         for b in range(b_n):
             for t in range(t_n):
-                acc = block.bias.value.copy()
+                acc = bias.value.copy()
                 for tap in range(k):
-                    src = t - (k - 1 - tap) * block.dilation
+                    src = t - (k - 1 - tap) * dilation
                     if src >= 0:
                         acc = acc + x[b, src] @ wgt[tap]
                 y[b, t] = acc
@@ -336,8 +336,8 @@ def _off_default_mix(params):
     padded slots (w = (1 - lambda) alpha + lambda / O on absent rows and
     (1 - lambda) alpha at (present, absent) pairs) differ from each other and
     from the weights of present pairs."""
-    params.geometry.a.value[...] = 0.7
-    params.gate_obj.beta.value[...] = 0.4
+    params.geom_a.value[...] = 0.7
+    params.gate_obj_beta.value[...] = 0.4
     return params
 
 
@@ -497,6 +497,20 @@ def test_checkpoint_roundtrip(tmp_path):
     batch = random_batch(1, 4, 2, 4, rng)
     assert np.array_equal(forward(batch, params, cfg).risk.value,
                           forward(batch, loaded, cfg).risk.value)
+
+
+def test_parameters_follow_the_field_declaration():
+    # the checkpoint layout, Adam's state and the clip sum all read this order
+    params = ModelParams.init(_tiny_cfg(), np.random.default_rng(0))
+    assert [p.name for p in params.parameters()] == [
+        "adj.u", "adj.v", "gcn.psi0", "gcn.psi1", "geom.a",
+        "gate_obj.w_g", "gate_obj.b_g", "gate_obj.beta",
+        "gate_frame.w_g", "gate_frame.b_g",
+        "tcn.0.weight", "tcn.0.bias", "tcn.1.weight", "tcn.1.bias",
+        "tcn.2.weight", "tcn.2.bias",
+        "gru.w_ih", "gru.w_hh", "gru.b_ih", "gru.b_hh",
+        "head.w1", "head.b1", "head.w2", "head.b2",
+        "align.w1", "align.b1", "align.w2", "align.b2"]
 
 
 def test_checkpoint_shape_mismatch_raises(tmp_path):
